@@ -38,10 +38,6 @@ class FeatureGrid:
     def d(self) -> int:
         return self.values.shape[1]
 
-    def as_image(self) -> np.ndarray:
-        """(h, w, d) view of the row-major grid."""
-        return self.values.reshape(self.h, self.w, self.d)
-
     def like(self, values: np.ndarray) -> "FeatureGrid":
         return FeatureGrid(self.h, self.w, values)
 
@@ -99,13 +95,6 @@ class RadlAttnParams:
             # position perturbation
             e_proj=np.vstack([np.eye(d), 0.1 * rng.standard_normal((d, d))]),
         )
-
-    def qlp_for(self, n_rows: int) -> np.ndarray:
-        if self.qlp_fine.shape[0] == n_rows:
-            return self.qlp_fine
-        if self.qlp_coarse.shape[0] == n_rows:
-            return self.qlp_coarse
-        raise ShapeMismatch(f"no learnable-query bank with {n_rows} rows")
 
 
 # ---------------------------------------------------------------------------
@@ -168,39 +157,52 @@ def scaled_dot_attention_backward(
 # ---------------------------------------------------------------------------
 # masked cross-attention against a token sequence (shared by the text,
 # instance, and relation layers)
+#
+# Every masked op computes only the query rows its mask keeps and scatters
+# them into a zero grid; keys and values are never gathered.  Rows outside
+# the mask are exactly +0.0, as the masked dense op would give, and their
+# upstream gradient is dropped, as masking it would.
+
+def _kept_rows(mask: MaskGrid | None, n: int) -> np.ndarray:
+    """Row indices a mask keeps; every row when there is no mask."""
+    return np.arange(n) if mask is None else np.flatnonzero(mask.flat())
+
+
+def _scatter_rows(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) zero matrix with values[k] placed at row rows[k]."""
+    out = np.zeros((n, values.shape[1]))
+    out[rows] = values
+    return out
+
 
 @dataclass
 class MaskedAttnCache:
-    feat: np.ndarray       # query source (n_q, d)
+    feat: np.ndarray       # query source (n_q, d), every row
     emb: np.ndarray        # key/value source (L, d)
-    mask_col: np.ndarray   # (n_q, 1) in {0, 1}
-    attn_cache: AttnCache
+    rows: np.ndarray       # indices of the query rows the mask keeps
+    attn_cache: AttnCache  # over the kept query rows only
     proj: AttnProjection
 
 
-def _apply_mask(values: np.ndarray, mask_col: np.ndarray) -> np.ndarray:
-    # np.where keeps masked-out rows bitwise +0.0 rather than -0.0.
-    return np.where(mask_col > 0.0, values, 0.0)
-
-
 def _masked_attention_forward(
-    feat: np.ndarray, emb: np.ndarray, proj: AttnProjection, mask_col: np.ndarray
+    feat: np.ndarray, emb: np.ndarray, proj: AttnProjection, mask: MaskGrid
 ) -> tuple[np.ndarray, MaskedAttnCache]:
-    out, ac = scaled_dot_attention_forward(feat @ proj.wq, emb @ proj.wk, emb @ proj.wv)
-    return _apply_mask(out, mask_col), MaskedAttnCache(
-        feat=feat, emb=emb, mask_col=mask_col, attn_cache=ac, proj=proj
+    rows = _kept_rows(mask, feat.shape[0])
+    out, ac = scaled_dot_attention_forward(feat[rows] @ proj.wq, emb @ proj.wk, emb @ proj.wv)
+    return _scatter_rows(out, rows, feat.shape[0]), MaskedAttnCache(
+        feat=feat, emb=emb, rows=rows, attn_cache=ac, proj=proj
     )
 
 
 def _masked_attention_backward(
     d_out: np.ndarray, cache: MaskedAttnCache
 ) -> dict[str, np.ndarray]:
-    d_masked = _apply_mask(d_out, cache.mask_col)
-    dq, dk, dv = scaled_dot_attention_backward(d_masked, cache.attn_cache)
+    rows = cache.rows
+    dq, dk, dv = scaled_dot_attention_backward(d_out[rows], cache.attn_cache)
     return {
-        "feat": dq @ cache.proj.wq.T,
+        "feat": _scatter_rows(dq @ cache.proj.wq.T, rows, cache.feat.shape[0]),
         "emb": dk @ cache.proj.wk.T + dv @ cache.proj.wv.T,
-        "wq": cache.feat.T @ dq,
+        "wq": cache.feat[rows].T @ dq,
         "wk": cache.emb.T @ dk,
         "wv": cache.emb.T @ dv,
     }
@@ -219,9 +221,7 @@ def masked_text_attention_forward(
     _check_mask(feat, mask)
     if label_emb.dim != feat.d:
         raise ShapeMismatch(f"embedding dim {label_emb.dim} != feature dim {feat.d}")
-    out, cache = _masked_attention_forward(
-        feat.values, label_emb.values, proj, mask.flat()[:, None]
-    )
+    out, cache = _masked_attention_forward(feat.values, label_emb.values, proj, mask)
     return feat.like(out), cache
 
 
@@ -247,32 +247,38 @@ def masked_text_attention_backward(
 
 @dataclass
 class AttributeEnhanceCache:
-    feat: np.ndarray
-    qlp: np.ndarray
-    attn_cache: AttnCache
+    feat: np.ndarray       # key/value source, every row
+    rows: np.ndarray       # indices of the query rows the mask keeps
+    attn_cache: AttnCache  # over the kept query rows only
     proj: AttnProjection
 
 
 def attribute_enhancement_forward(
-    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection
+    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection, mask: MaskGrid | None = None
 ) -> tuple[FeatureGrid, AttributeEnhanceCache]:
-    if qlp.shape[0] != feat.h * feat.w:
-        raise ShapeMismatch(
-            f"learnable queries have {qlp.shape[0]} rows, grid has {feat.h * feat.w}"
-        )
-    out, ac = scaled_dot_attention_forward(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
-    return feat.like(out), AttributeEnhanceCache(
-        feat=feat.values, qlp=qlp, attn_cache=ac, proj=proj
+    """With a mask, returns mask * AE(feat): only the query rows the mask
+    keeps are attended, each over the full key and value set."""
+    n = feat.h * feat.w
+    if qlp.shape[0] != n:
+        raise ShapeMismatch(f"learnable queries have {qlp.shape[0]} rows, grid has {n}")
+    if mask is not None:
+        _check_mask(feat, mask)
+    rows = _kept_rows(mask, n)
+    out, ac = scaled_dot_attention_forward(
+        qlp[rows], feat.values @ proj.wk, feat.values @ proj.wv
+    )
+    return feat.like(_scatter_rows(out, rows, n)), AttributeEnhanceCache(
+        feat=feat.values, rows=rows, attn_cache=ac, proj=proj
     )
 
 
 def attribute_enhancement(
-    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection
+    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection, mask: MaskGrid | None = None
 ) -> FeatureGrid:
     """Attention with the learnable queries used raw (no query projection);
     keys/values project from the instance image features.  Output row j is
     spatially aligned with grid location j."""
-    return attribute_enhancement_forward(feat, qlp, proj)[0]
+    return attribute_enhancement_forward(feat, qlp, proj, mask)[0]
 
 
 def attribute_enhancement_backward(
@@ -280,9 +286,9 @@ def attribute_enhancement_backward(
 ) -> dict[str, np.ndarray]:
     if cache is None:
         raise MissingCache("attribute_enhancement backward needs its forward cache")
-    dq, dk, dv = scaled_dot_attention_backward(d_out, cache.attn_cache)
+    dq, dk, dv = scaled_dot_attention_backward(d_out[cache.rows], cache.attn_cache)
     return {
-        "qlp": dq,
+        "qlp": _scatter_rows(dq, cache.rows, cache.feat.shape[0]),
         "feat": dk @ cache.proj.wk.T + dv @ cache.proj.wv.T,
         "wk": cache.feat.T @ dk,
         "wv": cache.feat.T @ dv,
@@ -299,9 +305,7 @@ def instance_attention_forward(
     _check_mask(r_ae, mask)
     if e_i.dim != r_ae.d:
         raise ShapeMismatch(f"embedding dim {e_i.dim} != feature dim {r_ae.d}")
-    out, cache = _masked_attention_forward(
-        r_ae.values, e_i.values, proj, mask.flat()[:, None]
-    )
+    out, cache = _masked_attention_forward(r_ae.values, e_i.values, proj, mask)
     return r_ae.like(out), cache
 
 
@@ -350,9 +354,7 @@ def relation_attention_forward(
     if verb_emb is None or verb_emb.length == 0:
         # Disabled branch: no verbs means no relation signal.
         return feat.like(np.zeros_like(feat.values)), None
-    out, cache = _masked_attention_forward(
-        feat.values, verb_emb.values, proj, m_total.flat()[:, None]
-    )
+    out, cache = _masked_attention_forward(feat.values, verb_emb.values, proj, m_total)
     return feat.like(out), cache
 
 

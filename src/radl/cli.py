@@ -73,6 +73,15 @@ class RunConfig:
             )
         if self.lr <= 0:
             raise MalformedDoc("lr must be > 0")
+        if self.variant not in pipeline.VARIANTS:
+            raise MalformedDoc(
+                f"variant {self.variant!r} is not one of {list(pipeline.VARIANTS)}"
+            )
+        if self.radl_train_mode not in pipeline.TRAIN_MODES:
+            raise MalformedDoc(
+                f"radl_train_mode {self.radl_train_mode!r} is not one of "
+                f"{list(pipeline.TRAIN_MODES)}"
+            )
 
     def embedder(self) -> EmbedderConfig:
         lexicon = (
@@ -269,7 +278,7 @@ def cmd_gradcheck(cfg: RunConfig, scenes: int = 5, inject_fault: bool = False) -
         t = 1 + (7 * produced) % cfg.t_train
         report = pipeline.gradcheck(
             params, scene, t=t, rng_seed=cfg.seed + produced,
-            embed_cfg=embed_cfg, grad_fault=inject_fault,
+            embed_cfg=embed_cfg, variant=cfg.variant, grad_fault=inject_fault,
         )
         for group, err in report.max_rel_err.items():
             worst[group] = max(worst.get(group, 0.0), err)

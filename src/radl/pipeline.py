@@ -50,6 +50,7 @@ from .text import (
 )
 
 VARIANTS = ("full", "text_attn_only", "no_relation")
+TRAIN_MODES = ("mirror", "always_on")
 
 # parameters that act as gates/queries rather than weights
 NO_DECAY = frozenset(
@@ -383,8 +384,10 @@ def _radl_block_forward(
         if variant == "text_attn_only":
             r_f = r_i
         else:
-            # enhancement keys/values come from the instance's own masked features
-            r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, radl.proj_ae)
+            # enhancement keys/values come from the instance's own masked
+            # features; only in-box query rows are computed, which is exact
+            # because instance attention reads and back-propagates only those
+            r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, radl.proj_ae, masks[i])
             pos, ic.pos = position_embed_forward(inst.bbox, params.posmlp)
             e_i, ic.emb = build_instance_embedding_forward(enc.label_embs[i], pos, radl.e_proj)
             r_ia, ic.ia = instance_attention_forward(r_ae, e_i, radl.proj_inst, masks[i])
@@ -736,7 +739,7 @@ def train(
     steps, so the plain pass also trains at the noise levels where
     inference uses it; "always_on" keeps the stack active at every t.
     """
-    if radl_train_mode not in ("mirror", "always_on"):
+    if radl_train_mode not in TRAIN_MODES:
         raise ValueError(f"unknown radl_train_mode {radl_train_mode!r}")
     if not dataset:
         raise ValueError("training dataset is empty")

@@ -8,12 +8,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import FeatureGrid, scaled_dot_attention, scaled_dot_attention_forward
+from .attention import (
+    AttnProjection,
+    FeatureGrid,
+    attribute_enhancement,
+    masked_text_attention,
+    scaled_dot_attention,
+    scaled_dot_attention_forward,
+)
 from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse, fuse_forward
 from .layout import BBox, MaskGrid, rasterize_mask, total_mask
 from .pipeline import NoiseSchedule, init_denoiser, sample
 from .scenes import SceneConfig, make_scene
-from .text import EmbedderConfig, embed_tokens
+from .text import EmbedderConfig, EmbeddingSeq, embed_tokens
 
 Check = tuple[str, bool, str]
 
@@ -31,6 +38,18 @@ def _check_total_mask_union(rng) -> Check:
     return ("total_mask union vs brute force", worst, "50 random mask triples")
 
 
+def _scalar_attention(q, k, v) -> np.ndarray:
+    out = np.zeros((q.shape[0], v.shape[1]))
+    for i in range(q.shape[0]):
+        logits = [float(q[i] @ k[j]) / np.sqrt(q.shape[1]) for j in range(k.shape[0])]
+        m = max(logits)
+        e = [np.exp(l - m) for l in logits]
+        z = sum(e)
+        for j in range(k.shape[0]):
+            out[i] += (e[j] / z) * v[j]
+    return out
+
+
 def _check_attention_oracle(rng) -> Check:
     worst = 0.0
     for _ in range(10):
@@ -38,16 +57,33 @@ def _check_attention_oracle(rng) -> Check:
         k = rng.standard_normal((5, 8))
         v = rng.standard_normal((5, 8))
         out = scaled_dot_attention(q, k, v)
-        want = np.zeros_like(out)
-        for i in range(4):
-            logits = [float(q[i] @ k[j]) / np.sqrt(8) for j in range(5)]
-            m = max(logits)
-            e = [np.exp(l - m) for l in logits]
-            z = sum(e)
-            for j in range(5):
-                want[i] += (e[j] / z) * v[j]
-        worst = max(worst, float(np.max(np.abs(out - want))))
+        worst = max(worst, float(np.max(np.abs(out - _scalar_attention(q, k, v)))))
     return ("attention vs scalar oracle", worst <= 1e-12, f"max abs err {worst:.2e}")
+
+
+def _check_in_mask_attention(rng) -> Check:
+    # the masked ops compute only the rows their mask keeps; each must equal
+    # the dense scalar oracle with the rows outside the mask zeroed
+    worst = 0.0
+    masks = [np.zeros((4, 4)), np.ones((4, 4))]
+    masks += [(rng.random((4, 4)) < 0.3).astype(float) for _ in range(4)]
+    for m in masks:
+        feat = FeatureGrid(4, 4, rng.standard_normal((16, 8)))
+        emb = rng.standard_normal((3, 8))
+        qlp = rng.standard_normal((16, 8))
+        proj = AttnProjection.init(rng, 8)
+        keep = m.reshape(-1, 1)
+        got_text = masked_text_attention(feat, EmbeddingSeq(emb), proj, MaskGrid(m)).values
+        want_text = keep * _scalar_attention(feat.values @ proj.wq, emb @ proj.wk, emb @ proj.wv)
+        got_ae = attribute_enhancement(feat, qlp, proj, MaskGrid(m)).values
+        want_ae = keep * _scalar_attention(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
+        worst = max(
+            worst,
+            float(np.max(np.abs(got_text - want_text))),
+            float(np.max(np.abs(got_ae - want_ae))),
+        )
+    ok = worst <= 1e-12
+    return ("in-mask attention vs scalar oracle", ok, f"{len(masks)} masks, max abs err {worst:.2e}")
 
 
 def _check_softmax_rows(rng) -> Check:
@@ -112,6 +148,7 @@ def run_selftest(seed: int = 0) -> list[Check]:
     checks = [
         _check_total_mask_union,
         _check_attention_oracle,
+        _check_in_mask_attention,
         _check_softmax_rows,
         _check_fusion,
         _check_rasterize_area,

@@ -117,11 +117,6 @@ def embed_tokens(tokens: list[str], cfg: EmbedderConfig) -> EmbeddingSeq:
     return EmbeddingSeq(rows)
 
 
-def embed_text(text: str, cfg: EmbedderConfig) -> EmbeddingSeq:
-    """Convenience: tokenize then embed."""
-    return embed_tokens(tokenize(text), cfg)
-
-
 def _ing_stems(token: str) -> list[str]:
     # "leaning" -> lean; "riding" -> rid/ride; "sitting" -> sitt/sit
     if not token.endswith("ing") or len(token) <= 3:

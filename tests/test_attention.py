@@ -26,7 +26,7 @@ from radl.attention import (
     softmax_rows,
 )
 from radl.errors import MissingCache, ShapeMismatch
-from radl.layout import MaskGrid
+from radl.layout import BBox, MaskGrid, rasterize_mask
 from radl.text import EmbeddingSeq
 
 
@@ -431,3 +431,96 @@ def test_relation_backward_fd():
     for arr, an in ((feat.values, grads["feat"]), (verb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
+
+
+# --- in-mask rows ------------------------------------------------------------
+# The masked ops compute only the query rows their mask keeps; the dense
+# oracle with the other rows zeroed is the reference.
+
+def mask_case(name, rng, side=8):
+    if name == "empty":
+        return MaskGrid(np.zeros((side, side)))
+    if name == "one_cell":
+        mask = rasterize_mask(BBox(0.03125, 0.46875, 0.1875, 0.65625), side, side)
+        assert mask.values.sum() == 1.0
+        return mask
+    if name == "full":
+        return MaskGrid(np.ones((side, side)))
+    return random_mask(rng, side, side)
+
+
+MASK_CASES = ("empty", "one_cell", "full", "random")
+
+
+@pytest.mark.parametrize("case", MASK_CASES)
+def test_in_mask_ops_match_masked_oracle(case):
+    rng = np.random.default_rng(29)
+    mask = mask_case(case, rng)
+    keep = mask.flat()[:, None]
+    feat = grid(rng, 8, 8, 8)
+    emb = EmbeddingSeq(rng.standard_normal((3, 8)))
+    proj = AttnProjection.init(rng, 8)
+    want = keep * attention_oracle(feat.values @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv)
+    for op in (masked_text_attention, instance_attention, relation_attention):
+        got = op(feat, emb, proj, mask).values
+        assert rel_err(got, want) <= 1e-12, op.__name__
+        assert not np.signbit(got[keep[:, 0] == 0]).any()  # bitwise +0.0
+    qlp = rng.standard_normal((64, 8))
+    got = attribute_enhancement(feat, qlp, proj, mask).values
+    want = keep * attention_oracle(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
+    assert rel_err(got, want) <= 1e-12
+
+
+def test_attribute_enhancement_ones_mask_equals_no_mask():
+    rng = np.random.default_rng(30)
+    feat = grid(rng, 8, 8, 4)
+    proj = AttnProjection.init(rng, 4)
+    qlp = rng.standard_normal((64, 4))
+    d_out = rng.standard_normal((64, 4))
+    out_m, cache_m = attribute_enhancement_forward(feat, qlp, proj, MaskGrid(np.ones((8, 8))))
+    out_n, cache_n = attribute_enhancement_forward(feat, qlp, proj)
+    assert np.array_equal(out_m.values, out_n.values)
+    grads_m = attribute_enhancement_backward(d_out, cache_m)
+    grads_n = attribute_enhancement_backward(d_out, cache_n)
+    for key in grads_n:
+        assert np.array_equal(grads_m[key], grads_n[key]), key
+
+
+def test_attribute_enhancement_mask_shape_mismatch():
+    rng = np.random.default_rng(31)
+    with pytest.raises(ShapeMismatch):
+        attribute_enhancement(
+            grid(rng, 4, 4, 4), rng.standard_normal((16, 4)), AttnProjection.init(rng, 4),
+            MaskGrid(np.ones((2, 2))),
+        )
+
+
+@pytest.mark.parametrize("case", MASK_CASES)
+def test_in_mask_backward_fd(case):
+    rng = np.random.default_rng(32)
+    mask = mask_case(case, rng)
+    feat = grid(rng, 8, 8, 4)
+    emb = EmbeddingSeq(rng.standard_normal((2, 4)))
+    qlp = rng.standard_normal((64, 4))
+    proj = AttnProjection.init(rng, 4)
+    d_out = rng.standard_normal((64, 4))
+
+    _, cache = attribute_enhancement_forward(feat, qlp, proj, mask)
+    grads = attribute_enhancement_backward(d_out, cache)
+
+    def run_ae():
+        return attribute_enhancement(feat, qlp, proj, mask).values
+
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, grads["feat"]),
+                    (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
+        assert rel_err(an, central_diff(run_ae, arr, d_out)) < 1e-6
+
+    _, cache = masked_text_attention_forward(feat, emb, proj, mask)
+    grads = masked_text_attention_backward(d_out, cache)
+
+    def run_text():
+        return masked_text_attention(feat, emb, proj, mask).values
+
+    for arr, an in ((feat.values, grads["feat"]), (emb.values, grads["emb"]),
+                    (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
+        assert rel_err(an, central_diff(run_text, arr, d_out)) < 1e-6

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from radl import pipeline
 from radl.checkpoint import load_tensors
 from radl.cli import main
 from radl.errors import PlacementFailure
@@ -245,6 +246,34 @@ def test_gradcheck_fault_injection_exit_5(workdir, capsys):
     assert run("--config", workdir / "config.json", "gradcheck",
                "--scenes", 1, "--inject-grad-fault") == 5
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("variant", ["no_relation", "text_attn_only"])
+def test_gradcheck_honours_variant(workdir, variant, monkeypatch, capsys):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg["variant"] = variant
+    (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    audited = []
+    real_gradcheck = pipeline.gradcheck
+
+    def gradcheck(*args, **kwargs):
+        audited.append(kwargs.get("variant", "full"))
+        return real_gradcheck(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "gradcheck", gradcheck)
+    assert run("--config", workdir / "config.json", "gradcheck", "--scenes", 1) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert audited == [variant]
+
+
+@pytest.mark.parametrize("command", [["gradcheck", "--scenes", 1], ["train"]])
+@pytest.mark.parametrize("key", ["variant", "radl_train_mode"])
+def test_unknown_run_setting_exit_2(workdir, key, command, capsys):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg[key] = "bogus"
+    (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert run("--config", workdir / "config.json", *command) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_selftest_ok_and_json(workdir, capsys):

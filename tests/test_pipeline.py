@@ -1,11 +1,15 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from radl.errors import NonFiniteLoss, ShapeMismatch, StepOutOfRange
+from radl import pipeline
+from radl.errors import NonFiniteLoss, PlacementFailure, ShapeMismatch, StepOutOfRange
 from radl.pipeline import (
+    VARIANTS,
     NoiseSchedule,
+    denoise_backward,
     denoise_forward,
     denoise_forward_cached,
     forward_diffuse,
@@ -14,6 +18,7 @@ from radl.pipeline import (
     params_to_dict,
     sample,
     train,
+    zero_grads,
 )
 from radl.layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask
 from radl.scenes import SceneConfig, make_scene
@@ -169,6 +174,57 @@ def test_text_attn_only_uses_no_enhancement_params():
     eps, cache = denoise_forward_cached(params, x, 100, scene.layout, True, EC, "text_attn_only")
     assert all(ic.ae is None and ic.ia is None for ic in cache.block_fine.instances)
     assert not cache.block_fine.has_rel_branch
+
+
+def crowded_layouts(count=3):
+    cfg = SceneConfig(n_instances=(1, 4), min_box=0.15, max_box=0.3)
+    layouts, seed = [], 0
+    while len(layouts) < count:
+        try:
+            layouts.append(make_scene(seed, cfg).layout)
+        except PlacementFailure:
+            pass
+        seed += 1
+    # a box that covers one cell at 16x16 and none at 8x8
+    tiny = InstanceSpec("blue square", BBox(0.0, 0.0, 0.06, 0.06))
+    assert rasterize_mask(tiny.bbox, 8, 8).values.sum() == 0.0
+    layouts[0] = replace(layouts[0], instances=layouts[0].instances + (tiny,))
+    return layouts
+
+
+def rel_diff(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
+
+
+def forward_and_grads(params, layout, x, t, variant):
+    eps, cache = denoise_forward_cached(params, x, t, layout, True, EC, variant)
+    g = zero_grads(params)
+    denoise_backward(np.sin(eps), cache, params, g)
+    return eps, g
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_in_mask_enhancement_matches_dense_reference(variant, monkeypatch):
+    # Attribute enhancement computes only in-box query rows.  Instance
+    # attention reads only those rows and sends gradient only to them, so
+    # the dense op, which computes every row, must give the same eps and
+    # gradients up to rounding.
+    params = init_denoiser(3, d=8, image_size=32, t_train=200)
+    rng = np.random.default_rng(17)
+    cases = [(layout, rng.standard_normal((3, 32, 32)), int(rng.integers(1, 201)))
+             for layout in crowded_layouts()]
+    fast = [forward_and_grads(params, *case, variant) for case in cases]
+
+    dense_ae = pipeline.attribute_enhancement_forward
+    monkeypatch.setattr(
+        pipeline, "attribute_enhancement_forward",
+        lambda feat, qlp, proj, mask=None: dense_ae(feat, qlp, proj),
+    )
+    for case, (eps, g) in zip(cases, fast):
+        eps_ref, g_ref = forward_and_grads(params, *case, variant)
+        assert rel_diff(eps, eps_ref) <= 1e-12
+        for name in g_ref:
+            assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
 
 
 # --- sampling ----------------------------------------------------------------
