@@ -20,7 +20,8 @@ from .text import EmbeddingSeq
 
 @dataclass(frozen=True)
 class FeatureGrid:
-    """H x W x d feature map stored row-major as an (H*W, d) matrix."""
+    """H x W x d feature map stored row-major as an (H*W, d) matrix, or as a
+    stack (..., H*W, d) of such maps sharing one grid."""
 
     h: int
     w: int
@@ -28,15 +29,15 @@ class FeatureGrid:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != self.h * self.w:
+        if v.ndim < 2 or v.shape[-2] != self.h * self.w:
             raise ShapeMismatch(
-                f"feature values must be ({self.h * self.w}, d), got {v.shape}"
+                f"feature values must be (..., {self.h * self.w}, d), got {v.shape}"
             )
         object.__setattr__(self, "values", v)
 
     @property
     def d(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def like(self, values: np.ndarray) -> "FeatureGrid":
         return FeatureGrid(self.h, self.w, values)
@@ -110,24 +111,30 @@ class AttnCache:
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Rowwise softmax with per-row max subtraction for overflow safety."""
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # in place on one fresh array: a stacked score block is the largest
+    # array of a batched forward
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def scaled_dot_attention_forward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, AttnCache]:
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeMismatch("q, k, v must be 2-d matrices")
-    if k.shape[0] < 1:
+    """Leading axes broadcast: each matrix of a stack is attended exactly as
+    the 2-d op would attend it alone."""
+    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeMismatch("q, k, v must be matrices or stacks of matrices")
+    if k.shape[-2] < 1:
         raise ShapeMismatch("attention requires at least one key")
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeMismatch(
             f"shapes do not conform: q {q.shape}, k {k.shape}, v {v.shape}"
         )
-    d = q.shape[1]
-    attn = softmax_rows(q @ k.T / np.sqrt(d))
+    scores = q @ k.mT
+    scores /= np.sqrt(q.shape[-1])
+    attn = softmax_rows(scores)
     return attn @ v, AttnCache(q=q, k=k, v=v, attn=attn)
 
 
@@ -139,7 +146,7 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndar
 def scaled_dot_attention_backward(
     d_out: np.ndarray, cache: AttnCache | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dq, dk, dv) for the attention kernel."""
+    """Gradients (dq, dk, dv) for the attention kernel; 2-d caches only."""
     if cache is None:
         raise MissingCache("scaled_dot_attention backward needs its forward cache")
     a = cache.attn
@@ -161,7 +168,8 @@ def scaled_dot_attention_backward(
 # Every masked op computes only the query rows its mask keeps and scatters
 # them into a zero grid; keys and values are never gathered.  Rows outside
 # the mask are exactly +0.0, as the masked dense op would give, and their
-# upstream gradient is dropped, as masking it would.
+# upstream gradient is dropped, as masking it would.  Forwards also take a
+# stack (K, h*w, d) of feature grids under one mask; backwards are 2-d only.
 
 def _kept_rows(mask: MaskGrid | None, n: int) -> np.ndarray:
     """Row indices a mask keeps; every row when there is no mask."""
@@ -169,9 +177,9 @@ def _kept_rows(mask: MaskGrid | None, n: int) -> np.ndarray:
 
 
 def _scatter_rows(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(n, d) zero matrix with values[k] placed at row rows[k]."""
-    out = np.zeros((n, values.shape[1]))
-    out[rows] = values
+    """(..., n, d) zeros with values[..., k, :] placed at row rows[k]."""
+    out = np.zeros(values.shape[:-2] + (n, values.shape[-1]))
+    out[..., rows, :] = values
     return out
 
 
@@ -187,9 +195,12 @@ class MaskedAttnCache:
 def _masked_attention_forward(
     feat: np.ndarray, emb: np.ndarray, proj: AttnProjection, mask: MaskGrid
 ) -> tuple[np.ndarray, MaskedAttnCache]:
-    rows = _kept_rows(mask, feat.shape[0])
-    out, ac = scaled_dot_attention_forward(feat[rows] @ proj.wq, emb @ proj.wk, emb @ proj.wv)
-    return _scatter_rows(out, rows, feat.shape[0]), MaskedAttnCache(
+    n = feat.shape[-2]
+    rows = _kept_rows(mask, n)
+    out, ac = scaled_dot_attention_forward(
+        feat[..., rows, :] @ proj.wq, emb @ proj.wk, emb @ proj.wv
+    )
+    return _scatter_rows(out, rows, n), MaskedAttnCache(
         feat=feat, emb=emb, rows=rows, attn_cache=ac, proj=proj
     )
 

@@ -1,8 +1,9 @@
 """Command-line entry point: generate, train, evaluate, gradcheck, selftest.
 
 Exit codes are a stable contract: 0 ok, 2 input error, 3 missing artifact,
-4 numeric failure, 5 gradcheck failure.  All randomness derives from the
-single config seed; identical configs produce byte-identical outputs.
+4 numeric failure, 5 gradcheck or selftest failure.  All randomness derives
+from the single config seed; identical configs produce byte-identical
+outputs.
 """
 from __future__ import annotations
 
@@ -36,9 +37,12 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISSING = 3
 EXIT_NUMERIC = 4
-EXIT_GRADCHECK = 5
+EXIT_CHECK = 5  # gradcheck or selftest failure
 
 CKPT_SCHEMA = "radl-ckpt/1"
+
+# images `gen` denoises in one pass; bounds the (K, rows, h*w) score memory
+GEN_CHUNK = 16
 
 
 @dataclass
@@ -67,6 +71,10 @@ class RunConfig:
     threads: int = 0  # RADL_THREADS cap; 0 = auto (single process regardless)
 
     def __post_init__(self):
+        if self.t_sample < 2:
+            raise MalformedDoc(f"t_sample must be >= 2, got {self.t_sample}")
+        if self.radl_steps < 0:
+            raise MalformedDoc(f"radl_steps must be >= 0, got {self.radl_steps}")
         if self.radl_steps > self.t_sample:
             raise MalformedDoc(
                 f"radl_steps {self.radl_steps} exceeds t_sample {self.t_sample}"
@@ -149,6 +157,9 @@ def _load_checkpoint(path):
 
 
 def cmd_gen(cfg: RunConfig, layout_path: str, count: int) -> int:
+    if count < 1:
+        print(f"image count must be >= 1, got {count}", file=sys.stderr)
+        return EXIT_INPUT
     if not Path(cfg.checkpoint).exists():
         print(f"checkpoint not found: {cfg.checkpoint}", file=sys.stderr)
         return EXIT_MISSING
@@ -162,28 +173,29 @@ def cmd_gen(cfg: RunConfig, layout_path: str, count: int) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sched = pipeline.NoiseSchedule.make(cfg.t_sample)
-    for i in range(count):
-        seed_i = cfg.seed + i
-        image, trace = pipeline.sample(
+    for start in range(0, count, GEN_CHUNK):
+        seeds = [cfg.seed + i for i in range(start, min(start + GEN_CHUNK, count))]
+        images, trace = pipeline.sample(
             params, layout, sched=sched, total_steps=cfg.t_sample,
-            radl_steps=cfg.radl_steps, rng_seed=seed_i,
+            radl_steps=cfg.radl_steps, rng_seed=seeds,
             embed_cfg=embed_cfg, variant=cfg.variant,
         )
-        stem = f"img_{i:03d}"
-        write_ppm(out_dir / f"{stem}.ppm", image)
-        (out_dir / f"{stem}.trace.json").write_text(
-            json.dumps(
-                {
-                    "image": f"{stem}.ppm",
-                    "seed": seed_i,
-                    "total_steps": cfg.t_sample,
-                    "radl_steps": cfg.radl_steps,
-                    "radl_on": trace,
-                }
+        for i, seed_i, image in zip(range(start, count), seeds, images):
+            stem = f"img_{i:03d}"
+            write_ppm(out_dir / f"{stem}.ppm", image)
+            (out_dir / f"{stem}.trace.json").write_text(
+                json.dumps(
+                    {
+                        "image": f"{stem}.ppm",
+                        "seed": seed_i,
+                        "total_steps": cfg.t_sample,
+                        "radl_steps": cfg.radl_steps,
+                        "radl_on": trace,
+                    }
+                )
+                + "\n",
+                encoding="utf-8",
             )
-            + "\n",
-            encoding="utf-8",
-        )
     return EXIT_OK
 
 
@@ -288,7 +300,7 @@ def cmd_gradcheck(cfg: RunConfig, scenes: int = 5, inject_fault: bool = False) -
     for group in sorted(worst):
         flag = "ok  " if worst[group] <= 1e-4 else "FAIL"
         print(f"{flag} {group:14s} max_rel_err {worst[group]:.3e}")
-    return EXIT_OK if ok else EXIT_GRADCHECK
+    return EXIT_OK if ok else EXIT_CHECK
 
 
 def cmd_selftest(cfg: RunConfig, as_json: bool = False) -> int:
@@ -314,7 +326,7 @@ def cmd_selftest(cfg: RunConfig, as_json: bool = False) -> int:
     if not passed:
         failing = [name for name, ok, _ in results if not ok]
         print(f"selftest failed: {', '.join(failing)}", file=sys.stderr)
-        return 1
+        return EXIT_CHECK
     return EXIT_OK
 
 

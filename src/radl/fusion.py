@@ -40,21 +40,23 @@ class FusionBranch:
 
 @dataclass
 class FuseCache:
-    feats: np.ndarray    # (B, n_pix, d)
+    feats: np.ndarray    # (..., B, n_pix, d)
     masks: np.ndarray    # (B, n_pix)
     weights: np.ndarray  # (B, n_pix), zero where inactive
 
 
 def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCache]:
+    """Branch features may be stacks (K, n_pix, d); the weights depend only
+    on masks and logits, so every grid of the stack shares them."""
     branches = list(branches)
     if not branches:
         raise NoBranches("fusion requires at least one branch")
     ref = branches[0].feat
     for b in branches[1:]:
-        if (b.feat.h, b.feat.w, b.feat.d) != (ref.h, ref.w, ref.d):
+        if (b.feat.h, b.feat.w, b.feat.values.shape) != (ref.h, ref.w, ref.values.shape):
             raise ShapeMismatch("fusion branches must share feature grid shape")
 
-    feats = np.stack([b.feat.values for b in branches])          # (B, n, d)
+    feats = np.stack([b.feat.values for b in branches], axis=-3)  # (..., B, n, d)
     masks = np.stack([b.mask.flat() for b in branches])          # (B, n)
     logits = np.array([b.logit for b in branches])[:, None]      # (B, 1)
     if not np.all(masks.sum(axis=0) > 0.0):
@@ -66,7 +68,7 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
     gated = np.where(masks > 0.0, np.exp(shifted) * masks, 0.0)
     weights = gated / gated.sum(axis=0, keepdims=True)
 
-    out = np.einsum("bn,bnd->nd", weights, feats)
+    out = np.einsum("bn,...bnd->...nd", weights, feats)
     return ref.like(out), FuseCache(feats=feats, masks=masks, weights=weights)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -285,47 +286,73 @@ class LayoutEncoding:
     prompt_emb: EmbeddingSeq
     label_embs: tuple[EmbeddingSeq, ...]
     verb_emb: EmbeddingSeq | None
+    masks: dict[int, tuple[MaskGrid, ...]]  # grid side -> one mask per instance
+    total_masks: dict[int, MaskGrid]        # grid side -> union of the instance masks
 
 
-def encode_layout(layout: LayoutSpec, cfg: EmbedderConfig) -> LayoutEncoding:
+def encode_layout(
+    layout: LayoutSpec, cfg: EmbedderConfig, sides: Sequence[int]
+) -> LayoutEncoding:
+    """Embed the layout's text and rasterize its masks at each grid side."""
     verbs = list(layout.verbs) if layout.verbs is not None else extract_verbs(layout.prompt, cfg)
+    masks = {
+        side: tuple(rasterize_mask(i.bbox, side, side) for i in layout.instances)
+        for side in sides
+    }
     return LayoutEncoding(
         prompt_emb=embed_tokens(tokenize(layout.prompt), cfg),
         label_embs=tuple(embed_tokens(tokenize(i.label), cfg) for i in layout.instances),
         verb_emb=embed_tokens(verbs, cfg) if verbs else None,
+        masks=masks,
+        total_masks={side: total_mask(m, height=side, width=side) for side, m in masks.items()},
     )
+
+
+def _encode(layout: LayoutSpec, cfg: EmbedderConfig, params: DenoiserParams) -> LayoutEncoding:
+    return encode_layout(layout, cfg, (params.fine_side, params.coarse_side))
 
 
 # ---------------------------------------------------------------------------
 # patch reshapes (strided 2x2 linear stages)
 
+# Each reshape also takes leading image axes, (K, 3, S, S) <-> (K, rows, cols),
+# by folding them into one axis of the transpose.
+
 def image_to_patches(img: np.ndarray) -> np.ndarray:
     """(3, S, S) -> (S/2 * S/2, 12), one row per 2x2 block."""
-    _, s, _ = img.shape
+    s = img.shape[-1]
     h = s // 2
-    return img.reshape(3, h, 2, h, 2).transpose(1, 3, 0, 2, 4).reshape(h * h, 12)
+    return (
+        img.reshape(-1, 3, h, 2, h, 2).transpose(0, 2, 4, 1, 3, 5)
+        .reshape(img.shape[:-3] + (h * h, 12))
+    )
 
 
 def patches_to_image(p: np.ndarray, s: int) -> np.ndarray:
     h = s // 2
-    return p.reshape(h, h, 3, 2, 2).transpose(2, 0, 3, 1, 4).reshape(3, s, s)
+    return (
+        p.reshape(-1, h, h, 3, 2, 2).transpose(0, 3, 1, 4, 2, 5)
+        .reshape(p.shape[:-2] + (3, s, s))
+    )
 
 
 def grid_to_patches(values: np.ndarray, side: int) -> np.ndarray:
     """(side*side, d) -> (side/2 * side/2, 4d)."""
-    d = values.shape[1]
+    d = values.shape[-1]
     h = side // 2
     return (
-        values.reshape(h, 2, h, 2, d).transpose(0, 2, 1, 3, 4).reshape(h * h, 4 * d)
+        values.reshape(-1, h, 2, h, 2, d).transpose(0, 1, 3, 2, 4, 5)
+        .reshape(values.shape[:-2] + (h * h, 4 * d))
     )
 
 
 def patches_to_grid(p: np.ndarray, side: int) -> np.ndarray:
     """Inverse of grid_to_patches: (side/2*side/2, 4d) -> (side*side, d)."""
     h = side // 2
-    d = p.shape[1] // 4
+    d = p.shape[-1] // 4
     return (
-        p.reshape(h, h, 2, 2, d).transpose(0, 2, 1, 3, 4).reshape(side * side, d)
+        p.reshape(-1, h, h, 2, 2, d).transpose(0, 1, 3, 2, 4, 5)
+        .reshape(p.shape[:-2] + (side * side, d))
     )
 
 
@@ -368,9 +395,10 @@ def _radl_block_forward(
     else:
         raise ShapeMismatch(f"no injection site at resolution {side}x{side}")
 
+    if side not in enc.masks:
+        raise ShapeMismatch(f"layout encoding has no masks at {side}x{side}")
     ones = MaskGrid(np.ones((side, side)))
-    masks = [rasterize_mask(i.bbox, side, side) for i in layout.instances]
-    m_total = total_mask(masks, height=side, width=side)
+    masks, m_total = enc.masks[side], enc.total_masks[side]
 
     bg, bg_cache = masked_text_attention_forward(feat, enc.prompt_emb, radl.proj_text, ones)
     branches = [FusionBranch(BACKGROUND, bg, ones, float(params.logit_bg))]
@@ -489,15 +517,17 @@ def denoise_forward_cached(
     variant: str = "full",
     enc: LayoutEncoding | None = None,
 ) -> tuple[np.ndarray, DenoiseCache]:
+    """x_t is one image (3, S, S) or a stack (K, 3, S, S) sharing t and the
+    layout; each image of a stack gets the bytes it would get alone."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     s = params.image_size
-    if x_t.shape != (3, s, s):
-        raise ShapeMismatch(f"x_t shape {x_t.shape} != (3, {s}, {s})")
+    if x_t.ndim not in (3, 4) or x_t.shape[-3:] != (3, s, s):
+        raise ShapeMismatch(f"x_t shape {x_t.shape} != ([K,] 3, {s}, {s})")
     if not 1 <= t <= params.t_train:
         raise StepOutOfRange(f"timestep {t} outside 1..{params.t_train}")
     if radl_on and enc is None:
-        enc = encode_layout(layout, embed_cfg)
+        enc = _encode(layout, embed_cfg, params)
 
     fine, coarse = params.fine_side, params.coarse_side
     temb_t = params.temb[t - 1]
@@ -571,8 +601,9 @@ def denoise_forward(
 def denoise_backward(
     d_eps: np.ndarray, cache: DenoiseCache, params: DenoiserParams, g: dict[str, np.ndarray]
 ) -> None:
-    """Accumulate parameter gradients for one forward pass into g."""
-    s = params.image_size
+    """Accumulate parameter gradients for one single-image forward pass into g."""
+    if cache.x.ndim != 3:
+        raise ShapeMismatch(f"backward needs a single-image cache, got x {cache.x.shape}")
     fine = params.fine_side
 
     g["anchor_gain"] += (d_eps * cache.x).sum() * cache.gain_basis
@@ -627,7 +658,7 @@ def sample(
     sched: NoiseSchedule | None = None,
     total_steps: int = 60,
     radl_steps: int = 30,
-    rng_seed: int = 0,
+    rng_seed: int | Sequence[int] = 0,
     embed_cfg: EmbedderConfig | None = None,
     variant: str = "full",
 ) -> tuple[np.ndarray, list[bool]]:
@@ -635,7 +666,9 @@ def sample(
 
     The attention stack is active for the first `radl_steps` iterations
     (largest t) and off afterwards; returns the [0,1]-clamped image and the
-    per-step activation trace.
+    per-step activation trace.  An int seed gives one (3, S, S) image; a
+    sequence of K seeds gives (K, 3, S, S), denoised together, each image
+    byte-identical to the one its seed gives alone.
     """
     if radl_steps > total_steps:
         raise ValueError(f"radl_steps {radl_steps} > total_steps {total_steps}")
@@ -647,11 +680,22 @@ def sample(
         embed_cfg = EmbedderConfig(dim=params.d)
 
     s = params.image_size
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(3,)))
-    enc = encode_layout(layout, embed_cfg)
+    batched = not isinstance(rng_seed, (int, np.integer))
+    seeds = list(rng_seed) if batched else [rng_seed]
+    if not seeds:
+        raise ValueError("sampling needs at least one seed")
+    # one noise stream per image, drawn in the order a lone run draws it
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))) for seed in seeds]
+
+    def noise() -> np.ndarray:
+        draws = [rng.standard_normal((3, s, s)) for rng in rngs]
+        # a stack of one runs the cheaper single-image path
+        return np.stack(draws) if len(draws) > 1 else draws[0]
+
+    enc = _encode(layout, embed_cfg, params)
     temb_map = _temb_index_map(sched, params.t_train)
 
-    x = rng.standard_normal((3, s, s))
+    x = noise()
     trace: list[bool] = []
     for i, t in enumerate(range(total_steps, 0, -1)):
         radl_on = i < radl_steps
@@ -667,10 +711,11 @@ def sample(
         beta = sched.beta(t)
         mean = (x - beta / np.sqrt(1.0 - ab) * eps_used) / np.sqrt(sched.alpha(t))
         if t > 1:
-            x = mean + np.sqrt(sched.posterior_variance(t)) * rng.standard_normal((3, s, s))
+            x = mean + np.sqrt(sched.posterior_variance(t)) * noise()
         else:
             x = mean
-    return np.clip(x, 0.0, 1.0), trace
+    image = np.clip(x, 0.0, 1.0)
+    return (image.reshape(len(seeds), 3, s, s) if batched else image), trace
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +798,8 @@ def train(
     v = opt_v if opt_v is not None else {k: np.zeros_like(x) for k, x in pdict.items()}
     # beta2 shortened for runs of a few thousand steps
     beta1, beta2, adam_eps = 0.9, 0.99, 1e-8
-    encs = [encode_layout(scene.layout, embed_cfg) for scene in dataset]
+    # each scene is encoded, masks included, when first drawn with the stack on
+    encs: dict[int, LayoutEncoding] = {}
 
     losses: list[float] = []
     lrs: list[float] = []
@@ -766,10 +812,12 @@ def train(
             t = int(rng.integers(1, sched.steps + 1))
             noise = rng.standard_normal(dataset[pick].image.shape)
             radl_on = True if radl_train_mode == "always_on" else t > sched.steps // 2
+            if radl_on and pick not in encs:
+                encs[pick] = _encode(dataset[pick].layout, embed_cfg, params)
             loss += mse_loss_and_grads(
                 params, dataset[pick], t, noise, embed_cfg, g, sched,
                 variant=variant, radl_on=radl_on,
-                grad_scale=1.0 / batch_size, enc=encs[pick],
+                grad_scale=1.0 / batch_size, enc=encs.get(pick),
             )
         loss /= batch_size
         if not np.isfinite(loss):

@@ -17,7 +17,7 @@ from .attention import (
     scaled_dot_attention_forward,
 )
 from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse, fuse_forward
-from .layout import BBox, MaskGrid, rasterize_mask, total_mask
+from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
 from .pipeline import NoiseSchedule, init_denoiser, sample
 from .scenes import SceneConfig, make_scene
 from .text import EmbedderConfig, EmbeddingSeq, embed_tokens
@@ -143,6 +143,25 @@ def _check_schedule_and_trace(rng) -> Check:
     return ("schedule monotone and activation trace", ok, f"trace {trace}")
 
 
+def _check_batched_sampling(rng) -> Check:
+    params = init_denoiser(0, d=4, image_size=8, t_train=12)
+    layout = LayoutSpec(
+        prompt="a red square resting on a blue square",
+        instances=(
+            InstanceSpec("red square", BBox(0.125, 0.125, 0.5, 0.5)),
+            InstanceSpec("blue square", BBox(0.375, 0.5, 0.875, 0.875)),
+        ),
+    )
+    seeds = [int(s) for s in rng.integers(0, 2**31, 2)]
+    kwargs = dict(total_steps=6, radl_steps=3, embed_cfg=EmbedderConfig(dim=4, seed=0))
+    batched, _ = sample(params, layout, rng_seed=seeds, **kwargs)
+    ok = all(
+        np.array_equal(batched[k], sample(params, layout, rng_seed=seed, **kwargs)[0])
+        for k, seed in enumerate(seeds)
+    )
+    return ("batched sampling equals serial", ok, f"seeds {seeds}, 2 instances, byte equality")
+
+
 def run_selftest(seed: int = 0) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = [
@@ -154,5 +173,6 @@ def run_selftest(seed: int = 0) -> list[Check]:
         _check_rasterize_area,
         _check_embedder,
         _check_schedule_and_trace,
+        _check_batched_sampling,
     ]
     return [(name, bool(ok), detail) for name, ok, detail in (fn(rng) for fn in checks)]

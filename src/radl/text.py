@@ -37,13 +37,8 @@ def load_verb_lexicon(path) -> frozenset[str]:
 
 def default_verb_lexicon() -> frozenset[str]:
     """Lexicon shipped with the package (~60 common relation verbs)."""
-    text = resources.files("radl").joinpath("data/verbs.txt").read_text("utf-8")
-    stems = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            stems.add(line.lower())
-    return frozenset(stems)
+    with resources.as_file(resources.files("radl").joinpath("data/verbs.txt")) as path:
+        return load_verb_lexicon(path)
 
 
 @dataclass(frozen=True)

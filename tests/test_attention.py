@@ -26,6 +26,7 @@ from radl.attention import (
     softmax_rows,
 )
 from radl.errors import MissingCache, ShapeMismatch
+from radl.fusion import INSTANCE, FusionBranch, fuse_forward
 from radl.layout import BBox, MaskGrid, rasterize_mask
 from radl.text import EmbeddingSeq
 
@@ -524,3 +525,57 @@ def test_in_mask_backward_fd(case):
     for arr, an in ((feat.values, grads["feat"]), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run_text, arr, d_out)) < 1e-6
+
+
+# --- stacked feature grids ----------------------------------------------------
+# A forward given K grids (K, h*w, d) under one mask must give each grid the
+# bytes the 2-d call gives it alone; sampling relies on it.
+
+@pytest.mark.parametrize("case", MASK_CASES)
+def test_stacked_forwards_equal_per_grid_calls(case):
+    rng = np.random.default_rng(33)
+    mask = mask_case(case, rng)
+    stack = rng.standard_normal((3, 64, 8))
+    emb = EmbeddingSeq(rng.standard_normal((3, 8)))
+    qlp = rng.standard_normal((64, 8))
+    proj = AttnProjection.init(rng, 8)
+    calls = {
+        "masked_text_attention": lambda f: masked_text_attention_forward(f, emb, proj, mask),
+        "instance_attention": lambda f: instance_attention_forward(f, emb, proj, mask),
+        "relation_attention": lambda f: relation_attention_forward(f, emb, proj, mask),
+        "relation_attention_no_verbs": lambda f: relation_attention_forward(f, None, proj, mask),
+        "attribute_enhancement": lambda f: attribute_enhancement_forward(f, qlp, proj, mask),
+        "attribute_enhancement_dense": lambda f: attribute_enhancement_forward(f, qlp, proj),
+    }
+    for name, call in calls.items():
+        got = call(FeatureGrid(8, 8, stack))[0].values
+        assert got.shape == stack.shape, name
+        for k in range(3):
+            assert np.array_equal(got[k], call(FeatureGrid(8, 8, stack[k]))[0].values), name
+
+
+def test_stacked_fuse_forward_equals_per_grid_calls():
+    rng = np.random.default_rng(34)
+    masks = [MaskGrid(np.ones((8, 8))), random_mask(rng, 8, 8), mask_case("one_cell", rng),
+             MaskGrid(np.zeros((8, 8)))]
+    stacks = [rng.standard_normal((4, 64, 8)) for _ in masks]
+    logits = rng.standard_normal(len(masks))
+
+    def fused(pick):
+        branches = [FusionBranch(INSTANCE, FeatureGrid(8, 8, pick(s)), m, float(z))
+                    for s, m, z in zip(stacks, masks, logits)]
+        return fuse_forward(branches)
+
+    out, cache = fused(lambda s: s)
+    for k in range(4):
+        out_k, cache_k = fused(lambda s: s[k])
+        assert np.array_equal(out.values[k], out_k.values)
+        assert np.array_equal(cache.weights, cache_k.weights)
+
+
+def test_feature_grid_rejects_wrong_rows_under_leading_axis():
+    with pytest.raises(ShapeMismatch):
+        FeatureGrid(4, 4, np.zeros((2, 15, 3)))
+    with pytest.raises(ShapeMismatch):
+        FeatureGrid(4, 4, np.zeros((16, 2, 3)))
+    assert FeatureGrid(4, 4, np.zeros((2, 16, 3))).d == 3

@@ -172,6 +172,45 @@ def test_gen_determinism_byte_identical(workdir):
     assert (workdir / "out" / "img_000.ppm").read_bytes() == first
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_gen_count_below_one_exit_2(workdir, count, capsys):
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "train") == 0
+    assert run("--config", cfg_path, "gen", workdir / "layout.json", count) == 2
+    assert "count" in capsys.readouterr().err
+    assert not (workdir / "out" / "img_000.ppm").exists()
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--steps", 1], "t_sample"),
+    (["--radl-steps", -3], "radl_steps"),
+])
+def test_gen_bad_schedule_exit_2(workdir, flags, key, capsys):
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "train") == 0
+    assert run("--config", cfg_path, *flags, "gen", workdir / "layout.json") == 2
+    assert key in capsys.readouterr().err
+    assert not (workdir / "out" / "img_000.ppm").exists()
+
+
+def test_gen_chunks_equal_single_image_runs(workdir):
+    # 17 images cross the 16-image chunk boundary; image i must carry the
+    # bytes a lone run with seed seed+i writes
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "train") == 0
+    assert run("--config", cfg_path, "gen", workdir / "layout.json", 17) == 0
+    for i in range(17):
+        single = workdir / f"single_{i}"
+        assert run("--config", cfg_path, "--out", single, "--seed", SMALL["seed"] + i,
+                   "gen", workdir / "layout.json") == 0
+        stem = f"img_{i:03d}"
+        got = (workdir / "out" / f"{stem}.ppm").read_bytes()
+        assert got == (single / "img_000.ppm").read_bytes(), i
+        trace = json.loads((workdir / "out" / f"{stem}.trace.json").read_text())
+        alone = json.loads((single / "img_000.trace.json").read_text())
+        assert trace == dict(alone, image=f"{stem}.ppm"), i
+
+
 # --- eval ------------------------------------------------------------------------
 
 def eval_dirs(tmp_path, scenes, images=None):
@@ -283,3 +322,11 @@ def test_selftest_ok_and_json(workdir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert all(c["passed"] for c in payload["checks"])
+
+
+def test_selftest_failure_exit_5(workdir, monkeypatch, capsys):
+    from radl import selftest
+
+    monkeypatch.setattr(selftest, "run_selftest", lambda seed=0: [("forced", False, "x")])
+    assert run("--config", workdir / "config.json", "selftest") == 5
+    assert "forced" in capsys.readouterr().err

@@ -267,6 +267,49 @@ def test_sample_deterministic():
     assert np.array_equal(a, b)
 
 
+def batched_sample_layouts():
+    crowded = crowded_layouts(1)[0]  # its last instance is empty at 8x8
+    return {
+        "crowded": crowded,
+        "no_instances": LayoutSpec(prompt="a plain gray background resting"),
+        "no_verbs": replace(crowded, prompt="squares", verbs=()),
+    }
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["crowded", "no_instances", "no_verbs"])
+def test_batched_sample_equals_serial_bytes(variant, name):
+    params = init_denoiser(4, d=8, image_size=32, t_train=200)
+    layout = batched_sample_layouts()[name]
+    kwargs = dict(total_steps=6, radl_steps=3, embed_cfg=EC, variant=variant)
+    seeds = [11, 3, 11 + 2**40]
+    images, trace = sample(params, layout, rng_seed=seeds, **kwargs)
+    assert images.shape == (3, 3, 32, 32)
+    assert trace == [True] * 3 + [False] * 3
+    for k, seed in enumerate(seeds):
+        alone, _ = sample(params, layout, rng_seed=seed, **kwargs)
+        assert np.array_equal(images[k], alone), (k, seed)
+    one, _ = sample(params, layout, rng_seed=seeds[:1], **kwargs)
+    assert one.shape == (1, 3, 32, 32) and np.array_equal(one[0], images[0])
+
+
+def test_batched_sample_needs_a_seed():
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    with pytest.raises(ValueError):
+        sample(params, small_scene().layout, total_steps=4, radl_steps=2, rng_seed=[],
+               embed_cfg=EC4)
+
+
+def test_backward_rejects_batched_cache():
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    x = np.random.default_rng(9).standard_normal((2, 3, 8, 8))
+    for radl_on in (True, False):
+        eps, cache = denoise_forward_cached(params, x, 5, small_scene().layout, radl_on, EC4)
+        assert eps.shape == x.shape
+        with pytest.raises(ShapeMismatch):
+            denoise_backward(np.ones_like(eps), cache, params, zero_grads(params))
+
+
 def test_sample_rejects_bad_split():
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     with pytest.raises(ValueError):
