@@ -132,7 +132,7 @@ def scaled_dot_attention_forward(
         raise ShapeMismatch(
             f"shapes do not conform: q {q.shape}, k {k.shape}, v {v.shape}"
         )
-    scores = q @ k.mT
+    scores = q @ np.swapaxes(k, -1, -2)
     scores /= np.sqrt(q.shape[-1])
     attn = softmax_rows(scores)
     return attn @ v, AttnCache(q=q, k=k, v=v, attn=attn)

@@ -395,8 +395,6 @@ def _radl_block_forward(
     else:
         raise ShapeMismatch(f"no injection site at resolution {side}x{side}")
 
-    if side not in enc.masks:
-        raise ShapeMismatch(f"layout encoding has no masks at {side}x{side}")
     ones = MaskGrid(np.ones((side, side)))
     masks, m_total = enc.masks[side], enc.total_masks[side]
 
@@ -689,8 +687,7 @@ def sample(
 
     def noise() -> np.ndarray:
         draws = [rng.standard_normal((3, s, s)) for rng in rngs]
-        # a stack of one runs the cheaper single-image path
-        return np.stack(draws) if len(draws) > 1 else draws[0]
+        return np.stack(draws) if batched else draws[0]
 
     enc = _encode(layout, embed_cfg, params)
     temb_map = _temb_index_map(sched, params.t_train)
@@ -714,8 +711,7 @@ def sample(
             x = mean + np.sqrt(sched.posterior_variance(t)) * noise()
         else:
             x = mean
-    image = np.clip(x, 0.0, 1.0)
-    return (image.reshape(len(seeds), 3, s, s) if batched else image), trace
+    return np.clip(x, 0.0, 1.0), trace
 
 
 # ---------------------------------------------------------------------------
