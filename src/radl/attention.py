@@ -10,6 +10,8 @@ against central finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -120,10 +122,11 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def scaled_dot_attention_forward(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, key_keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, AttnCache]:
     """Leading axes broadcast: each matrix of a stack is attended exactly as
-    the 2-d op would attend it alone."""
+    the 2-d op would attend it alone.  `key_keep` (..., L) marks the real
+    keys of a padded key stack; padding keys get exactly zero weight."""
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ShapeMismatch("q, k, v must be matrices or stacks of matrices")
     if k.shape[-2] < 1:
@@ -132,8 +135,10 @@ def scaled_dot_attention_forward(
         raise ShapeMismatch(
             f"shapes do not conform: q {q.shape}, k {k.shape}, v {v.shape}"
         )
-    scores = q @ np.swapaxes(k, -1, -2)
+    scores = q @ k.swapaxes(-1, -2)
     scores /= np.sqrt(q.shape[-1])
+    if key_keep is not None:
+        scores += np.where(key_keep, 0.0, -np.inf)[..., None, :]
     attn = softmax_rows(scores)
     return attn @ v, AttnCache(q=q, k=k, v=v, attn=attn)
 
@@ -143,22 +148,37 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndar
     return scaled_dot_attention_forward(q, k, v)[0]
 
 
+def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over the leading axes its input was broadcast along."""
+    return grad if grad.shape == shape else grad.sum(axis=tuple(range(grad.ndim - len(shape))))
+
+
+def as_rows(x: np.ndarray) -> np.ndarray:
+    """(..., d) -> (rows, d): one matrix for a weight gradient over a stack."""
+    return x.reshape(-1, x.shape[-1])
+
+
 def scaled_dot_attention_backward(
     d_out: np.ndarray, cache: AttnCache | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dq, dk, dv) for the attention kernel; 2-d caches only."""
+    """Gradients (dq, dk, dv) for the attention kernel, each summed over the
+    stack axes its input was broadcast along."""
     if cache is None:
         raise MissingCache("scaled_dot_attention backward needs its forward cache")
     a = cache.attn
-    d = cache.q.shape[1]
-    dv = a.T @ d_out
-    d_attn = d_out @ cache.v.T
-    # softmax backward: dS = A * (dA - rowsum(dA * A))
-    d_scores = a * (d_attn - (d_attn * a).sum(axis=1, keepdims=True))
+    d = cache.q.shape[-1]
+    dv = a.swapaxes(-1, -2) @ d_out
+    # softmax backward: dS = A * (dA - rowsum(dA * A)), in place on dA, the
+    # largest array of a packed backward
+    d_scores = d_out @ cache.v.swapaxes(-1, -2)
+    d_scores -= np.einsum("...ij,...ij->...i", d_scores, a)[..., None]
+    d_scores *= a
     d_scores /= np.sqrt(d)
     dq = d_scores @ cache.k
-    dk = d_scores.T @ cache.q
-    return dq, dk, dv
+    dk = d_scores.swapaxes(-1, -2) @ cache.q
+    return (
+        _sum_to(dq, cache.q.shape), _sum_to(dk, cache.k.shape), _sum_to(dv, cache.v.shape)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,76 +188,156 @@ def scaled_dot_attention_backward(
 # Every masked op computes only the query rows its mask keeps and scatters
 # them into a zero grid; keys and values are never gathered.  Rows outside
 # the mask are exactly +0.0, as the masked dense op would give, and their
-# upstream gradient is dropped, as masking it would.  Forwards also take a
-# stack (K, h*w, d) of feature grids under one mask; backwards are 2-d only.
+# upstream gradient is dropped, as masking it would.  Forwards take one
+# grid (h*w, d) or a stack (K, h*w, d).  A backward's upstream gradient and
+# its "feat" gradient keep the grid rows on the leading axis: (h*w, d) for
+# one grid, (h*w, K, d) for a stack (see `flip_stack`), so the leading axis
+# names the resolution either way.
 
-def _kept_rows(mask: MaskGrid | None, n: int) -> np.ndarray:
-    """Row indices a mask keeps; every row when there is no mask."""
-    return np.arange(n) if mask is None else np.flatnonzero(mask.flat())
+def flip_stack(x: np.ndarray) -> np.ndarray:
+    """(K, h*w, d) <-> (h*w, K, d) as a view; one (h*w, d) grid is unchanged."""
+    return x if x.ndim == 2 else x.swapaxes(0, 1)
 
 
-def _scatter_rows(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(..., n, d) zeros with values[..., k, :] placed at row rows[k]."""
-    out = np.zeros(values.shape[:-2] + (n, values.shape[-1]))
-    out[..., rows, :] = values
-    return out
+@dataclass(frozen=True)
+class RowSet:
+    """The query rows a mask keeps, as indices into a grid's h*w rows.
+
+    `idx` (R,) holds the rows of one grid, or of every grid of a stack
+    alike.  A packed set gives some grids of a stack of `stack` grids rows
+    of their own: `grids` (K',) names them, `idx` (K', R) lists their rows
+    padded to the longest, and `keep` (K', R) is False on the padding.  The
+    grids a packed set leaves out keep no row.
+    """
+
+    h: int
+    w: int
+    idx: np.ndarray
+    grids: np.ndarray | None = None
+    keep: np.ndarray | None = None
+    stack: int = 0
+
+    @staticmethod
+    def of(mask: MaskGrid) -> "RowSet":
+        return RowSet(mask.h, mask.w, np.flatnonzero(mask.flat()))
+
+    @staticmethod
+    def every(h: int, w: int) -> "RowSet":
+        return RowSet(h, w, np.arange(h * w))
+
+    @staticmethod
+    def pack(sets: Sequence["RowSet"], grids: Sequence[int], stack: int) -> "RowSet":
+        """Grid grids[j] of a stack of `stack` grids keeps the rows of sets[j]."""
+        longest = max(len(s.idx) for s in sets)
+        idx = np.zeros((len(sets), longest), dtype=np.intp)
+        keep = np.zeros((len(sets), longest), dtype=bool)
+        for j, s in enumerate(sets):
+            idx[j, : len(s.idx)] = s.idx
+            keep[j, : len(s.idx)] = True
+        return RowSet(sets[0].h, sets[0].w, idx, np.asarray(grids, dtype=np.intp), keep, stack)
+
+    @cached_property
+    def whole(self) -> bool:
+        """Keeps every row of every grid, in order (indices are sorted)."""
+        return self.grids is None and len(self.idx) == self.h * self.w
+
+    @cached_property
+    def _dest(self) -> np.ndarray:
+        # a packed set's rows as flat indices into its stack's rows; the
+        # padding goes to one extra row past the end
+        n = self.h * self.w
+        return np.where(self.keep, self.grids[:, None] * n + self.idx, self.stack * n)
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """The kept rows of x (..., h*w, d): (..., R, d), or (K', R, d) for
+        a packed set, whose padding rows repeat row 0 of their grid."""
+        if self.whole:
+            return x
+        if self.grids is None:
+            return x[..., self.idx, :]
+        return x[self.grids[:, None], self.idx]
+
+    def take_grad(self, d_out: np.ndarray) -> np.ndarray:
+        """As `take`, with the padding rows zero."""
+        rows = self.take(d_out)
+        if self.keep is not None:
+            rows[~self.keep] = 0.0
+        return rows
+
+    def put(self, values: np.ndarray) -> np.ndarray:
+        """Zero grids with the kept rows set to values, the inverse of `take`:
+        (..., h*w, d), or (stack, h*w, d) for a packed set."""
+        n, d = self.h * self.w, values.shape[-1]
+        if self.whole:
+            return values
+        if self.grids is None:
+            out = np.zeros(values.shape[:-2] + (n, d))
+            out[..., self.idx, :] = values
+            return out
+        flat = np.zeros((self.stack * n + 1, d))
+        flat[self._dest] = values
+        return flat[:-1].reshape(self.stack, n, d)
 
 
 @dataclass
 class MaskedAttnCache:
-    feat: np.ndarray       # query source (n_q, d), every row
-    emb: np.ndarray        # key/value source (L, d)
-    rows: np.ndarray       # indices of the query rows the mask keeps
+    q_src: np.ndarray      # the kept query-source rows
+    emb: EmbeddingSeq      # key/value source (L, d), or a padded stack
+    rows: RowSet
     attn_cache: AttnCache  # over the kept query rows only
     proj: AttnProjection
 
 
 def _masked_attention_forward(
-    feat: np.ndarray, emb: np.ndarray, proj: AttnProjection, mask: MaskGrid
+    feat: np.ndarray, emb: EmbeddingSeq, proj: AttnProjection, rows: RowSet
 ) -> tuple[np.ndarray, MaskedAttnCache]:
-    n = feat.shape[-2]
-    rows = _kept_rows(mask, n)
+    x = rows.take(feat)
     out, ac = scaled_dot_attention_forward(
-        feat[..., rows, :] @ proj.wq, emb @ proj.wk, emb @ proj.wv
+        x @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv, emb.keep
     )
-    return _scatter_rows(out, rows, n), MaskedAttnCache(
-        feat=feat, emb=emb, rows=rows, attn_cache=ac, proj=proj
+    return rows.put(out), MaskedAttnCache(
+        q_src=x, emb=emb, rows=rows, attn_cache=ac, proj=proj
     )
 
 
 def _masked_attention_backward(
     d_out: np.ndarray, cache: MaskedAttnCache
 ) -> dict[str, np.ndarray]:
-    rows = cache.rows
-    dq, dk, dv = scaled_dot_attention_backward(d_out[rows], cache.attn_cache)
+    rows, proj, emb = cache.rows, cache.proj, cache.emb.values
+    dq, dk, dv = scaled_dot_attention_backward(
+        rows.take_grad(flip_stack(d_out)), cache.attn_cache
+    )
     return {
-        "feat": _scatter_rows(dq @ cache.proj.wq.T, rows, cache.feat.shape[0]),
-        "emb": dk @ cache.proj.wk.T + dv @ cache.proj.wv.T,
-        "wq": cache.feat[rows].T @ dq,
-        "wk": cache.emb.T @ dk,
-        "wv": cache.emb.T @ dv,
+        "feat": flip_stack(rows.put(dq @ proj.wq.T)),
+        "emb": dk @ proj.wk.T + dv @ proj.wv.T,
+        "wq": as_rows(cache.q_src).T @ as_rows(dq),
+        "wk": as_rows(emb).T @ as_rows(dk),
+        "wv": as_rows(emb).T @ as_rows(dv),
     }
 
 
-def _check_mask(feat: FeatureGrid, mask: MaskGrid):
+def _row_set(feat: FeatureGrid, mask: MaskGrid | RowSet) -> RowSet:
     if (mask.h, mask.w) != (feat.h, feat.w):
         raise ShapeMismatch(
             f"mask {mask.h}x{mask.w} does not match feature grid {feat.h}x{feat.w}"
         )
+    return mask if isinstance(mask, RowSet) else RowSet.of(mask)
 
 
 def masked_text_attention_forward(
-    feat: FeatureGrid, label_emb: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid
+    feat: FeatureGrid, label_emb: EmbeddingSeq, proj: AttnProjection,
+    mask: MaskGrid | RowSet,
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
-    _check_mask(feat, mask)
+    rows = _row_set(feat, mask)
     if label_emb.dim != feat.d:
         raise ShapeMismatch(f"embedding dim {label_emb.dim} != feature dim {feat.d}")
-    out, cache = _masked_attention_forward(feat.values, label_emb.values, proj, mask)
+    out, cache = _masked_attention_forward(feat.values, label_emb, proj, rows)
     return feat.like(out), cache
 
 
 def masked_text_attention(
-    feat: FeatureGrid, label_emb: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid
+    feat: FeatureGrid, label_emb: EmbeddingSeq, proj: AttnProjection,
+    mask: MaskGrid | RowSet,
 ) -> FeatureGrid:
     """Cross-attention from image features to label tokens, zeroed outside
     the instance mask."""
@@ -258,33 +358,35 @@ def masked_text_attention_backward(
 
 @dataclass
 class AttributeEnhanceCache:
-    feat: np.ndarray       # key/value source, every row
-    rows: np.ndarray       # indices of the query rows the mask keeps
-    attn_cache: AttnCache  # over the kept query rows only
+    # keys and values are not kept: over every grid row they are the bulk of
+    # a packed forward's cache, and the backward projects them again
+    feat: np.ndarray       # key/value source: every row of the grids with rows
+    rows: RowSet
+    q: np.ndarray          # the kept learnable-query rows
+    attn: np.ndarray       # their attention over every row
     proj: AttnProjection
 
 
 def attribute_enhancement_forward(
-    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection, mask: MaskGrid | None = None
+    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection,
+    mask: MaskGrid | RowSet | None = None,
 ) -> tuple[FeatureGrid, AttributeEnhanceCache]:
     """With a mask, returns mask * AE(feat): only the query rows the mask
     keeps are attended, each over the full key and value set."""
     n = feat.h * feat.w
     if qlp.shape[0] != n:
         raise ShapeMismatch(f"learnable queries have {qlp.shape[0]} rows, grid has {n}")
-    if mask is not None:
-        _check_mask(feat, mask)
-    rows = _kept_rows(mask, n)
-    out, ac = scaled_dot_attention_forward(
-        qlp[rows], feat.values @ proj.wk, feat.values @ proj.wv
-    )
-    return feat.like(_scatter_rows(out, rows, n)), AttributeEnhanceCache(
-        feat=feat.values, rows=rows, attn_cache=ac, proj=proj
+    rows = RowSet.every(feat.h, feat.w) if mask is None else _row_set(feat, mask)
+    kv = feat.values if rows.grids is None else feat.values[rows.grids]
+    out, ac = scaled_dot_attention_forward(qlp[rows.idx], kv @ proj.wk, kv @ proj.wv)
+    return feat.like(rows.put(out)), AttributeEnhanceCache(
+        feat=kv, rows=rows, q=ac.q, attn=ac.attn, proj=proj
     )
 
 
 def attribute_enhancement(
-    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection, mask: MaskGrid | None = None
+    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection,
+    mask: MaskGrid | RowSet | None = None,
 ) -> FeatureGrid:
     """Attention with the learnable queries used raw (no query projection);
     keys/values project from the instance image features.  Output row j is
@@ -297,12 +399,21 @@ def attribute_enhancement_backward(
 ) -> dict[str, np.ndarray]:
     if cache is None:
         raise MissingCache("attribute_enhancement backward needs its forward cache")
-    dq, dk, dv = scaled_dot_attention_backward(d_out[cache.rows], cache.attn_cache)
+    rows, proj, kv = cache.rows, cache.proj, cache.feat
+    ac = AttnCache(q=cache.q, k=kv @ proj.wk, v=kv @ proj.wv, attn=cache.attn)
+    dq, dk, dv = scaled_dot_attention_backward(rows.take_grad(flip_stack(d_out)), ac)
+    d_kv = dk @ proj.wk.T + dv @ proj.wv.T
+    if rows.grids is None:
+        d_feat = d_kv
+    else:
+        d_feat = np.zeros((rows.stack,) + d_kv.shape[1:])
+        d_feat[rows.grids] = d_kv
+    d_qlp = rows.put(dq)
     return {
-        "qlp": _scatter_rows(dq, cache.rows, cache.feat.shape[0]),
-        "feat": dk @ cache.proj.wk.T + dv @ cache.proj.wv.T,
-        "wk": cache.feat.T @ dk,
-        "wv": cache.feat.T @ dv,
+        "qlp": _sum_to(d_qlp, d_qlp.shape[-2:]),
+        "feat": flip_stack(d_feat),
+        "wk": as_rows(kv).T @ as_rows(dk),
+        "wv": as_rows(kv).T @ as_rows(dv),
     }
 
 
@@ -311,17 +422,17 @@ def attribute_enhancement_backward(
 # instance embedding, masked to the instance region
 
 def instance_attention_forward(
-    r_ae: FeatureGrid, e_i: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid
+    r_ae: FeatureGrid, e_i: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
-    _check_mask(r_ae, mask)
+    rows = _row_set(r_ae, mask)
     if e_i.dim != r_ae.d:
         raise ShapeMismatch(f"embedding dim {e_i.dim} != feature dim {r_ae.d}")
-    out, cache = _masked_attention_forward(r_ae.values, e_i.values, proj, mask)
+    out, cache = _masked_attention_forward(r_ae.values, e_i, proj, rows)
     return r_ae.like(out), cache
 
 
 def instance_attention(
-    r_ae: FeatureGrid, e_i: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid
+    r_ae: FeatureGrid, e_i: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
 ) -> FeatureGrid:
     """As masked_text_attention with queries from the enhanced features and
     keys/values from the position-augmented instance embedding."""
@@ -359,13 +470,13 @@ def relation_attention_forward(
     feat: FeatureGrid,
     verb_emb: EmbeddingSeq | None,
     proj: AttnProjection,
-    m_total: MaskGrid,
+    m_total: MaskGrid | RowSet,
 ) -> tuple[FeatureGrid, MaskedAttnCache | None]:
-    _check_mask(feat, m_total)
+    rows = _row_set(feat, m_total)
     if verb_emb is None or verb_emb.length == 0:
         # Disabled branch: no verbs means no relation signal.
         return feat.like(np.zeros_like(feat.values)), None
-    out, cache = _masked_attention_forward(feat.values, verb_emb.values, proj, m_total)
+    out, cache = _masked_attention_forward(feat.values, verb_emb, proj, rows)
     return feat.like(out), cache
 
 
@@ -373,7 +484,7 @@ def relation_attention(
     feat: FeatureGrid,
     verb_emb: EmbeddingSeq | None,
     proj: AttnProjection,
-    m_total: MaskGrid,
+    m_total: MaskGrid | RowSet,
 ) -> FeatureGrid:
     """Attention from image features to the verb sequence, masked to the
     total instance mask; the all-zero grid when the verb sequence is empty."""

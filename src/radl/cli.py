@@ -45,6 +45,12 @@ CKPT_SCHEMA = "radl-ckpt/1"
 GEN_CHUNK = 16
 
 
+# accepted value types per RunConfig annotation; bool is rejected everywhere
+_FIELD_TYPES = {
+    "int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None)),
+}
+
+
 @dataclass
 class RunConfig:
     """All knobs of a run; JSON config file first, flags override."""
@@ -71,6 +77,24 @@ class RunConfig:
     threads: int = 0  # RADL_THREADS cap; 0 = auto (single process regardless)
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise MalformedDoc(f"{f.name} must be of type {f.type}, got {value!r}")
+        if self.d < 2:
+            raise MalformedDoc(f"d must be >= 2, got {self.d}")
+        if self.image_size % 4 != 0 or self.image_size < 8:
+            raise MalformedDoc(
+                f"image_size must be a multiple of 4, at least 8, got {self.image_size}"
+            )
+        if self.batch_size < 1:
+            raise MalformedDoc(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.train_steps < 0:
+            raise MalformedDoc(f"train_steps must be >= 0, got {self.train_steps}")
+        if self.t_train < 2:
+            raise MalformedDoc(f"t_train must be >= 2, got {self.t_train}")
+        if self.seed < 0 or self.threads < 0:
+            raise MalformedDoc(f"seed and threads must be >= 0, got {self.seed}, {self.threads}")
         if self.t_sample < 2:
             raise MalformedDoc(f"t_sample must be >= 2, got {self.t_sample}")
         if self.radl_steps < 0:
@@ -272,6 +296,9 @@ def cmd_eval(cfg: RunConfig, images_dir: str, layouts_dir: str) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, scenes: int = 5, inject_fault: bool = False) -> int:
+    if scenes < 1:
+        print(f"gradcheck needs at least one scene, got {scenes}", file=sys.stderr)
+        return EXIT_INPUT
     params = pipeline.init_denoiser(
         cfg.seed, d=cfg.d, image_size=cfg.image_size, t_train=cfg.t_train
     )

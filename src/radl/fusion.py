@@ -41,13 +41,14 @@ class FusionBranch:
 @dataclass
 class FuseCache:
     feats: np.ndarray    # (..., B, n_pix, d)
-    masks: np.ndarray    # (B, n_pix)
-    weights: np.ndarray  # (B, n_pix), zero where inactive
+    masks: np.ndarray    # ([K,] B, n_pix)
+    weights: np.ndarray  # ([K,] B, n_pix), zero where inactive
 
 
 def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCache]:
-    """Branch features may be stacks (K, n_pix, d); the weights depend only
-    on masks and logits, so every grid of the stack shares them."""
+    """Branch features may be stacks (K, n_pix, d).  A branch's mask is one
+    grid, shared by every grid of the stack, or a stack (K, h, w) of them;
+    a grid whose mask for a branch is all zero gives it zero weight."""
     branches = list(branches)
     if not branches:
         raise NoBranches("fusion requires at least one branch")
@@ -57,18 +58,18 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
             raise ShapeMismatch("fusion branches must share feature grid shape")
 
     feats = np.stack([b.feat.values for b in branches], axis=-3)  # (..., B, n, d)
-    masks = np.stack([b.mask.flat() for b in branches])          # (B, n)
+    masks = np.stack(np.broadcast_arrays(*[b.mask.flat() for b in branches]), axis=-2)
     logits = np.array([b.logit for b in branches])[:, None]      # (B, 1)
-    if not np.all(masks.sum(axis=0) > 0.0):
+    if not np.all(masks.sum(axis=-2) > 0.0):
         raise NoBranches("every pixel needs at least one active branch")
 
     # Softmax over the active set only: subtract the per-pixel max of the
     # active logits, then renormalize with inactive entries held at zero.
-    shifted = logits - np.where(masks > 0.0, logits, -np.inf).max(axis=0, keepdims=True)
+    shifted = logits - np.where(masks > 0.0, logits, -np.inf).max(axis=-2, keepdims=True)
     gated = np.where(masks > 0.0, np.exp(shifted) * masks, 0.0)
-    weights = gated / gated.sum(axis=0, keepdims=True)
+    weights = gated / gated.sum(axis=-2, keepdims=True)
 
-    out = np.einsum("bn,...bnd->...nd", weights, feats)
+    out = np.einsum("...bn,...bnd->...nd", weights, feats)
     return ref.like(out), FuseCache(feats=feats, masks=masks, weights=weights)
 
 
@@ -82,15 +83,22 @@ def fuse_backward(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Gradients (per-branch feature grads, per-branch logit grads).
 
+    For a stack, d_out and the feature grads are rows-first (n_pix, K, d),
+    as in the attention backwards, and the logit grads sum over the stack.
     Logit gradients are zero at pixels where the branch is inactive; the
     per-pixel softmax Jacobian couples only branches active there.
     """
     if cache is None:
         raise MissingCache("fuse backward needs its forward cache")
     w = cache.weights
-    d_feats = [w[b][:, None] * d_out for b in range(w.shape[0])]
-    # g[b, p] = d_out(p) . feat_b(p)
-    g = np.einsum("nd,bnd->bn", d_out, cache.feats)
-    gbar = (w * g).sum(axis=0, keepdims=True)
-    d_logits = (w * (g - gbar)).sum(axis=1)
-    return d_feats, d_logits
+    if d_out.ndim == 2:
+        d_feats = [w[b][:, None] * d_out for b in range(w.shape[0])]
+        # g[b, p] = d_out(p) . feat_b(p)
+        g = np.einsum("nd,bnd->bn", d_out, cache.feats)
+    else:
+        w = w if w.ndim == 3 else w[None]  # (K or 1, B, n)
+        d_feats = [w[:, b].T[..., None] * d_out for b in range(w.shape[1])]
+        g = np.einsum("nkd,kbnd->kbn", d_out, cache.feats)
+    gbar = (w * g).sum(axis=-2, keepdims=True)
+    d_logits = (w * (g - gbar)).sum(axis=-1)
+    return d_feats, d_logits.reshape(-1, w.shape[-2]).sum(axis=0)

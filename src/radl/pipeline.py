@@ -22,6 +22,9 @@ from .attention import (
     AttnProjection,
     FeatureGrid,
     RadlAttnParams,
+    RowSet,
+    as_rows,
+    flip_stack,
     attribute_enhancement_forward,
     attribute_enhancement_backward,
     fuse_residual,
@@ -35,7 +38,7 @@ from .attention import (
 )
 from .errors import NonFiniteLoss, ShapeMismatch, StepOutOfRange
 from .fusion import BACKGROUND, INSTANCE, RELATION, FusionBranch, fuse_backward, fuse_forward
-from .layout import LayoutSpec, MaskGrid, rasterize_mask, total_mask
+from .layout import BBox, LayoutSpec, MaskGrid, rasterize_mask, total_mask
 from .scenes import SyntheticScene
 from .text import (
     EmbedderConfig,
@@ -52,6 +55,12 @@ from .text import (
 
 VARIANTS = ("full", "text_attn_only", "no_relation")
 TRAIN_MODES = ("mirror", "always_on")
+
+# stack-on samples a training step runs through one forward and one
+# backward.  A pack holds its samples' attention activations until its
+# backward, so this bounds the step's memory: on the crowded benchmark
+# workload, packs of 8 raised peak RSS by about 10%, packs of 4 by about 5%
+TRAIN_PACK = 4
 
 # parameters that act as gates/queries rather than weights
 NO_DECAY = frozenset(
@@ -134,8 +143,9 @@ def training_schedule(steps: int) -> NoiseSchedule:
     return NoiseSchedule.make(steps)
 
 
-def _gain_basis(u: float, s0: float) -> np.ndarray:
-    return np.array([1.0, 1.0 / np.sqrt(u) - s0, np.sqrt(u), u])
+def _gain_basis(u, s0) -> np.ndarray:
+    """(4,) for one noise level, (K, 4) for K of them."""
+    return np.stack([np.ones_like(u), 1.0 / np.sqrt(u) - s0, np.sqrt(u), u], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +292,29 @@ PARAM_GROUPS: dict[str, tuple[str, ...]] = {
 # layout text encoding (frozen embedder outputs, reused across steps)
 
 @dataclass(frozen=True)
+class Branch:
+    """What one attention branch reads at one grid side: the query rows it
+    computes, its fusion mask, its key tokens, and an instance's box."""
+
+    rows: RowSet
+    mask: MaskGrid
+    tokens: EmbeddingSeq
+    box: BBox | tuple[BBox, ...] | None = None  # one box per grid when packed
+
+
+@dataclass(frozen=True)
+class BlockInputs:
+    background: Branch
+    instances: tuple[Branch, ...]
+    relation: Branch | None  # None without verbs or instances
+
+
+@dataclass(frozen=True)
 class LayoutEncoding:
-    prompt_emb: EmbeddingSeq
-    label_embs: tuple[EmbeddingSeq, ...]
-    verb_emb: EmbeddingSeq | None
-    masks: dict[int, tuple[MaskGrid, ...]]  # grid side -> one mask per instance
-    total_masks: dict[int, MaskGrid]        # grid side -> union of the instance masks
+    """A layout's embedded text and rasterized masks, as the attention block
+    reads them at each grid side."""
+
+    blocks: dict[int, BlockInputs]
 
 
 def encode_layout(
@@ -295,17 +322,25 @@ def encode_layout(
 ) -> LayoutEncoding:
     """Embed the layout's text and rasterize its masks at each grid side."""
     verbs = list(layout.verbs) if layout.verbs is not None else extract_verbs(layout.prompt, cfg)
-    masks = {
-        side: tuple(rasterize_mask(i.bbox, side, side) for i in layout.instances)
-        for side in sides
-    }
-    return LayoutEncoding(
-        prompt_emb=embed_tokens(tokenize(layout.prompt), cfg),
-        label_embs=tuple(embed_tokens(tokenize(i.label), cfg) for i in layout.instances),
-        verb_emb=embed_tokens(verbs, cfg) if verbs else None,
-        masks=masks,
-        total_masks={side: total_mask(m, height=side, width=side) for side, m in masks.items()},
-    )
+    prompt = embed_tokens(tokenize(layout.prompt), cfg)
+    labels = [embed_tokens(tokenize(i.label), cfg) for i in layout.instances]
+    verb_emb = embed_tokens(verbs, cfg) if verbs else None
+    blocks = {}
+    for side in sides:
+        masks = [rasterize_mask(i.bbox, side, side) for i in layout.instances]
+        total = total_mask(masks, height=side, width=side)
+        blocks[side] = BlockInputs(
+            background=Branch(RowSet.every(side, side), MaskGrid(np.ones((side, side))), prompt),
+            instances=tuple(
+                Branch(RowSet.of(m), m, label, inst.bbox)
+                for m, label, inst in zip(masks, labels, layout.instances)
+            ),
+            relation=(
+                Branch(RowSet.of(total), total, verb_emb)
+                if verb_emb is not None and masks else None
+            ),
+        )
+    return LayoutEncoding(blocks)
 
 
 def _encode(layout: LayoutSpec, cfg: EmbedderConfig, params: DenoiserParams) -> LayoutEncoding:
@@ -359,12 +394,84 @@ def patches_to_grid(p: np.ndarray, side: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # attention block at one resolution
 
+def _pack(branches: Sequence[Branch | None], stacks: dict) -> Branch | None:
+    """One branch over a stack of grids from each grid's own branch (None
+    where a grid has none): rows and tokens padded to the longest, and an
+    all-zero mask on the grids without it.  Grids that all keep every row
+    share the first grid's rows and mask.  `stacks` keeps each padded
+    token stack for reuse at the other grid side."""
+    grids = [k for k, b in enumerate(branches) if b is not None]
+    if not grids:
+        return None
+    present = [branches[k] for k in grids]
+    key = tuple(id(b.tokens) for b in present)
+    if key not in stacks:
+        stacks[key] = EmbeddingSeq.pack([b.tokens for b in present])
+    if len(present) == len(branches) and all(b.rows.whole for b in present):
+        return Branch(present[0].rows, present[0].mask, stacks[key])
+    masks = np.zeros((len(branches),) + present[0].mask.values.shape)
+    masks[grids] = [b.mask.values for b in present]
+    return Branch(
+        rows=RowSet.pack([b.rows for b in present], grids, len(branches)),
+        mask=MaskGrid(masks),
+        tokens=stacks[key],
+        box=None if present[0].box is None else tuple(b.box for b in present),
+    )
+
+
+def _block_inputs(encs: Sequence[LayoutEncoding]) -> dict[int, BlockInputs]:
+    """The block inputs at each grid side.  Grids that share one encoding
+    share its branches unpadded, so each gets the bytes it gets alone.
+    Distinct layouts are packed; instance slot i holds the grids whose
+    layout has an i-th instance."""
+    if all(e is encs[0] for e in encs):
+        return encs[0].blocks
+    stacks: dict = {}
+    packed = {}
+    for side in encs[0].blocks:
+        blocks = [e.blocks[side] for e in encs]
+        slots = max(len(b.instances) for b in blocks)
+        packed[side] = BlockInputs(
+            background=_pack([b.background for b in blocks], stacks),
+            instances=tuple(
+                _pack([b.instances[i] if i < len(b.instances) else None for b in blocks], stacks)
+                for i in range(slots)
+            ),
+            relation=_pack([b.relation for b in blocks], stacks),
+        )
+    return packed
+
+
+def _instance_embeddings(
+    inputs: BlockInputs, params: DenoiserParams
+) -> tuple[list[EmbeddingSeq], list[tuple]]:
+    """Each instance slot's position-augmented embedding and its caches;
+    both injection sides read the same ones."""
+    embs, caches = [], []
+    for inst in inputs.instances:
+        pos, pos_cache = position_embed_forward(inst.box, params.posmlp)
+        e_i, emb_cache = build_instance_embedding_forward(inst.tokens, pos, params.radl.e_proj)
+        embs.append(e_i)
+        caches.append((pos_cache, emb_cache))
+    return embs, caches
+
+
+def _instance_embeddings_backward(
+    d_embs: Sequence[np.ndarray], caches: Sequence[tuple], params: DenoiserParams,
+    g: dict[str, np.ndarray],
+):
+    for d_emb, (pos_cache, emb_cache) in zip(d_embs, caches):
+        emb_grads = build_instance_embedding_backward(d_emb, emb_cache, params.radl.e_proj)
+        g["radl.e_proj"] += emb_grads["proj"]
+        pos_grads = position_embed_backward(emb_grads["pos"], pos_cache, params.posmlp)
+        for key in ("w1", "b1", "w2", "b2"):
+            g[f"posmlp.{key}"] += pos_grads[key]
+
+
 @dataclass
 class InstanceCache:
     r: object
     ae: object | None = None
-    pos: object | None = None
-    emb: object | None = None
     ia: object | None = None
 
 
@@ -381,11 +488,13 @@ class BlockCache:
 
 def _radl_block_forward(
     feat: FeatureGrid,
-    layout: LayoutSpec,
-    enc: LayoutEncoding,
+    inputs: BlockInputs,
+    embs: Sequence[EmbeddingSeq] | None,
     params: DenoiserParams,
     variant: str,
 ) -> tuple[FeatureGrid, BlockCache]:
+    """embs: each instance slot's embedding (see _instance_embeddings);
+    None for the text_attn_only variant, which does not read them."""
     side = feat.h
     radl = params.radl
     if side == params.fine_side:
@@ -395,17 +504,13 @@ def _radl_block_forward(
     else:
         raise ShapeMismatch(f"no injection site at resolution {side}x{side}")
 
-    ones = MaskGrid(np.ones((side, side)))
-    masks, m_total = enc.masks[side], enc.total_masks[side]
-
-    bg, bg_cache = masked_text_attention_forward(feat, enc.prompt_emb, radl.proj_text, ones)
-    branches = [FusionBranch(BACKGROUND, bg, ones, float(params.logit_bg))]
+    bg = inputs.background
+    r_bg, bg_cache = masked_text_attention_forward(feat, bg.tokens, radl.proj_text, bg.rows)
+    branches = [FusionBranch(BACKGROUND, r_bg, bg.mask, float(params.logit_bg))]
 
     inst_caches = []
-    for i, inst in enumerate(layout.instances):
-        r_i, r_cache = masked_text_attention_forward(
-            feat, enc.label_embs[i], radl.proj_text, masks[i]
-        )
+    for i, inst in enumerate(inputs.instances):
+        r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, radl.proj_text, inst.rows)
         ic = InstanceCache(r=r_cache)
         if variant == "text_attn_only":
             r_f = r_i
@@ -413,24 +518,22 @@ def _radl_block_forward(
             # enhancement keys/values come from the instance's own masked
             # features; only in-box query rows are computed, which is exact
             # because instance attention reads and back-propagates only those
-            r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, radl.proj_ae, masks[i])
-            pos, ic.pos = position_embed_forward(inst.bbox, params.posmlp)
-            e_i, ic.emb = build_instance_embedding_forward(enc.label_embs[i], pos, radl.e_proj)
-            r_ia, ic.ia = instance_attention_forward(r_ae, e_i, radl.proj_inst, masks[i])
+            r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, radl.proj_ae, inst.rows)
+            r_ia, ic.ia = instance_attention_forward(r_ae, embs[i], radl.proj_inst, inst.rows)
             r_f = fuse_residual(r_i, r_ia)
         inst_caches.append(ic)
-        branches.append(FusionBranch(INSTANCE, r_f, masks[i], float(params.logit_inst)))
+        branches.append(FusionBranch(INSTANCE, r_f, inst.mask, float(params.logit_inst)))
 
     rel_cache = None
-    has_rel = variant == "full" and enc.verb_emb is not None and layout.n > 0
-    if has_rel:
-        r_rel, rel_cache = relation_attention_forward(feat, enc.verb_emb, radl.proj_rel, m_total)
-        branches.append(FusionBranch(RELATION, r_rel, m_total, float(params.logit_rel)))
+    rel = inputs.relation if variant == "full" else None
+    if rel is not None:
+        r_rel, rel_cache = relation_attention_forward(feat, rel.tokens, radl.proj_rel, rel.rows)
+        branches.append(FusionBranch(RELATION, r_rel, rel.mask, float(params.logit_rel)))
 
     fused, fuse_cache = fuse_forward(branches)
     return fused, BlockCache(
         qlp_name=qlp_name, bg=bg_cache, instances=inst_caches,
-        rel=rel_cache, has_rel_branch=has_rel, fuse=fuse_cache, variant=variant,
+        rel=rel_cache, has_rel_branch=rel is not None, fuse=fuse_cache, variant=variant,
     )
 
 
@@ -442,8 +545,13 @@ def _accumulate_text_attn(g: dict, prefix: str, grads: dict):
 
 def _radl_block_backward(
     d_out: np.ndarray, cache: BlockCache, params: DenoiserParams, g: dict[str, np.ndarray]
-) -> np.ndarray:
-    d_feats, d_logits = fuse_backward(d_out, cache.fuse)
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Returns the feature gradient and each instance slot's embedding
+    gradient (none for text_attn_only).  d_out and the feature gradient are
+    (n, d) or (K, n, d); the ops in between pass a stack rows-first (see
+    attention.flip_stack).  Each part of the cache is released once used."""
+    d_feats, d_logits = fuse_backward(flip_stack(d_out), cache.fuse)
+    cache.fuse = None
     g["fusion.logit_bg"] += d_logits[0]
     n = len(cache.instances)
     for i in range(n):
@@ -455,6 +563,7 @@ def _radl_block_backward(
     d_feat = bg_grads["feat"].copy()
     _accumulate_text_attn(g, "radl.text", bg_grads)
 
+    d_embs = []
     for i, ic in enumerate(cache.instances):
         d_rf = d_feats[1 + i]
         if cache.variant == "text_attn_only":
@@ -463,11 +572,7 @@ def _radl_block_backward(
             d_r_direct, d_ria = fuse_residual_backward(d_rf)
             ia_grads = instance_attention_backward(d_ria, ic.ia)
             _accumulate_text_attn(g, "radl.inst", ia_grads)
-            emb_grads = build_instance_embedding_backward(ia_grads["emb"], ic.emb, params.radl.e_proj)
-            g["radl.e_proj"] += emb_grads["proj"]
-            pos_grads = position_embed_backward(emb_grads["pos"], ic.pos, params.posmlp)
-            for key in ("w1", "b1", "w2", "b2"):
-                g[f"posmlp.{key}"] += pos_grads[key]
+            d_embs.append(ia_grads["emb"])
             ae_grads = attribute_enhancement_backward(ia_grads["feat"], ic.ae)
             g[cache.qlp_name] += ae_grads["qlp"]
             g["radl.ae.wk"] += ae_grads["wk"]
@@ -476,13 +581,14 @@ def _radl_block_backward(
         r_grads = masked_text_attention_backward(d_r, ic.r)
         d_feat += r_grads["feat"]
         _accumulate_text_attn(g, "radl.text", r_grads)
+        cache.instances[i] = d_feats[1 + i] = None
 
     if cache.has_rel_branch:
         rel_grads = relation_attention_backward(d_feats[1 + n], cache.rel)
         d_feat += rel_grads["feat"]
         _accumulate_text_attn(g, "radl.rel", rel_grads)
 
-    return d_feat
+    return flip_stack(d_feat), d_embs
 
 
 # ---------------------------------------------------------------------------
@@ -491,51 +597,76 @@ def _radl_block_backward(
 @dataclass
 class DenoiseCache:
     x: np.ndarray
-    t: int
+    t: int | np.ndarray  # one step, or one per image of a pack
     p_img: np.ndarray
-    h16: np.ndarray
     block_fine: BlockCache | None
-    b16: np.ndarray
     p16: np.ndarray
     block_coarse: BlockCache | None
     b8: np.ndarray
     u16c: np.ndarray
+    emb_caches: list | None  # the instance embeddings', shared by both sides
     radl_on: bool
-    net_scale: float
-    gain_basis: np.ndarray
+    net_scale: np.ndarray          # (), or (K,) for a pack
+    gain_basis: np.ndarray         # (4,), or (K, 4) for a pack
+
+
+def _per_image(a):
+    """A per-image (K,) array shaped to scale a (K, 3, S, S) stack."""
+    return a[:, None, None, None] if np.ndim(a) else a
 
 
 def denoise_forward_cached(
     params: DenoiserParams,
     x_t: np.ndarray,
-    t: int,
-    layout: LayoutSpec,
+    t: int | Sequence[int],
+    layout: LayoutSpec | Sequence[LayoutSpec],
     radl_on: bool,
     embed_cfg: EmbedderConfig,
     variant: str = "full",
-    enc: LayoutEncoding | None = None,
+    enc: LayoutEncoding | Sequence[LayoutEncoding] | None = None,
 ) -> tuple[np.ndarray, DenoiseCache]:
-    """x_t is one image (3, S, S) or a stack (K, 3, S, S) sharing t and the
-    layout; each image of a stack gets the bytes it would get alone."""
+    """x_t is one image (3, S, S) or a stack (K, 3, S, S).  With an int t a
+    stack shares t and the layout, and each image gets the bytes it would
+    get alone.  A pack gives each image of the stack its own step and
+    layout: t, layout and enc are then sequences of K."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     s = params.image_size
     if x_t.ndim not in (3, 4) or x_t.shape[-3:] != (3, s, s):
         raise ShapeMismatch(f"x_t shape {x_t.shape} != ([K,] 3, {s}, {s})")
-    if not 1 <= t <= params.t_train:
+    packed = not isinstance(t, (int, np.integer))
+    if packed:
+        t = np.asarray(t, dtype=int)
+        layouts = list(layout)
+        if x_t.ndim != 4 or not len(t) == len(layouts) == x_t.shape[0]:
+            raise ShapeMismatch(
+                f"a pack needs one t and layout per image: x_t {x_t.shape}, "
+                f"{len(t)} steps, {len(layouts)} layouts"
+            )
+    else:
+        layouts = [layout]
+    if np.any(t < 1) or np.any(t > params.t_train):
         raise StepOutOfRange(f"timestep {t} outside 1..{params.t_train}")
-    if radl_on and enc is None:
-        enc = _encode(layout, embed_cfg, params)
-
     fine, coarse = params.fine_side, params.coarse_side
-    temb_t = params.temb[t - 1]
+    emb_caches = None
+    if radl_on:
+        if enc is None:
+            encs = [_encode(lay, embed_cfg, params) for lay in layouts]
+        else:
+            encs = list(enc) if packed else [enc]
+        blocks = _block_inputs(encs)
+        embs = None
+        if variant != "text_attn_only":
+            embs, emb_caches = _instance_embeddings(blocks[fine], params)
+
+    temb_t = params.temb[t - 1][:, None, :] if packed else params.temb[t - 1]
 
     p_img = image_to_patches(x_t)
     h16 = p_img @ params.enc1_w + params.enc1_b + temb_t
 
     if radl_on:
         fgrid = FeatureGrid(fine, fine, h16)
-        fused_fine, block_fine = _radl_block_forward(fgrid, layout, enc, params, variant)
+        fused_fine, block_fine = _radl_block_forward(fgrid, blocks[fine], embs, params, variant)
         b16 = fused_fine.values
     else:
         block_fine = None
@@ -546,7 +677,9 @@ def denoise_forward_cached(
 
     if radl_on:
         cgrid = FeatureGrid(coarse, coarse, h8)
-        fused_coarse, block_coarse = _radl_block_forward(cgrid, layout, enc, params, variant)
+        fused_coarse, block_coarse = _radl_block_forward(
+            cgrid, blocks[coarse], embs, params, variant
+        )
         b8 = fused_coarse.values
     else:
         block_coarse = None
@@ -562,8 +695,9 @@ def denoise_forward_cached(
     # network supplies the clean-image correction, blended with the weight
     # that parameterization implies (full strength at mid noise levels,
     # muted where x_t already pins the clean image).  Everything the
-    # network learns stays O(1) at every timestep.
-    ab = training_schedule(params.t_train).alpha_bar(t)
+    # network learns stays O(1) at every timestep.  For a pack each of
+    # these is a per-image array.
+    ab = training_schedule(params.t_train).alpha_bars[t - 1]
     u = 1.0 - ab
     s0 = np.sqrt(u) / (ab * PRIOR_MOMENT + u)
     net_scale = np.sqrt(ab * u) / (u + ab * NET_TRUST)
@@ -572,12 +706,13 @@ def denoise_forward_cached(
     # fixed learning rate.  The second feature is the gap to the exact
     # noise gain, reachable as the content correction becomes trustworthy.
     basis = _gain_basis(u, s0)
-    eps = (s0 + float(params.anchor_gain @ basis)) * x_t + net_scale * correction
+    gain = s0 + basis @ params.anchor_gain
+    eps = _per_image(gain) * x_t + _per_image(net_scale) * correction
 
     cache = DenoiseCache(
-        x=x_t, t=t, p_img=p_img, h16=h16, block_fine=block_fine, b16=b16,
-        p16=p16, block_coarse=block_coarse, b8=b8, u16c=u16c, radl_on=radl_on,
-        net_scale=float(net_scale), gain_basis=basis,
+        x=x_t, t=t, p_img=p_img, block_fine=block_fine, p16=p16,
+        block_coarse=block_coarse, b8=b8, u16c=u16c, emb_caches=emb_caches, radl_on=radl_on,
+        net_scale=net_scale, gain_basis=basis,
     )
     return eps, cache
 
@@ -585,56 +720,72 @@ def denoise_forward_cached(
 def denoise_forward(
     params: DenoiserParams,
     x_t: np.ndarray,
-    t: int,
-    layout: LayoutSpec,
+    t: int | Sequence[int],
+    layout: LayoutSpec | Sequence[LayoutSpec],
     radl_on: bool,
     embed_cfg: EmbedderConfig,
     variant: str = "full",
-    enc: LayoutEncoding | None = None,
+    enc: LayoutEncoding | Sequence[LayoutEncoding] | None = None,
 ) -> np.ndarray:
     """Predict the noise in x_t; the layout only enters when radl_on."""
     return denoise_forward_cached(params, x_t, t, layout, radl_on, embed_cfg, variant, enc)[0]
 
 
+def _add_temb_grad(g: dict[str, np.ndarray], t, d_h: np.ndarray):
+    if np.ndim(t):
+        np.add.at(g["temb"], t - 1, d_h.sum(axis=1))
+    else:
+        g["temb"][t - 1] += as_rows(d_h).sum(axis=0)
+
+
 def denoise_backward(
     d_eps: np.ndarray, cache: DenoiseCache, params: DenoiserParams, g: dict[str, np.ndarray]
 ) -> None:
-    """Accumulate parameter gradients for one single-image forward pass into g."""
-    if cache.x.ndim != 3:
-        raise ShapeMismatch(f"backward needs a single-image cache, got x {cache.x.shape}")
+    """Accumulate parameter gradients for one forward pass into g, summed
+    over the images of a stacked pass.  The attention-block caches are
+    released as the backward goes, so a cache takes one backward."""
     fine = params.fine_side
 
-    g["anchor_gain"] += (d_eps * cache.x).sum() * cache.gain_basis
+    d_gain = d_eps * cache.x
+    if cache.gain_basis.ndim == 1:
+        g["anchor_gain"] += d_gain.sum() * cache.gain_basis
+    else:
+        g["anchor_gain"] += d_gain.reshape(len(d_gain), -1).sum(axis=1) @ cache.gain_basis
 
-    d_p_out = image_to_patches(cache.net_scale * d_eps)
-    g["dec2.w"] += cache.u16c.T @ d_p_out
-    g["dec2.b"] += d_p_out.sum(axis=0)
+    d_p_out = image_to_patches(_per_image(cache.net_scale) * d_eps)
+    g["dec2.w"] += as_rows(cache.u16c).T @ as_rows(d_p_out)
+    g["dec2.b"] += as_rows(d_p_out).sum(axis=0)
     d_u16c = d_p_out @ params.dec2_w.T
 
     d_dec1_out = grid_to_patches(d_u16c, fine)
-    g["dec1.w"] += cache.b8.T @ d_dec1_out
-    g["dec1.b"] += d_dec1_out.sum(axis=0)
+    g["dec1.w"] += as_rows(cache.b8).T @ as_rows(d_dec1_out)
+    g["dec1.b"] += as_rows(d_dec1_out).sum(axis=0)
     d_b8 = d_dec1_out @ params.dec1_w.T
 
     if cache.radl_on:
-        d_h8 = _radl_block_backward(d_b8, cache.block_coarse, params, g)
+        d_h8, d_embs = _radl_block_backward(d_b8, cache.block_coarse, params, g)
+        cache.block_coarse = None
     else:
         d_h8 = d_b8
 
-    g["temb"][cache.t - 1] += d_h8.sum(axis=0)
-    g["enc2.w"] += cache.p16.T @ d_h8
-    g["enc2.b"] += d_h8.sum(axis=0)
+    _add_temb_grad(g, cache.t, d_h8)
+    g["enc2.w"] += as_rows(cache.p16).T @ as_rows(d_h8)
+    g["enc2.b"] += as_rows(d_h8).sum(axis=0)
     # b16 feeds both the downsampling stage and the decoder skip
     d_b16 = patches_to_grid(d_h8 @ params.enc2_w.T, fine) + d_u16c
 
     if cache.radl_on:
-        d_h16 = _radl_block_backward(d_b16, cache.block_fine, params, g)
+        d_h16, d_embs_fine = _radl_block_backward(d_b16, cache.block_fine, params, g)
+        if cache.emb_caches is not None:
+            _instance_embeddings_backward(
+                [a + b for a, b in zip(d_embs, d_embs_fine)], cache.emb_caches, params, g
+            )
     else:
         d_h16 = d_b16
 
-    g["temb"][cache.t - 1] += d_h16.sum(axis=0)
-    g["enc1.w"] += cache.p_img.T @ d_h16
-    g["enc1.b"] += d_h16.sum(axis=0)
+    _add_temb_grad(g, cache.t, d_h16)
+    g["enc1.w"] += as_rows(cache.p_img).T @ as_rows(d_h16)
+    g["enc1.b"] += as_rows(d_h16).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +870,8 @@ def sample(
 
 def mse_loss_and_grads(
     params: DenoiserParams,
-    scene: SyntheticScene,
-    t: int,
+    scenes: Sequence[SyntheticScene],
+    ts: Sequence[int],
     noise: np.ndarray,
     embed_cfg: EmbedderConfig,
     g: dict[str, np.ndarray],
@@ -728,18 +879,20 @@ def mse_loss_and_grads(
     variant: str = "full",
     radl_on: bool = True,
     grad_scale: float = 1.0,
-    enc: LayoutEncoding | None = None,
+    encs: Sequence[LayoutEncoding] | None = None,
 ) -> float:
-    """MSE between predicted and true noise; grads accumulate into g."""
-    x_t = forward_diffuse(scene.image, t, sched, noise)
+    """Summed MSE between predicted and true noise over a pack of K samples
+    (noise is (K, 3, S, S)), from one forward and one backward; grads
+    accumulate into g.  The per-sample losses are summed in pack order."""
+    x_t = np.stack([forward_diffuse(sc.image, t, sched, n) for sc, t, n in zip(scenes, ts, noise)])
     eps_hat, cache = denoise_forward_cached(
-        params, x_t, t, scene.layout, radl_on, embed_cfg, variant, enc
+        params, x_t, ts, [sc.layout for sc in scenes], radl_on, embed_cfg, variant, encs
     )
     resid = eps_hat - noise
-    loss = float((resid * resid).mean())
-    d_eps = (2.0 / resid.size) * resid * grad_scale
+    per_sample = (resid * resid).reshape(len(resid), -1).mean(axis=1)
+    d_eps = (2.0 / noise[0].size) * resid * grad_scale
     denoise_backward(d_eps, cache, params, g)
-    return loss
+    return sum(per_sample.tolist())
 
 
 @dataclass
@@ -779,41 +932,70 @@ def train(
     high-noise half of the schedule, matching how sampling splits its
     steps, so the plain pass also trains at the noise levels where
     inference uses it; "always_on" keeps the stack active at every t.
+    Each step draws its samples first, then runs those with the stack on
+    in packs of at most TRAIN_PACK samples and those with it off in one
+    pack (see mse_loss_and_grads).
     """
     if radl_train_mode not in TRAIN_MODES:
         raise ValueError(f"unknown radl_train_mode {radl_train_mode!r}")
     if not dataset:
         raise ValueError("training dataset is empty")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if sched is None:
         sched = NoiseSchedule.make(params.t_train)
     if embed_cfg is None:
         embed_cfg = EmbedderConfig(dim=params.d)
 
+    # AdamW updates every parameter at once as one flat vector; each update
+    # is elementwise, so every entry gets the bytes a per-tensor update gives
     pdict = params_to_dict(params)
-    m = opt_m if opt_m is not None else {k: np.zeros_like(v) for k, v in pdict.items()}
-    v = opt_v if opt_v is not None else {k: np.zeros_like(x) for k, x in pdict.items()}
+    ends = np.cumsum([p.size for p in pdict.values()])
+    spans = {name: slice(end - p.size, end) for (name, p), end in zip(pdict.items(), ends)}
+
+    def flat(tensors: dict[str, np.ndarray]) -> np.ndarray:
+        return np.concatenate([tensors[name].ravel() for name in pdict])
+
+    decay = np.concatenate([np.full(p.size, name not in NO_DECAY) for name, p in pdict.items()])
+    m = flat(opt_m) if opt_m is not None else np.zeros(ends[-1])
+    v = flat(opt_v) if opt_v is not None else np.zeros(ends[-1])
     # beta2 shortened for runs of a few thousand steps
     beta1, beta2, adam_eps = 0.9, 0.99, 1e-8
     # each scene is encoded, masks included, when first drawn with the stack on
     encs: dict[int, LayoutEncoding] = {}
 
+    def stack_on(t: int) -> bool:
+        return radl_train_mode == "always_on" or t > sched.steps // 2
+
     losses: list[float] = []
     lrs: list[float] = []
     for step in range(start_step, start_step + steps):
         rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(2, step)))
-        g = zero_grads(params)
-        loss = 0.0
+        draws = []
         for _ in range(batch_size):
             pick = int(rng.integers(len(dataset)))
             t = int(rng.integers(1, sched.steps + 1))
-            noise = rng.standard_normal(dataset[pick].image.shape)
-            radl_on = True if radl_train_mode == "always_on" else t > sched.steps // 2
-            if radl_on and pick not in encs:
-                encs[pick] = _encode(dataset[pick].layout, embed_cfg, params)
+            draws.append((pick, t, rng.standard_normal(dataset[pick].image.shape)))
+        # the samples with the stack on in packs of at most TRAIN_PACK, then
+        # those with it off in one pack, each run as one forward and one
+        # backward
+        g = zero_grads(params)
+        loss = 0.0
+        on = [d for d in draws if stack_on(d[1])]
+        off = [d for d in draws if not stack_on(d[1])]
+        packs = [(True, on[i : i + TRAIN_PACK]) for i in range(0, len(on), TRAIN_PACK)]
+        if off:
+            packs.append((False, off))
+        for radl_on, pack in packs:
+            picks, ts, noises = zip(*pack)
+            if radl_on:
+                for pick in picks:
+                    if pick not in encs:
+                        encs[pick] = _encode(dataset[pick].layout, embed_cfg, params)
             loss += mse_loss_and_grads(
-                params, dataset[pick], t, noise, embed_cfg, g, sched,
-                variant=variant, radl_on=radl_on,
-                grad_scale=1.0 / batch_size, enc=encs.get(pick),
+                params, [dataset[p] for p in picks], ts, np.stack(noises), embed_cfg, g,
+                sched, variant=variant, radl_on=radl_on, grad_scale=1.0 / batch_size,
+                encs=[encs[p] for p in picks] if radl_on else None,
             )
         loss /= batch_size
         if not np.isfinite(loss):
@@ -821,22 +1003,26 @@ def train(
 
         lr_t = lr if warmup_steps <= 0 else lr * min(step / warmup_steps, 1.0)
         count = step + 1
+        grad = flat(g)
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1**count)
+        v_hat = v / (1.0 - beta2**count)
+        update = m_hat / (np.sqrt(v_hat) + adam_eps)
+        update[decay] += weight_decay * flat(pdict)[decay]
+        update *= lr_t
         for name, p in pdict.items():
-            grad = g[name]
-            m[name] = beta1 * m[name] + (1.0 - beta1) * grad
-            v[name] = beta2 * v[name] + (1.0 - beta2) * grad * grad
-            m_hat = m[name] / (1.0 - beta1**count)
-            v_hat = v[name] / (1.0 - beta2**count)
-            update = m_hat / (np.sqrt(v_hat) + adam_eps)
-            if name not in NO_DECAY:
-                update = update + weight_decay * p
-            p -= lr_t * update
+            p -= update[spans[name]].reshape(p.shape)
 
         losses.append(loss)
         lrs.append(lr_t)
 
+    def unflat(x: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: x[spans[name]].reshape(p.shape) for name, p in pdict.items()}
+
     return TrainResult(
-        params=params, losses=losses, lrs=lrs, opt_m=m, opt_v=v, step=start_step + steps
+        params=params, losses=losses, lrs=lrs, opt_m=unflat(m), opt_v=unflat(v),
+        step=start_step + steps,
     )
 
 

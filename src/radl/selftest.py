@@ -6,6 +6,8 @@ and runs in well under a second.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .attention import (
@@ -16,9 +18,19 @@ from .attention import (
     scaled_dot_attention,
     scaled_dot_attention_forward,
 )
+from .errors import PlacementFailure
 from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse, fuse_forward
 from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
-from .pipeline import NoiseSchedule, init_denoiser, sample
+from .pipeline import (
+    NoiseSchedule,
+    denoise_backward,
+    denoise_forward_cached,
+    forward_diffuse,
+    init_denoiser,
+    mse_loss_and_grads,
+    sample,
+    zero_grads,
+)
 from .scenes import SceneConfig, make_scene
 from .text import EmbedderConfig, EmbeddingSeq, embed_tokens
 
@@ -162,6 +174,45 @@ def _check_batched_sampling(rng) -> Check:
     return ("batched sampling equals serial", ok, f"seeds {seeds}, 2 instances, byte equality")
 
 
+def _check_packed_train_step(rng) -> Check:
+    # one packed forward and backward over three layouts (2, 1 and 0
+    # instances) must give the loss and gradients of three lone passes
+    params = init_denoiser(0, d=4, image_size=8, t_train=12)
+    embed_cfg = EmbedderConfig(dim=4, seed=0)
+    sched = NoiseSchedule.make(12)
+
+    def first_scene(n: int):
+        cfg = SceneConfig(image_size=8, n_instances=(n, n), min_box=0.3, max_box=0.5)
+        for seed in range(100):
+            try:
+                return make_scene(seed, cfg)
+            except PlacementFailure:
+                pass
+        raise PlacementFailure(f"no {n}-instance scene in 100 seeds")
+
+    scenes = [first_scene(2), first_scene(1)]
+    scenes.append(replace(scenes[0], layout=LayoutSpec(prompt="a plain gray background")))
+    ts = [int(t) for t in rng.integers(1, 13, len(scenes))]
+    noise = rng.standard_normal((len(scenes), 3, 8, 8))
+
+    g = zero_grads(params)
+    loss = mse_loss_and_grads(params, scenes, ts, noise, embed_cfg, g, sched)
+    g_ref, loss_ref = zero_grads(params), 0.0
+    for scene, t, n in zip(scenes, ts, noise):
+        x_t = forward_diffuse(scene.image, t, sched, n)
+        eps, cache = denoise_forward_cached(params, x_t, t, scene.layout, True, embed_cfg)
+        resid = eps - n
+        loss_ref += float((resid * resid).mean())
+        denoise_backward((2.0 / resid.size) * resid, cache, params, g_ref)
+
+    def rel(a, b) -> float:
+        return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))
+
+    worst = max([rel(np.array(loss), np.array(loss_ref))] + [rel(g[k], g_ref[k]) for k in g])
+    return ("packed train step equals per-sample steps", worst <= 1e-12,
+            f"3 scenes (2, 1, 0 instances), max rel err {worst:.2e}")
+
+
 def run_selftest(seed: int = 0) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = [
@@ -174,5 +225,6 @@ def run_selftest(seed: int = 0) -> list[Check]:
         _check_embedder,
         _check_schedule_and_trace,
         _check_batched_sampling,
+        _check_packed_train_step,
     ]
     return [(name, bool(ok), detail) for name, ok, detail in (fn(rng) for fn in checks)]

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from typing import Sequence
 
 import numpy as np
 
@@ -58,23 +59,38 @@ class EmbedderConfig:
 
 @dataclass(frozen=True)
 class EmbeddingSeq:
-    """L x d sequence of token embeddings."""
+    """L x d sequence of token embeddings, or a stack (K, L, d) of sequences
+    padded to the longest, with `keep` (K, L) False on the padding tokens."""
 
     values: np.ndarray
+    keep: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ShapeMismatch(f"embedding sequence must be (L>=1, d), got {v.shape}")
+        if v.ndim not in (2, 3) or v.shape[-2] < 1:
+            raise ShapeMismatch(f"embedding sequence must be ([K,] L>=1, d), got {v.shape}")
+        if self.keep is not None and self.keep.shape != v.shape[:-1]:
+            raise ShapeMismatch(f"token mask {self.keep.shape} does not match {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
     def length(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
+
+    @staticmethod
+    def pack(seqs: Sequence["EmbeddingSeq"]) -> "EmbeddingSeq":
+        """Stack sequences, padding each with zero tokens to the longest."""
+        longest = max(s.length for s in seqs)
+        values = np.zeros((len(seqs), longest, seqs[0].dim))
+        keep = np.zeros((len(seqs), longest), dtype=bool)
+        for j, s in enumerate(seqs):
+            values[j, : s.length] = s.values
+            keep[j, : s.length] = True
+        return EmbeddingSeq(values, keep)
 
 
 def tokenize(text: str) -> list[str]:
@@ -175,9 +191,10 @@ class PositionEmbedCache:
 
 
 def position_embed_forward(
-    bbox: BBox, params: PositionMLPParams
+    bbox: BBox | Sequence[BBox], params: PositionMLPParams
 ) -> tuple[np.ndarray, PositionEmbedCache]:
-    box = bbox.as_array()
+    """One box gives (d_pos,); a sequence of K boxes gives (K, d_pos)."""
+    box = bbox.as_array() if isinstance(bbox, BBox) else np.stack([b.as_array() for b in bbox])
     pre = box @ params.w1 + params.b1
     hid = np.maximum(pre, 0.0)
     out = hid @ params.w2 + params.b2
@@ -192,20 +209,21 @@ def position_embed(bbox: BBox, params: PositionMLPParams) -> np.ndarray:
 def position_embed_backward(
     d_out: np.ndarray, cache: PositionEmbedCache, params: PositionMLPParams
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. the MLP parameters."""
-    d_hid = d_out @ params.w2.T
-    d_pre = d_hid * (cache.pre > 0.0)
+    """Gradients of a scalar loss w.r.t. the MLP parameters, summed over
+    the boxes of a stacked forward."""
+    d_out = np.atleast_2d(d_out)
+    d_pre = (d_out @ params.w2.T) * (np.atleast_2d(cache.pre) > 0.0)
     return {
-        "w2": np.outer(cache.hid, d_out),
-        "b2": d_out.copy(),
-        "w1": np.outer(cache.box, d_pre),
-        "b1": d_pre,
+        "w2": np.atleast_2d(cache.hid).T @ d_out,
+        "b2": d_out.sum(axis=0),
+        "w1": np.atleast_2d(cache.box).T @ d_pre,
+        "b1": d_pre.sum(axis=0),
     }
 
 
 @dataclass(frozen=True)
 class InstanceEmbedCache:
-    concat: np.ndarray  # (L, d + d_pos)
+    concat: np.ndarray  # ([K,] L, d + d_pos)
     d: int
     d_pos: int
 
@@ -213,17 +231,18 @@ class InstanceEmbedCache:
 def build_instance_embedding_forward(
     label_emb: EmbeddingSeq, pos: np.ndarray, proj: np.ndarray
 ) -> tuple[EmbeddingSeq, InstanceEmbedCache]:
+    """A stack of K padded label sequences takes K position vectors (K, d_pos);
+    the result keeps the labels' padding."""
     d = label_emb.dim
-    d_pos = pos.shape[0]
+    d_pos = pos.shape[-1]
     if proj.shape != (d + d_pos, d):
         raise ShapeMismatch(
             f"instance-embedding projection must be ({d + d_pos}, {d}), got {proj.shape}"
         )
-    concat = np.concatenate(
-        [label_emb.values, np.broadcast_to(pos, (label_emb.length, d_pos))], axis=1
-    )
+    rows = np.broadcast_to(pos[..., None, :], label_emb.values.shape[:-1] + (d_pos,))
+    concat = np.concatenate([label_emb.values, rows], axis=-1)
     out = concat @ proj
-    return EmbeddingSeq(out), InstanceEmbedCache(concat=concat, d=d, d_pos=d_pos)
+    return EmbeddingSeq(out, label_emb.keep), InstanceEmbedCache(concat=concat, d=d, d_pos=d_pos)
 
 
 def build_instance_embedding(
@@ -240,10 +259,10 @@ def build_instance_embedding(
 def build_instance_embedding_backward(
     d_out: np.ndarray, cache: InstanceEmbedCache, proj: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients w.r.t. the projection, the position vector, and label rows."""
+    """Gradients w.r.t. the projection, the position vector(s), and label rows."""
     d_concat = d_out @ proj.T
     return {
-        "proj": cache.concat.T @ d_out,
-        "pos": d_concat[:, cache.d :].sum(axis=0),
-        "label": d_concat[:, : cache.d],
+        "proj": cache.concat.reshape(-1, cache.d + cache.d_pos).T @ d_out.reshape(-1, cache.d),
+        "pos": d_concat[..., cache.d :].sum(axis=-2),
+        "label": d_concat[..., : cache.d],
     }

@@ -67,6 +67,26 @@ def test_invalid_radl_threads(workdir, monkeypatch, capsys):
     assert "RADL_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 0),       # was ZeroDivisionError
+    ("train_steps", -1),     # was exit 0 having trained nothing
+    ("d", 1),                # was ValueError
+    ("image_size", 30),      # not a multiple of 4
+    ("image_size", 4),       # below 8
+    ("lr", "x"),             # was TypeError
+    ("batch_size", True),    # bool in a numeric field
+    ("t_train", 1),          # was ValueError from the noise schedule
+    ("seed", -1),            # was ValueError from the seed sequence
+    ("threads", -2),         # was accepted and ignored
+])
+def test_bad_config_value_exit_2(workdir, key, value, capsys):
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg[key] = value
+    (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert run("--config", workdir / "config.json", "train") == 2
+    assert key in capsys.readouterr().err
+
+
 # --- train ----------------------------------------------------------------------
 
 def test_train_fresh_run(workdir):
@@ -285,6 +305,12 @@ def test_gradcheck_fault_injection_exit_5(workdir, capsys):
     assert run("--config", workdir / "config.json", "gradcheck",
                "--scenes", 1, "--inject-grad-fault") == 5
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_gradcheck_scene_count_below_one_exit_2(workdir, count, capsys):
+    assert run("--config", workdir / "config.json", "gradcheck", "--scenes", count) == 2
+    assert "at least one scene" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variant", ["no_relation", "text_attn_only"])

@@ -7,6 +7,9 @@ import pytest
 from radl import pipeline
 from radl.errors import NonFiniteLoss, PlacementFailure, ShapeMismatch, StepOutOfRange
 from radl.pipeline import (
+    NO_DECAY,
+    PARAM_GROUPS,
+    TRAIN_MODES,
     VARIANTS,
     NoiseSchedule,
     denoise_backward,
@@ -15,6 +18,7 @@ from radl.pipeline import (
     forward_diffuse,
     gradcheck,
     init_denoiser,
+    mse_loss_and_grads,
     params_to_dict,
     sample,
     train,
@@ -22,7 +26,7 @@ from radl.pipeline import (
 )
 from radl.layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask
 from radl.scenes import SceneConfig, make_scene
-from radl.text import EmbedderConfig
+from radl.text import EmbedderConfig, extract_verbs
 
 EC = EmbedderConfig(dim=8, seed=0)
 EC4 = EmbedderConfig(dim=4, seed=0)
@@ -300,14 +304,25 @@ def test_batched_sample_needs_a_seed():
                embed_cfg=EC4)
 
 
-def test_backward_rejects_batched_cache():
+def test_backward_on_batched_cache_sums_images():
+    # a stack sharing t and the layout back-propagates as the sum of its
+    # images' lone backwards
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
-    x = np.random.default_rng(9).standard_normal((2, 3, 8, 8))
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((2, 3, 8, 8))
+    d_eps = rng.standard_normal((2, 3, 8, 8))
+    layout = small_scene().layout
     for radl_on in (True, False):
-        eps, cache = denoise_forward_cached(params, x, 5, small_scene().layout, radl_on, EC4)
+        eps, cache = denoise_forward_cached(params, x, 5, layout, radl_on, EC4)
         assert eps.shape == x.shape
-        with pytest.raises(ShapeMismatch):
-            denoise_backward(np.ones_like(eps), cache, params, zero_grads(params))
+        g = zero_grads(params)
+        denoise_backward(d_eps, cache, params, g)
+        g_ref = zero_grads(params)
+        for k in range(2):
+            _, cache_k = denoise_forward_cached(params, x[k], 5, layout, radl_on, EC4)
+            denoise_backward(d_eps[k], cache_k, params, g_ref)
+        for name in g:
+            assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
 
 
 def test_sample_rejects_bad_split():
@@ -407,6 +422,160 @@ def test_train_deterministic_and_resumable():
     d2 = params_to_dict(p2)
     for name in d1:
         assert np.array_equal(d1[name], d2[name]), name
+
+
+def test_train_rejects_batch_size_below_one():
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    with pytest.raises(ValueError):
+        train(params, make_dataset(), steps=1, embed_cfg=EC4, batch_size=0)
+
+
+# --- packed training step ------------------------------------------------------
+
+def mixed_scenes():
+    """Scenes with 1, 2, 3 and 4 instances, one instance empty at 8x8, verbs
+    of one and of two tokens, a no-verb scene and a 0-instance scene."""
+    cfg = SceneConfig(n_instances=(1, 4), min_box=0.15, max_box=0.3)
+    by_count, seed = {}, 0
+    while len(by_count) < 4:
+        try:
+            scene = make_scene(seed, cfg)
+            by_count.setdefault(scene.layout.n, scene)
+        except PlacementFailure:
+            pass
+        seed += 1
+    one, two, three, four = (by_count[n] for n in (1, 2, 3, 4))
+    assert two.layout.verbs is None and len(extract_verbs(two.layout.prompt, EC)) == 1
+    tiny = InstanceSpec("blue square", BBox(0.0, 0.0, 0.06, 0.06))
+    return [
+        one,
+        two,
+        replace(two, layout=replace(
+            two.layout, verbs=(), instances=two.layout.instances + (tiny,)
+        )),
+        three,
+        replace(four, layout=replace(four.layout, verbs=("touching", "beside"))),
+        replace(one, layout=LayoutSpec(prompt="a plain gray background")),
+    ]
+
+
+# stack on for every scene but the first under the mirror split (t > 100);
+# two samples share a step, whose timestep-embedding gradients must add up
+MIXED_TS = [30, 170, 140, 120, 170, 101]
+
+
+def per_sample_loss_and_grads(params, scenes, ts, noise, g, sched, variant, radl_on, grad_scale):
+    """The reference: one lone forward and backward per sample."""
+    loss = 0.0
+    for scene, t, n in zip(scenes, ts, noise):
+        x_t = forward_diffuse(scene.image, t, sched, n)
+        eps, cache = denoise_forward_cached(params, x_t, t, scene.layout, radl_on, EC, variant)
+        resid = eps - n
+        loss += float((resid * resid).mean())
+        denoise_backward((2.0 / resid.size) * resid * grad_scale, cache, params, g)
+    return loss
+
+
+@pytest.mark.parametrize("mode", TRAIN_MODES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_packed_loss_and_grads_equal_per_sample_sum(variant, mode):
+    params = init_denoiser(3, d=8, image_size=32, t_train=200)
+    sched = NoiseSchedule.make(200)
+    scenes = mixed_scenes()
+    noise = np.random.default_rng(21).standard_normal((len(scenes), 3, 32, 32))
+    g, g_ref = zero_grads(params), zero_grads(params)
+    loss = loss_ref = 0.0
+    for radl_on in (True, False):
+        pack = [k for k, t in enumerate(MIXED_TS) if (mode == "always_on" or t > 100) == radl_on]
+        if not pack:
+            continue
+        args = [scenes[k] for k in pack], [MIXED_TS[k] for k in pack], noise[pack]
+        loss += mse_loss_and_grads(params, *args, EC, g, sched, variant, radl_on, 0.25)
+        loss_ref += per_sample_loss_and_grads(params, *args, g_ref, sched, variant, radl_on, 0.25)
+    assert rel_diff(np.array(loss), np.array(loss_ref)) <= 1e-12
+    for name in g_ref:
+        assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
+
+
+def test_packed_gradients_match_central_differences():
+    params = init_denoiser(5, d=8, image_size=32, t_train=200)
+    sched = NoiseSchedule.make(200)
+    scenes = mixed_scenes()
+    rng = np.random.default_rng(22)
+    noise = rng.standard_normal((len(scenes), 3, 32, 32))
+    g = zero_grads(params)
+    mse_loss_and_grads(params, scenes, MIXED_TS, noise, EC, g, sched)
+    x_t = np.stack([forward_diffuse(sc.image, t, sched, n)
+                    for sc, t, n in zip(scenes, MIXED_TS, noise)])
+    layouts = [sc.layout for sc in scenes]
+
+    def loss_fn():
+        r = denoise_forward(params, x_t, MIXED_TS, layouts, True, EC) - noise
+        return float((r * r).reshape(len(r), -1).mean(axis=1).sum())
+
+    pdict = params_to_dict(params)
+    eps = 1e-5
+    for group, names in PARAM_GROUPS.items():
+        coords = [(name, idx) for name in names for idx in np.ndindex(pdict[name].shape)]
+        for i in rng.choice(len(coords), size=min(4, len(coords)), replace=False):
+            name, idx = coords[int(i)]
+            arr, orig = pdict[name], pdict[name][idx]
+            arr[idx] = orig + eps
+            up = loss_fn()
+            arr[idx] = orig - eps
+            dn = loss_fn()
+            arr[idx] = orig
+            numeric = (up - dn) / (2.0 * eps)
+            analytic = g[name][idx]
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+            assert err <= 1e-4, (group, name, idx, analytic, numeric)
+
+
+def reference_train(params, dataset, steps, lr, warmup, seed, batch_size, mode):
+    """Per-sample training written out: the same draws and AdamW update as
+    `train`, with one lone forward and backward per sample."""
+    sched = NoiseSchedule.make(params.t_train)
+    pdict = params_to_dict(params)
+    m = {k: np.zeros_like(p) for k, p in pdict.items()}
+    v = {k: np.zeros_like(p) for k, p in pdict.items()}
+    losses = []
+    for step in range(steps):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, step)))
+        g, loss = zero_grads(params), 0.0
+        for _ in range(batch_size):
+            pick = int(rng.integers(len(dataset)))
+            t = int(rng.integers(1, sched.steps + 1))
+            noise = rng.standard_normal(dataset[pick].image.shape)
+            radl_on = mode == "always_on" or t > sched.steps // 2
+            loss += per_sample_loss_and_grads(
+                params, [dataset[pick]], [t], [noise], g, sched, "full", radl_on, 1.0 / batch_size
+            )
+        losses.append(loss / batch_size)
+        lr_t = lr * min(step / warmup, 1.0)
+        for name, p in pdict.items():
+            m[name] = 0.9 * m[name] + 0.1 * g[name]
+            v[name] = 0.99 * v[name] + 0.01 * g[name] ** 2
+            m_hat = m[name] / (1.0 - 0.9 ** (step + 1))
+            v_hat = v[name] / (1.0 - 0.99 ** (step + 1))
+            update = m_hat / (np.sqrt(v_hat) + 1e-8)
+            if name not in NO_DECAY:
+                update = update + 0.01 * p
+            p -= lr_t * update
+    return losses
+
+
+@pytest.mark.parametrize("mode", TRAIN_MODES)
+def test_packed_train_matches_per_sample_reference(mode):
+    scenes = mixed_scenes()
+    packed = init_denoiser(0, d=8, image_size=32, t_train=200)
+    result = train(packed, scenes, steps=8, lr=5e-3, warmup_steps=3, rng_seed=4,
+                   embed_cfg=EC, batch_size=8, radl_train_mode=mode)
+    ref = init_denoiser(0, d=8, image_size=32, t_train=200)
+    ref_losses = reference_train(ref, scenes, 8, 5e-3, 3, 4, 8, mode)
+    assert np.allclose(result.losses, ref_losses, rtol=1e-10, atol=0.0)
+    ref_params = params_to_dict(ref)
+    for name, arr in params_to_dict(packed).items():
+        assert rel_diff(arr, ref_params[name]) <= 1e-10, name
 
 
 # --- gradient checking -------------------------------------------------------
