@@ -407,15 +407,16 @@ def _pack(branches: Sequence[Branch | None], stacks: dict) -> Branch | None:
     key = tuple(id(b.tokens) for b in present)
     if key not in stacks:
         stacks[key] = EmbeddingSeq.pack([b.tokens for b in present])
+    box = None if present[0].box is None else tuple(b.box for b in present)
     if len(present) == len(branches) and all(b.rows.whole for b in present):
-        return Branch(present[0].rows, present[0].mask, stacks[key])
+        return Branch(present[0].rows, present[0].mask, stacks[key], box)
     masks = np.zeros((len(branches),) + present[0].mask.values.shape)
     masks[grids] = [b.mask.values for b in present]
     return Branch(
         rows=RowSet.pack([b.rows for b in present], grids, len(branches)),
         mask=MaskGrid(masks),
         tokens=stacks[key],
-        box=None if present[0].box is None else tuple(b.box for b in present),
+        box=box,
     )
 
 
@@ -947,18 +948,9 @@ def train(
     if embed_cfg is None:
         embed_cfg = EmbedderConfig(dim=params.d)
 
-    # AdamW updates every parameter at once as one flat vector; each update
-    # is elementwise, so every entry gets the bytes a per-tensor update gives
     pdict = params_to_dict(params)
-    ends = np.cumsum([p.size for p in pdict.values()])
-    spans = {name: slice(end - p.size, end) for (name, p), end in zip(pdict.items(), ends)}
-
-    def flat(tensors: dict[str, np.ndarray]) -> np.ndarray:
-        return np.concatenate([tensors[name].ravel() for name in pdict])
-
-    decay = np.concatenate([np.full(p.size, name not in NO_DECAY) for name, p in pdict.items()])
-    m = flat(opt_m) if opt_m is not None else np.zeros(ends[-1])
-    v = flat(opt_v) if opt_v is not None else np.zeros(ends[-1])
+    m = opt_m if opt_m is not None else {k: np.zeros_like(v) for k, v in pdict.items()}
+    v = opt_v if opt_v is not None else {k: np.zeros_like(x) for k, x in pdict.items()}
     # beta2 shortened for runs of a few thousand steps
     beta1, beta2, adam_eps = 0.9, 0.99, 1e-8
     # each scene is encoded, masks included, when first drawn with the stack on
@@ -1003,26 +995,22 @@ def train(
 
         lr_t = lr if warmup_steps <= 0 else lr * min(step / warmup_steps, 1.0)
         count = step + 1
-        grad = flat(g)
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1**count)
-        v_hat = v / (1.0 - beta2**count)
-        update = m_hat / (np.sqrt(v_hat) + adam_eps)
-        update[decay] += weight_decay * flat(pdict)[decay]
-        update *= lr_t
         for name, p in pdict.items():
-            p -= update[spans[name]].reshape(p.shape)
+            grad = g[name]
+            m[name] = beta1 * m[name] + (1.0 - beta1) * grad
+            v[name] = beta2 * v[name] + (1.0 - beta2) * grad * grad
+            m_hat = m[name] / (1.0 - beta1**count)
+            v_hat = v[name] / (1.0 - beta2**count)
+            update = m_hat / (np.sqrt(v_hat) + adam_eps)
+            if name not in NO_DECAY:
+                update = update + weight_decay * p
+            p -= lr_t * update
 
         losses.append(loss)
         lrs.append(lr_t)
 
-    def unflat(x: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: x[spans[name]].reshape(p.shape) for name, p in pdict.items()}
-
     return TrainResult(
-        params=params, losses=losses, lrs=lrs, opt_m=unflat(m), opt_v=unflat(v),
-        step=start_step + steps,
+        params=params, losses=losses, lrs=lrs, opt_m=m, opt_v=v, step=start_step + steps
     )
 
 

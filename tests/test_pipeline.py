@@ -459,6 +459,17 @@ def mixed_scenes():
     ]
 
 
+def full_frame_pair():
+    """Two layouts, of 1 and 3 instances, whose first instance covers the
+    whole frame, so instance slot 0 of their pack keeps every row."""
+    full = BBox(0.0, 0.0, 1.0, 1.0)
+    return [
+        replace(sc, layout=replace(sc.layout, instances=(
+            replace(sc.layout.instances[0], bbox=full),) + sc.layout.instances[1:]))
+        for sc in (mixed_scenes()[0], mixed_scenes()[3])
+    ]
+
+
 # stack on for every scene but the first under the mirror split (t > 100);
 # two samples share a step, whose timestep-embedding gradients must add up
 MIXED_TS = [30, 170, 140, 120, 170, 101]
@@ -492,6 +503,10 @@ def test_packed_loss_and_grads_equal_per_sample_sum(variant, mode):
         args = [scenes[k] for k in pack], [MIXED_TS[k] for k in pack], noise[pack]
         loss += mse_loss_and_grads(params, *args, EC, g, sched, variant, radl_on, 0.25)
         loss_ref += per_sample_loss_and_grads(params, *args, g_ref, sched, variant, radl_on, 0.25)
+    full = full_frame_pair()
+    args = full, [150, 120], np.random.default_rng(23).standard_normal((2, 3, 32, 32))
+    loss += mse_loss_and_grads(params, *args, EC, g, sched, variant, True, 0.25)
+    loss_ref += per_sample_loss_and_grads(params, *args, g_ref, sched, variant, True, 0.25)
     assert rel_diff(np.array(loss), np.array(loss_ref)) <= 1e-12
     for name in g_ref:
         assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
