@@ -11,10 +11,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from radl.errors import PlacementFailure
 from radl.imageio import write_ppm
 from radl.layout import serialize_layout
-from radl.scenes import SceneConfig, make_scene, write_corpus
+from radl.scenes import SceneConfig, generate, write_corpus
 
 
 def main() -> int:
@@ -33,17 +32,9 @@ def main() -> int:
         image_size=args.image_size,
         n_instances=(args.min_instances, args.max_instances),
     )
-    scenes = []
-    seed = args.seed
-    skipped = 0
-    while len(scenes) < args.count:
-        try:
-            scenes.append(make_scene(seed, cfg))
-        except PlacementFailure:
-            skipped += 1
-        seed += 1
+    scenes = generate(args.seed, args.count, cfg)
     write_corpus(args.out, scenes)
-    print(f"wrote {len(scenes)} scenes to {args.out} (skipped {skipped} crowded seeds)")
+    print(f"wrote {len(scenes)} scenes to {args.out}")
 
     if args.eval_dirs:
         img_dir = Path(args.eval_dirs) / "images"

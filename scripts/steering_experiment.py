@@ -21,24 +21,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from radl.checkpoint import save_tensors
-from radl.errors import PlacementFailure
-from radl.evalmetrics import evaluate_images
+from radl.cli import RunConfig, _save_checkpoint
 from radl.imageio import write_ppm
-from radl.pipeline import init_denoiser, params_to_dict, sample, train
-from radl.scenes import SceneConfig, make_scene
-from radl.text import EmbedderConfig
-
-
-def scenes_from(seed0, count, cfg):
-    out, seed = [], seed0
-    while len(out) < count:
-        try:
-            out.append(make_scene(seed, cfg))
-        except PlacementFailure:
-            pass
-        seed += 1
-    return out
+from radl.scenes import SceneConfig, generate
+from radl.steering import run_arm
 
 
 def main() -> int:
@@ -55,51 +41,33 @@ def main() -> int:
                         default=["full", "text_attn_only", "no_relation"])
     args = parser.parse_args()
 
-    cfg = SceneConfig()
-    ec = EmbedderConfig(dim=8, seed=0)
-    train_scenes = scenes_from(0, args.corpus_size, cfg)
-    held_out = scenes_from(100_000, args.held_out, cfg)
+    train_scenes = generate(0, args.corpus_size, SceneConfig())
+    held_out = generate(100_000, args.held_out, SceneConfig())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for arm in args.arms:
-        params = init_denoiser(args.seed, d=8, image_size=32, t_train=200)
         t0 = time.time()
-        result = train(
-            params, train_scenes, steps=args.steps, lr=args.lr,
-            warmup_steps=100, rng_seed=args.seed, batch_size=args.batch_size,
-            embed_cfg=ec, variant=arm, radl_train_mode="mirror",
-        )
-        train_s = time.time() - t0
-        save_tensors(
-            out_dir / f"{arm}.ckpt", params_to_dict(params),
-            {"d": 8, "image_size": 32, "t_train": 200, "step": result.step,
-             "embed_seed": 0, "arm": arm},
-        )
-
-        pairs = []
-        for i, scene in enumerate(held_out):
-            img, _ = sample(
-                params, scene.layout, total_steps=60, radl_steps=30,
-                rng_seed=777 + i, embed_cfg=ec, variant=arm,
-            )
-            pairs.append((img, scene.layout))
-            if i < 8:
-                write_ppm(out_dir / f"{arm}_{i:02d}.ppm", img)
-        report = evaluate_images(pairs, cfg.palette)
-        rows.append((arm, report, train_s, float(np.mean(result.losses[-50:]))))
-        print(f"[{arm}] trained {args.steps} steps in {train_s:.0f}s, "
-              f"final smoothed loss {rows[-1][3]:.3f}", flush=True)
+        res = run_arm(arm, train_scenes, held_out, steps=args.steps, lr=args.lr,
+                      seed=args.seed, batch_size=args.batch_size)
+        run_s = time.time() - t0
+        _save_checkpoint(out_dir / f"{arm}.ckpt", res.result.params, res.result.step,
+                         RunConfig(embed_seed=0))
+        for i, (img, _) in enumerate(res.pairs[:8]):
+            write_ppm(out_dir / f"{arm}_{i:02d}.ppm", img)
+        rows.append((arm, res.report, float(np.mean(res.result.losses[-50:]))))
+        print(f"[{arm}] trained {args.steps} steps and sampled {len(held_out)} layouts "
+              f"in {run_s:.0f}s, final smoothed loss {rows[-1][2]:.3f}", flush=True)
 
     print(f"\n{'arm':12s} {'mIoU':>6s} {'attr':>6s} {'succ':>6s} {'qty':>6s} {'rel':>6s}")
-    for arm, rep, _, _ in rows:
+    for arm, rep, _ in rows:
         print(f"{arm:12s} {rep.miou:6.3f} {rep.attribute_acc:6.3f} "
               f"{rep.success_rate:6.3f} {rep.quantity_acc:6.3f} {rep.relation_acc:6.3f}")
 
     if {"full", "text_attn_only"} <= set(args.arms):
-        full = next(r for a, r, _, _ in rows if a == "full")
-        abl = next(r for a, r, _, _ in rows if a == "text_attn_only")
+        full = next(r for a, r, _ in rows if a == "full")
+        abl = next(r for a, r, _ in rows if a == "text_attn_only")
         print(f"\nsteering gain (full - text_attn_only) mIoU: {full.miou - abl.miou:+.3f}")
     return 0
 

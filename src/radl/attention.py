@@ -288,21 +288,42 @@ class MaskedAttnCache:
     proj: AttnProjection
 
 
-def _masked_attention_forward(
-    feat: np.ndarray, emb: EmbeddingSeq, proj: AttnProjection, rows: RowSet
-) -> tuple[np.ndarray, MaskedAttnCache]:
-    x = rows.take(feat)
+def _row_set(feat: FeatureGrid, mask: MaskGrid | RowSet) -> RowSet:
+    if (mask.h, mask.w) != (feat.h, feat.w):
+        raise ShapeMismatch(
+            f"mask {mask.h}x{mask.w} does not match feature grid {feat.h}x{feat.w}"
+        )
+    return mask if isinstance(mask, RowSet) else RowSet.of(mask)
+
+
+def masked_attention_forward(
+    feat: FeatureGrid, emb: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
+) -> tuple[FeatureGrid, MaskedAttnCache]:
+    rows = _row_set(feat, mask)
+    if emb.dim != feat.d:
+        raise ShapeMismatch(f"embedding dim {emb.dim} != feature dim {feat.d}")
+    x = rows.take(feat.values)
     out, ac = scaled_dot_attention_forward(
         x @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv, emb.keep
     )
-    return rows.put(out), MaskedAttnCache(
+    return feat.like(rows.put(out)), MaskedAttnCache(
         q_src=x, emb=emb, rows=rows, attn_cache=ac, proj=proj
     )
 
 
-def _masked_attention_backward(
-    d_out: np.ndarray, cache: MaskedAttnCache
+def masked_attention(
+    feat: FeatureGrid, emb: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
+) -> FeatureGrid:
+    """Cross-attention from image features to a token sequence, zeroed
+    outside the mask."""
+    return masked_attention_forward(feat, emb, proj, mask)[0]
+
+
+def masked_attention_backward(
+    d_out: np.ndarray, cache: MaskedAttnCache | None
 ) -> dict[str, np.ndarray]:
+    if cache is None:
+        raise MissingCache("masked attention backward needs its forward cache")
     rows, proj, emb = cache.rows, cache.proj, cache.emb.values
     dq, dk, dv = scaled_dot_attention_backward(
         rows.take_grad(flip_stack(d_out)), cache.attn_cache
@@ -316,40 +337,11 @@ def _masked_attention_backward(
     }
 
 
-def _row_set(feat: FeatureGrid, mask: MaskGrid | RowSet) -> RowSet:
-    if (mask.h, mask.w) != (feat.h, feat.w):
-        raise ShapeMismatch(
-            f"mask {mask.h}x{mask.w} does not match feature grid {feat.h}x{feat.w}"
-        )
-    return mask if isinstance(mask, RowSet) else RowSet.of(mask)
-
-
-def masked_text_attention_forward(
-    feat: FeatureGrid, label_emb: EmbeddingSeq, proj: AttnProjection,
-    mask: MaskGrid | RowSet,
-) -> tuple[FeatureGrid, MaskedAttnCache]:
-    rows = _row_set(feat, mask)
-    if label_emb.dim != feat.d:
-        raise ShapeMismatch(f"embedding dim {label_emb.dim} != feature dim {feat.d}")
-    out, cache = _masked_attention_forward(feat.values, label_emb, proj, rows)
-    return feat.like(out), cache
-
-
-def masked_text_attention(
-    feat: FeatureGrid, label_emb: EmbeddingSeq, proj: AttnProjection,
-    mask: MaskGrid | RowSet,
-) -> FeatureGrid:
-    """Cross-attention from image features to label tokens, zeroed outside
-    the instance mask."""
-    return masked_text_attention_forward(feat, label_emb, proj, mask)[0]
-
-
-def masked_text_attention_backward(
-    d_out: np.ndarray, cache: MaskedAttnCache | None
-) -> dict[str, np.ndarray]:
-    if cache is None:
-        raise MissingCache("masked_text_attention backward needs its forward cache")
-    return _masked_attention_backward(d_out, cache)
+# masked text attention attends to a label's tokens and instance attention
+# to the position-augmented instance embedding, from the enhanced features
+masked_text_attention_forward = instance_attention_forward = masked_attention_forward
+masked_text_attention = instance_attention = masked_attention
+masked_text_attention_backward = instance_attention_backward = masked_attention_backward
 
 
 # ---------------------------------------------------------------------------
@@ -418,36 +410,6 @@ def attribute_enhancement_backward(
 
 
 # ---------------------------------------------------------------------------
-# instance attention: enhanced features attend to the position-augmented
-# instance embedding, masked to the instance region
-
-def instance_attention_forward(
-    r_ae: FeatureGrid, e_i: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
-) -> tuple[FeatureGrid, MaskedAttnCache]:
-    rows = _row_set(r_ae, mask)
-    if e_i.dim != r_ae.d:
-        raise ShapeMismatch(f"embedding dim {e_i.dim} != feature dim {r_ae.d}")
-    out, cache = _masked_attention_forward(r_ae.values, e_i, proj, rows)
-    return r_ae.like(out), cache
-
-
-def instance_attention(
-    r_ae: FeatureGrid, e_i: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
-) -> FeatureGrid:
-    """As masked_text_attention with queries from the enhanced features and
-    keys/values from the position-augmented instance embedding."""
-    return instance_attention_forward(r_ae, e_i, proj, mask)[0]
-
-
-def instance_attention_backward(
-    d_out: np.ndarray, cache: MaskedAttnCache | None
-) -> dict[str, np.ndarray]:
-    if cache is None:
-        raise MissingCache("instance_attention backward needs its forward cache")
-    return _masked_attention_backward(d_out, cache)
-
-
-# ---------------------------------------------------------------------------
 # residual fusion
 
 def fuse_residual(r: FeatureGrid, r_ia: FeatureGrid) -> FeatureGrid:
@@ -472,12 +434,11 @@ def relation_attention_forward(
     proj: AttnProjection,
     m_total: MaskGrid | RowSet,
 ) -> tuple[FeatureGrid, MaskedAttnCache | None]:
-    rows = _row_set(feat, m_total)
-    if verb_emb is None or verb_emb.length == 0:
+    if verb_emb is None:
         # Disabled branch: no verbs means no relation signal.
+        _row_set(feat, m_total)
         return feat.like(np.zeros_like(feat.values)), None
-    out, cache = _masked_attention_forward(feat.values, verb_emb, proj, rows)
-    return feat.like(out), cache
+    return masked_attention_forward(feat, verb_emb, proj, m_total)
 
 
 def relation_attention(
@@ -487,13 +448,8 @@ def relation_attention(
     m_total: MaskGrid | RowSet,
 ) -> FeatureGrid:
     """Attention from image features to the verb sequence, masked to the
-    total instance mask; the all-zero grid when the verb sequence is empty."""
+    total instance mask; the all-zero grid when there are no verbs."""
     return relation_attention_forward(feat, verb_emb, proj, m_total)[0]
 
 
-def relation_attention_backward(
-    d_out: np.ndarray, cache: MaskedAttnCache | None
-) -> dict[str, np.ndarray]:
-    if cache is None:
-        raise MissingCache("relation_attention backward needs its forward cache")
-    return _masked_attention_backward(d_out, cache)
+relation_attention_backward = masked_attention_backward

@@ -42,9 +42,10 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise MalformedDoc(f"{path}: bad magic, not a RADL1 checkpoint")
-    pos = len(MAGIC)
-    (header_len,) = struct.unpack_from("<Q", data, pos)
-    pos += 8
+    pos = len(MAGIC) + 8
+    if len(data) < pos:
+        raise MalformedDoc(f"{path}: truncated checkpoint header")
+    (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
     try:
         header = json.loads(data[pos : pos + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -55,6 +56,8 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         shape = tuple(info["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = pos + info["offset"]
+        if info["offset"] < 0 or start + 8 * count > len(data):
+            raise MalformedDoc(f"{path}: tensor {name!r} lies outside the payload")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=start)
         tensors[name] = arr.reshape(shape).astype(np.float64)
     return tensors, header.get("meta", {})

@@ -21,7 +21,6 @@ from .errors import (
     InvalidBBox,
     MalformedDoc,
     NonFiniteLoss,
-    PlacementFailure,
     RadlError,
     ShapeMismatch,
     TooManyInstances,
@@ -30,7 +29,7 @@ from .errors import (
 from .evalmetrics import evaluate_images, load_hsv_table
 from .imageio import read_ppm, write_ppm
 from .layout import parse_layout
-from .scenes import SceneConfig, make_scene, read_corpus
+from .scenes import SceneConfig, generate, read_corpus
 from .text import EmbedderConfig, default_verb_lexicon, load_verb_lexicon
 
 EXIT_OK = 0
@@ -171,10 +170,15 @@ def _save_checkpoint(path, params, step: int, cfg: RunConfig, opt_m=None, opt_v=
 
 def _load_checkpoint(path):
     tensors, meta = load_tensors(path)
-    params = pipeline.params_from_dict(
-        {k: v for k, v in tensors.items() if not k.startswith("opt.")},
-        d=int(meta["d"]), image_size=int(meta["image_size"]), t_train=int(meta["t_train"]),
-    )
+    if meta.get("schema") != CKPT_SCHEMA:
+        raise MalformedDoc(f"{path}: schema {meta.get('schema')!r} is not {CKPT_SCHEMA!r}")
+    try:
+        params = pipeline.params_from_dict(
+            {k: v for k, v in tensors.items() if not k.startswith("opt.")},
+            d=int(meta["d"]), image_size=int(meta["image_size"]), t_train=int(meta["t_train"]),
+        )
+    except KeyError as e:
+        raise MalformedDoc(f"{path}: checkpoint lacks {e}") from e
     opt_m = {k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")}
     opt_v = {k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")}
     return params, meta, (opt_m or None), (opt_v or None)
@@ -306,24 +310,14 @@ def cmd_gradcheck(cfg: RunConfig, scenes: int = 5, inject_fault: bool = False) -
     embed_cfg = cfg.embedder()
     worst: dict[str, float] = {}
     ok = True
-    produced = 0
-    seed = cfg.seed
-    while produced < scenes:
-        try:
-            scene = make_scene(seed, scene_cfg)
-        except PlacementFailure:
-            seed += 1
-            continue
-        t = 1 + (7 * produced) % cfg.t_train
+    for i, scene in enumerate(generate(cfg.seed, scenes, scene_cfg)):
         report = pipeline.gradcheck(
-            params, scene, t=t, rng_seed=cfg.seed + produced,
+            params, scene, t=1 + (7 * i) % cfg.t_train, rng_seed=cfg.seed + i,
             embed_cfg=embed_cfg, variant=cfg.variant, grad_fault=inject_fault,
         )
         for group, err in report.max_rel_err.items():
             worst[group] = max(worst.get(group, 0.0), err)
         ok = ok and report.passed
-        produced += 1
-        seed += 1
     for group in sorted(worst):
         flag = "ok  " if worst[group] <= 1e-4 else "FAIL"
         print(f"{flag} {group:14s} max_rel_err {worst[group]:.3e}")

@@ -91,31 +91,8 @@ class MetricsReport:
     per_image: list[ImageEval] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema": METRICS_SCHEMA,
-                "success_rate": self.success_rate,
-                "miou": self.miou,
-                "attribute_acc": self.attribute_acc,
-                "quantity_acc": self.quantity_acc,
-                "relation_acc": self.relation_acc,
-                "per_image": [
-                    {
-                        "success": e.success,
-                        "instance_flags": e.instance_flags,
-                        "miou": e.miou,
-                        "attribute_acc": e.attribute_acc,
-                        "quantity_ok": e.quantity_ok,
-                        "relation_acc": e.relation_acc,
-                        "n_instances": e.n_instances,
-                        "n_detections": e.n_detections,
-                        "n_relations": e.n_relations,
-                    }
-                    for e in self.per_image
-                ],
-            },
-            indent=2,
-        )
+        per_image = [vars(e) for e in self.per_image]
+        return json.dumps({"schema": METRICS_SCHEMA, **vars(self), "per_image": per_image}, indent=2)
 
 
 def iou(a: BBox, b: BBox) -> float:

@@ -165,6 +165,19 @@ def make_scene(rng_seed: int, config: SceneConfig = SceneConfig()) -> SyntheticS
     return SyntheticScene(image=render_layout(layout, config.image_size, config.background), layout=layout)
 
 
+def generate(seed0: int, count: int, config: SceneConfig = SceneConfig()) -> list[SyntheticScene]:
+    """The first `count` scenes from seeds seed0, seed0 + 1, ..., skipping the
+    seeds whose instances cannot be placed."""
+    scenes, seed = [], seed0
+    while len(scenes) < count:
+        try:
+            scenes.append(make_scene(seed, config))
+        except PlacementFailure:
+            pass
+        seed += 1
+    return scenes
+
+
 # --- corpus file: one JSON object per line ----------------------------------
 
 def _image_to_obj(image: np.ndarray) -> dict:
@@ -204,16 +217,20 @@ def write_corpus(path, scenes: list[SyntheticScene]) -> None:
 def read_corpus(path) -> list[SyntheticScene]:
     scenes = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            # a line that is not an object, lacks a key, or whose image data
+            # does not decode to its stated size
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise MalformedDoc(f"{path}:{lineno + 1}: bad corpus line: {e}") from e
-            layout_obj = dict(obj["layout"])
-            layout_obj["relations"] = obj.get("relations", [])
-            layout = parse_layout(json.dumps(layout_obj))
-            scenes.append(SyntheticScene(image=_image_from_obj(obj["image"]), layout=layout))
+                layout_obj = dict(obj["layout"])
+                layout_obj["relations"] = obj.get("relations", [])
+                image = _image_from_obj(obj["image"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise MalformedDoc(
+                    f"{path}:{lineno}: bad corpus line: {type(e).__name__}: {e}"
+                ) from e
+            scenes.append(SyntheticScene(image=image, layout=parse_layout(json.dumps(layout_obj))))
     return scenes

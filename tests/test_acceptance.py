@@ -27,11 +27,9 @@ from radl.attention import (
     scaled_dot_attention_backward,
     scaled_dot_attention_forward,
 )
-from radl.errors import PlacementFailure
 from radl.evalmetrics import (
     Detection,
     detect,
-    evaluate_images,
     iou,
     mean_iou,
     relation_acc,
@@ -44,9 +42,9 @@ from radl.pipeline import (
     gradcheck,
     init_denoiser,
     sample,
-    train,
 )
-from radl.scenes import SceneConfig, make_scene
+from radl.scenes import SceneConfig, generate, make_scene
+from radl.steering import run_arm
 from radl.text import EmbedderConfig
 
 EC = EmbedderConfig(dim=8, seed=0)
@@ -61,17 +59,6 @@ STEERING_SEED = 0
 
 def announce(num: int, ok: bool, detail: str):
     print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def scenes_from(seed0, count, cfg=SCENE_CFG):
-    out, s = [], seed0
-    while len(out) < count:
-        try:
-            out.append(make_scene(s, cfg))
-        except PlacementFailure:
-            pass
-        s += 1
-    return out
 
 
 def rel_err(a, b):
@@ -207,7 +194,7 @@ def test_criterion_2_gradient_suite():
     cfg8 = SceneConfig(image_size=8, min_box=0.3, max_box=0.6)
     params = init_denoiser(0, d=8, image_size=8, t_train=50)
     worst_e2e = 0.0
-    scenes = scenes_from(40, 20, cfg8)
+    scenes = generate(40, 20, cfg8)
     for i, scene in enumerate(scenes):
         t = 1 + (11 * i) % 50
         report = gradcheck(params, scene, t=t, eps=1e-5, rng_seed=i, embed_cfg=EC)
@@ -286,35 +273,22 @@ def test_criterion_4_schedule_conformance():
 
 @pytest.fixture(scope="module")
 def steering():
-    train_scenes = scenes_from(0, 256)
-    held_out = scenes_from(100_000, 64)
-    results = {}
-    for variant in ("full", "text_attn_only", "no_relation"):
-        params = init_denoiser(STEERING_SEED, d=8, image_size=32, t_train=200)
-        train(
-            params, train_scenes, steps=STEERING_STEPS, lr=STEERING_LR,
-            warmup_steps=100, rng_seed=STEERING_SEED, batch_size=8,
-            embed_cfg=EC, variant=variant, radl_train_mode="mirror",
+    train_scenes = generate(0, 256)
+    held_out = generate(100_000, 64)
+    return {
+        variant: run_arm(
+            variant, train_scenes, held_out, steps=STEERING_STEPS, lr=STEERING_LR,
+            seed=STEERING_SEED, batch_size=8,
         )
-        pairs = []
-        for i, scene in enumerate(held_out):
-            img, _ = sample(
-                params, scene.layout, total_steps=60, radl_steps=30,
-                rng_seed=777 + i, embed_cfg=EC, variant=variant,
-            )
-            pairs.append((img, scene.layout))
-        results[variant] = {
-            "pairs": pairs,
-            "report": evaluate_images(pairs, SCENE_CFG.palette),
-        }
-    return results
+        for variant in ("full", "text_attn_only", "no_relation")
+    }
 
 
 def test_criterion_5_steering(steering):
     # recorded from the first verified run (seed 0, 64 held-out layouts):
     # full mIoU 0.624, text-attn-only mIoU 0.311, full attribute accuracy 1.000
-    full = steering["full"]["report"]
-    ablation = steering["text_attn_only"]["report"]
+    full = steering["full"].report
+    ablation = steering["text_attn_only"].report
     ok = (
         full.miou >= ablation.miou
         and full.miou >= 0.5
@@ -331,8 +305,8 @@ def test_criterion_5_steering(steering):
 
 
 def test_criterion_6_relation_branch(steering):
-    full_pairs = steering["full"]["pairs"][:32]
-    norel_pairs = steering["no_relation"]["pairs"][:32]
+    full_pairs = steering["full"].pairs[:32]
+    norel_pairs = steering["no_relation"].pairs[:32]
     assert all(layout.relations for _, layout in full_pairs)
 
     def rel_score(pairs):
@@ -395,7 +369,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     from radl.scenes import write_corpus
 
     cfg8 = SceneConfig(image_size=8, min_box=0.3, max_box=0.5)
-    write_corpus(tmp_path / "corpus.jsonl", scenes_from(0, 4, cfg8))
+    write_corpus(tmp_path / "corpus.jsonl", generate(0, 4, cfg8))
     cfg = {
         "d": 4, "image_size": 8, "t_train": 12, "t_sample": 6, "radl_steps": 3,
         "train_steps": 6, "batch_size": 2, "warmup": 2, "seed": 0,
@@ -405,7 +379,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json_mod.dumps(cfg), encoding="utf-8")
     layout_path = tmp_path / "layout.json"
-    layout_path.write_text(serialize_layout(scenes_from(0, 1, cfg8)[0].layout), encoding="utf-8")
+    layout_path.write_text(serialize_layout(generate(0, 1, cfg8)[0].layout), encoding="utf-8")
 
     assert main(["--config", str(cfg_path), "train"]) == 0
     ckpt1 = (tmp_path / "m.ckpt").read_bytes()

@@ -399,6 +399,17 @@ def test_relation_empty_verbs_zero_grid():
     assert not out.values.any()
 
 
+@pytest.mark.parametrize("forward", [
+    masked_text_attention_forward, instance_attention_forward, relation_attention_forward,
+])
+def test_token_width_mismatch_raises(forward):
+    rng = np.random.default_rng(36)
+    feat = grid(rng, 4, 4, 8)
+    tokens = EmbeddingSeq(rng.standard_normal((3, 6)))
+    with pytest.raises(ShapeMismatch):
+        forward(feat, tokens, AttnProjection.init(rng, 8), MaskGrid(np.ones((4, 4))))
+
+
 def test_relation_zero_total_mask():
     rng = np.random.default_rng(26)
     feat = grid(rng, 4, 4, 8)

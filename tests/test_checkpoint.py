@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from radl.checkpoint import MAGIC, load_tensors, save_tensors
+from radl.cli import RunConfig, _load_checkpoint, _save_checkpoint
 from radl.errors import MalformedDoc
 from radl.pipeline import init_denoiser, params_from_dict, params_to_dict
 
@@ -59,3 +60,31 @@ def test_denoiser_params_round_trip(tmp_path):
     assert set(orig) == set(back)
     for name in orig:
         assert np.array_equal(orig[name], back[name]), name
+
+
+def test_truncated_payload_rejected(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_tensors(path, {"x": np.arange(6.0)}, {})
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(MalformedDoc, match="outside the payload"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("no_tensor", "enc1.w"),
+    ("no_meta_key", "t_train"),
+    ("schema", "schema"),
+])
+def test_loader_rejects_incomplete_checkpoint(tmp_path, damage, message):
+    path = tmp_path / "model.ckpt"
+    _save_checkpoint(path, init_denoiser(0, d=4, image_size=8, t_train=12), 0, RunConfig())
+    tensors, meta = load_tensors(path)
+    if damage == "no_tensor":
+        del tensors["enc1.w"]
+    elif damage == "no_meta_key":
+        del meta["t_train"]
+    else:
+        del meta["schema"]
+    save_tensors(path, tensors, meta)
+    with pytest.raises(MalformedDoc, match=message):
+        _load_checkpoint(path)

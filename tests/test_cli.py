@@ -1,16 +1,18 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from radl import pipeline
-from radl.checkpoint import load_tensors
+from radl.checkpoint import load_tensors, save_tensors
 from radl.cli import main
-from radl.errors import PlacementFailure
 from radl.imageio import read_ppm, write_ppm
 from radl.layout import serialize_layout
 from radl.pipeline import init_denoiser, params_to_dict
-from radl.scenes import SceneConfig, make_scene, write_corpus
+from radl.scenes import SceneConfig, generate, write_corpus
 
 SMALL = dict(
     d=4, image_size=8, t_train=12, t_sample=6, radl_steps=3,
@@ -19,15 +21,7 @@ SMALL = dict(
 
 
 def small_scenes(count=4):
-    cfg = SceneConfig(image_size=8, min_box=0.3, max_box=0.5)
-    out, s = [], 0
-    while len(out) < count:
-        try:
-            out.append(make_scene(s, cfg))
-        except PlacementFailure:
-            pass
-        s += 1
-    return out
+    return generate(0, count, SceneConfig(image_size=8, min_box=0.3, max_box=0.5))
 
 
 @pytest.fixture
@@ -115,6 +109,25 @@ def test_train_missing_corpus(tmp_path, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["no_image", "no_layout", "not_object", "short_image"])
+def test_train_bad_corpus_line_exit_2(workdir, damage, capsys):
+    corpus = workdir / "corpus.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    if damage == "no_image":
+        del obj["image"]
+    elif damage == "no_layout":
+        del obj["layout"]
+    elif damage == "not_object":
+        obj = [1, 2]
+    else:
+        obj["image"]["height"] += 1
+    lines[1] = json.dumps(obj)
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("--config", workdir / "config.json", "train") == 2
+    assert "corpus.jsonl:2:" in capsys.readouterr().err
+
+
 def test_train_resume_continues_step(workdir):
     cfg_path = workdir / "config.json"
     assert run("--config", cfg_path, "train") == 0
@@ -151,6 +164,26 @@ def test_train_determinism_byte_identical(workdir):
 def test_gen_missing_checkpoint(workdir, capsys):
     assert run("--config", workdir / "config.json", "gen", workdir / "layout.json") == 3
     assert "checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no_tensor", "no_meta_key", "schema"])
+def test_gen_bad_checkpoint_exit_2(workdir, damage, capsys):
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "--steps", 0, "train") == 0
+    ckpt = workdir / "model.ckpt"
+    if damage == "truncated":
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    else:
+        tensors, meta = load_tensors(ckpt)
+        if damage == "no_tensor":
+            del tensors["enc1.w"]
+        elif damage == "no_meta_key":
+            del meta["d"]
+        else:
+            meta["schema"] = "radl-ckpt/0"
+        save_tensors(ckpt, tensors, meta)
+    assert run("--config", cfg_path, "gen", workdir / "layout.json") == 2
+    assert "model.ckpt" in capsys.readouterr().err
 
 
 def test_gen_writes_images_and_traces(workdir):
@@ -246,15 +279,7 @@ def eval_dirs(tmp_path, scenes, images=None):
 
 
 def test_eval_oracle_round_trip(workdir):
-    scenes = []
-    seed = 0
-    while len(scenes) < 4:
-        try:
-            scenes.append(make_scene(seed, SceneConfig()))
-        except PlacementFailure:
-            pass
-        seed += 1
-    img_dir, lay_dir = eval_dirs(workdir, scenes)
+    img_dir, lay_dir = eval_dirs(workdir, generate(0, 4))
     assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == 0
     report = json.loads((workdir / "out" / "metrics.json").read_text())
     assert report["schema"] == "radl-metrics/1"
@@ -263,14 +288,7 @@ def test_eval_oracle_round_trip(workdir):
 
 
 def test_eval_blank_images_zero_success(workdir):
-    scenes = []
-    seed = 0
-    while len(scenes) < 2:
-        try:
-            scenes.append(make_scene(seed, SceneConfig()))
-        except PlacementFailure:
-            pass
-        seed += 1
+    scenes = generate(0, 2)
     blank = [np.full((3, 32, 32), 0.5) for _ in scenes]
     img_dir, lay_dir = eval_dirs(workdir, scenes, blank)
     assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == 0
@@ -356,3 +374,30 @@ def test_selftest_failure_exit_5(workdir, monkeypatch, capsys):
     monkeypatch.setattr(selftest, "run_selftest", lambda seed=0: [("forced", False, "x")])
     assert run("--config", workdir / "config.json", "selftest") == 5
     assert "forced" in capsys.readouterr().err
+
+
+# --- scripts ---------------------------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script(name, *args):
+    cmd = [sys.executable, str(SCRIPTS / name), *map(str, args)]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def test_make_corpus_writes_generated_scenes(tmp_path):
+    proc = script("make_corpus.py", "--count", 8, "--out", tmp_path / "c.jsonl")
+    assert proc.returncode == 0, proc.stderr
+    write_corpus(tmp_path / "want.jsonl", generate(0, 8, SceneConfig()))
+    assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+def test_steering_experiment_checkpoint_loads_in_gen(tmp_path):
+    proc = script("steering_experiment.py", "--steps", 2, "--corpus-size", 8, "--held-out", 2,
+                  "--arms", "full", "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    (tmp_path / "cfg.json").write_text(json.dumps({"checkpoint": str(tmp_path / "full.ckpt")}))
+    (tmp_path / "layout.json").write_text(serialize_layout(generate(100_000, 1)[0].layout))
+    assert run("--config", tmp_path / "cfg.json", "--out", tmp_path, "--steps", 4,
+               "gen", tmp_path / "layout.json") == 0

@@ -21,7 +21,7 @@ from radl.evalmetrics import (
     success_rate,
 )
 from radl.layout import BBox, InstanceSpec, LayoutSpec, Relation
-from radl.scenes import PALETTE_RGB, SceneConfig, make_scene, render_layout
+from radl.scenes import PALETTE_RGB, SceneConfig, generate, make_scene, render_layout
 
 PALETTE = SceneConfig().palette
 TABLE = load_hsv_table()
@@ -90,19 +90,11 @@ def test_rgb_to_hsv_known_points(rgb, hsv):
 # --- detect -------------------------------------------------------------------
 
 def test_detect_round_trips_generated_scenes():
-    done, seed = 0, 0
-    while done < 5:
-        try:
-            scene = make_scene(seed, SceneConfig())
-        except Exception:
-            seed += 1
-            continue
+    for scene in generate(0, 5):
         dets = detect(scene.image, PALETTE)
         assert len(dets) == scene.layout.n
         for j, v in match_instances(dets, scene.layout):
             assert j is not None and v >= 0.9
-        done += 1
-        seed += 1
 
 
 def test_detect_uniform_background_empty():
@@ -300,14 +292,7 @@ def test_quantity_cases():
 # --- aggregation ----------------------------------------------------------------
 
 def test_evaluate_images_oracle_round_trip():
-    scenes = []
-    seed = 0
-    while len(scenes) < 6:
-        try:
-            scenes.append(make_scene(seed, SceneConfig()))
-        except Exception:
-            pass
-        seed += 1
+    scenes = generate(0, 6)
     report = evaluate_images([(s.image, s.layout) for s in scenes], PALETTE)
     assert report.success_rate == 1.0
     assert report.miou == pytest.approx(1.0)

@@ -25,7 +25,7 @@ from radl.pipeline import (
     zero_grads,
 )
 from radl.layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask
-from radl.scenes import SceneConfig, make_scene
+from radl.scenes import SceneConfig, generate, make_scene
 from radl.text import EmbedderConfig, extract_verbs
 
 EC = EmbedderConfig(dim=8, seed=0)
@@ -182,13 +182,7 @@ def test_text_attn_only_uses_no_enhancement_params():
 
 def crowded_layouts(count=3):
     cfg = SceneConfig(n_instances=(1, 4), min_box=0.15, max_box=0.3)
-    layouts, seed = [], 0
-    while len(layouts) < count:
-        try:
-            layouts.append(make_scene(seed, cfg).layout)
-        except PlacementFailure:
-            pass
-        seed += 1
+    layouts = [scene.layout for scene in generate(0, count, cfg)]
     # a box that covers one cell at 16x16 and none at 8x8
     tiny = InstanceSpec("blue square", BBox(0.0, 0.0, 0.06, 0.06))
     assert rasterize_mask(tiny.bbox, 8, 8).values.sum() == 0.0
@@ -334,15 +328,7 @@ def test_sample_rejects_bad_split():
 # --- training ----------------------------------------------------------------
 
 def make_dataset(n=12, image_size=8):
-    cfg = SceneConfig(image_size=image_size, min_box=0.3, max_box=0.5)
-    out, s = [], 0
-    while len(out) < n:
-        try:
-            out.append(make_scene(s, cfg))
-        except Exception:
-            pass
-        s += 1
-    return out
+    return generate(0, n, SceneConfig(image_size=image_size, min_box=0.3, max_box=0.5))
 
 
 def test_train_lr_zero_leaves_params_unchanged():
@@ -358,17 +344,8 @@ def test_initial_loss_matches_untrained_oracle():
     # Monte-Carlo oracle: untrained model on seeded batches.  The Wiener
     # anchor explains part of the noise from step zero, so the measured
     # band sits below the naive E||eps||^2 = 1 (see decisions ledger).
-    cfg = SceneConfig()
-    dataset = []
-    s = 0
-    while len(dataset) < 16:
-        try:
-            dataset.append(make_scene(s, cfg))
-        except Exception:
-            pass
-        s += 1
     params = init_denoiser(0, d=8, image_size=32, t_train=200)
-    res = train(params, dataset, steps=8, lr=0.0, rng_seed=7, embed_cfg=EC, batch_size=8)
+    res = train(params, generate(0, 16), steps=8, lr=0.0, rng_seed=7, embed_cfg=EC, batch_size=8)
     assert 0.2 <= float(np.mean(res.losses)) <= 0.7
 
 

@@ -6,6 +6,7 @@ from radl.layout import rasterize_mask
 from radl.scenes import (
     PALETTE_RGB,
     SceneConfig,
+    generate,
     make_scene,
     read_corpus,
     render_layout,
@@ -15,15 +16,21 @@ from radl.scenes import (
 CFG = SceneConfig()
 
 
-def scenes_from(seed0, count, cfg=CFG):
-    out, s = [], seed0
-    while len(out) < count:
+@pytest.mark.parametrize("cfg, skipped", [
+    (CFG, 7), (SceneConfig(n_instances=(1, 4), min_box=0.15, max_box=0.3), 0),
+], ids=["default", "crowded"])
+def test_generate_skips_exactly_the_failing_seeds(cfg, skipped):
+    want, seed = [], 3
+    while len(want) < 40:
         try:
-            out.append(make_scene(s, cfg))
+            want.append(make_scene(seed, cfg))
         except PlacementFailure:
             pass
-        s += 1
-    return out
+        seed += 1
+    assert seed - 3 - 40 == skipped
+    got = generate(3, 40, cfg)
+    assert [s.layout for s in got] == [s.layout for s in want]
+    assert all(np.array_equal(a.image, b.image) for a, b in zip(got, want))
 
 
 def test_deterministic_in_seed():
@@ -34,7 +41,7 @@ def test_deterministic_in_seed():
 
 
 def test_relation_predicates_geometrically_true():
-    for scene in scenes_from(0, 20):
+    for scene in generate(0, 20):
         for rel in scene.relations:
             sx, sy = scene.layout.instances[rel.subject].bbox.center
             ox, oy = scene.layout.instances[rel.obj].bbox.center
@@ -53,7 +60,7 @@ def test_zero_instances_blank_background():
 
 
 def test_color_fill_matches_label():
-    for scene in scenes_from(0, 10):
+    for scene in generate(0, 10):
         for inst in scene.layout.instances:
             color_word = inst.label.split()[0]
             rgb = PALETTE_RGB[color_word]
@@ -63,14 +70,14 @@ def test_color_fill_matches_label():
 
 
 def test_boxes_snap_to_pixel_grid():
-    for scene in scenes_from(0, 10):
+    for scene in generate(0, 10):
         for inst in scene.layout.instances:
             for v in (inst.bbox.x1, inst.bbox.y1, inst.bbox.x2, inst.bbox.y2):
                 assert v * 32 == round(v * 32)
 
 
 def test_boxes_do_not_overlap():
-    for scene in scenes_from(0, 30):
+    for scene in generate(0, 30):
         masks = [
             rasterize_mask(i.bbox, 32, 32).values for i in scene.layout.instances
         ]
@@ -84,7 +91,7 @@ def test_placement_failure_when_overcrowded():
 
 
 def test_two_instance_prompt_carries_verb_and_predicate():
-    for scene in scenes_from(0, 5, SceneConfig(n_instances=(2, 2))):
+    for scene in generate(0, 5, SceneConfig(n_instances=(2, 2))):
         rel = scene.relations[0]
         assert rel.predicate in scene.layout.prompt
         assert any(v in scene.layout.prompt for v in CFG.verb_templates)
@@ -97,7 +104,7 @@ def test_render_layout_matches_scene_image():
 
 
 def test_corpus_round_trip(tmp_path):
-    scenes = scenes_from(0, 5)
+    scenes = generate(0, 5)
     path = tmp_path / "corpus.jsonl"
     write_corpus(path, scenes)
     loaded = read_corpus(path)
