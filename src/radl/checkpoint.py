@@ -8,6 +8,7 @@ float64 little-endian C-order arrays.  The header also carries a free-form
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -16,6 +17,10 @@ import numpy as np
 from .errors import MalformedDoc
 
 MAGIC = b"RADL1"
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
@@ -51,12 +56,25 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise MalformedDoc(f"{path}: corrupt checkpoint header: {e}") from e
     pos += header_len
+    if not (
+        isinstance(header, dict)
+        and isinstance(header.get("tensors"), dict)
+        and isinstance(header.get("meta", {}), dict)
+    ):
+        raise MalformedDoc(f"{path}: checkpoint header needs a 'tensors' and a 'meta' object")
     tensors = {}
     for name, info in header["tensors"].items():
+        if not (
+            isinstance(info, dict)
+            and isinstance(info.get("shape"), list)
+            and all(map(_is_count, info["shape"]))
+            and _is_count(info.get("offset"))
+        ):
+            raise MalformedDoc(f"{path}: tensor {name!r} needs a 'shape' and an 'offset' of counts")
         shape = tuple(info["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         start = pos + info["offset"]
-        if info["offset"] < 0 or start + 8 * count > len(data):
+        if start + 8 * count > len(data):
             raise MalformedDoc(f"{path}: tensor {name!r} lies outside the payload")
         arr = np.frombuffer(data, dtype="<f8", count=count, offset=start)
         tensors[name] = arr.reshape(shape).astype(np.float64)

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import UnknownColor
+from .errors import MalformedDoc, UnknownColor
 from .layout import BBox, LayoutSpec, Relation, rasterize_mask
 from .scenes import PALETTE_RGB
 
@@ -32,7 +32,20 @@ def load_hsv_table(path=None) -> dict[str, HsvRange]:
     else:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    table = json.loads(raw)
+    try:
+        table = json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise MalformedDoc(f"HSV table {path} is not valid JSON: {e}") from e
+    if not isinstance(table, dict) or not all(
+        isinstance(ranges, list) and len(ranges) == 3
+        and all(isinstance(rng, list) and len(rng) == 2 for rng in ranges)
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                for rng in ranges for x in rng)
+        for ranges in table.values()
+    ):
+        raise MalformedDoc(
+            f"HSV table {path}: each color needs [[h_min, h_max], [s_min, s_max], [v_min, v_max]]"
+        )
     return {
         name: tuple(tuple(float(x) for x in rng) for rng in ranges)
         for name, ranges in table.items()

@@ -45,6 +45,8 @@ def read_ppm(path) -> np.ndarray:
         raise MalformedDoc(f"{path}: bad PPM header") from e
     if maxval != 255:
         raise MalformedDoc(f"{path}: only maxval 255 supported, got {maxval}")
+    if min(w, h) < 1:
+        raise MalformedDoc(f"{path}: PPM size {w}x{h} is not positive")
     raw = data[pos : pos + 3 * w * h]
     if len(raw) != 3 * w * h:
         raise MalformedDoc(f"{path}: truncated pixel data")

@@ -1056,14 +1056,16 @@ def gradcheck(
     noise = rng.standard_normal(scene.image.shape)
     x_t = forward_diffuse(scene.image, t, sched, noise)
 
+    enc = _encode(scene.layout, embed_cfg, params)  # independent of parameter values
+
     def loss_fn() -> float:
-        eps_hat = denoise_forward(params, x_t, t, scene.layout, True, embed_cfg, variant)
+        eps_hat = denoise_forward(params, x_t, t, scene.layout, True, embed_cfg, variant, enc)
         r = eps_hat - noise
         return float((r * r).mean())
 
     g = zero_grads(params)
     eps_hat, cache = denoise_forward_cached(
-        params, x_t, t, scene.layout, True, embed_cfg, variant
+        params, x_t, t, scene.layout, True, embed_cfg, variant, enc
     )
     resid = eps_hat - noise
     denoise_backward((2.0 / resid.size) * resid, cache, params, g)

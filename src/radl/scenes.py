@@ -216,19 +216,23 @@ def write_corpus(path, scenes: list[SyntheticScene]) -> None:
 
 def read_corpus(path) -> list[SyntheticScene]:
     scenes = []
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"corpus not found: {path}") from None
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             # a line that is not an object, lacks a key, or whose image data
-            # does not decode to its stated size
+            # does not decode to its stated size (an infinite one overflows)
             try:
                 obj = json.loads(line)
                 layout_obj = dict(obj["layout"])
                 layout_obj["relations"] = obj.get("relations", [])
                 image = _image_from_obj(obj["image"])
-            except (KeyError, TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise MalformedDoc(
                     f"{path}:{lineno}: bad corpus line: {type(e).__name__}: {e}"
                 ) from e

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import MalformedDoc, ShapeMismatch
 from .layout import BBox
 
 EMPTY_TOKEN = "⟨empty⟩"  # sentinel for empty input
@@ -33,6 +33,8 @@ def load_verb_lexicon(path) -> frozenset[str]:
             line = line.split("#", 1)[0].strip()
             if line:
                 stems.add(line.lower())
+    if not stems:
+        raise MalformedDoc(f"lexicon {path} names no verb")
     return frozenset(stems)
 
 

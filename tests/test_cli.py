@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from radl import pipeline
-from radl.checkpoint import load_tensors, save_tensors
+from radl.checkpoint import MAGIC, load_tensors, save_tensors
 from radl.cli import main
 from radl.imageio import read_ppm, write_ppm
 from radl.layout import serialize_layout
@@ -55,12 +56,6 @@ def test_missing_config_file(tmp_path, capsys):
     assert run("--config", tmp_path / "nope.json", "selftest") == 3
 
 
-def test_invalid_radl_threads(workdir, monkeypatch, capsys):
-    monkeypatch.setenv("RADL_THREADS", "many")
-    assert run("--config", workdir / "config.json", "selftest") == 2
-    assert "RADL_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("key, value", [
     ("batch_size", 0),       # was ZeroDivisionError
     ("train_steps", -1),     # was exit 0 having trained nothing
@@ -71,7 +66,8 @@ def test_invalid_radl_threads(workdir, monkeypatch, capsys):
     ("batch_size", True),    # bool in a numeric field
     ("t_train", 1),          # was ValueError from the noise schedule
     ("seed", -1),            # was ValueError from the seed sequence
-    ("threads", -2),         # was accepted and ignored
+    ("threads", -2),         # not a setting: an unknown key
+    ("threads", 0),
 ])
 def test_bad_config_value_exit_2(workdir, key, value, capsys):
     cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
@@ -166,13 +162,43 @@ def test_gen_missing_checkpoint(workdir, capsys):
     assert "checkpoint" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no_tensor", "no_meta_key", "schema"])
+def rewrite_header(ckpt, edit):
+    """Apply edit to a checkpoint's JSON header in place, payload untouched."""
+    data = ckpt.read_bytes()
+    (size,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(data[start:start + size])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    ckpt.write_bytes(MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + size:])
+
+
+HEADER_DAMAGE = {
+    "no_tensors_key": lambda h: h.pop("tensors"),                     # was KeyError
+    "meta_not_object": lambda h: h.update(meta=[4]),                  # was AttributeError
+    "d_not_int": lambda h: h["meta"].update(d="4"),                   # was ValueError
+    # was numpy's UFuncNoLoopError
+    "shape_not_numeric": lambda h: h["tensors"]["enc1.b"].update(shape=["x"]),
+    "shape_mismatch": lambda h: h["tensors"]["enc1.w"].update(shape=[4, 12]),   # was ValueError
+    "sizes_exceed_tensors": lambda h: h["meta"].update(d=10**6),
+    "opt_shape_mismatch": lambda h: h["tensors"]["opt.v.enc1.w"].update(shape=[4, 12]),
+    "unknown_tensor": lambda h: h["tensors"].update(extra={"shape": [], "offset": 0}),
+    "step_not_int": lambda h: h["meta"].update(step="0"),
+    "embed_seed_not_int": lambda h: h["meta"].update(embed_seed=1.5),
+}
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncated", "no_tensor", "no_meta_key", "schema", *HEADER_DAMAGE]
+)
 def test_gen_bad_checkpoint_exit_2(workdir, damage, capsys):
     cfg_path = workdir / "config.json"
     assert run("--config", cfg_path, "--steps", 0, "train") == 0
     ckpt = workdir / "model.ckpt"
     if damage == "truncated":
         ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    elif damage in HEADER_DAMAGE:
+        rewrite_header(ckpt, HEADER_DAMAGE[damage])
     else:
         tensors, meta = load_tensors(ckpt)
         if damage == "no_tensor":
@@ -206,6 +232,23 @@ def test_gen_malformed_layout_names_field(workdir, capsys):
     bad.write_text('{"prompt": "p"}', encoding="utf-8")
     assert run("--config", cfg_path, "gen", bad) == 2
     assert "instances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["layout_not_utf8", "layout_is_dir", "config_is_dir"])
+def test_gen_unreadable_input_exit_2(workdir, damage, capsys):
+    cfg_path, layout = workdir / "config.json", workdir / "layout.json"
+    assert run("--config", cfg_path, "--steps", 0, "train") == 0
+    capsys.readouterr()
+    if damage == "layout_not_utf8":
+        layout.write_bytes(b'{"prompt": "\xff", "instances": []}')
+    elif damage == "layout_is_dir":
+        layout = workdir / "a_dir"
+        layout.mkdir()
+    else:
+        cfg_path = workdir / "a_dir"
+        cfg_path.mkdir()
+    assert run("--config", cfg_path, "gen", layout) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_gen_radl_steps_zero_trace(workdir):
@@ -309,6 +352,23 @@ def test_eval_unpaired_exit_2(workdir, capsys):
     (lay_dir / "s001.json").unlink()
     assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == 2
     assert "s001" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, text", [
+    ("lexicon", "# comments only\n"),  # was ValueError from EmbedderConfig
+    ("hsv_table", "red: [0, 30]"),     # was JSONDecodeError
+    ("hsv_table", '{"red": 5}'),        # was TypeError
+])
+def test_bad_data_file_exit_2(workdir, key, text, capsys):
+    (workdir / "data.txt").write_text(text, encoding="utf-8")
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg[key] = str(workdir / "data.txt")
+    (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    img_dir, lay_dir = eval_dirs(workdir, small_scenes(1))
+    command = ["gradcheck", "--scenes", 1] if key == "lexicon" else ["eval", img_dir, lay_dir]
+    assert run("--config", workdir / "config.json", *command) == 2
+    err = capsys.readouterr().err
+    assert "data.txt" in err and len(err.splitlines()) == 1
 
 
 # --- gradcheck / selftest ----------------------------------------------------------

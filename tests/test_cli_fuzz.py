@@ -1,0 +1,271 @@
+"""Fuzz the CLI's exit-code contract: whatever the configs, layouts, corpus
+lines and checkpoints, `main` returns 0, 2, 3, 4 or 5 and raises nothing.
+
+Every example works at d <= 4, 8x8 images and a handful of steps, so one
+`main` call takes milliseconds; all of them run in this process.
+"""
+import dataclasses
+import json
+import os
+import struct
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from radl.checkpoint import MAGIC
+from radl.cli import RunConfig, main
+from radl.imageio import write_ppm
+from radl.layout import serialize_layout
+from radl.scenes import SceneConfig, generate, write_corpus
+
+CONTRACT = {0, 2, 3, 4, 5}
+FUZZ = settings(
+    max_examples=150, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+BASE = dict(
+    d=4, image_size=8, t_train=12, t_sample=4, radl_steps=2,
+    train_steps=2, batch_size=2, warmup=1, seed=0,
+)
+
+json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(), st.text(max_size=6),
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+# work-size keys draw only small values, or values of the wrong type
+SIZE_VALUES = {
+    "d": st.integers(-1, 4), "image_size": st.sampled_from([0, 6, 8, 30]),
+    "t_train": st.integers(-1, 12), "train_steps": st.integers(-1, 2),
+    "t_sample": st.integers(-1, 4), "radl_steps": st.integers(-1, 4),
+    "batch_size": st.integers(-1, 2), "warmup": st.integers(-2, 3),
+}
+OTHER_VALUES = {
+    "lr": st.floats(), "weight_decay": st.floats(),
+    "seed": st.integers(-2, 2**70), "embed_seed": st.integers(-(2**70), 2**70),
+    "variant": st.sampled_from(["full", "no_relation", "text_attn_only", "bogus"]),
+    "radl_train_mode": st.sampled_from(["mirror", "always_on", "bogus"]),
+    "threads": st.integers(-2, 4),
+}
+PATH_KEYS = ("corpus", "checkpoint", "lexicon", "hsv_table")
+FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+wrong_type = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(0, 4), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A corpus, a layout, an eval pair and a trained (zero-step) checkpoint
+    at BASE sizes."""
+    root = tmp_path_factory.mktemp("fuzz_base")
+    scenes = generate(0, 3, SceneConfig(image_size=8, min_box=0.3, max_box=0.5))
+    write_corpus(root / "corpus.jsonl", scenes)
+    for sub in ("images", "layouts"):
+        (root / sub).mkdir()
+    write_ppm(root / "images" / "s.ppm", scenes[0].image)
+    (root / "layouts" / "s.json").write_text(serialize_layout(scenes[0].layout), encoding="utf-8")
+    (root / "layout.json").write_text(serialize_layout(scenes[0].layout), encoding="utf-8")
+    cfg = dict(BASE, corpus=str(root / "corpus.jsonl"), checkpoint=str(root / "model.ckpt"),
+               out=str(root / "out"))
+    (root / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", str(root / "config.json"), "--steps", "0", "train"]) == 0
+    return root
+
+
+def run_in(workdir: Path, cfg: dict, *argv) -> int:
+    """Run `main` inside workdir with cfg as its config file, so that default
+    output paths land there too."""
+    (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        return main(["--config", "config.json", "--out", "out", *map(str, argv)])
+    finally:
+        os.chdir(cwd)
+
+
+def base_cfg(base: Path) -> dict:
+    return json.loads((base / "config.json").read_text(encoding="utf-8"))
+
+
+@FUZZ
+@given(
+    keys=st.sets(st.sampled_from([*SIZE_VALUES, *OTHER_VALUES, *PATH_KEYS, "unknown"]), max_size=4),
+    data=st.data(),
+    command=st.sampled_from(["train", "gen", "eval"]),
+)
+def test_config_fuzz_keeps_contract(base, keys, data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        # train writes its checkpoint; keep the base one intact
+        cfg = dict(base_cfg(base), **({"checkpoint": str(Path(tmp) / "model.ckpt")}
+                                      if command == "train" else {}))
+        for key in keys:
+            if key in PATH_KEYS:
+                value = data.draw(st.sampled_from(["", tmp, "absent", str(base / "layout.json"),
+                                                   cfg.get(key) or ""]))
+            elif key == "unknown":
+                key = data.draw(st.text(max_size=6).filter(lambda k: k not in FIELDS))
+                value = data.draw(json_leaf)
+            else:
+                value = data.draw(st.one_of({**SIZE_VALUES, **OTHER_VALUES}[key], wrong_type))
+            cfg[key] = value
+        argv = {
+            "train": ["train"],
+            "gen": ["gen", base / "layout.json", 1],
+            "eval": ["eval", base / "images", base / "layouts"],
+        }[command]
+        assert run_in(Path(tmp), cfg, *argv) in CONTRACT
+
+
+def layout_docs():
+    """Layout documents: raw bytes, JSON values, the base layout with fields
+    replaced by arbitrary JSON, and well-typed layouts of arbitrary text and
+    boxes."""
+    valid = {"prompt": "a red cube on a blue ball",
+             "instances": [{"label": "red cube", "bbox": [0.1, 0.1, 0.5, 0.5]},
+                           {"label": "blue ball", "bbox": [0.4, 0.4, 0.9, 0.9]}]}
+    edited = st.builds(
+        lambda path, value: _replace(valid, path, value),
+        st.sampled_from([("prompt",), ("instances",), ("instances", 0), ("instances", 0, "bbox"),
+                         ("instances", 1, "label"), ("verbs",), ("relations",)]),
+        json_value,
+    )
+    box = st.lists(st.floats(0, 1), min_size=4, max_size=4).map(
+        lambda v: [min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3])]
+    )
+    well_typed = st.fixed_dictionaries(
+        {"prompt": st.text(max_size=20),
+         "instances": st.lists(st.fixed_dictionaries({"label": st.text(max_size=8), "bbox": box}),
+                               max_size=4)},
+        optional={"verbs": st.lists(st.text(max_size=6), max_size=3),
+                  "relations": st.lists(st.fixed_dictionaries(
+                      {"subject": st.integers(-1, 4), "predicate": st.text(max_size=6),
+                       "object": st.integers(-1, 4)}), max_size=2)},
+    )
+    return st.one_of(
+        st.binary(max_size=40),
+        st.one_of(json_value, edited, well_typed).map(lambda v: json.dumps(v).encode("utf-8")),
+    )
+
+
+def _replace(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@FUZZ
+@example(doc=b'{"prompt": "p", "instances": []}', count=1, command="eval",
+         ppm_size=(-2, -2))  # was ValueError from reshape
+@given(doc=layout_docs(), count=st.integers(-1, 2), command=st.sampled_from(["gen", "eval"]),
+       ppm_size=st.tuples(st.integers(-2, 9), st.integers(-2, 9)))
+def test_layout_fuzz_keeps_contract(base, doc, count, command, ppm_size):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == "gen":
+            (tmp / "layout.json").write_bytes(doc)
+            code = run_in(tmp, base_cfg(base), "gen", tmp / "layout.json", count)
+        else:
+            for sub in ("images", "layouts"):
+                (tmp / sub).mkdir()
+            (tmp / "images" / "s.ppm").write_bytes(b"P6\n%d %d\n255\n" % ppm_size + bytes(192))
+            (tmp / "layouts" / "s.json").write_bytes(doc)
+            code = run_in(tmp, base_cfg(base), "eval", tmp / "images", tmp / "layouts")
+        assert code in CONTRACT
+
+
+@FUZZ
+@example(edits=[(0, ("height", float("inf")))], resume=False)  # was OverflowError
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.one_of(
+                st.text(max_size=20),
+                json_value.map(json.dumps),
+                st.tuples(st.sampled_from(["image", "layout", "relations", "height", "data"]),
+                          st.one_of(st.floats(), json_value)),
+            ),
+        ),
+        min_size=1, max_size=3,
+    ),
+    resume=st.booleans(),
+)
+def test_corpus_fuzz_keeps_contract(base, edits, resume):
+    valid = (base / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    lines = list(valid)
+    for at, edit in edits:
+        if isinstance(edit, tuple):  # a valid line with one field replaced
+            key, value = edit
+            obj = json.loads(valid[at % len(valid)])
+            (obj["image"] if key in ("height", "data") else obj)[key] = value
+            edit = json.dumps(obj)
+        lines.insert(at, edit)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "corpus.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = dict(base_cfg(base), corpus=str(tmp / "corpus.jsonl"),
+                   checkpoint=str(tmp / "model.ckpt"))
+        argv = ["--resume", base / "model.ckpt", "train"] if resume else ["train"]
+        assert run_in(tmp, cfg, *argv) in CONTRACT
+
+
+def damaged_checkpoints(data: bytes):
+    """The base checkpoint truncated, with one byte flipped, or with a header
+    entry replaced by arbitrary JSON."""
+    (size,) = struct.unpack_from("<Q", data, len(MAGIC))
+    start = len(MAGIC) + 8
+    header = json.loads(data[start:start + size])
+    names = sorted(header["tensors"])
+
+    def rewrite(path, value):
+        edited = _replace(header, path, value)
+        raw = json.dumps(edited).encode("utf-8")
+        return MAGIC + struct.pack("<Q", len(raw)) + raw + data[start + size:]
+
+    def flip(at, bit):
+        return data[:at] + bytes([data[at] ^ (1 << bit)]) + data[at + 1:]
+
+    header_paths = st.one_of(
+        st.sampled_from([("tensors",), ("meta",), ("version",)]),
+        st.sampled_from(sorted(header["meta"])).map(lambda k: ("meta", k)),
+        st.sampled_from(names).map(lambda n: ("tensors", n)),
+        st.tuples(st.just("tensors"), st.sampled_from(names), st.sampled_from(["shape", "offset"])),
+    )
+    meta_sizes = st.tuples(st.just("meta"), st.sampled_from(["d", "image_size", "t_train"]))
+    return st.one_of(
+        st.integers(0, len(data) - 1).map(lambda n: data[:n]),
+        st.builds(flip, st.integers(0, min(start + size + 64, len(data) - 1)), st.integers(0, 7)),
+        st.builds(rewrite, header_paths, json_value),
+        st.builds(rewrite, meta_sizes, st.integers(-1, 16)),
+    )
+
+
+@FUZZ
+@given(data=st.data(), resume=st.booleans())
+def test_checkpoint_fuzz_keeps_contract(base, data, resume):
+    ckpt = data.draw(damaged_checkpoints((base / "model.ckpt").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "in.ckpt").write_bytes(ckpt)
+        if resume:
+            cfg = dict(base_cfg(base), checkpoint=str(tmp / "model.ckpt"))
+            argv = ["--resume", tmp / "in.ckpt", "train"]
+        else:
+            cfg = dict(base_cfg(base), checkpoint=str(tmp / "in.ckpt"))
+            argv = ["gen", base / "layout.json", 1]
+        assert run_in(tmp, cfg, *argv) in CONTRACT
