@@ -53,7 +53,7 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     (header_len,) = struct.unpack_from("<Q", data, len(MAGIC))
     try:
         header = json.loads(data[pos : pos + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise MalformedDoc(f"{path}: corrupt checkpoint header: {e}") from e
     pos += header_len
     if not (

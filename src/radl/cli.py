@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import pipeline
 from .checkpoint import load_tensors, save_tensors
-from .errors import MalformedDoc, NonFiniteLoss, RadlError
+from .errors import MalformedDoc, NonFiniteLoss, RadlError, read_utf8
 from .evalmetrics import evaluate_images, load_hsv_table
 from .imageio import read_ppm, write_ppm
 from .layout import parse_layout
@@ -115,12 +115,12 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     values: dict = {}
     if path is not None:
         try:
-            raw = Path(path).read_text(encoding="utf-8")
+            raw = read_utf8(path)
         except FileNotFoundError:
             raise FileNotFoundError(f"config file not found: {path}")
         try:
             values = json.loads(raw)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise MalformedDoc(f"config {path} is not valid JSON: {e}") from e
         if not isinstance(values, dict):
             raise MalformedDoc(f"config {path}: top level must be an object")
@@ -206,7 +206,7 @@ def cmd_gen(cfg: RunConfig, layout_path: str, count: int) -> int:
         seed=meta.get("embed_seed", cfg.embed_seed),
         verb_lexicon=cfg.embedder().verb_lexicon,
     )
-    layout = parse_layout(Path(layout_path).read_text(encoding="utf-8"))
+    layout = parse_layout(read_utf8(layout_path))
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sched = pipeline.NoiseSchedule.make(cfg.t_sample)
@@ -285,7 +285,7 @@ def cmd_eval(cfg: RunConfig, images_dir: str, layouts_dir: str) -> int:
     pairs = []
     for stem in sorted(images):
         image = read_ppm(images[stem])
-        layout = parse_layout(layouts[stem].read_text(encoding="utf-8"))
+        layout = parse_layout(read_utf8(layouts[stem]))
         pairs.append((image, layout))
     report = evaluate_images(pairs, SceneConfig().palette, table=table)
     out_dir = Path(cfg.out)
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
     except NonFiniteLoss as e:
         print(f"training aborted: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (RadlError, OSError, UnicodeDecodeError) as e:  # OSError: a directory, no permission
+    except (RadlError, OSError) as e:  # OSError: a directory, no permission
         print(str(e), file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one text-file reader
+every input goes through."""
+
+from pathlib import Path
 
 
 class RadlError(Exception):
@@ -48,3 +51,12 @@ class NonFiniteLoss(RadlError):
 
 class UnknownColor(RadlError):
     """Color name missing from the HSV range table."""
+
+
+def read_utf8(path) -> str:
+    """A text file's contents; a file that is not UTF-8 is a MalformedDoc
+    that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise MalformedDoc(f"{path} is not UTF-8: {e}") from e

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import MalformedDoc, UnknownColor
+from .errors import MalformedDoc, UnknownColor, read_utf8
 from .layout import BBox, LayoutSpec, Relation, rasterize_mask
 from .scenes import PALETTE_RGB
 
@@ -30,11 +30,10 @@ def load_hsv_table(path=None) -> dict[str, HsvRange]:
     if path is None:
         raw = resources.files("radl").joinpath("data/hsv_ranges.json").read_text("utf-8")
     else:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
+        raw = read_utf8(path)
     try:
         table = json.loads(raw)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise MalformedDoc(f"HSV table {path} is not valid JSON: {e}") from e
     if not isinstance(table, dict) or not all(
         isinstance(ranges, list) and len(ranges) == 3

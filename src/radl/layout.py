@@ -133,7 +133,7 @@ def parse_layout(doc: str, max_instances: int = DEFAULT_MAX_INSTANCES) -> Layout
     """
     try:
         obj = json.loads(doc)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise MalformedDoc(f"not valid JSON: {e}") from e
     _require(isinstance(obj, dict), "top level must be a JSON object")
     _require("prompt" in obj, "missing field 'prompt'")

@@ -9,6 +9,10 @@ image as a correction to a fixed posterior-mean anchor on x_t; the noise
 estimate then follows from schedule arithmetic, which keeps every learned
 quantity O(1) regardless of timestep.  All gradients are hand-derived and
 checked against central finite differences.
+
+Every forward takes a stack of K images (K, 3, S, S) with K steps, one per
+image, or one step the stack shares; with the attention stack on it also
+takes the K images' layout encodings.  A lone image is a stack of one.
 """
 from __future__ import annotations
 
@@ -144,7 +148,7 @@ def training_schedule(steps: int) -> NoiseSchedule:
 
 
 def _gain_basis(u, s0) -> np.ndarray:
-    """(4,) for one noise level, (K, 4) for K of them."""
+    """(T, 4) for T noise levels."""
     return np.stack([np.ones_like(u), 1.0 / np.sqrt(u) - s0, np.sqrt(u), u], axis=-1)
 
 
@@ -481,8 +485,7 @@ class BlockCache:
     qlp_name: str
     bg: object
     instances: list[InstanceCache]
-    rel: object | None
-    has_rel_branch: bool
+    rel: object | None  # None without a relation branch
     fuse: object
     variant: str
 
@@ -534,7 +537,7 @@ def _radl_block_forward(
     fused, fuse_cache = fuse_forward(branches)
     return fused, BlockCache(
         qlp_name=qlp_name, bg=bg_cache, instances=inst_caches,
-        rel=rel_cache, has_rel_branch=rel is not None, fuse=fuse_cache, variant=variant,
+        rel=rel_cache, fuse=fuse_cache, variant=variant,
     )
 
 
@@ -549,7 +552,7 @@ def _radl_block_backward(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Returns the feature gradient and each instance slot's embedding
     gradient (none for text_attn_only).  d_out and the feature gradient are
-    (n, d) or (K, n, d); the ops in between pass a stack rows-first (see
+    (K, n, d); the ops in between pass the stack rows-first (see
     attention.flip_stack).  Each part of the cache is released once used."""
     d_feats, d_logits = fuse_backward(flip_stack(d_out), cache.fuse)
     cache.fuse = None
@@ -557,7 +560,7 @@ def _radl_block_backward(
     n = len(cache.instances)
     for i in range(n):
         g["fusion.logit_inst"] += d_logits[1 + i]
-    if cache.has_rel_branch:
+    if cache.rel is not None:
         g["fusion.logit_rel"] += d_logits[1 + n]
 
     bg_grads = masked_text_attention_backward(d_feats[0], cache.bg)
@@ -584,7 +587,7 @@ def _radl_block_backward(
         _accumulate_text_attn(g, "radl.text", r_grads)
         cache.instances[i] = d_feats[1 + i] = None
 
-    if cache.has_rel_branch:
+    if cache.rel is not None:
         rel_grads = relation_attention_backward(d_feats[1 + n], cache.rel)
         d_feat += rel_grads["feat"]
         _accumulate_text_attn(g, "radl.rel", rel_grads)
@@ -598,93 +601,66 @@ def _radl_block_backward(
 @dataclass
 class DenoiseCache:
     x: np.ndarray
-    t: int | np.ndarray  # one step, or one per image of a pack
+    t: np.ndarray  # (T,): one step per image, or T = 1 shared by the stack
     p_img: np.ndarray
-    block_fine: BlockCache | None
+    block_fine: BlockCache | None  # None with the stack off
     p16: np.ndarray
     block_coarse: BlockCache | None
     b8: np.ndarray
     u16c: np.ndarray
     emb_caches: list | None  # the instance embeddings', shared by both sides
-    radl_on: bool
-    net_scale: np.ndarray          # (), or (K,) for a pack
-    gain_basis: np.ndarray         # (4,), or (K, 4) for a pack
+    net_scale: np.ndarray          # (T, 1, 1, 1)
+    gain_basis: np.ndarray         # (T, 4)
 
 
-def _per_image(a):
-    """A per-image (K,) array shaped to scale a (K, 3, S, S) stack."""
-    return a[:, None, None, None] if np.ndim(a) else a
-
-
+# perfbench's tracer reads radl_on as positional argument 4: keep it there
 def denoise_forward_cached(
     params: DenoiserParams,
     x_t: np.ndarray,
-    t: int | Sequence[int],
-    layout: LayoutSpec | Sequence[LayoutSpec],
+    t: Sequence[int],
+    enc: Sequence[LayoutEncoding] | None,
     radl_on: bool,
-    embed_cfg: EmbedderConfig,
     variant: str = "full",
-    enc: LayoutEncoding | Sequence[LayoutEncoding] | None = None,
 ) -> tuple[np.ndarray, DenoiseCache]:
-    """x_t is one image (3, S, S) or a stack (K, 3, S, S).  With an int t a
-    stack shares t and the layout, and each image gets the bytes it would
-    get alone.  A pack gives each image of the stack its own step and
-    layout: t, layout and enc are then sequences of K."""
+    """x_t is a stack (K, 3, S, S).  t holds K steps, one per image, or one
+    step the stack shares; with the stack on, enc holds the K images' layout
+    encodings.  Images that share one step and one encoding each get the
+    bytes they would get alone: a shared step stays one step, because the
+    gain basis product rounds differently over K rows."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     s = params.image_size
-    if x_t.ndim not in (3, 4) or x_t.shape[-3:] != (3, s, s):
-        raise ShapeMismatch(f"x_t shape {x_t.shape} != ([K,] 3, {s}, {s})")
-    packed = not isinstance(t, (int, np.integer))
-    if packed:
-        t = np.asarray(t, dtype=int)
-        layouts = list(layout)
-        if x_t.ndim != 4 or not len(t) == len(layouts) == x_t.shape[0]:
-            raise ShapeMismatch(
-                f"a pack needs one t and layout per image: x_t {x_t.shape}, "
-                f"{len(t)} steps, {len(layouts)} layouts"
-            )
-    else:
-        layouts = [layout]
+    if x_t.ndim != 4 or x_t.shape[1:] != (3, s, s):
+        raise ShapeMismatch(f"x_t shape {x_t.shape} != (K, 3, {s}, {s})")
+    k = len(x_t)
+    t = np.asarray(t, dtype=int)
+    if t.ndim != 1 or len(t) not in (1, k):
+        raise ShapeMismatch(f"{k} images need 1 or {k} steps, got t {t.tolist()}")
+    if radl_on and len(enc or ()) != k:
+        raise ShapeMismatch(f"{k} images need {k} layout encodings, got {len(enc or ())}")
     if np.any(t < 1) or np.any(t > params.t_train):
-        raise StepOutOfRange(f"timestep {t} outside 1..{params.t_train}")
+        raise StepOutOfRange(f"timestep {t.tolist()} outside 1..{params.t_train}")
     fine, coarse = params.fine_side, params.coarse_side
-    emb_caches = None
+    embs = emb_caches = None
     if radl_on:
-        if enc is None:
-            encs = [_encode(lay, embed_cfg, params) for lay in layouts]
-        else:
-            encs = list(enc) if packed else [enc]
-        blocks = _block_inputs(encs)
-        embs = None
+        blocks = _block_inputs(enc)
         if variant != "text_attn_only":
             embs, emb_caches = _instance_embeddings(blocks[fine], params)
 
-    temb_t = params.temb[t - 1][:, None, :] if packed else params.temb[t - 1]
-
-    p_img = image_to_patches(x_t)
-    h16 = p_img @ params.enc1_w + params.enc1_b + temb_t
-
-    if radl_on:
-        fgrid = FeatureGrid(fine, fine, h16)
-        fused_fine, block_fine = _radl_block_forward(fgrid, blocks[fine], embs, params, variant)
-        b16 = fused_fine.values
-    else:
-        block_fine = None
-        b16 = h16
-
-    p16 = grid_to_patches(b16, fine)
-    h8 = p16 @ params.enc2_w + params.enc2_b + temb_t
-
-    if radl_on:
-        cgrid = FeatureGrid(coarse, coarse, h8)
-        fused_coarse, block_coarse = _radl_block_forward(
-            cgrid, blocks[coarse], embs, params, variant
+    def attend(h: np.ndarray, side: int) -> tuple[np.ndarray, BlockCache | None]:
+        """The attention stack at one grid side; the plain pass when off."""
+        if not radl_on:
+            return h, None
+        fused, block = _radl_block_forward(
+            FeatureGrid(side, side, h), blocks[side], embs, params, variant
         )
-        b8 = fused_coarse.values
-    else:
-        block_coarse = None
-        b8 = h8
+        return fused.values, block
+
+    temb_t = params.temb[t - 1][:, None, :]
+    p_img = image_to_patches(x_t)
+    b16, block_fine = attend(p_img @ params.enc1_w + params.enc1_b + temb_t, fine)
+    p16 = grid_to_patches(b16, fine)
+    b8, block_coarse = attend(p16 @ params.enc2_w + params.enc2_b + temb_t, coarse)
 
     u16 = patches_to_grid(b8 @ params.dec1_w + params.dec1_b, fine)
     u16c = u16 + b16  # skip: the fine-grid features reach the decoder directly
@@ -696,64 +672,59 @@ def denoise_forward_cached(
     # network supplies the clean-image correction, blended with the weight
     # that parameterization implies (full strength at mid noise levels,
     # muted where x_t already pins the clean image).  Everything the
-    # network learns stays O(1) at every timestep.  For a pack each of
-    # these is a per-image array.
+    # network learns stays O(1) at every timestep.  Each of these holds one
+    # value per step of t.
     ab = training_schedule(params.t_train).alpha_bars[t - 1]
     u = 1.0 - ab
     s0 = np.sqrt(u) / (ab * PRIOR_MOMENT + u)
-    net_scale = np.sqrt(ab * u) / (u + ab * NET_TRUST)
+    net_scale = (np.sqrt(ab * u) / (u + ab * NET_TRUST))[:, None, None, None]
     # gain correction on a dense noise-level basis: every sample updates all
     # four coefficients, unlike a per-step table that would starve at the
     # fixed learning rate.  The second feature is the gap to the exact
     # noise gain, reachable as the content correction becomes trustworthy.
     basis = _gain_basis(u, s0)
     gain = s0 + basis @ params.anchor_gain
-    eps = _per_image(gain) * x_t + _per_image(net_scale) * correction
+    eps = gain[:, None, None, None] * x_t + net_scale * correction
 
-    cache = DenoiseCache(
+    return eps, DenoiseCache(
         x=x_t, t=t, p_img=p_img, block_fine=block_fine, p16=p16,
-        block_coarse=block_coarse, b8=b8, u16c=u16c, emb_caches=emb_caches, radl_on=radl_on,
+        block_coarse=block_coarse, b8=b8, u16c=u16c, emb_caches=emb_caches,
         net_scale=net_scale, gain_basis=basis,
     )
-    return eps, cache
 
 
 def denoise_forward(
     params: DenoiserParams,
     x_t: np.ndarray,
-    t: int | Sequence[int],
-    layout: LayoutSpec | Sequence[LayoutSpec],
+    t: Sequence[int],
+    enc: Sequence[LayoutEncoding] | None,
     radl_on: bool,
-    embed_cfg: EmbedderConfig,
     variant: str = "full",
-    enc: LayoutEncoding | Sequence[LayoutEncoding] | None = None,
 ) -> np.ndarray:
-    """Predict the noise in x_t; the layout only enters when radl_on."""
-    return denoise_forward_cached(params, x_t, t, layout, radl_on, embed_cfg, variant, enc)[0]
+    """Predict the noise in x_t; the encodings only enter when radl_on."""
+    return denoise_forward_cached(params, x_t, t, enc, radl_on, variant)[0]
 
 
-def _add_temb_grad(g: dict[str, np.ndarray], t, d_h: np.ndarray):
-    if np.ndim(t):
-        np.add.at(g["temb"], t - 1, d_h.sum(axis=1))
-    else:
-        g["temb"][t - 1] += as_rows(d_h).sum(axis=0)
+def _add_temb_grad(g: dict[str, np.ndarray], t: np.ndarray, d_h: np.ndarray):
+    # one row per image, summed over the stack where it shares one step
+    rows = d_h.sum(axis=1)
+    np.add.at(g["temb"], t - 1, rows if len(t) == len(rows) else rows.sum(axis=0, keepdims=True))
 
 
 def denoise_backward(
     d_eps: np.ndarray, cache: DenoiseCache, params: DenoiserParams, g: dict[str, np.ndarray]
 ) -> None:
-    """Accumulate parameter gradients for one forward pass into g, summed
-    over the images of a stacked pass.  The attention-block caches are
-    released as the backward goes, so a cache takes one backward."""
+    """Accumulate parameter gradients for one forward pass over a stack into
+    g, summed over its images.  The attention-block caches are released as
+    the backward goes, so a cache takes one backward."""
     fine = params.fine_side
+    radl_on = cache.block_fine is not None
 
     d_gain = d_eps * cache.x
-    if cache.gain_basis.ndim == 1:
-        g["anchor_gain"] += d_gain.sum() * cache.gain_basis
-    else:
-        g["anchor_gain"] += d_gain.reshape(len(d_gain), -1).sum(axis=1) @ cache.gain_basis
+    basis = cache.gain_basis
+    g["anchor_gain"] += d_gain.reshape(len(basis), -1).sum(axis=1) @ basis
 
-    d_p_out = image_to_patches(_per_image(cache.net_scale) * d_eps)
+    d_p_out = image_to_patches(cache.net_scale * d_eps)
     g["dec2.w"] += as_rows(cache.u16c).T @ as_rows(d_p_out)
     g["dec2.b"] += as_rows(d_p_out).sum(axis=0)
     d_u16c = d_p_out @ params.dec2_w.T
@@ -763,7 +734,7 @@ def denoise_backward(
     g["dec1.b"] += as_rows(d_dec1_out).sum(axis=0)
     d_b8 = d_dec1_out @ params.dec1_w.T
 
-    if cache.radl_on:
+    if radl_on:
         d_h8, d_embs = _radl_block_backward(d_b8, cache.block_coarse, params, g)
         cache.block_coarse = None
     else:
@@ -775,7 +746,7 @@ def denoise_backward(
     # b16 feeds both the downsampling stage and the decoder skip
     d_b16 = patches_to_grid(d_h8 @ params.enc2_w.T, fine) + d_u16c
 
-    if cache.radl_on:
+    if radl_on:
         d_h16, d_embs_fine = _radl_block_backward(d_b16, cache.block_fine, params, g)
         if cache.emb_caches is not None:
             _instance_embeddings_backward(
@@ -830,18 +801,17 @@ def sample(
         embed_cfg = EmbedderConfig(dim=params.d)
 
     s = params.image_size
-    batched = not isinstance(rng_seed, (int, np.integer))
-    seeds = list(rng_seed) if batched else [rng_seed]
+    lone = isinstance(rng_seed, (int, np.integer))
+    seeds = [rng_seed] if lone else list(rng_seed)
     if not seeds:
         raise ValueError("sampling needs at least one seed")
     # one noise stream per image, drawn in the order a lone run draws it
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))) for seed in seeds]
 
     def noise() -> np.ndarray:
-        draws = [rng.standard_normal((3, s, s)) for rng in rngs]
-        return np.stack(draws) if batched else draws[0]
+        return np.stack([rng.standard_normal((3, s, s)) for rng in rngs])
 
-    enc = _encode(layout, embed_cfg, params)
+    encs = [_encode(layout, embed_cfg, params)] * len(seeds)
     temb_map = _temb_index_map(sched, params.t_train)
 
     x = noise()
@@ -849,9 +819,8 @@ def sample(
     for i, t in enumerate(range(total_steps, 0, -1)):
         radl_on = i < radl_steps
         trace.append(radl_on)
-        eps_hat = denoise_forward(
-            params, x, int(temb_map[t - 1]), layout, radl_on, embed_cfg, variant, enc
-        )
+        # the stack shares one step
+        eps_hat = denoise_forward(params, x, temb_map[t - 1 : t], encs, radl_on, variant)
         # static thresholding: clamp the implied clean image to [0,1] and
         # use the consistent noise estimate in the ancestral update
         ab = sched.alpha_bar(t)
@@ -863,7 +832,7 @@ def sample(
             x = mean + np.sqrt(sched.posterior_variance(t)) * noise()
         else:
             x = mean
-    return np.clip(x, 0.0, 1.0), trace
+    return np.clip(x[0] if lone else x, 0.0, 1.0), trace
 
 
 # ---------------------------------------------------------------------------
@@ -874,21 +843,19 @@ def mse_loss_and_grads(
     scenes: Sequence[SyntheticScene],
     ts: Sequence[int],
     noise: np.ndarray,
-    embed_cfg: EmbedderConfig,
+    encs: Sequence[LayoutEncoding] | None,
+    radl_on: bool,
     g: dict[str, np.ndarray],
     sched: NoiseSchedule,
     variant: str = "full",
-    radl_on: bool = True,
     grad_scale: float = 1.0,
-    encs: Sequence[LayoutEncoding] | None = None,
 ) -> float:
     """Summed MSE between predicted and true noise over a pack of K samples
-    (noise is (K, 3, S, S)), from one forward and one backward; grads
+    (noise is (K, 3, S, S); encs, the scenes' encodings, are read only
+    with the stack on), from one forward and one backward; grads
     accumulate into g.  The per-sample losses are summed in pack order."""
     x_t = np.stack([forward_diffuse(sc.image, t, sched, n) for sc, t, n in zip(scenes, ts, noise)])
-    eps_hat, cache = denoise_forward_cached(
-        params, x_t, ts, [sc.layout for sc in scenes], radl_on, embed_cfg, variant, encs
-    )
+    eps_hat, cache = denoise_forward_cached(params, x_t, ts, encs, radl_on, variant)
     resid = eps_hat - noise
     per_sample = (resid * resid).reshape(len(resid), -1).mean(axis=1)
     d_eps = (2.0 / noise[0].size) * resid * grad_scale
@@ -985,9 +952,9 @@ def train(
                     if pick not in encs:
                         encs[pick] = _encode(dataset[pick].layout, embed_cfg, params)
             loss += mse_loss_and_grads(
-                params, [dataset[p] for p in picks], ts, np.stack(noises), embed_cfg, g,
-                sched, variant=variant, radl_on=radl_on, grad_scale=1.0 / batch_size,
-                encs=[encs[p] for p in picks] if radl_on else None,
+                params, [dataset[p] for p in picks], ts, np.stack(noises),
+                [encs[p] for p in picks] if radl_on else None, radl_on, g, sched,
+                variant=variant, grad_scale=1.0 / batch_size,
             )
         loss /= batch_size
         if not np.isfinite(loss):
@@ -1053,22 +1020,16 @@ def gradcheck(
         embed_cfg = EmbedderConfig(dim=params.d)
     sched = NoiseSchedule.make(params.t_train)
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(4,)))
-    noise = rng.standard_normal(scene.image.shape)
-    x_t = forward_diffuse(scene.image, t, sched, noise)
-
-    enc = _encode(scene.layout, embed_cfg, params)  # independent of parameter values
+    noise = rng.standard_normal((1,) + scene.image.shape)
+    x_t = forward_diffuse(scene.image, t, sched, noise[0])[None]
+    encs = [_encode(scene.layout, embed_cfg, params)]  # independent of parameter values
 
     def loss_fn() -> float:
-        eps_hat = denoise_forward(params, x_t, t, scene.layout, True, embed_cfg, variant, enc)
-        r = eps_hat - noise
+        r = denoise_forward(params, x_t, [t], encs, True, variant) - noise
         return float((r * r).mean())
 
     g = zero_grads(params)
-    eps_hat, cache = denoise_forward_cached(
-        params, x_t, t, scene.layout, True, embed_cfg, variant, enc
-    )
-    resid = eps_hat - noise
-    denoise_backward((2.0 / resid.size) * resid, cache, params, g)
+    mse_loss_and_grads(params, [scene], [t], noise, encs, True, g, sched, variant)
     if grad_fault:
         g["enc1.w"] += 1.0
 

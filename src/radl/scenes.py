@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedDoc, PlacementFailure
+from .errors import MalformedDoc, PlacementFailure, read_utf8
 from .layout import (
     BBox,
     InstanceSpec,
@@ -215,26 +215,26 @@ def write_corpus(path, scenes: list[SyntheticScene]) -> None:
 
 
 def read_corpus(path) -> list[SyntheticScene]:
-    scenes = []
     try:
-        fh = open(path, encoding="utf-8")
+        text = read_utf8(path)
     except FileNotFoundError:
         raise FileNotFoundError(f"corpus not found: {path}") from None
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            # a line that is not an object, lacks a key, or whose image data
-            # does not decode to its stated size (an infinite one overflows)
-            try:
-                obj = json.loads(line)
-                layout_obj = dict(obj["layout"])
-                layout_obj["relations"] = obj.get("relations", [])
-                image = _image_from_obj(obj["image"])
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
-                raise MalformedDoc(
-                    f"{path}:{lineno}: bad corpus line: {type(e).__name__}: {e}"
-                ) from e
-            scenes.append(SyntheticScene(image=image, layout=parse_layout(json.dumps(layout_obj))))
+    scenes = []
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        # a line that is not an object (or nests past the recursion limit),
+        # lacks a key, or whose image data does not decode to its stated
+        # size (an infinite one overflows)
+        try:
+            obj = json.loads(line)
+            layout_obj = dict(obj["layout"])
+            layout_obj["relations"] = obj.get("relations", [])
+            image = _image_from_obj(obj["image"])
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
+            raise MalformedDoc(
+                f"{path}:{lineno}: bad corpus line: {type(e).__name__}: {e}"
+            ) from e
+        scenes.append(SyntheticScene(image=image, layout=parse_layout(json.dumps(layout_obj))))
     return scenes

@@ -22,9 +22,7 @@ from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse, fuse_forward
 from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
 from .pipeline import (
     NoiseSchedule,
-    denoise_backward,
-    denoise_forward_cached,
-    forward_diffuse,
+    encode_layout,
     init_denoiser,
     mse_loss_and_grads,
     sample,
@@ -188,16 +186,14 @@ def _check_packed_train_step(rng) -> Check:
     scenes.append(replace(scenes[0], layout=LayoutSpec(prompt="a plain gray background")))
     ts = [int(t) for t in rng.integers(1, 13, len(scenes))]
     noise = rng.standard_normal((len(scenes), 3, 8, 8))
+    sides = (params.fine_side, params.coarse_side)
+    encs = [encode_layout(sc.layout, embed_cfg, sides) for sc in scenes]
 
     g = zero_grads(params)
-    loss = mse_loss_and_grads(params, scenes, ts, noise, embed_cfg, g, sched)
+    loss = mse_loss_and_grads(params, scenes, ts, noise, encs, True, g, sched)
     g_ref, loss_ref = zero_grads(params), 0.0
-    for scene, t, n in zip(scenes, ts, noise):
-        x_t = forward_diffuse(scene.image, t, sched, n)
-        eps, cache = denoise_forward_cached(params, x_t, t, scene.layout, True, embed_cfg)
-        resid = eps - n
-        loss_ref += float((resid * resid).mean())
-        denoise_backward((2.0 / resid.size) * resid, cache, params, g_ref)
+    for scene, t, n, enc in zip(scenes, ts, noise, encs):
+        loss_ref += mse_loss_and_grads(params, [scene], [t], n[None], [enc], True, g_ref, sched)
 
     def rel(a, b) -> float:
         return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MalformedDoc, ShapeMismatch
+from .errors import MalformedDoc, ShapeMismatch, read_utf8
 from .layout import BBox
 
 EMPTY_TOKEN = "⟨empty⟩"  # sentinel for empty input
@@ -28,11 +28,10 @@ _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 def load_verb_lexicon(path) -> frozenset[str]:
     """Read a lexicon file: one lowercase verb stem per line, '#' comments."""
     stems = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                stems.add(line.lower())
+    for line in read_utf8(path).split("\n"):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            stems.add(line.lower())
     if not stems:
         raise MalformedDoc(f"lexicon {path} names no verb")
     return frozenset(stems)
@@ -166,14 +165,6 @@ class PositionMLPParams:
     b1: np.ndarray  # (h,)
     w2: np.ndarray  # (h, d_pos)
     b2: np.ndarray  # (d_pos,)
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
-
-    @property
-    def d_pos(self) -> int:
-        return self.w2.shape[1]
 
     @staticmethod
     def init(rng: np.random.Generator, hidden: int = 16, d_pos: int = 8) -> "PositionMLPParams":

@@ -39,6 +39,7 @@ from radl.fusion import BACKGROUND, INSTANCE, FusionBranch, fuse, fuse_forward
 from radl.layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, Relation, rasterize_mask, total_mask
 from radl.pipeline import (
     denoise_forward,
+    encode_layout,
     gradcheck,
     init_denoiser,
     sample,
@@ -259,9 +260,10 @@ def test_criterion_4_schedule_conformance():
     trace_ok = trace == [True] * 30 + [False] * 30
 
     other = make_scene(2, SCENE_CFG)
-    x = np.random.default_rng(1).standard_normal((3, 32, 32))
-    a = denoise_forward(params, x, 77, scene.layout, False, EC)
-    b = denoise_forward(params, x, 77, other.layout, False, EC)
+    x = np.random.default_rng(1).standard_normal((1, 3, 32, 32))
+    sides = (params.fine_side, params.coarse_side)
+    a, b = (denoise_forward(params, x, [77], [encode_layout(sc.layout, EC, sides)], False)
+            for sc in (scene, other))
     invariant_ok = np.array_equal(a, b)
     ok = trace_ok and invariant_ok
     announce(4, ok, f"trace 30 on + 30 off: {trace_ok}; off-path layout-invariant: {invariant_ok}")

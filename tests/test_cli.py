@@ -234,20 +234,69 @@ def test_gen_malformed_layout_names_field(workdir, capsys):
     assert "instances" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["layout_not_utf8", "layout_is_dir", "config_is_dir"])
+@pytest.mark.parametrize(
+    "damage", ["layout_not_utf8", "layout_is_dir", "config_not_utf8", "config_is_dir"]
+)
 def test_gen_unreadable_input_exit_2(workdir, damage, capsys):
     cfg_path, layout = workdir / "config.json", workdir / "layout.json"
     assert run("--config", cfg_path, "--steps", 0, "train") == 0
     capsys.readouterr()
     if damage == "layout_not_utf8":
         layout.write_bytes(b'{"prompt": "\xff", "instances": []}')
+        bad = layout
+    elif damage == "config_not_utf8":
+        cfg_path.write_bytes(b'{"\xff": 0}')
+        bad = cfg_path
     elif damage == "layout_is_dir":
-        layout = workdir / "a_dir"
+        layout = bad = workdir / "a_dir"
         layout.mkdir()
     else:
-        cfg_path = workdir / "a_dir"
+        cfg_path = bad = workdir / "a_dir"
         cfg_path.mkdir()
     assert run("--config", cfg_path, "gen", layout) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("reader", ["corpus", "eval_layout"])
+def test_not_utf8_input_names_the_file(workdir, reader, capsys):
+    img_dir, lay_dir = eval_dirs(workdir, small_scenes(1))
+    if reader == "corpus":
+        bad, command = workdir / "corpus.jsonl", ["train"]
+    else:
+        bad, command = lay_dir / "s000.json", ["eval", img_dir, lay_dir]
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    assert run("--config", workdir / "config.json", *command) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and len(err.splitlines()) == 1
+
+
+# nested past the interpreter's recursion limit, json.loads raises RecursionError
+DEEP_JSON = b"[" * 100_000
+
+
+@pytest.mark.parametrize("reader", ["config", "layout", "corpus", "hsv_table", "checkpoint"])
+def test_deeply_nested_json_exit_2(workdir, reader, capsys):
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "--steps", 0, "train") == 0
+    capsys.readouterr()
+    command = ["gen", workdir / "layout.json"]
+    if reader == "config":
+        cfg_path.write_bytes(DEEP_JSON)
+    elif reader == "layout":
+        (workdir / "layout.json").write_bytes(DEEP_JSON)
+    elif reader == "corpus":
+        (workdir / "corpus.jsonl").write_bytes(DEEP_JSON + b"\n")
+        command = ["train"]
+    elif reader == "hsv_table":
+        (workdir / "hsv.json").write_bytes(DEEP_JSON)
+        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+        cfg_path.write_text(json.dumps(dict(cfg, hsv_table=str(workdir / "hsv.json"))))
+        command = ["eval", *eval_dirs(workdir, small_scenes(1))]
+    else:
+        header = struct.pack("<Q", len(DEEP_JSON)) + DEEP_JSON
+        (workdir / "model.ckpt").write_bytes(MAGIC + header)
+    assert run("--config", cfg_path, *command) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
@@ -355,12 +404,14 @@ def test_eval_unpaired_exit_2(workdir, capsys):
 
 
 @pytest.mark.parametrize("key, text", [
-    ("lexicon", "# comments only\n"),  # was ValueError from EmbedderConfig
-    ("hsv_table", "red: [0, 30]"),     # was JSONDecodeError
-    ("hsv_table", '{"red": 5}'),        # was TypeError
+    ("lexicon", b"# comments only\n"),  # was ValueError from EmbedderConfig
+    ("lexicon", b"stand\n\xff\n"),      # not UTF-8
+    ("hsv_table", b"red: [0, 30]"),     # was JSONDecodeError
+    ("hsv_table", b'{"red": 5}'),        # was TypeError
+    ("hsv_table", b'{"r\xffd": 5}'),     # not UTF-8
 ])
 def test_bad_data_file_exit_2(workdir, key, text, capsys):
-    (workdir / "data.txt").write_text(text, encoding="utf-8")
+    (workdir / "data.txt").write_bytes(text)
     cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
     cfg[key] = str(workdir / "data.txt")
     (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
@@ -368,7 +419,7 @@ def test_bad_data_file_exit_2(workdir, key, text, capsys):
     command = ["gradcheck", "--scenes", 1] if key == "lexicon" else ["eval", img_dir, lay_dir]
     assert run("--config", workdir / "config.json", *command) == 2
     err = capsys.readouterr().err
-    assert "data.txt" in err and len(err.splitlines()) == 1
+    assert str(workdir / "data.txt") in err and len(err.splitlines()) == 1
 
 
 # --- gradcheck / selftest ----------------------------------------------------------

@@ -15,6 +15,7 @@ from radl.pipeline import (
     denoise_backward,
     denoise_forward,
     denoise_forward_cached,
+    encode_layout,
     forward_diffuse,
     gradcheck,
     init_denoiser,
@@ -37,6 +38,12 @@ GOLDEN_EPS_SHA256 = "a4b56c2c31d3b38846a9497b47f41e714882611fd64512dbd269d0e41fe
 
 def small_scene(seed=42):
     return make_scene(seed, SceneConfig(image_size=8, min_box=0.3, max_box=0.6))
+
+
+def encode(params, *layouts):
+    """The layouts' encodings at the denoiser's two grid sides."""
+    cfg = EmbedderConfig(dim=params.d, seed=0)
+    return [encode_layout(lay, cfg, (params.fine_side, params.coarse_side)) for lay in layouts]
 
 
 # --- noise schedule ----------------------------------------------------------
@@ -110,17 +117,17 @@ def test_radl_off_is_layout_invariant_bitwise():
     params = init_denoiser(0, d=8, image_size=32, t_train=200)
     a_scene = make_scene(0, SceneConfig())
     b_scene = make_scene(2, SceneConfig())
-    x = np.random.default_rng(5).standard_normal((3, 32, 32))
-    a = denoise_forward(params, x, 100, a_scene.layout, False, EC)
-    b = denoise_forward(params, x, 100, b_scene.layout, False, EC)
+    x = np.random.default_rng(5).standard_normal((1, 3, 32, 32))
+    a = denoise_forward(params, x, [100], encode(params, a_scene.layout), False)
+    b = denoise_forward(params, x, [100], encode(params, b_scene.layout), False)
     assert np.array_equal(a, b)
 
 
 def test_radl_on_empty_layout_runs():
     params = init_denoiser(0, d=8, image_size=32, t_train=200)
     layout = LayoutSpec(prompt="a plain gray background")
-    x = np.random.default_rng(6).standard_normal((3, 32, 32))
-    eps = denoise_forward(params, x, 50, layout, True, EC)
+    x = np.random.default_rng(6).standard_normal((1, 3, 32, 32))
+    eps = denoise_forward(params, x, [50], encode(params, layout), True)
     assert np.all(np.isfinite(eps))
 
 
@@ -130,8 +137,8 @@ def test_golden_regression_fixture():
     sched = NoiseSchedule.make(200)
     rng = np.random.default_rng(99)
     x_t = forward_diffuse(scene.image, 120, sched, rng.standard_normal(scene.image.shape))
-    eps = denoise_forward(params, x_t, 120, scene.layout, True, EC)
-    assert hashlib.sha256(eps.tobytes()).hexdigest() == GOLDEN_EPS_SHA256
+    eps = denoise_forward(params, x_t[None], [120], encode(params, scene.layout), True)
+    assert hashlib.sha256(eps[0].tobytes()).hexdigest() == GOLDEN_EPS_SHA256
 
 
 def test_layout_sensitivity_inside_moved_box():
@@ -144,40 +151,57 @@ def test_layout_sensitivity_inside_moved_box():
         prompt="a scene with a red square",
         instances=(InstanceSpec("red square", BBox(0.5, 0.5, 0.875, 0.875)),),
     )
-    x = np.random.default_rng(7).standard_normal((3, 32, 32))
-    a = denoise_forward(params, x, 100, base, True, EC)
-    b = denoise_forward(params, x, 100, moved, True, EC)
-    diff = np.abs(a - b).sum(axis=0)
+    x = np.random.default_rng(7).standard_normal((1, 3, 32, 32))
+    a = denoise_forward(params, x, [100], encode(params, base), True)
+    b = denoise_forward(params, x, [100], encode(params, moved), True)
+    diff = np.abs(a - b).sum(axis=(0, 1))
     region = (
         rasterize_mask(base.instances[0].bbox, 32, 32).values
         + rasterize_mask(moved.instances[0].bbox, 32, 32).values
     ) > 0
     assert diff[region].max() > 0.0
     # the off path stays invariant
-    a_off = denoise_forward(params, x, 100, base, False, EC)
-    b_off = denoise_forward(params, x, 100, moved, False, EC)
+    a_off = denoise_forward(params, x, [100], encode(params, base), False)
+    b_off = denoise_forward(params, x, [100], encode(params, moved), False)
     assert np.array_equal(a_off, b_off)
 
 
 def test_variant_validation_and_shape_checks():
     params = init_denoiser(0, d=8, image_size=32, t_train=200)
     scene = make_scene(0, SceneConfig())
-    x = np.zeros((3, 32, 32))
+    x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
+    encs = encode(params, scene.layout) * 2
     with pytest.raises(ValueError):
-        denoise_forward(params, x, 1, scene.layout, True, EC, variant="bogus")
+        denoise_forward(params, x, [1], encs, True, variant="bogus")
     with pytest.raises(ShapeMismatch):
-        denoise_forward(params, np.zeros((3, 16, 16)), 1, scene.layout, True, EC)
+        denoise_forward(params, np.zeros((2, 3, 16, 16)), [1], encs, True)
+    with pytest.raises(ShapeMismatch):  # one image without its stack axis
+        denoise_forward(params, x[0], [1], encs[:1], True)
+    for t in ([1, 2, 3], [], 1):
+        with pytest.raises(ShapeMismatch):
+            denoise_forward(params, x, t, encs, True)
+    for bad in (None, encs[:1], encs * 2):
+        with pytest.raises(ShapeMismatch):
+            denoise_forward(params, x, [1], bad, True)
     with pytest.raises(StepOutOfRange):
-        denoise_forward(params, x, 201, scene.layout, True, EC)
+        denoise_forward(params, x, [201], encs, True)
+    # a shared step equals that step repeated per image up to rounding: the
+    # gain basis product rounds differently over one row and over K rows
+    for radl_on in (True, False):
+        shared = denoise_forward(params, x, [120], encs, radl_on)
+        repeated = denoise_forward(params, x, [120, 120], encs, radl_on)
+        assert rel_diff(shared, repeated) <= 1e-12
 
 
 def test_text_attn_only_uses_no_enhancement_params():
     params = init_denoiser(0, d=8, image_size=32, t_train=200)
     scene = make_scene(0, SceneConfig())
     x = np.random.default_rng(8).standard_normal((3, 32, 32))
-    eps, cache = denoise_forward_cached(params, x, 100, scene.layout, True, EC, "text_attn_only")
+    eps, cache = denoise_forward_cached(
+        params, x[None], [100], encode(params, scene.layout), True, "text_attn_only"
+    )
     assert all(ic.ae is None and ic.ia is None for ic in cache.block_fine.instances)
-    assert not cache.block_fine.has_rel_branch
+    assert cache.block_fine.rel is None
 
 
 def crowded_layouts(count=3):
@@ -195,7 +219,7 @@ def rel_diff(a, b):
 
 
 def forward_and_grads(params, layout, x, t, variant):
-    eps, cache = denoise_forward_cached(params, x, t, layout, True, EC, variant)
+    eps, cache = denoise_forward_cached(params, x[None], [t], encode(params, layout), True, variant)
     g = zero_grads(params)
     denoise_backward(np.sin(eps), cache, params, g)
     return eps, g
@@ -307,14 +331,16 @@ def test_backward_on_batched_cache_sums_images():
     d_eps = rng.standard_normal((2, 3, 8, 8))
     layout = small_scene().layout
     for radl_on in (True, False):
-        eps, cache = denoise_forward_cached(params, x, 5, layout, radl_on, EC4)
+        eps, cache = denoise_forward_cached(params, x, [5], encode(params, layout) * 2, radl_on)
         assert eps.shape == x.shape
         g = zero_grads(params)
         denoise_backward(d_eps, cache, params, g)
         g_ref = zero_grads(params)
         for k in range(2):
-            _, cache_k = denoise_forward_cached(params, x[k], 5, layout, radl_on, EC4)
-            denoise_backward(d_eps[k], cache_k, params, g_ref)
+            _, cache_k = denoise_forward_cached(
+                params, x[k : k + 1], [5], encode(params, layout), radl_on
+            )
+            denoise_backward(d_eps[k : k + 1], cache_k, params, g_ref)
         for name in g:
             assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
 
@@ -452,16 +478,19 @@ def full_frame_pair():
 MIXED_TS = [30, 170, 140, 120, 170, 101]
 
 
+def pack_loss_and_grads(params, scenes, ts, noise, g, sched, variant, radl_on, grad_scale):
+    encs = encode(params, *(sc.layout for sc in scenes))
+    return mse_loss_and_grads(
+        params, scenes, ts, noise, encs, radl_on, g, sched, variant, grad_scale
+    )
+
+
 def per_sample_loss_and_grads(params, scenes, ts, noise, g, sched, variant, radl_on, grad_scale):
-    """The reference: one lone forward and backward per sample."""
-    loss = 0.0
-    for scene, t, n in zip(scenes, ts, noise):
-        x_t = forward_diffuse(scene.image, t, sched, n)
-        eps, cache = denoise_forward_cached(params, x_t, t, scene.layout, radl_on, EC, variant)
-        resid = eps - n
-        loss += float((resid * resid).mean())
-        denoise_backward((2.0 / resid.size) * resid * grad_scale, cache, params, g)
-    return loss
+    """The reference: a pack of one per sample."""
+    return sum(
+        pack_loss_and_grads(params, [sc], [t], n[None], g, sched, variant, radl_on, grad_scale)
+        for sc, t, n in zip(scenes, ts, noise)
+    )
 
 
 @pytest.mark.parametrize("mode", TRAIN_MODES)
@@ -478,11 +507,11 @@ def test_packed_loss_and_grads_equal_per_sample_sum(variant, mode):
         if not pack:
             continue
         args = [scenes[k] for k in pack], [MIXED_TS[k] for k in pack], noise[pack]
-        loss += mse_loss_and_grads(params, *args, EC, g, sched, variant, radl_on, 0.25)
+        loss += pack_loss_and_grads(params, *args, g, sched, variant, radl_on, 0.25)
         loss_ref += per_sample_loss_and_grads(params, *args, g_ref, sched, variant, radl_on, 0.25)
     full = full_frame_pair()
     args = full, [150, 120], np.random.default_rng(23).standard_normal((2, 3, 32, 32))
-    loss += mse_loss_and_grads(params, *args, EC, g, sched, variant, True, 0.25)
+    loss += pack_loss_and_grads(params, *args, g, sched, variant, True, 0.25)
     loss_ref += per_sample_loss_and_grads(params, *args, g_ref, sched, variant, True, 0.25)
     assert rel_diff(np.array(loss), np.array(loss_ref)) <= 1e-12
     for name in g_ref:
@@ -496,13 +525,13 @@ def test_packed_gradients_match_central_differences():
     rng = np.random.default_rng(22)
     noise = rng.standard_normal((len(scenes), 3, 32, 32))
     g = zero_grads(params)
-    mse_loss_and_grads(params, scenes, MIXED_TS, noise, EC, g, sched)
+    encs = encode(params, *(sc.layout for sc in scenes))
+    mse_loss_and_grads(params, scenes, MIXED_TS, noise, encs, True, g, sched)
     x_t = np.stack([forward_diffuse(sc.image, t, sched, n)
                     for sc, t, n in zip(scenes, MIXED_TS, noise)])
-    layouts = [sc.layout for sc in scenes]
 
     def loss_fn():
-        r = denoise_forward(params, x_t, MIXED_TS, layouts, True, EC) - noise
+        r = denoise_forward(params, x_t, MIXED_TS, encs, True) - noise
         return float((r * r).reshape(len(r), -1).mean(axis=1).sum())
 
     pdict = params_to_dict(params)
