@@ -4,14 +4,9 @@ from .attention import (
     AttnProjection,
     FeatureGrid,
     RadlAttnParams,
-    attribute_enhancement,
     fuse_residual,
-    instance_attention,
-    masked_text_attention,
-    relation_attention,
-    scaled_dot_attention,
 )
-from .fusion import FusionBranch, fuse
+from .fusion import FusionBranch
 from .layout import (
     BBox,
     InstanceSpec,
@@ -38,10 +33,8 @@ from .text import (
     EmbedderConfig,
     EmbeddingSeq,
     PositionMLPParams,
-    build_instance_embedding,
     embed_tokens,
     extract_verbs,
-    position_embed,
     tokenize,
 )
 

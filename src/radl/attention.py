@@ -2,7 +2,7 @@
 attribute enhancement, instance attention, residual fusion, and
 verb-conditioned relation attention, each with an exact analytic backward.
 
-Every forward op has a `*_forward` variant returning (output, cache); the
+Every forward op is a `*_forward` function returning (output, cache); the
 matching `*_backward` consumes an upstream gradient and the cache and
 returns gradients for all inputs and parameters.  Backwards are verified
 against central finite differences in the test suite.
@@ -124,7 +124,9 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 def scaled_dot_attention_forward(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, key_keep: np.ndarray | None = None
 ) -> tuple[np.ndarray, AttnCache]:
-    """Leading axes broadcast: each matrix of a stack is attended exactly as
+    """out = rowwise-softmax(q k' / sqrt(d)) v.
+
+    Leading axes broadcast: each matrix of a stack is attended exactly as
     the 2-d op would attend it alone.  `key_keep` (..., L) marks the real
     keys of a padded key stack; padding keys get exactly zero weight."""
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
@@ -141,11 +143,6 @@ def scaled_dot_attention_forward(
         scores += np.where(key_keep, 0.0, -np.inf)[..., None, :]
     attn = softmax_rows(scores)
     return attn @ v, AttnCache(q=q, k=k, v=v, attn=attn)
-
-
-def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out = rowwise-softmax(q k' / sqrt(d)) v."""
-    return scaled_dot_attention_forward(q, k, v)[0]
 
 
 def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -299,6 +296,8 @@ def _row_set(feat: FeatureGrid, mask: MaskGrid | RowSet) -> RowSet:
 def masked_attention_forward(
     feat: FeatureGrid, emb: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
+    """Cross-attention from image features to a token sequence, zeroed
+    outside the mask."""
     rows = _row_set(feat, mask)
     if emb.dim != feat.d:
         raise ShapeMismatch(f"embedding dim {emb.dim} != feature dim {feat.d}")
@@ -309,14 +308,6 @@ def masked_attention_forward(
     return feat.like(rows.put(out)), MaskedAttnCache(
         q_src=x, emb=emb, rows=rows, attn_cache=ac, proj=proj
     )
-
-
-def masked_attention(
-    feat: FeatureGrid, emb: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
-) -> FeatureGrid:
-    """Cross-attention from image features to a token sequence, zeroed
-    outside the mask."""
-    return masked_attention_forward(feat, emb, proj, mask)[0]
 
 
 def masked_attention_backward(
@@ -337,11 +328,14 @@ def masked_attention_backward(
     }
 
 
-# masked text attention attends to a label's tokens and instance attention
-# to the position-augmented instance embedding, from the enhanced features
+# masked text attention attends to a label's tokens, instance attention to
+# the position-augmented instance embedding from the enhanced features, and
+# relation attention to the verb sequence over the total instance mask (a
+# layout without verbs has no relation branch)
 masked_text_attention_forward = instance_attention_forward = masked_attention_forward
-masked_text_attention = instance_attention = masked_attention
+relation_attention_forward = masked_attention_forward
 masked_text_attention_backward = instance_attention_backward = masked_attention_backward
+relation_attention_backward = masked_attention_backward
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +357,11 @@ def attribute_enhancement_forward(
     feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection,
     mask: MaskGrid | RowSet | None = None,
 ) -> tuple[FeatureGrid, AttributeEnhanceCache]:
-    """With a mask, returns mask * AE(feat): only the query rows the mask
+    """Attention with the learnable queries used raw (no query projection);
+    keys/values project from the instance image features.  Output row j is
+    spatially aligned with grid location j.
+
+    With a mask, returns mask * AE(feat): only the query rows the mask
     keeps are attended, each over the full key and value set."""
     n = feat.h * feat.w
     if qlp.shape[0] != n:
@@ -374,16 +372,6 @@ def attribute_enhancement_forward(
     return feat.like(rows.put(out)), AttributeEnhanceCache(
         feat=kv, rows=rows, q=ac.q, attn=ac.attn, proj=proj
     )
-
-
-def attribute_enhancement(
-    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection,
-    mask: MaskGrid | RowSet | None = None,
-) -> FeatureGrid:
-    """Attention with the learnable queries used raw (no query projection);
-    keys/values project from the instance image features.  Output row j is
-    spatially aligned with grid location j."""
-    return attribute_enhancement_forward(feat, qlp, proj, mask)[0]
 
 
 def attribute_enhancement_backward(
@@ -423,33 +411,3 @@ def fuse_residual_backward(d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Addition passes the upstream gradient unchanged to both inputs."""
     return d_out, d_out
 
-
-# ---------------------------------------------------------------------------
-# relation attention over verb embeddings, masked to the union of
-# instance regions
-
-def relation_attention_forward(
-    feat: FeatureGrid,
-    verb_emb: EmbeddingSeq | None,
-    proj: AttnProjection,
-    m_total: MaskGrid | RowSet,
-) -> tuple[FeatureGrid, MaskedAttnCache | None]:
-    if verb_emb is None:
-        # Disabled branch: no verbs means no relation signal.
-        _row_set(feat, m_total)
-        return feat.like(np.zeros_like(feat.values)), None
-    return masked_attention_forward(feat, verb_emb, proj, m_total)
-
-
-def relation_attention(
-    feat: FeatureGrid,
-    verb_emb: EmbeddingSeq | None,
-    proj: AttnProjection,
-    m_total: MaskGrid | RowSet,
-) -> FeatureGrid:
-    """Attention from image features to the verb sequence, masked to the
-    total instance mask; the all-zero grid when there are no verbs."""
-    return relation_attention_forward(feat, verb_emb, proj, m_total)[0]
-
-
-relation_attention_backward = masked_attention_backward

@@ -149,9 +149,11 @@ def _save_checkpoint(path, params, step: int, cfg: RunConfig, opt_m=None, opt_v=
     save_tensors(path, tensors, meta)
 
 
-def _load_checkpoint(path):
+def _load_checkpoint(path, cfg: RunConfig):
     """Load a checkpoint, checking every tensor against the model its meta
-    describes; optimizer moments, when present, must cover every tensor."""
+    describes; optimizer moments, when present, must cover every tensor.
+    The meta sizes and embed_seed must equal the config's.  Returns the
+    model, its step and the optimizer moments (None when absent)."""
     try:
         tensors, meta = load_tensors(path)
     except FileNotFoundError:
@@ -162,8 +164,9 @@ def _load_checkpoint(path):
         sizes = {key: meta[key] for key in ("d", "image_size", "t_train")}
     except KeyError as e:
         raise MalformedDoc(f"{path}: checkpoint lacks {e}") from e
+    stored = dict(sizes, embed_seed=meta.get("embed_seed", 0))
     try:  # the meta sizes and embed_seed obey the run-config rules
-        RunConfig(**sizes, embed_seed=meta.get("embed_seed", 0))
+        RunConfig(**stored)
     except MalformedDoc as e:
         raise MalformedDoc(f"{path}: meta {e}") from e
     step = meta.get("step", 0)
@@ -174,10 +177,9 @@ def _load_checkpoint(path):
     d, side, t_train = sizes["d"], sizes["image_size"] // 2, sizes["t_train"]
     if d * (d + t_train + side * side) > sum(a.size for a in tensors.values()):
         raise MalformedDoc(f"{path}: meta sizes {sizes} exceed the stored tensors")
-    shapes = {
-        name: a.shape
-        for name, a in pipeline.params_to_dict(pipeline.init_denoiser(0, **sizes)).items()
-    }
+    params = pipeline.init_denoiser(0, **sizes)
+    model = pipeline.params_to_dict(params)
+    shapes = {name: a.shape for name, a in model.items()}
     if any(name.startswith("opt.") for name in tensors):
         shapes |= {f"opt.{m}.{name}": shape for m in "mv" for name, shape in shapes.items()}
     for name, shape in shapes.items():
@@ -189,31 +191,31 @@ def _load_checkpoint(path):
             )
     if set(tensors) - set(shapes):
         raise MalformedDoc(f"{path}: unknown tensors {sorted(set(tensors) - set(shapes))}")
-    params = pipeline.params_from_dict(
-        {k: v for k, v in tensors.items() if not k.startswith("opt.")}, **sizes
-    )
+    for key, value in stored.items():
+        if value != getattr(cfg, key):
+            raise MalformedDoc(
+                f"{path}: checkpoint {key} {value!r} differs from the config's "
+                f"{getattr(cfg, key)!r}"
+            )
+    for name, arr in model.items():
+        arr[...] = tensors[name]
     opt_m = {k[len("opt.m."):]: v for k, v in tensors.items() if k.startswith("opt.m.")}
     opt_v = {k[len("opt.v."):]: v for k, v in tensors.items() if k.startswith("opt.v.")}
-    return params, meta, (opt_m or None), (opt_v or None)
+    return params, step, (opt_m or None), (opt_v or None)
 
 
 def cmd_gen(cfg: RunConfig, layout_path: str, count: int) -> int:
     if count < 1:
         raise MalformedDoc(f"image count must be >= 1, got {count}")
-    params, meta, _, _ = _load_checkpoint(cfg.checkpoint)
-    embed_cfg = EmbedderConfig(
-        dim=params.d,
-        seed=meta.get("embed_seed", cfg.embed_seed),
-        verb_lexicon=cfg.embedder().verb_lexicon,
-    )
+    params, _, _, _ = _load_checkpoint(cfg.checkpoint, cfg)
+    embed_cfg = cfg.embedder()
     layout = parse_layout(read_utf8(layout_path))
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sched = pipeline.NoiseSchedule.make(cfg.t_sample)
     for start in range(0, count, GEN_CHUNK):
         seeds = [cfg.seed + i for i in range(start, min(start + GEN_CHUNK, count))]
         images, trace = pipeline.sample(
-            params, layout, sched=sched, total_steps=cfg.t_sample,
+            params, layout, total_steps=cfg.t_sample,
             radl_steps=cfg.radl_steps, rng_seed=seeds,
             embed_cfg=embed_cfg, variant=cfg.variant,
         )
@@ -242,8 +244,7 @@ def cmd_train(cfg: RunConfig, resume: str | None = None) -> int:
         raise MalformedDoc(f"corpus is empty: {cfg.corpus}")
 
     if resume is not None:
-        params, meta, opt_m, opt_v = _load_checkpoint(resume)
-        start_step = meta.get("step", 0)
+        params, start_step, opt_m, opt_v = _load_checkpoint(resume, cfg)
     else:
         params = pipeline.init_denoiser(
             cfg.seed, d=cfg.d, image_size=cfg.image_size, t_train=cfg.t_train
@@ -271,6 +272,9 @@ def cmd_train(cfg: RunConfig, resume: str | None = None) -> int:
 
 
 def cmd_eval(cfg: RunConfig, images_dir: str, layouts_dir: str) -> int:
+    for path in (images_dir, layouts_dir):
+        if not Path(path).exists():
+            raise FileNotFoundError(f"eval directory not found: {path}")
     images = {p.stem: p for p in sorted(Path(images_dir).glob("*.ppm"))}
     layouts = {p.stem: p for p in sorted(Path(layouts_dir).glob("*.json"))}
     if not images or set(images) != set(layouts):

@@ -22,6 +22,8 @@ from .scenes import PALETTE_RGB
 HsvRange = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
 METRICS_SCHEMA = "radl-metrics/1"
+BACKGROUND_RGB = (0.5, 0.5, 0.5)  # the scene generator's background
+IOU_THRESH = 0.5  # matched IoU an instance needs to succeed
 
 
 def load_hsv_table(path=None) -> dict[str, HsvRange]:
@@ -119,7 +121,6 @@ def iou(a: BBox, b: BBox) -> float:
 def detect(
     image: np.ndarray,
     palette: dict[str, tuple[float, float, float]] | tuple[str, ...],
-    background: tuple[float, float, float] = (0.5, 0.5, 0.5),
     min_region_size: int = 4,
 ) -> list[Detection]:
     """Quantize to the nearest palette color and extract 4-connected
@@ -130,7 +131,7 @@ def detect(
     if not isinstance(palette, dict):
         palette = {name: PALETTE_RGB[name] for name in palette}
     names = sorted(palette)
-    centers = np.array([palette[n] for n in names] + [list(background)])
+    centers = np.array([palette[n] for n in names] + [list(BACKGROUND_RGB)])
     h, w = image.shape[1], image.shape[2]
 
     pixels = image.reshape(3, -1).T  # (h*w, 3)
@@ -235,18 +236,17 @@ def success_rate(
     dets: list[Detection],
     layout: LayoutSpec,
     image: np.ndarray,
-    iou_thresh: float = 0.5,
     table: dict[str, HsvRange] | None = None,
 ) -> tuple[float, list[bool]]:
     """All-must-succeed rule: an instance succeeds iff its matched IoU
-    reaches the threshold and the matched region passes the HSV check for
+    reaches IOU_THRESH and the matched region passes the HSV check for
     the color word of its label.  Returns (1.0 or 0.0, per-instance flags)."""
     if table is None:
         table = load_hsv_table()
     matched = match_instances(dets, layout)
     flags = []
     for inst, (j, v) in zip(layout.instances, matched):
-        ok = j is not None and v >= iou_thresh
+        ok = j is not None and v >= IOU_THRESH
         if ok:
             word = color_word(inst.label, table)
             if word is not None:
@@ -320,14 +320,12 @@ def evaluate_image(
     image: np.ndarray,
     layout: LayoutSpec,
     palette: dict[str, tuple[float, float, float]] | tuple[str, ...],
-    iou_thresh: float = 0.5,
     table: dict[str, HsvRange] | None = None,
-    min_region_size: int = 4,
 ) -> ImageEval:
     if table is None:
         table = load_hsv_table()
-    dets = detect(image, palette, min_region_size=min_region_size)
-    rate, flags = success_rate(dets, layout, image, iou_thresh, table)
+    dets = detect(image, palette)
+    rate, flags = success_rate(dets, layout, image, table)
     return ImageEval(
         success=rate == 1.0,
         instance_flags=flags,
@@ -344,13 +342,12 @@ def evaluate_image(
 def evaluate_images(
     pairs: list[tuple[np.ndarray, LayoutSpec]],
     palette: dict[str, tuple[float, float, float]] | tuple[str, ...],
-    iou_thresh: float = 0.5,
     table: dict[str, HsvRange] | None = None,
 ) -> MetricsReport:
     """Aggregate per-image metrics as plain means."""
     if table is None:
         table = load_hsv_table()
-    evals = [evaluate_image(img, layout, palette, iou_thresh, table) for img, layout in pairs]
+    evals = [evaluate_image(img, layout, palette, table) for img, layout in pairs]
     rel_evals = [e.relation_acc for e in evals if e.n_relations > 0]
     return MetricsReport(
         success_rate=float(np.mean([e.success for e in evals])) if evals else 0.0,

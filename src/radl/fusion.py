@@ -46,7 +46,9 @@ class FuseCache:
 
 
 def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCache]:
-    """Branch features may be stacks (K, n_pix, d).  A branch's mask is one
+    """Per-pixel convex combination of active branch features.
+
+    Branch features may be stacks (K, n_pix, d).  A branch's mask is one
     grid, shared by every grid of the stack, or a stack (K, h, w) of them;
     a grid whose mask for a branch is all zero gives it zero weight."""
     branches = list(branches)
@@ -71,11 +73,6 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
 
     out = np.einsum("...bn,...bnd->...nd", weights, feats)
     return ref.like(out), FuseCache(feats=feats, masks=masks, weights=weights)
-
-
-def fuse(branches: Sequence[FusionBranch]) -> FeatureGrid:
-    """Per-pixel convex combination of active branch features."""
-    return fuse_forward(branches)[0]
 
 
 def fuse_backward(

@@ -184,7 +184,8 @@ def parse_layout(doc: str, max_instances: int = DEFAULT_MAX_INSTANCES) -> Layout
             for key in ("subject", "predicate", "object"):
                 _require(key in rel, f"relation {j} missing field '{key}'")
             _require(
-                isinstance(rel["subject"], int) and isinstance(rel["object"], int),
+                all(isinstance(rel[end], int) and not isinstance(rel[end], bool)
+                    for end in ("subject", "object")),
                 f"relation {j} subject/object must be integer indices",
             )
             _require(isinstance(rel["predicate"], str), f"relation {j} 'predicate' must be a string")

@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .attention import (
-    AttnProjection,
     FeatureGrid,
     RadlAttnParams,
     RowSet,
@@ -241,33 +240,6 @@ def params_to_dict(p: DenoiserParams) -> dict[str, np.ndarray]:
         "fusion.logit_bg": p.logit_bg, "fusion.logit_inst": p.logit_inst,
         "fusion.logit_rel": p.logit_rel,
     }
-
-
-def params_from_dict(
-    tensors: dict[str, np.ndarray], d: int, image_size: int, t_train: int
-) -> DenoiserParams:
-    t = {k: np.array(v, dtype=np.float64) for k, v in tensors.items()}
-    return DenoiserParams(
-        d=d, image_size=image_size, t_train=t_train,
-        enc1_w=t["enc1.w"], enc1_b=t["enc1.b"],
-        enc2_w=t["enc2.w"], enc2_b=t["enc2.b"],
-        dec1_w=t["dec1.w"], dec1_b=t["dec1.b"],
-        dec2_w=t["dec2.w"], dec2_b=t["dec2.b"],
-        temb=t["temb"], anchor_gain=t["anchor_gain"],
-        radl=RadlAttnParams(
-            proj_text=AttnProjection(t["radl.text.wq"], t["radl.text.wk"], t["radl.text.wv"]),
-            proj_ae=AttnProjection(t["radl.ae.wq"], t["radl.ae.wk"], t["radl.ae.wv"]),
-            proj_inst=AttnProjection(t["radl.inst.wq"], t["radl.inst.wk"], t["radl.inst.wv"]),
-            proj_rel=AttnProjection(t["radl.rel.wq"], t["radl.rel.wk"], t["radl.rel.wv"]),
-            qlp_fine=t["radl.qlp_fine"], qlp_coarse=t["radl.qlp_coarse"],
-            e_proj=t["radl.e_proj"],
-        ),
-        posmlp=PositionMLPParams(
-            w1=t["posmlp.w1"], b1=t["posmlp.b1"], w2=t["posmlp.w2"], b2=t["posmlp.b2"]
-        ),
-        logit_bg=t["fusion.logit_bg"], logit_inst=t["fusion.logit_inst"],
-        logit_rel=t["fusion.logit_rel"],
-    )
 
 
 def zero_grads(p: DenoiserParams) -> dict[str, np.ndarray]:
@@ -766,7 +738,7 @@ def denoise_backward(
 def _temb_index_map(sample_sched: NoiseSchedule, t_train: int) -> np.ndarray:
     """Map each sampling step to the training step with the closest
     cumulative noise level, for the timestep-embedding lookup."""
-    train_ab = NoiseSchedule.make(t_train).alpha_bars
+    train_ab = training_schedule(t_train).alpha_bars
     idx = np.empty(sample_sched.steps, dtype=int)
     for t in range(1, sample_sched.steps + 1):
         idx[t - 1] = int(np.argmin(np.abs(train_ab - sample_sched.alpha_bars[t - 1]))) + 1
@@ -776,7 +748,6 @@ def _temb_index_map(sample_sched: NoiseSchedule, t_train: int) -> np.ndarray:
 def sample(
     params: DenoiserParams,
     layout: LayoutSpec,
-    sched: NoiseSchedule | None = None,
     total_steps: int = 60,
     radl_steps: int = 30,
     rng_seed: int | Sequence[int] = 0,
@@ -793,13 +764,10 @@ def sample(
     """
     if radl_steps > total_steps:
         raise ValueError(f"radl_steps {radl_steps} > total_steps {total_steps}")
-    if sched is None:
-        sched = NoiseSchedule.make(total_steps)
-    if sched.steps != total_steps:
-        raise ShapeMismatch(f"schedule has {sched.steps} steps, expected {total_steps}")
     if embed_cfg is None:
         embed_cfg = EmbedderConfig(dim=params.d)
 
+    sched = NoiseSchedule.make(total_steps)
     s = params.image_size
     lone = isinstance(rng_seed, (int, np.integer))
     seeds = [rng_seed] if lone else list(rng_seed)
@@ -846,7 +814,6 @@ def mse_loss_and_grads(
     encs: Sequence[LayoutEncoding] | None,
     radl_on: bool,
     g: dict[str, np.ndarray],
-    sched: NoiseSchedule,
     variant: str = "full",
     grad_scale: float = 1.0,
 ) -> float:
@@ -854,6 +821,7 @@ def mse_loss_and_grads(
     (noise is (K, 3, S, S); encs, the scenes' encodings, are read only
     with the stack on), from one forward and one backward; grads
     accumulate into g.  The per-sample losses are summed in pack order."""
+    sched = training_schedule(params.t_train)
     x_t = np.stack([forward_diffuse(sc.image, t, sched, n) for sc, t, n in zip(scenes, ts, noise)])
     eps_hat, cache = denoise_forward_cached(params, x_t, ts, encs, radl_on, variant)
     resid = eps_hat - noise
@@ -884,7 +852,6 @@ def train(
     batch_size: int = 8,
     embed_cfg: EmbedderConfig | None = None,
     variant: str = "full",
-    sched: NoiseSchedule | None = None,
     start_step: int = 0,
     opt_m: dict[str, np.ndarray] | None = None,
     opt_v: dict[str, np.ndarray] | None = None,
@@ -910,8 +877,6 @@ def train(
         raise ValueError("training dataset is empty")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if sched is None:
-        sched = NoiseSchedule.make(params.t_train)
     if embed_cfg is None:
         embed_cfg = EmbedderConfig(dim=params.d)
 
@@ -924,7 +889,7 @@ def train(
     encs: dict[int, LayoutEncoding] = {}
 
     def stack_on(t: int) -> bool:
-        return radl_train_mode == "always_on" or t > sched.steps // 2
+        return radl_train_mode == "always_on" or t > params.t_train // 2
 
     losses: list[float] = []
     lrs: list[float] = []
@@ -933,7 +898,7 @@ def train(
         draws = []
         for _ in range(batch_size):
             pick = int(rng.integers(len(dataset)))
-            t = int(rng.integers(1, sched.steps + 1))
+            t = int(rng.integers(1, params.t_train + 1))
             draws.append((pick, t, rng.standard_normal(dataset[pick].image.shape)))
         # the samples with the stack on in packs of at most TRAIN_PACK, then
         # those with it off in one pack, each run as one forward and one
@@ -953,7 +918,7 @@ def train(
                         encs[pick] = _encode(dataset[pick].layout, embed_cfg, params)
             loss += mse_loss_and_grads(
                 params, [dataset[p] for p in picks], ts, np.stack(noises),
-                [encs[p] for p in picks] if radl_on else None, radl_on, g, sched,
+                [encs[p] for p in picks] if radl_on else None, radl_on, g,
                 variant=variant, grad_scale=1.0 / batch_size,
             )
         loss /= batch_size
@@ -984,6 +949,10 @@ def train(
 # ---------------------------------------------------------------------------
 # gradient checking
 
+GRADCHECK_COORDS = 32  # coordinates probed per parameter group
+GRADCHECK_THRESHOLD = 1e-4
+
+
 @dataclass
 class GradCheckReport:
     max_rel_err: dict[str, float]
@@ -1003,22 +972,21 @@ def gradcheck(
     scene: SyntheticScene,
     t: int,
     eps: float = 1e-5,
-    coords_per_group: int = 32,
     rng_seed: int = 0,
     embed_cfg: EmbedderConfig | None = None,
     variant: str = "full",
-    threshold: float = 1e-4,
     grad_fault: bool = False,
 ) -> GradCheckReport:
     """Compare analytic gradients of the MSE loss against central finite
-    differences on a random coordinate subset of every parameter group.
+    differences on GRADCHECK_COORDS random coordinates of every parameter
+    group; a group fails above a relative error of GRADCHECK_THRESHOLD.
 
     `grad_fault` is a negative-control hook: it corrupts one analytic
     gradient so callers can verify that failures are detected.
     """
     if embed_cfg is None:
         embed_cfg = EmbedderConfig(dim=params.d)
-    sched = NoiseSchedule.make(params.t_train)
+    sched = training_schedule(params.t_train)
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(4,)))
     noise = rng.standard_normal((1,) + scene.image.shape)
     x_t = forward_diffuse(scene.image, t, sched, noise[0])[None]
@@ -1029,7 +997,7 @@ def gradcheck(
         return float((r * r).mean())
 
     g = zero_grads(params)
-    mse_loss_and_grads(params, [scene], [t], noise, encs, True, g, sched, variant)
+    mse_loss_and_grads(params, [scene], [t], noise, encs, True, g, variant)
     if grad_fault:
         g["enc1.w"] += 1.0
 
@@ -1039,8 +1007,8 @@ def gradcheck(
         coords = []
         for name in names:
             coords.extend((name, idx) for idx in np.ndindex(pdict[name].shape))
-        if len(coords) > coords_per_group:
-            chosen = rng.choice(len(coords), size=coords_per_group, replace=False)
+        if len(coords) > GRADCHECK_COORDS:
+            chosen = rng.choice(len(coords), size=GRADCHECK_COORDS, replace=False)
             coords = [coords[int(i)] for i in chosen]
         worst = 0.0
         for name, idx in coords:
@@ -1056,4 +1024,4 @@ def gradcheck(
             denom = max(abs(analytic), abs(numeric), 1e-6)
             worst = max(worst, abs(analytic - numeric) / denom)
         report[group] = worst
-    return GradCheckReport(max_rel_err=report, threshold=threshold)
+    return GradCheckReport(max_rel_err=report, threshold=GRADCHECK_THRESHOLD)

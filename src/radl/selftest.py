@@ -13,12 +13,11 @@ import numpy as np
 from .attention import (
     AttnProjection,
     FeatureGrid,
-    attribute_enhancement,
-    masked_text_attention,
-    scaled_dot_attention,
+    attribute_enhancement_forward,
+    masked_text_attention_forward,
     scaled_dot_attention_forward,
 )
-from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse, fuse_forward
+from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
 from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
 from .pipeline import (
     NoiseSchedule,
@@ -65,7 +64,7 @@ def _check_attention_oracle(rng) -> Check:
         q = rng.standard_normal((4, 8))
         k = rng.standard_normal((5, 8))
         v = rng.standard_normal((5, 8))
-        out = scaled_dot_attention(q, k, v)
+        out = scaled_dot_attention_forward(q, k, v)[0]
         worst = max(worst, float(np.max(np.abs(out - _scalar_attention(q, k, v)))))
     return ("attention vs scalar oracle", worst <= 1e-12, f"max abs err {worst:.2e}")
 
@@ -82,9 +81,11 @@ def _check_in_mask_attention(rng) -> Check:
         qlp = rng.standard_normal((16, 8))
         proj = AttnProjection.init(rng, 8)
         keep = m.reshape(-1, 1)
-        got_text = masked_text_attention(feat, EmbeddingSeq(emb), proj, MaskGrid(m)).values
+        got_text = masked_text_attention_forward(
+            feat, EmbeddingSeq(emb), proj, MaskGrid(m)
+        )[0].values
         want_text = keep * _scalar_attention(feat.values @ proj.wq, emb @ proj.wk, emb @ proj.wv)
-        got_ae = attribute_enhancement(feat, qlp, proj, MaskGrid(m)).values
+        got_ae = attribute_enhancement_forward(feat, qlp, proj, MaskGrid(m))[0].values
         want_ae = keep * _scalar_attention(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
         worst = max(
             worst,
@@ -113,7 +114,8 @@ def _check_fusion(rng) -> Check:
     _, cache = fuse_forward(branches)
     sums_ok = bool(np.all(np.abs(cache.weights.sum(axis=0) - 1.0) <= 1e-12))
     shifted = [FusionBranch(b.kind, b.feat, b.mask, b.logit + 1.234) for b in branches]
-    shift_err = float(np.max(np.abs(fuse(branches).values - fuse(shifted).values)))
+    out, out_shifted = fuse_forward(branches)[0].values, fuse_forward(shifted)[0].values
+    shift_err = float(np.max(np.abs(out - out_shifted)))
     ok = sums_ok and shift_err <= 1e-12
     return ("fusion weight sum and logit-shift invariance", ok, f"shift dev {shift_err:.2e}")
 
@@ -145,7 +147,7 @@ def _check_schedule_and_trace(rng) -> Check:
     params = init_denoiser(0, d=4, image_size=8, t_train=12)
     scene = make_scene(3, SceneConfig(image_size=8, n_instances=(1, 1)))
     _, trace = sample(
-        params, scene.layout, sched=sched, total_steps=6, radl_steps=3,
+        params, scene.layout, total_steps=6, radl_steps=3,
         rng_seed=1, embed_cfg=EmbedderConfig(dim=4, seed=0),
     )
     ok = mono and trace == [True] * 3 + [False] * 3
@@ -176,7 +178,6 @@ def _check_packed_train_step(rng) -> Check:
     # instances) must give the loss and gradients of three lone passes
     params = init_denoiser(0, d=4, image_size=8, t_train=12)
     embed_cfg = EmbedderConfig(dim=4, seed=0)
-    sched = NoiseSchedule.make(12)
 
     def first_scene(n: int):
         cfg = SceneConfig(image_size=8, n_instances=(n, n), min_box=0.3, max_box=0.5)
@@ -190,10 +191,10 @@ def _check_packed_train_step(rng) -> Check:
     encs = [encode_layout(sc.layout, embed_cfg, sides) for sc in scenes]
 
     g = zero_grads(params)
-    loss = mse_loss_and_grads(params, scenes, ts, noise, encs, True, g, sched)
+    loss = mse_loss_and_grads(params, scenes, ts, noise, encs, True, g)
     g_ref, loss_ref = zero_grads(params), 0.0
     for scene, t, n, enc in zip(scenes, ts, noise, encs):
-        loss_ref += mse_loss_and_grads(params, [scene], [t], n[None], [enc], True, g_ref, sched)
+        loss_ref += mse_loss_and_grads(params, [scene], [t], n[None], [enc], True, g_ref)
 
     def rel(a, b) -> float:
         return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))

@@ -186,17 +186,14 @@ class PositionEmbedCache:
 def position_embed_forward(
     bbox: BBox | Sequence[BBox], params: PositionMLPParams
 ) -> tuple[np.ndarray, PositionEmbedCache]:
-    """One box gives (d_pos,); a sequence of K boxes gives (K, d_pos)."""
+    """out = W2' relu(W1' [x1,y1,x2,y2] + b1) + b2.
+
+    One box gives (d_pos,); a sequence of K boxes gives (K, d_pos)."""
     box = bbox.as_array() if isinstance(bbox, BBox) else np.stack([b.as_array() for b in bbox])
     pre = box @ params.w1 + params.b1
     hid = np.maximum(pre, 0.0)
     out = hid @ params.w2 + params.b2
     return out, PositionEmbedCache(box=box, pre=pre, hid=hid)
-
-
-def position_embed(bbox: BBox, params: PositionMLPParams) -> np.ndarray:
-    """out = W2' relu(W1' [x1,y1,x2,y2] + b1) + b2."""
-    return position_embed_forward(bbox, params)[0]
 
 
 def position_embed_backward(
@@ -224,8 +221,12 @@ class InstanceEmbedCache:
 def build_instance_embedding_forward(
     label_emb: EmbeddingSeq, pos: np.ndarray, proj: np.ndarray
 ) -> tuple[EmbeddingSeq, InstanceEmbedCache]:
-    """A stack of K padded label sequences takes K position vectors (K, d_pos);
-    the result keeps the labels' padding."""
+    """Concat the position embedding onto every token row, project back to d.
+
+    Output token count equals the label's, so two instances of the same
+    class at different boxes get distinguishable embeddings.  A stack of K
+    padded label sequences takes K position vectors (K, d_pos); the result
+    keeps the labels' padding."""
     d = label_emb.dim
     d_pos = pos.shape[-1]
     if proj.shape != (d + d_pos, d):
@@ -236,17 +237,6 @@ def build_instance_embedding_forward(
     concat = np.concatenate([label_emb.values, rows], axis=-1)
     out = concat @ proj
     return EmbeddingSeq(out, label_emb.keep), InstanceEmbedCache(concat=concat, d=d, d_pos=d_pos)
-
-
-def build_instance_embedding(
-    label_emb: EmbeddingSeq, pos: np.ndarray, proj: np.ndarray
-) -> EmbeddingSeq:
-    """Concat the position embedding onto every token row, project back to d.
-
-    Output token count equals the label's, so two instances of the same
-    class at different boxes get distinguishable embeddings.
-    """
-    return build_instance_embedding_forward(label_emb, pos, proj)[0]
 
 
 def build_instance_embedding_backward(

@@ -23,7 +23,6 @@ from radl.attention import (
     masked_text_attention_forward,
     relation_attention_backward,
     relation_attention_forward,
-    scaled_dot_attention,
     scaled_dot_attention_backward,
     scaled_dot_attention_forward,
 )
@@ -35,7 +34,7 @@ from radl.evalmetrics import (
     relation_acc,
     success_rate,
 )
-from radl.fusion import BACKGROUND, INSTANCE, FusionBranch, fuse, fuse_forward
+from radl.fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
 from radl.layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, Relation, rasterize_mask, total_mask
 from radl.pipeline import (
     denoise_forward,
@@ -105,7 +104,8 @@ def test_criterion_1_attention_oracle():
         q = rng.standard_normal((n_q, 8))
         k = rng.standard_normal((n_k, 8))
         v = rng.standard_normal((n_k, 8))
-        worst = max(worst, rel_err(scaled_dot_attention(q, k, v), attention_oracle(q, k, v)))
+        out = scaled_dot_attention_forward(q, k, v)[0]
+        worst = max(worst, rel_err(out, attention_oracle(q, k, v)))
     elapsed = time.time() - start
     ok = worst <= 1e-12 and elapsed < 5.0
     announce(1, ok, f"100 oracle cases, max rel err {worst:.2e}, {elapsed:.2f}s")
@@ -132,7 +132,8 @@ def _op_backward_errors(rng):
     _, cache = scaled_dot_attention_forward(q, k, v)
     dq, dk, dv = scaled_dot_attention_backward(d_small, cache)
     for arr, an in ((q, dq), (k, dk), (v, dv)):
-        errs.append(rel_err(an, fd_grad(lambda: scaled_dot_attention(q, k, v), arr, d_small)))
+        num = fd_grad(lambda: scaled_dot_attention_forward(q, k, v)[0], arr, d_small)
+        errs.append(rel_err(an, num))
 
     from radl.text import EmbeddingSeq
 
@@ -186,7 +187,8 @@ def _op_backward_errors(rng):
 
     _, cache = fuse_forward(branches)
     d_feats, d_logits = fuse_backward(d_out, cache)
-    errs.append(rel_err(d_feats[0], fd_grad(lambda: fuse(branches).values, branches[0].feat.values, d_out)))
+    num = fd_grad(lambda: fuse_forward(branches)[0].values, branches[0].feat.values, d_out)
+    errs.append(rel_err(d_feats[0], num))
     return max(errs)
 
 
@@ -244,7 +246,8 @@ def test_criterion_3_mask_fusion_invariants():
         _, cache = fuse_forward(branches)
         worst_sum = max(worst_sum, float(np.max(np.abs(cache.weights.sum(axis=0) - 1.0))))
         shifted = [FusionBranch(b.kind, b.feat, b.mask, b.logit + 0.917) for b in branches]
-        worst_shift = max(worst_shift, rel_err(fuse(branches).values, fuse(shifted).values))
+        out, out_shifted = fuse_forward(branches)[0].values, fuse_forward(shifted)[0].values
+        worst_shift = max(worst_shift, rel_err(out, out_shifted))
     ok = worst_sum <= 1e-12 and worst_shift <= 1e-12
     announce(3, ok, f"1000 unions exact; weight-sum dev {worst_sum:.2e}, shift dev {worst_shift:.2e}")
     assert worst_sum <= 1e-12

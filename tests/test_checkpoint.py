@@ -7,7 +7,7 @@ import pytest
 from radl.checkpoint import MAGIC, load_tensors, save_tensors
 from radl.cli import RunConfig, _load_checkpoint, _save_checkpoint
 from radl.errors import MalformedDoc
-from radl.pipeline import init_denoiser, params_from_dict, params_to_dict
+from radl.pipeline import init_denoiser, params_to_dict
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -52,9 +52,9 @@ def test_bad_magic_rejected(tmp_path):
 def test_denoiser_params_round_trip(tmp_path):
     params = init_denoiser(3, d=8, image_size=16, t_train=20)
     path = tmp_path / "model.ckpt"
-    save_tensors(path, params_to_dict(params), {"d": 8, "image_size": 16, "t_train": 20})
-    tensors, meta = load_tensors(path)
-    restored = params_from_dict(tensors, meta["d"], meta["image_size"], meta["t_train"])
+    cfg = RunConfig(d=8, image_size=16, t_train=20)
+    _save_checkpoint(path, params, 0, cfg)
+    restored, _, _, _ = _load_checkpoint(path, cfg)
     orig = params_to_dict(params)
     back = params_to_dict(restored)
     assert set(orig) == set(back)
@@ -87,4 +87,4 @@ def test_loader_rejects_incomplete_checkpoint(tmp_path, damage, message):
         del meta["schema"]
     save_tensors(path, tensors, meta)
     with pytest.raises(MalformedDoc, match=message):
-        _load_checkpoint(path)
+        _load_checkpoint(path, RunConfig(d=4, image_size=8, t_train=12))

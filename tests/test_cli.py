@@ -147,6 +147,25 @@ def test_train_resume_matches_unbroken_run(workdir):
         assert np.array_equal(unbroken[name], resumed[name]), name
 
 
+@pytest.mark.parametrize("command", ["resume", "gen"])
+@pytest.mark.parametrize("key, value", [
+    ("embed_seed", 7), ("d", 6), ("image_size", 12), ("t_train", 20),
+])
+def test_config_checkpoint_mismatch_exit_2(workdir, command, key, value, capsys):
+    # a resumed run with another embed_seed trained on other embeddings than
+    # the unbroken run, and rewrote the checkpoint's meta
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "--steps", 2, "train") == 0
+    cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg[key] = value
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = (["--resume", workdir / "model.ckpt", "train"] if command == "resume"
+            else ["gen", workdir / "layout.json"])
+    assert run("--config", cfg_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "model.ckpt" in err and f"{key} {SMALL.get(key, 0)}" in err and str(value) in err
+
+
 def test_train_determinism_byte_identical(workdir):
     cfg_path = workdir / "config.json"
     assert run("--config", cfg_path, "train") == 0
@@ -393,6 +412,15 @@ def test_eval_empty_dirs_exit_2(workdir, capsys):
     (workdir / "layouts").mkdir()
     assert run("--config", workdir / "config.json", "eval",
                workdir / "images", workdir / "layouts") == 2
+
+
+@pytest.mark.parametrize("missing", ["images", "layouts"])
+def test_eval_missing_dir_exit_3(workdir, missing, capsys):
+    img_dir, lay_dir = eval_dirs(workdir, small_scenes(1))
+    absent = workdir / "absent"
+    dirs = (absent, lay_dir) if missing == "images" else (img_dir, absent)
+    assert run("--config", workdir / "config.json", "eval", *dirs) == 3
+    assert str(absent) in capsys.readouterr().err
 
 
 def test_eval_unpaired_exit_2(workdir, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from radl.attention import FeatureGrid
 from radl.errors import MissingCache, NoBranches, ShapeMismatch
-from radl.fusion import BACKGROUND, INSTANCE, RELATION, FusionBranch, fuse, fuse_backward, fuse_forward
+from radl.fusion import BACKGROUND, INSTANCE, RELATION, FusionBranch, fuse_backward, fuse_forward
 from radl.layout import MaskGrid
 
 
@@ -64,7 +64,7 @@ def make_branches(rng, h=8, w=8, d=8, n_inst=2, logits=None):
 def test_single_background_branch_exact():
     rng = np.random.default_rng(0)
     feat = FeatureGrid(4, 4, rng.standard_normal((16, 8)))
-    out = fuse([FusionBranch(BACKGROUND, feat, MaskGrid(np.ones((4, 4))), 1.3)])
+    out = fuse_forward([FusionBranch(BACKGROUND, feat, MaskGrid(np.ones((4, 4))), 1.3)])[0]
     assert np.array_equal(out.values, feat.values)
 
 
@@ -73,14 +73,15 @@ def test_two_equal_logit_branches_mean():
     a = FeatureGrid(2, 2, rng.standard_normal((4, 3)))
     b = FeatureGrid(2, 2, rng.standard_normal((4, 3)))
     ones = MaskGrid(np.ones((2, 2)))
-    out = fuse([FusionBranch(BACKGROUND, a, ones, 0.7), FusionBranch(INSTANCE, b, ones, 0.7)])
+    branches = [FusionBranch(BACKGROUND, a, ones, 0.7), FusionBranch(INSTANCE, b, ones, 0.7)]
+    out = fuse_forward(branches)[0]
     assert np.allclose(out.values, 0.5 * (a.values + b.values), atol=1e-15)
 
 
 def test_fuse_matches_pixel_loop_oracle():
     rng = np.random.default_rng(2)
     branches = make_branches(rng, logits=rng.standard_normal(4))
-    got = fuse(branches)
+    got = fuse_forward(branches)[0]
     assert rel_err(got.values, fuse_oracle(branches)) <= 1e-12
 
 
@@ -104,13 +105,13 @@ def test_fuse_logit_shift_invariance():
         shifted = [
             FusionBranch(b.kind, b.feat, b.mask, b.logit + 0.37) for b in base
         ]
-        assert rel_err(fuse(base).values, fuse(shifted).values) <= 1e-12
+        assert rel_err(fuse_forward(base)[0].values, fuse_forward(shifted)[0].values) <= 1e-12
 
 
 def test_fuse_convexity_envelope():
     rng = np.random.default_rng(5)
     branches = make_branches(rng, logits=rng.standard_normal(4))
-    out = fuse(branches).values
+    out = fuse_forward(branches)[0].values
     feats = np.stack([b.feat.values for b in branches])
     masks = np.stack([b.mask.flat() for b in branches])
     active = np.where(masks[:, :, None] > 0, feats, np.nan)
@@ -122,7 +123,7 @@ def test_fuse_convexity_envelope():
 def test_fuse_background_outside_masks():
     rng = np.random.default_rng(6)
     branches = make_branches(rng, logits=rng.standard_normal(4))
-    out = fuse(branches).values
+    out = fuse_forward(branches)[0].values
     bg = branches[0]
     covered = np.zeros(64)
     for b in branches[1:]:
@@ -133,16 +134,16 @@ def test_fuse_background_outside_masks():
 
 def test_fuse_errors():
     with pytest.raises(NoBranches):
-        fuse([])
+        fuse_forward([])
     rng = np.random.default_rng(7)
     a = FusionBranch(BACKGROUND, FeatureGrid(2, 2, rng.standard_normal((4, 3))), MaskGrid(np.ones((2, 2))), 0.0)
     b = FusionBranch(INSTANCE, FeatureGrid(3, 3, rng.standard_normal((9, 3))), MaskGrid(np.ones((3, 3))), 0.0)
     with pytest.raises(ShapeMismatch):
-        fuse([a, b])
+        fuse_forward([a, b])
     # no active branch at some pixel
     inst_only = FusionBranch(INSTANCE, FeatureGrid(2, 2, rng.standard_normal((4, 3))), MaskGrid(np.eye(2)), 0.0)
     with pytest.raises(NoBranches):
-        fuse([inst_only])
+        fuse_forward([inst_only])
     with pytest.raises(ShapeMismatch):
         FusionBranch(BACKGROUND, FeatureGrid(2, 2, np.zeros((4, 3))), MaskGrid(np.ones((3, 3))), 0.0)
 
@@ -189,9 +190,9 @@ def test_fuse_backward_vs_central_differences():
             for idx in np.ndindex(b.feat.values.shape):
                 orig = b.feat.values[idx]
                 b.feat.values[idx] = orig + eps
-                up = float((fuse(branches).values * d_out).sum())
+                up = float((fuse_forward(branches)[0].values * d_out).sum())
                 b.feat.values[idx] = orig - eps
-                dn = float((fuse(branches).values * d_out).sum())
+                dn = float((fuse_forward(branches)[0].values * d_out).sum())
                 b.feat.values[idx] = orig
                 num[idx] = (up - dn) / (2 * eps)
             worst = max(worst, rel_err(d_feats[bi], num) if num.any() or d_feats[bi].any() else 0.0)
@@ -201,8 +202,8 @@ def test_fuse_backward_vs_central_differences():
             dn_b = [FusionBranch(x.kind, x.feat, x.mask, x.logit - (eps if i == bi else 0.0))
                     for i, x in enumerate(branches)]
             num_logit = (
-                float((fuse(up_b).values * d_out).sum())
-                - float((fuse(dn_b).values * d_out).sum())
+                float((fuse_forward(up_b)[0].values * d_out).sum())
+                - float((fuse_forward(dn_b)[0].values * d_out).sum())
             ) / (2 * eps)
             denom = max(abs(d_logits[bi]), abs(num_logit), 1e-6)
             worst = max(worst, abs(d_logits[bi] - num_logit) / denom)

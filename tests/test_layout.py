@@ -121,6 +121,24 @@ def test_parse_relation_index_out_of_range():
         parse_layout(doc)
 
 
+@pytest.mark.parametrize("end", ["subject", "object"])
+def test_parse_relation_bool_index_rejected(end):
+    # bool is an int in Python; true would silently name instance 1
+    rel = dict({"subject": 0, "predicate": "above", "object": 1}, **{end: True})
+    doc = json.dumps(
+        {
+            "prompt": "p",
+            "instances": [
+                {"label": "a", "bbox": [0.0, 0.0, 0.4, 0.4]},
+                {"label": "b", "bbox": [0.5, 0.5, 1.0, 1.0]},
+            ],
+            "relations": [rel],
+        }
+    )
+    with pytest.raises(MalformedDoc, match="integer indices"):
+        parse_layout(doc)
+
+
 # --- rasterize_mask ---------------------------------------------------------
 
 def test_rasterize_full_cover():

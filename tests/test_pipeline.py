@@ -204,6 +204,23 @@ def test_text_attn_only_uses_no_enhancement_params():
     assert cache.block_fine.rel is None
 
 
+def test_relation_branch_only_with_verbs():
+    # a layout without verbs has no relation branch at either grid side, so
+    # the full forward runs no relation attention; one with verbs has both
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    instances = (InstanceSpec("red square", BBox(0.1, 0.1, 0.6, 0.6)),)
+    plain = LayoutSpec(prompt="a red square", instances=instances)
+    verbed = LayoutSpec(prompt="a red square leaning on the wall", instances=instances)
+    assert not extract_verbs(plain.prompt, EC4) and extract_verbs(verbed.prompt, EC4)
+    x = np.random.default_rng(9).standard_normal((1, 3, 8, 8))
+    for layout, has_rel in ((plain, False), (verbed, True)):
+        (enc,) = encode(params, layout)
+        assert [b.relation is not None for b in enc.blocks.values()] == [has_rel] * 2
+        _, cache = denoise_forward_cached(params, x, [15], [enc], True, "full")
+        for block in (cache.block_fine, cache.block_coarse):
+            assert (block.rel is not None) == has_rel
+
+
 def crowded_layouts(count=3):
     cfg = SceneConfig(n_instances=(1, 4), min_box=0.15, max_box=0.3)
     layouts = [scene.layout for scene in generate(0, count, cfg)]
@@ -478,17 +495,15 @@ def full_frame_pair():
 MIXED_TS = [30, 170, 140, 120, 170, 101]
 
 
-def pack_loss_and_grads(params, scenes, ts, noise, g, sched, variant, radl_on, grad_scale):
+def pack_loss_and_grads(params, scenes, ts, noise, g, variant, radl_on, grad_scale):
     encs = encode(params, *(sc.layout for sc in scenes))
-    return mse_loss_and_grads(
-        params, scenes, ts, noise, encs, radl_on, g, sched, variant, grad_scale
-    )
+    return mse_loss_and_grads(params, scenes, ts, noise, encs, radl_on, g, variant, grad_scale)
 
 
-def per_sample_loss_and_grads(params, scenes, ts, noise, g, sched, variant, radl_on, grad_scale):
+def per_sample_loss_and_grads(params, scenes, ts, noise, g, variant, radl_on, grad_scale):
     """The reference: a pack of one per sample."""
     return sum(
-        pack_loss_and_grads(params, [sc], [t], n[None], g, sched, variant, radl_on, grad_scale)
+        pack_loss_and_grads(params, [sc], [t], n[None], g, variant, radl_on, grad_scale)
         for sc, t, n in zip(scenes, ts, noise)
     )
 
@@ -497,7 +512,6 @@ def per_sample_loss_and_grads(params, scenes, ts, noise, g, sched, variant, radl
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_packed_loss_and_grads_equal_per_sample_sum(variant, mode):
     params = init_denoiser(3, d=8, image_size=32, t_train=200)
-    sched = NoiseSchedule.make(200)
     scenes = mixed_scenes()
     noise = np.random.default_rng(21).standard_normal((len(scenes), 3, 32, 32))
     g, g_ref = zero_grads(params), zero_grads(params)
@@ -507,12 +521,12 @@ def test_packed_loss_and_grads_equal_per_sample_sum(variant, mode):
         if not pack:
             continue
         args = [scenes[k] for k in pack], [MIXED_TS[k] for k in pack], noise[pack]
-        loss += pack_loss_and_grads(params, *args, g, sched, variant, radl_on, 0.25)
-        loss_ref += per_sample_loss_and_grads(params, *args, g_ref, sched, variant, radl_on, 0.25)
+        loss += pack_loss_and_grads(params, *args, g, variant, radl_on, 0.25)
+        loss_ref += per_sample_loss_and_grads(params, *args, g_ref, variant, radl_on, 0.25)
     full = full_frame_pair()
     args = full, [150, 120], np.random.default_rng(23).standard_normal((2, 3, 32, 32))
-    loss += pack_loss_and_grads(params, *args, g, sched, variant, True, 0.25)
-    loss_ref += per_sample_loss_and_grads(params, *args, g_ref, sched, variant, True, 0.25)
+    loss += pack_loss_and_grads(params, *args, g, variant, True, 0.25)
+    loss_ref += per_sample_loss_and_grads(params, *args, g_ref, variant, True, 0.25)
     assert rel_diff(np.array(loss), np.array(loss_ref)) <= 1e-12
     for name in g_ref:
         assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
@@ -526,7 +540,7 @@ def test_packed_gradients_match_central_differences():
     noise = rng.standard_normal((len(scenes), 3, 32, 32))
     g = zero_grads(params)
     encs = encode(params, *(sc.layout for sc in scenes))
-    mse_loss_and_grads(params, scenes, MIXED_TS, noise, encs, True, g, sched)
+    mse_loss_and_grads(params, scenes, MIXED_TS, noise, encs, True, g)
     x_t = np.stack([forward_diffuse(sc.image, t, sched, n)
                     for sc, t, n in zip(scenes, MIXED_TS, noise)])
 
@@ -569,7 +583,7 @@ def reference_train(params, dataset, steps, lr, warmup, seed, batch_size, mode):
             noise = rng.standard_normal(dataset[pick].image.shape)
             radl_on = mode == "always_on" or t > sched.steps // 2
             loss += per_sample_loss_and_grads(
-                params, [dataset[pick]], [t], [noise], g, sched, "full", radl_on, 1.0 / batch_size
+                params, [dataset[pick]], [t], [noise], g, "full", radl_on, 1.0 / batch_size
             )
         losses.append(loss / batch_size)
         lr_t = lr * min(step / warmup, 1.0)

@@ -10,13 +10,11 @@ from radl.text import (
     EmbedderConfig,
     EmbeddingSeq,
     PositionMLPParams,
-    build_instance_embedding,
     build_instance_embedding_backward,
     build_instance_embedding_forward,
     embed_tokens,
     extract_verbs,
     load_verb_lexicon,
-    position_embed,
     position_embed_backward,
     position_embed_forward,
     tokenize,
@@ -121,14 +119,14 @@ def zero_mlp(hidden=16, d_pos=8):
 
 
 def test_position_embed_zero_params():
-    out = position_embed(BBox(0.2, 0.3, 0.7, 0.9), zero_mlp())
+    out = position_embed_forward(BBox(0.2, 0.3, 0.7, 0.9), zero_mlp())[0]
     assert np.array_equal(out, np.zeros(8))
 
 
 def test_position_embed_deterministic():
     params = PositionMLPParams.init(np.random.default_rng(7))
-    a = position_embed(BBox(0.1, 0.1, 0.5, 0.5), params)
-    b = position_embed(BBox(0.1, 0.1, 0.5, 0.5), params)
+    a = position_embed_forward(BBox(0.1, 0.1, 0.5, 0.5), params)[0]
+    b = position_embed_forward(BBox(0.1, 0.1, 0.5, 0.5), params)[0]
     assert np.array_equal(a, b)
 
 
@@ -149,7 +147,7 @@ def test_position_embed_scalar_oracle():
         for j in range(5):
             acc += hid[j] * params.w2[j, k]
         expect.append(acc)
-    got = position_embed(bbox, params)
+    got = position_embed_forward(bbox, params)[0]
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
 
 
@@ -169,7 +167,8 @@ def test_position_embed_lipschitz():
         if not (b_arr[0] < b_arr[2] and b_arr[1] < b_arr[3]):
             continue
         b = BBox(*b_arr)
-        lhs = np.linalg.norm(position_embed(a, params) - position_embed(b, params))
+        pos_a, pos_b = position_embed_forward(a, params)[0], position_embed_forward(b, params)[0]
+        lhs = np.linalg.norm(pos_a - pos_b)
         rhs = c * np.linalg.norm(a.as_array() - b.as_array())
         assert lhs <= rhs + 1e-12
 
@@ -188,9 +187,9 @@ def test_position_embed_backward_fd():
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + eps
-            up = position_embed(bbox, params) @ d_out
+            up = position_embed_forward(bbox, params)[0] @ d_out
             arr[idx] = orig - eps
-            dn = position_embed(bbox, params) @ d_out
+            dn = position_embed_forward(bbox, params)[0] @ d_out
             arr[idx] = orig
             num[idx] = (up - dn) / (2 * eps)
         assert np.allclose(grads[name], num, rtol=1e-6, atol=1e-9), name
@@ -202,7 +201,7 @@ def test_instance_embedding_identity_projection():
     label = embed_tokens(["red", "square"], CFG)
     pos = np.random.default_rng(0).standard_normal(8)
     proj = np.vstack([np.eye(8), np.zeros((8, 8))])
-    out = build_instance_embedding(label, pos, proj)
+    out = build_instance_embedding_forward(label, pos, proj)[0]
     assert np.allclose(out.values, label.values)
 
 
@@ -210,14 +209,16 @@ def test_instance_embedding_position_distinguishes():
     label = embed_tokens(["red", "square"], CFG)
     params = PositionMLPParams.init(np.random.default_rng(1))
     proj = np.random.default_rng(2).standard_normal((16, 8))
-    e_a = build_instance_embedding(label, position_embed(BBox(0.0, 0.0, 0.3, 0.3), params), proj)
-    e_b = build_instance_embedding(label, position_embed(BBox(0.6, 0.6, 0.9, 0.9), params), proj)
+    pos_a = position_embed_forward(BBox(0.0, 0.0, 0.3, 0.3), params)[0]
+    e_a = build_instance_embedding_forward(label, pos_a, proj)[0]
+    pos_b = position_embed_forward(BBox(0.6, 0.6, 0.9, 0.9), params)[0]
+    e_b = build_instance_embedding_forward(label, pos_b, proj)[0]
     assert not np.allclose(e_a.values, e_b.values)
 
 
 def test_instance_embedding_length_preserved():
     label = embed_tokens(["laptop"], CFG)
-    out = build_instance_embedding(label, np.zeros(8), np.zeros((16, 8)))
+    out = build_instance_embedding_forward(label, np.zeros(8), np.zeros((16, 8)))[0]
     assert out.length == 1
 
 
@@ -226,14 +227,14 @@ def test_instance_embedding_length_preserved():
 def test_instance_embedding_token_count(n_tokens):
     label = EmbeddingSeq(np.random.default_rng(n_tokens).standard_normal((n_tokens, 8)))
     proj = np.random.default_rng(0).standard_normal((16, 8))
-    out = build_instance_embedding(label, np.ones(8), proj)
+    out = build_instance_embedding_forward(label, np.ones(8), proj)[0]
     assert out.length == label.length
 
 
 def test_instance_embedding_shape_mismatch():
     label = embed_tokens(["x"], CFG)
     with pytest.raises(ShapeMismatch):
-        build_instance_embedding(label, np.zeros(8), np.zeros((9, 8)))
+        build_instance_embedding_forward(label, np.zeros(8), np.zeros((9, 8)))
 
 
 def test_instance_embedding_backward_fd():
@@ -250,9 +251,9 @@ def test_instance_embedding_backward_fd():
     for idx in np.ndindex(proj.shape):
         orig = proj[idx]
         proj[idx] = orig + eps
-        up = (build_instance_embedding(label, pos, proj).values * d_out).sum()
+        up = (build_instance_embedding_forward(label, pos, proj)[0].values * d_out).sum()
         proj[idx] = orig - eps
-        dn = (build_instance_embedding(label, pos, proj).values * d_out).sum()
+        dn = (build_instance_embedding_forward(label, pos, proj)[0].values * d_out).sum()
         proj[idx] = orig
         num_proj[idx] = (up - dn) / (2 * eps)
     assert np.allclose(grads["proj"], num_proj, rtol=1e-6, atol=1e-9)
@@ -261,9 +262,9 @@ def test_instance_embedding_backward_fd():
     for i in range(pos.shape[0]):
         orig = pos[i]
         pos[i] = orig + eps
-        up = (build_instance_embedding(label, pos, proj).values * d_out).sum()
+        up = (build_instance_embedding_forward(label, pos, proj)[0].values * d_out).sum()
         pos[i] = orig - eps
-        dn = (build_instance_embedding(label, pos, proj).values * d_out).sum()
+        dn = (build_instance_embedding_forward(label, pos, proj)[0].values * d_out).sum()
         pos[i] = orig
         num_pos[i] = (up - dn) / (2 * eps)
     assert np.allclose(grads["pos"], num_pos, rtol=1e-6, atol=1e-9)
