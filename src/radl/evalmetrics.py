@@ -16,14 +16,17 @@ from importlib import resources
 import numpy as np
 
 from .errors import MalformedDoc, UnknownColor, read_utf8
-from .layout import BBox, LayoutSpec, Relation, rasterize_mask
+from .layout import RELATION_PREDICATES, BBox, LayoutSpec, Relation, rasterize_mask
 from .scenes import PALETTE_RGB
 
 HsvRange = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
+HsvPlanes = tuple[np.ndarray, np.ndarray, np.ndarray]  # rgb_to_hsv's (H, S, V)
+Matches = list[tuple[int | None, float]]  # match_instances' (detection, IoU) per instance
 
 METRICS_SCHEMA = "radl-metrics/1"
 BACKGROUND_RGB = (0.5, 0.5, 0.5)  # the scene generator's background
 IOU_THRESH = 0.5  # matched IoU an instance needs to succeed
+MIN_REGION_SIZE = 4  # pixels a detected region needs; smaller specks are noise
 
 
 def load_hsv_table(path=None) -> dict[str, HsvRange]:
@@ -53,7 +56,7 @@ def load_hsv_table(path=None) -> dict[str, HsvRange]:
     }
 
 
-def rgb_to_hsv(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rgb_to_hsv(image: np.ndarray) -> HsvPlanes:
     """(3, H, W) RGB in [0,1] -> (H deg in [0,360), S, V) arrays."""
     r, g, b = image[0], image[1], image[2]
     v = image.max(axis=0)
@@ -121,11 +124,11 @@ def iou(a: BBox, b: BBox) -> float:
 def detect(
     image: np.ndarray,
     palette: dict[str, tuple[float, float, float]] | tuple[str, ...],
-    min_region_size: int = 4,
 ) -> list[Detection]:
     """Quantize to the nearest palette color and extract 4-connected
-    components per non-background color.  Touching same-color regions
-    merge into one detection (connectivity limitation, by design)."""
+    components per non-background color of at least MIN_REGION_SIZE pixels,
+    in raster order of first pixel.  Touching same-color regions merge into
+    one detection (connectivity limitation, by design)."""
     if not palette:
         raise ValueError("palette must be non-empty")
     if not isinstance(palette, dict):
@@ -137,57 +140,58 @@ def detect(
     pixels = image.reshape(3, -1).T  # (h*w, 3)
     dist = ((pixels[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = dist.argmin(axis=1).reshape(h, w)
-    bg_index = len(names)
+    fg = labels != len(names)
 
-    detections = []
-    seen = np.zeros((h, w), dtype=bool)
-    for r in range(h):
-        for c in range(w):
-            if seen[r, c] or labels[r, c] == bg_index:
-                continue
-            color_idx = labels[r, c]
-            stack = [(r, c)]
-            seen[r, c] = True
-            comp = []
-            while stack:
-                rr, cc = stack.pop()
-                comp.append((rr, cc))
-                for nr, nc in ((rr - 1, cc), (rr + 1, cc), (rr, cc - 1), (rr, cc + 1)):
-                    if 0 <= nr < h and 0 <= nc < w and not seen[nr, nc] and labels[nr, nc] == color_idx:
-                        seen[nr, nc] = True
-                        stack.append((nr, nc))
-            if len(comp) < min_region_size:
-                continue
-            rows = [p[0] for p in comp]
-            cols = [p[1] for p in comp]
-            detections.append(
-                Detection(
-                    bbox=BBox(min(cols) / w, min(rows) / h, (max(cols) + 1) / w, (max(rows) + 1) / h),
-                    dominant_color=names[color_idx],
-                    pixel_count=len(comp),
-                )
-            )
-    return detections
+    # same-color edges to the right and down neighbours, as flat indices
+    idx = np.arange(h * w).reshape(h, w)
+    right = fg[:, :-1] & (labels[:, :-1] == labels[:, 1:])
+    down = fg[:-1] & (labels[:-1] == labels[1:])
+    a = np.concatenate([idx[:, :-1][right], idx[:-1][down]])
+    b = np.concatenate([idx[:, 1:][right], idx[1:][down]])
+    # min-label propagation: hook each edge's larger root under the smaller,
+    # then pointer-jump to the roots, until the edges agree; each pixel then
+    # holds its component's first pixel in raster order, on its top row
+    comp = np.arange(h * w)
+    while True:
+        lo = np.minimum(comp[a], comp[b])
+        np.minimum.at(comp, comp[a], lo)
+        np.minimum.at(comp, comp[b], lo)
+        while not np.array_equal(comp, jumped := comp[comp]):
+            comp = jumped
+        if np.array_equal(comp[a], comp[b]):
+            break
+
+    pix = np.flatnonzero(fg)
+    roots, inv, counts = np.unique(comp[pix], return_inverse=True, return_counts=True)
+    rows, cols = np.divmod(pix, w)
+    r1, c1, c0 = np.zeros_like(roots), np.zeros_like(roots), np.full_like(roots, w)
+    np.maximum.at(r1, inv, rows)
+    np.maximum.at(c1, inv, cols)
+    np.minimum.at(c0, inv, cols)
+    keep = counts >= MIN_REGION_SIZE
+    columns = (c0, roots // w, c1, r1, labels.ravel()[roots], counts)
+    return [
+        Detection(BBox(x0 / w, y0 / h, (x1 + 1) / w, (y1 + 1) / h), names[color], n)
+        for x0, y0, x1, y1, color, n in zip(*(col[keep].tolist() for col in columns))
+    ]
 
 
 def hsv_color_match(
-    image: np.ndarray,
+    hsv: HsvPlanes,
     bbox: BBox,
     color_name: str,
+    table: dict[str, HsvRange],
     coverage_thresh: float = 0.2,
-    table: dict[str, HsvRange] | None = None,
 ) -> bool:
-    """True iff the fraction of box pixels whose HSV falls in the named
-    color's range reaches the coverage threshold."""
-    if table is None:
-        table = load_hsv_table()
+    """True iff the fraction of box pixels whose HSV (`rgb_to_hsv` of the
+    image) falls in the named color's range reaches the coverage threshold."""
     if color_name not in table:
         raise UnknownColor(f"color {color_name!r} not in the HSV range table")
     (h_lo, h_hi), (s_lo, s_hi), (v_lo, v_hi) = table[color_name]
-    mask = rasterize_mask(bbox, image.shape[1], image.shape[2]).values.astype(bool)
+    h, s, v = hsv
+    mask = rasterize_mask(bbox, *h.shape).values.astype(bool)
     if not mask.any():
         return False
-    h, s, v = rgb_to_hsv(image)
     if h_lo <= h_hi:
         h_ok = (h >= h_lo) & (h <= h_hi)
     else:  # wraparound (red)
@@ -197,9 +201,7 @@ def hsv_color_match(
     return bool(coverage >= coverage_thresh)
 
 
-def match_instances(
-    dets: list[Detection], layout: LayoutSpec
-) -> list[tuple[int | None, float]]:
+def match_instances(dets: list[Detection], layout: LayoutSpec) -> Matches:
     """Greedy one-to-one matching in descending IoU order.
 
     Returns (detection index or None, matched IoU) per instance; ties break
@@ -212,7 +214,7 @@ def match_instances(
             if v > 0.0:
                 pairs.append((-v, i, j))
     pairs.sort()
-    matched: list[tuple[int | None, float]] = [(None, 0.0)] * layout.n
+    matched: Matches = [(None, 0.0)] * layout.n
     used = set()
     assigned = set()
     for neg_iou, i, j in pairs:
@@ -234,65 +236,58 @@ def color_word(label: str, table: dict[str, HsvRange]) -> str | None:
 
 def success_rate(
     dets: list[Detection],
+    matched: Matches,
     layout: LayoutSpec,
-    image: np.ndarray,
-    table: dict[str, HsvRange] | None = None,
+    hsv: HsvPlanes,
+    table: dict[str, HsvRange],
 ) -> tuple[float, list[bool]]:
     """All-must-succeed rule: an instance succeeds iff its matched IoU
-    reaches IOU_THRESH and the matched region passes the HSV check for
-    the color word of its label.  Returns (1.0 or 0.0, per-instance flags)."""
-    if table is None:
-        table = load_hsv_table()
-    matched = match_instances(dets, layout)
+    (`match_instances`) reaches IOU_THRESH and the matched region passes
+    the HSV check for the color word of its label.  Returns (1.0 or 0.0,
+    per-instance flags)."""
     flags = []
     for inst, (j, v) in zip(layout.instances, matched):
         ok = j is not None and v >= IOU_THRESH
         if ok:
             word = color_word(inst.label, table)
             if word is not None:
-                ok = hsv_color_match(image, dets[j].bbox, word, table=table)
+                ok = hsv_color_match(hsv, dets[j].bbox, word, table)
         flags.append(bool(ok))
     return (1.0 if all(flags) else 0.0), flags
 
 
-def mean_iou(dets: list[Detection], layout: LayoutSpec) -> float:
-    """Mean matched IoU over instances; unmatched instances count 0."""
-    if layout.n == 0:
+def mean_iou(dets: list[Detection], matched: Matches) -> float:
+    """Mean matched IoU over instances (`match_instances`); unmatched
+    instances count 0."""
+    if not matched:
         return 1.0 if not dets else 0.0
-    matched = match_instances(dets, layout)
     return float(np.mean([v for _, v in matched]))
 
 
-def attribute_acc(
-    image: np.ndarray, layout: LayoutSpec, table: dict[str, HsvRange] | None = None
-) -> float:
+def attribute_acc(hsv: HsvPlanes, layout: LayoutSpec, table: dict[str, HsvRange]) -> float:
     """Fraction of instances whose requested box shows the requested color
     (HSV coverage inside the layout box)."""
-    if table is None:
-        table = load_hsv_table()
     if layout.n == 0:
         return 1.0
     hits = 0
     for inst in layout.instances:
         word = color_word(inst.label, table)
-        if word is None or hsv_color_match(image, inst.bbox, word, table=table):
+        if word is None or hsv_color_match(hsv, inst.bbox, word, table):
             hits += 1
     return hits / layout.n
 
 
 def relation_acc(
-    dets: list[Detection], relations: tuple[Relation, ...] | list[Relation], layout: LayoutSpec
+    dets: list[Detection], matched: Matches, relations: tuple[Relation, ...] | list[Relation]
 ) -> float:
     """Fraction of relation triples satisfied by detection centroids.
 
-    Subjects/objects map to their best-IoU detections; a triple with an
-    unmatched participant fails.  y grows down, so "above" means a smaller
-    center y.
+    Subjects/objects map to their matched detections (`match_instances`);
+    a triple with an unmatched participant fails.  y grows down, so
+    "above" means a smaller center y.
     """
-    relations = list(relations)
     if not relations:
         return 1.0
-    matched = match_instances(dets, layout)
     ok = 0
     for rel in relations:
         sj, _ = matched[rel.subject]
@@ -301,13 +296,8 @@ def relation_acc(
             continue
         sx, sy = dets[sj].bbox.center
         ox, oy = dets[oj].bbox.center
-        holds = {
-            "above": sy < oy,
-            "below": sy > oy,
-            "left of": sx < ox,
-            "right of": sx > ox,
-        }.get(rel.predicate, False)
-        ok += int(holds)
+        holds = dict(zip(RELATION_PREDICATES, (sy < oy, sy > oy, sx < ox, sx > ox)))
+        ok += int(holds[rel.predicate])
     return ok / len(relations)
 
 
@@ -325,14 +315,16 @@ def evaluate_image(
     if table is None:
         table = load_hsv_table()
     dets = detect(image, palette)
-    rate, flags = success_rate(dets, layout, image, table)
+    hsv = rgb_to_hsv(image)
+    matched = match_instances(dets, layout)
+    rate, flags = success_rate(dets, matched, layout, hsv, table)
     return ImageEval(
         success=rate == 1.0,
         instance_flags=flags,
-        miou=mean_iou(dets, layout),
-        attribute_acc=attribute_acc(image, layout, table),
+        miou=mean_iou(dets, matched),
+        attribute_acc=attribute_acc(hsv, layout, table),
         quantity_ok=quantity_acc(dets, layout),
-        relation_acc=relation_acc(dets, layout.relations, layout),
+        relation_acc=relation_acc(dets, matched, layout.relations),
         n_instances=layout.n,
         n_detections=len(dets),
         n_relations=len(layout.relations),

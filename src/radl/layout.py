@@ -14,6 +14,7 @@ import numpy as np
 from .errors import InvalidBBox, MalformedDoc, ShapeMismatch, TooManyInstances
 
 DEFAULT_MAX_INSTANCES = 16
+RELATION_PREDICATES = ("above", "below", "left of", "right of")  # what evaluation can score
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,8 @@ def parse_layout(doc: str, max_instances: int = DEFAULT_MAX_INSTANCES) -> Layout
                     for end in ("subject", "object")),
                 f"relation {j} subject/object must be integer indices",
             )
-            _require(isinstance(rel["predicate"], str), f"relation {j} 'predicate' must be a string")
+            _require(rel["predicate"] in RELATION_PREDICATES,
+                     f"relation {j} 'predicate' {rel['predicate']!r} is not one of {RELATION_PREDICATES}")
             for end in ("subject", "object"):
                 if not 0 <= rel[end] < len(instances):
                     raise MalformedDoc(f"relation {j} '{end}' index {rel[end]} out of range")

@@ -17,6 +17,7 @@ from .attention import (
     masked_text_attention_forward,
     scaled_dot_attention_forward,
 )
+from .evalmetrics import BACKGROUND_RGB, MIN_REGION_SIZE, Detection, detect
 from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
 from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
 from .pipeline import (
@@ -27,7 +28,7 @@ from .pipeline import (
     sample,
     zero_grads,
 )
-from .scenes import SceneConfig, generate, make_scene
+from .scenes import PALETTE_RGB, SceneConfig, generate, make_scene
 from .text import EmbedderConfig, EmbeddingSeq, embed_tokens
 
 Check = tuple[str, bool, str]
@@ -204,6 +205,35 @@ def _check_packed_train_step(rng) -> Check:
             f"3 scenes (2, 1, 0 instances), max rel err {worst:.2e}")
 
 
+def _check_detect_oracle(rng) -> Check:
+    # noise of two exact palette colors and the background (so the labels are
+    # known) against a pixel-by-pixel flood fill, in raster order of first pixel
+    names = sorted(PALETTE_RGB)
+    centers = np.array([PALETTE_RGB[n] for n in names] + [BACKGROUND_RGB])
+    ok, count = True, 0
+    for h, w in ((32, 32), (16, 24), (1, 32), (32, 1)):
+        labels = rng.choice([*rng.choice(len(names), 2, replace=False), len(names)], (h, w))
+        seen, want = labels == len(names), []
+        for start in np.ndindex(h, w):
+            if seen[start]:
+                continue
+            seen[start], todo, comp = True, [start], []
+            while todo:
+                r, c = todo.pop()
+                comp.append((r, c))
+                for q in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= q[0] < h and 0 <= q[1] < w and not seen[q] and labels[q] == labels[start]:
+                        seen[q] = True
+                        todo.append(q)
+            rows, cols = zip(*comp)
+            if len(comp) >= MIN_REGION_SIZE:
+                box = BBox(min(cols) / w, min(rows) / h, (max(cols) + 1) / w, (max(rows) + 1) / h)
+                want.append(Detection(box, names[labels[start]], len(comp)))
+        ok = ok and detect(centers[labels].transpose(2, 0, 1), PALETTE_RGB) == want
+        count += len(want)
+    return ("detect vs flood-fill oracle", ok, f"4 noise images, {count} regions, list equality")
+
+
 def run_selftest(seed: int = 0) -> list[Check]:
     rng = np.random.default_rng(seed)
     checks = [
@@ -217,5 +247,6 @@ def run_selftest(seed: int = 0) -> list[Check]:
         _check_schedule_and_trace,
         _check_batched_sampling,
         _check_packed_train_step,
+        _check_detect_oracle,
     ]
     return [(name, bool(ok), detail) for name, ok, detail in (fn(rng) for fn in checks)]

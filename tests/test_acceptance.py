@@ -30,8 +30,11 @@ from radl.evalmetrics import (
     Detection,
     detect,
     iou,
+    load_hsv_table,
+    match_instances,
     mean_iou,
     relation_acc,
+    rgb_to_hsv,
     success_rate,
 )
 from radl.fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
@@ -318,7 +321,7 @@ def test_criterion_6_relation_branch(steering):
         scores = []
         for img, layout in pairs:
             dets = detect(img, SCENE_CFG.palette)
-            scores.append(relation_acc(dets, layout.relations, layout))
+            scores.append(relation_acc(dets, match_instances(dets, layout), layout.relations))
         return float(np.mean(scores))
 
     full_rel = rel_score(full_pairs)
@@ -338,12 +341,15 @@ def test_criterion_7_metric_units():
 
     scene = make_scene(0, SCENE_CFG)
     dets = detect(scene.image, SCENE_CFG.palette)
-    rate, flags = success_rate(dets, scene.layout, scene.image)
+    hsv, table = rgb_to_hsv(scene.image), load_hsv_table()
+    rate, flags = success_rate(dets, match_instances(dets, scene.layout), scene.layout, hsv, table)
     checks.append(rate == 1.0 and all(flags))
-    rate_missing, flags_missing = success_rate(dets[:1], scene.layout, scene.image)
+    rate_missing, flags_missing = success_rate(
+        dets[:1], match_instances(dets[:1], scene.layout), scene.layout, hsv, table
+    )
     checks.append(rate_missing == 0.0 and not all(flags_missing))
 
-    checks.append(mean_iou([], scene.layout) == 0.0)
+    checks.append(mean_iou([], match_instances([], scene.layout)) == 0.0)
     layout = LayoutSpec(
         prompt="p",
         instances=(
@@ -355,9 +361,11 @@ def test_criterion_7_metric_units():
         Detection(layout.instances[0].bbox, "red", 10),
         Detection(layout.instances[1].bbox, "blue", 10),
     ]
-    checks.append(relation_acc(det_pair, [Relation(0, "above", 1)], layout) == 1.0)
-    checks.append(relation_acc(det_pair, [Relation(0, "below", 1)], layout) == 0.0)
-    checks.append(relation_acc(det_pair[:1], [Relation(0, "above", 1)], layout) == 0.0)
+    pair_matched = match_instances(det_pair, layout)
+    checks.append(relation_acc(det_pair, pair_matched, [Relation(0, "above", 1)]) == 1.0)
+    checks.append(relation_acc(det_pair, pair_matched, [Relation(0, "below", 1)]) == 0.0)
+    one_matched = match_instances(det_pair[:1], layout)
+    checks.append(relation_acc(det_pair[:1], one_matched, [Relation(0, "above", 1)]) == 0.0)
 
     ok = all(checks)
     announce(7, ok, f"{sum(checks)}/{len(checks)} exact metric checks")

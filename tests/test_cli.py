@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import subprocess
@@ -405,6 +406,37 @@ def test_eval_blank_images_zero_success(workdir):
     assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == 0
     report = json.loads((workdir / "out" / "metrics.json").read_text())
     assert report["success_rate"] == 0.0
+
+
+# sha256 of `radl eval`'s metrics.json on the inputs below, recorded from the
+# flood-fill detector with per-metric HSV and matching passes
+GOLDEN_METRICS_SHA256 = "4d4d550b85cf01be9fa929b9ebfebe45be5593d526f5da04ca1a3f8a4b032d8f"
+
+
+def test_eval_metrics_golden(workdir, capsys):
+    crowded = SceneConfig(n_instances=(4, 4), min_box=0.15, max_box=0.3)
+    scenes = generate(0, 4) + generate(0, 4, crowded)
+    rng = np.random.default_rng(2024)
+    images = [s.image for s in scenes[:2]]
+    images += [0.5 * s.image + 0.5 * rng.random(s.image.shape) for s in scenes[2:]]
+    images += [rng.random((3, h, w)) for h, w in ((32, 32), (16, 24), (1, 32), (32, 1))]
+    img_dir, lay_dir = eval_dirs(workdir, scenes + scenes[:4], images)
+    assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == 0
+    metrics = (workdir / "out" / "metrics.json").read_bytes()
+    assert capsys.readouterr().out.encode() == metrics
+    assert hashlib.sha256(metrics).hexdigest() == GOLDEN_METRICS_SHA256
+
+
+def test_eval_unknown_predicate_exit_2(workdir, capsys):
+    scene = generate(0, 1)[0]
+    img_dir, lay_dir = eval_dirs(workdir, [scene])
+    doc = json.loads((lay_dir / "s000.json").read_text(encoding="utf-8"))
+    doc["relations"][0]["predicate"] = "near"
+    (lay_dir / "s000.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == 2
+    err = capsys.readouterr().err
+    assert "relation 0" in err and "'near'" in err
+    assert all(repr(p) in err for p in ("above", "below", "left of", "right of"))
 
 
 def test_eval_empty_dirs_exit_2(workdir, capsys):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from radl.errors import UnknownColor
 from radl.evalmetrics import (
+    BACKGROUND_RGB,
+    MIN_REGION_SIZE,
     Detection,
     attribute_acc,
     detect,
@@ -25,6 +27,7 @@ from radl.scenes import PALETTE_RGB, SceneConfig, generate, make_scene, render_l
 
 PALETTE = SceneConfig().palette
 TABLE = load_hsv_table()
+CROWDED = SceneConfig(n_instances=(4, 4), min_box=0.15, max_box=0.3)
 
 
 def solid(color, size=16):
@@ -87,67 +90,172 @@ def test_rgb_to_hsv_known_points(rgb, hsv):
     assert v[0, 0] == pytest.approx(hsv[2], abs=1e-9)
 
 
-# --- detect -------------------------------------------------------------------
+# --- detect ---------------------------------------------------------------------
+
+def detect_oracle(image, palette):
+    """The reference detector: palette quantization, then a flood fill from
+    each unvisited pixel in raster order, one pixel at a time."""
+    if not isinstance(palette, dict):
+        palette = {name: PALETTE_RGB[name] for name in palette}
+    names = sorted(palette)
+    centers = np.array([palette[n] for n in names] + [list(BACKGROUND_RGB)])
+    h, w = image.shape[1], image.shape[2]
+
+    pixels = image.reshape(3, -1).T  # (h*w, 3)
+    dist = ((pixels[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = dist.argmin(axis=1).reshape(h, w)
+    bg_index = len(names)
+
+    detections = []
+    seen = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            if seen[r, c] or labels[r, c] == bg_index:
+                continue
+            color_idx = labels[r, c]
+            stack = [(r, c)]
+            seen[r, c] = True
+            comp = []
+            while stack:
+                rr, cc = stack.pop()
+                comp.append((rr, cc))
+                for nr, nc in ((rr - 1, cc), (rr + 1, cc), (rr, cc - 1), (rr, cc + 1)):
+                    if 0 <= nr < h and 0 <= nc < w and not seen[nr, nc] and labels[nr, nc] == color_idx:
+                        seen[nr, nc] = True
+                        stack.append((nr, nc))
+            if len(comp) < MIN_REGION_SIZE:
+                continue
+            rows = [p[0] for p in comp]
+            cols = [p[1] for p in comp]
+            detections.append(
+                Detection(
+                    bbox=BBox(min(cols) / w, min(rows) / h, (max(cols) + 1) / w, (max(rows) + 1) / h),
+                    dominant_color=names[color_idx],
+                    pixel_count=len(comp),
+                )
+            )
+    return detections
+
+
+def assert_detect_matches_oracle(image):
+    got = detect(image, PALETTE)
+    assert got == detect_oracle(image, PALETTE)
+    return got
+
+
+def label_image(labels):
+    """(3, H, W) image whose pixels are the palette colors (sorted by name)
+    or, for label len(PALETTE), the background."""
+    centers = np.array([PALETTE_RGB[n] for n in sorted(PALETTE)] + [BACKGROUND_RGB])
+    return centers[np.asarray(labels)].transpose(2, 0, 1)
+
+
+BG = len(PALETTE)  # the background's label in label_image
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (16, 24), (1, 32), (32, 1)])
+@pytest.mark.parametrize("seed", range(4))
+def test_detect_equals_oracle_on_noise(shape, seed):
+    image = np.random.default_rng(seed).random((3, *shape))
+    assert_detect_matches_oracle(image)
+
+
+def test_detect_one_color_filling_the_frame():
+    dets = assert_detect_matches_oracle(solid(PALETTE_RGB["red"], 32))
+    assert dets == [Detection(BBox(0.0, 0.0, 1.0, 1.0), "red", 32 * 32)]
+
+
+def test_detect_checkerboard_keeps_diagonal_contact_split():
+    red = sorted(PALETTE).index("red")
+    blocks = (np.add.outer(np.arange(16) // 2, np.arange(16) // 2) % 2 == 0)
+    # 2x2 red blocks that touch only at corners: 32 regions of 4 pixels
+    dets = assert_detect_matches_oracle(label_image(np.where(blocks, red, BG)))
+    assert len(dets) == 32 and all(d.pixel_count == 4 for d in dets)
+    # red and blue single pixels: every region is a 1-pixel speck
+    blue = sorted(PALETTE).index("blue")
+    pixels = np.add.outer(np.arange(16), np.arange(16)) % 2 == 0
+    assert assert_detect_matches_oracle(label_image(np.where(pixels, red, blue))) == []
+
+
+def test_detect_touching_same_color_merges():
+    layout = LayoutSpec(
+        prompt="two red squares and a blue one",
+        instances=(
+            InstanceSpec("red square", BBox(0.0, 0.0, 0.5, 0.5)),
+            InstanceSpec("red square", BBox(0.5, 0.25, 1.0, 0.75)),
+            InstanceSpec("blue square", BBox(0.25, 0.5, 0.5, 1.0)),
+        ),
+    )
+    img = render_layout(layout, 16, (0.5, 0.5, 0.5))
+    dets = assert_detect_matches_oracle(img)
+    # connectivity cannot split same-color touching regions
+    assert [d.dominant_color for d in dets] == ["red", "blue"]
+
 
 def test_detect_round_trips_generated_scenes():
-    for scene in generate(0, 5):
-        dets = detect(scene.image, PALETTE)
+    for scene in generate(0, 8) + generate(0, 8, CROWDED):
+        dets = assert_detect_matches_oracle(scene.image)
         assert len(dets) == scene.layout.n
         for j, v in match_instances(dets, scene.layout):
             assert j is not None and v >= 0.9
 
 
 def test_detect_uniform_background_empty():
-    assert detect(solid((0.5, 0.5, 0.5)), PALETTE) == []
-
-
-def test_detect_touching_same_color_merges():
-    layout = LayoutSpec(
-        prompt="two red squares",
-        instances=(
-            InstanceSpec("red square", BBox(0.0, 0.0, 0.5, 0.5)),
-            InstanceSpec("red square", BBox(0.5, 0.0, 1.0, 0.5)),
-        ),
-    )
-    img = render_layout(layout, 16, (0.5, 0.5, 0.5))
-    dets = detect(img, PALETTE)
-    assert len(dets) == 1  # connectivity cannot split same-color touching regions
-    assert dets[0].dominant_color == "red"
+    assert assert_detect_matches_oracle(solid((0.5, 0.5, 0.5))) == []
 
 
 def test_detect_min_region_size():
-    img = solid((0.5, 0.5, 0.5), 16)
-    img[:, 3, 3] = np.array(PALETTE_RGB["red"])  # single pixel speck
-    assert detect(img, PALETTE) == []
-    assert len(detect(img, PALETTE, min_region_size=1)) == 1
+    # the boundary sits at MIN_REGION_SIZE = 4: a 3-pixel L is dropped and a
+    # 2x2 speck is kept
+    assert MIN_REGION_SIZE == 4
+    red = sorted(PALETTE).index("red")
+    labels = np.full((16, 16), BG)
+    labels[2, 2] = labels[3, 2] = labels[3, 3] = red  # L
+    labels[8:10, 8:10] = red  # 2x2 speck
+    dets = assert_detect_matches_oracle(label_image(labels))
+    assert dets == [Detection(BBox(0.5, 0.5, 0.625, 0.625), "red", 4)]
+
+
+@st.composite
+def label_fields(draw):
+    h = draw(st.integers(1, 8))
+    w = draw(st.integers(1, 8))
+    colors = draw(st.lists(st.integers(0, BG), min_size=1, max_size=3))
+    return np.array(draw(st.lists(st.sampled_from(colors), min_size=h * w, max_size=h * w))).reshape(h, w)
+
+
+@given(label_fields())
+@settings(max_examples=200, deadline=None)
+def test_detect_equals_oracle_on_label_fields(labels):
+    assert_detect_matches_oracle(label_image(labels))
 
 
 # --- hsv_color_match ----------------------------------------------------------
 
 def test_hsv_solid_red_box():
-    img = solid(PALETTE_RGB["red"])
+    hsv = rgb_to_hsv(solid(PALETTE_RGB["red"]))
     box = BBox(0.1, 0.1, 0.9, 0.9)
-    assert hsv_color_match(img, box, "red") is True
-    assert hsv_color_match(img, box, "blue") is False
+    assert hsv_color_match(hsv, box, "red", TABLE) is True
+    assert hsv_color_match(hsv, box, "blue", TABLE) is False
 
 
 def test_hsv_half_red_thresholds():
     img = solid((0.5, 0.5, 0.5), 16)
     img[:, :, :8] = np.array(PALETTE_RGB["red"])[:, None, None]  # left half red
     box = BBox(0.0, 0.0, 1.0, 1.0)  # coverage is exactly 0.5
-    assert hsv_color_match(img, box, "red", coverage_thresh=0.2) is True
-    assert hsv_color_match(img, box, "red", coverage_thresh=0.6) is False
+    assert hsv_color_match(rgb_to_hsv(img), box, "red", TABLE, coverage_thresh=0.2) is True
+    assert hsv_color_match(rgb_to_hsv(img), box, "red", TABLE, coverage_thresh=0.6) is False
 
 
 def test_hsv_unknown_color():
     with pytest.raises(UnknownColor):
-        hsv_color_match(solid((1, 0, 0)), BBox(0, 0, 1, 1), "chartreuse")
+        hsv_color_match(rgb_to_hsv(solid((1, 0, 0))), BBox(0, 0, 1, 1), "chartreuse", TABLE)
 
 
 def test_hsv_wraparound_red_range():
     # hue 350 is red via the wraparound range
     img = solid((1.0, 0.0, 1.0 / 6.0))
-    assert hsv_color_match(img, BBox(0, 0, 1, 1), "red") is True
+    assert hsv_color_match(rgb_to_hsv(img), BBox(0, 0, 1, 1), "red", TABLE) is True
 
 
 # --- matching and success -----------------------------------------------------
@@ -158,9 +266,13 @@ def scene_fixture(seed=0):
     return scene, dets
 
 
+def success(dets, layout, image):
+    return success_rate(dets, match_instances(dets, layout), layout, rgb_to_hsv(image), TABLE)
+
+
 def test_success_perfect_reconstruction():
     scene, dets = scene_fixture()
-    rate, flags = success_rate(dets, scene.layout, scene.image)
+    rate, flags = success(dets, scene.layout, scene.image)
     assert rate == 1.0
     assert flags == [True] * scene.layout.n
 
@@ -171,7 +283,7 @@ def test_success_missing_instance_fails_image():
     matched = match_instances(dets, scene.layout)
     drop = matched[1][0]
     remaining = [d for i, d in enumerate(dets) if i != drop]
-    rate, flags = success_rate(remaining, scene.layout, scene.image)
+    rate, flags = success(remaining, scene.layout, scene.image)
     assert rate == 0.0
     assert flags[0] is True and flags[1] is False
 
@@ -186,7 +298,7 @@ def test_success_wrong_color_fails():
         32, (0.5, 0.5, 0.5),
     )
     dets = detect(red_render, PALETTE)
-    rate, flags = success_rate(dets, layout, red_render)
+    rate, flags = success(dets, layout, red_render)
     assert rate == 0.0 and flags == [False]
     # box geometry alone would have passed
     assert match_instances(dets, layout)[0][1] >= 0.5
@@ -214,12 +326,12 @@ def test_greedy_matching_tie_breaks():
 
 def test_mean_iou_perfect():
     scene, dets = scene_fixture()
-    assert mean_iou(dets, scene.layout) == pytest.approx(1.0)
+    assert mean_iou(dets, match_instances(dets, scene.layout)) == pytest.approx(1.0)
 
 
 def test_mean_iou_no_detections():
     scene, _ = scene_fixture()
-    assert mean_iou([], scene.layout) == 0.0
+    assert mean_iou([], match_instances([], scene.layout)) == 0.0
 
 
 def test_mean_iou_one_of_two():
@@ -233,14 +345,14 @@ def test_mean_iou_one_of_two():
     det_box = BBox(0.0, 0.0, 0.4, 0.32)  # nested box, area ratio exactly 0.8
     assert iou(det_box, layout.instances[0].bbox) == pytest.approx(0.8)
     dets = [Detection(det_box, "red", 10)]
-    assert mean_iou(dets, layout) == pytest.approx(0.4)
+    assert mean_iou(dets, match_instances(dets, layout)) == pytest.approx(0.4)
 
 
 # --- relation_acc --------------------------------------------------------------
 
 def test_relation_generator_scene():
     scene, dets = scene_fixture()
-    assert relation_acc(dets, scene.relations, scene.layout) == 1.0
+    assert relation_acc(dets, match_instances(dets, scene.layout), scene.relations) == 1.0
 
 
 def test_relation_swapped_predicate_fails():
@@ -257,8 +369,9 @@ def test_relation_swapped_predicate_fails():
         Detection(layout.instances[0].bbox, "red", 10),
         Detection(layout.instances[1].bbox, "blue", 10),
     ]
-    assert relation_acc(dets, [Relation(0, "above", 1)], layout) == 1.0
-    assert relation_acc(dets, [Relation(0, "below", 1)], layout) == 0.0
+    matched = match_instances(dets, layout)
+    assert relation_acc(dets, matched, [Relation(0, "above", 1)]) == 1.0
+    assert relation_acc(dets, matched, [Relation(0, "below", 1)]) == 0.0
 
 
 def test_relation_half_matched():
@@ -276,7 +389,7 @@ def test_relation_half_matched():
         Detection(layout.instances[1].bbox, "blue", 10),
         # green instance undetected -> its triple fails
     ]
-    assert relation_acc(dets, layout.relations, layout) == 0.5
+    assert relation_acc(dets, match_instances(dets, layout), layout.relations) == 0.5
 
 
 # --- quantity_acc ---------------------------------------------------------------
@@ -306,6 +419,41 @@ def test_evaluate_images_oracle_round_trip():
 def test_attribute_acc_blank_image():
     scene = make_scene(0, SceneConfig())
     blank = solid((0.5, 0.5, 0.5), 32)
-    assert attribute_acc(blank, scene.layout) == 0.0
+    assert attribute_acc(rgb_to_hsv(blank), scene.layout, TABLE) == 0.0
     ev = evaluate_image(blank, scene.layout, PALETTE)
     assert ev.success is False and ev.miou == 0.0
+
+
+def noisy(image, seed, amount=0.5):
+    """The image with uniform noise mixed in: many small detections."""
+    noise = np.random.default_rng(seed).random(image.shape)
+    return (1.0 - amount) * image + amount * noise
+
+
+def test_evaluate_image_equals_separate_metrics():
+    # evaluate_image computes HSV and the matching once; each metric here
+    # gets its own rgb_to_hsv and match_instances
+    scenes = generate(0, 4) + generate(0, 4, CROWDED)
+    cases = [(s.image, s.layout) for s in scenes[::3]]
+    cases += [(noisy(s.image, i), s.layout) for i, s in enumerate(scenes)]
+    cases += [(np.random.default_rng(i).random((3, 32, 32)), scenes[i].layout) for i in range(2)]
+    verdicts, counts = set(), []
+    for image, layout in cases:
+        dets = detect(image, PALETTE)
+        ev = evaluate_image(image, layout, PALETTE, TABLE)
+        rate, flags = success(dets, layout, image)
+        assert (ev.success, ev.instance_flags) == (rate == 1.0, flags)
+        assert ev.miou == mean_iou(dets, match_instances(dets, layout))
+        assert ev.attribute_acc == attribute_acc(rgb_to_hsv(image), layout, TABLE)
+        assert ev.quantity_ok == quantity_acc(dets, layout)
+        assert ev.relation_acc == relation_acc(
+            dets, match_instances(dets, layout), layout.relations
+        )
+        assert (ev.n_instances, ev.n_detections, ev.n_relations) == (
+            layout.n, len(dets), len(layout.relations)
+        )
+        verdicts.add(ev.success)
+        counts.append(len(dets) - layout.n)
+    assert verdicts == {True, False}
+    assert sum(c >= 5 for c in counts) >= 6  # images with many extra detections
+    assert all(layout.relations for _, layout in cases)

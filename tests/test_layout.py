@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from radl.errors import InvalidBBox, MalformedDoc, ShapeMismatch, TooManyInstances
 from radl.layout import (
+    RELATION_PREDICATES,
     BBox,
     InstanceSpec,
     LayoutSpec,
@@ -119,6 +120,26 @@ def test_parse_relation_index_out_of_range():
     )
     with pytest.raises(MalformedDoc, match="out of range"):
         parse_layout(doc)
+
+
+@pytest.mark.parametrize("predicate", ["near", "Above", "left", 3, None])
+def test_parse_relation_unknown_predicate_rejected(predicate):
+    # evaluation scores only RELATION_PREDICATES; any other would count as
+    # a failed relation
+    doc = json.dumps(
+        {
+            "prompt": "p",
+            "instances": [
+                {"label": "a", "bbox": [0.0, 0.0, 0.4, 0.4]},
+                {"label": "b", "bbox": [0.5, 0.5, 1.0, 1.0]},
+            ],
+            "relations": [{"subject": 0, "predicate": "above", "object": 1},
+                          {"subject": 0, "predicate": predicate, "object": 1}],
+        }
+    )
+    with pytest.raises(MalformedDoc, match="relation 1 'predicate'") as err:
+        parse_layout(doc)
+    assert str(RELATION_PREDICATES) in str(err.value)
 
 
 @pytest.mark.parametrize("end", ["subject", "object"])
