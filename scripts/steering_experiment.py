@@ -24,7 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from radl.cli import RunConfig, _save_checkpoint
 from radl.imageio import write_ppm
 from radl.scenes import SceneConfig, generate
-from radl.steering import run_arm
+from radl.steering import run_arms
 
 
 def main() -> int:
@@ -46,19 +46,19 @@ def main() -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    t0 = time.time()
+    results = run_arms(args.arms, train_scenes, held_out, steps=args.steps, lr=args.lr,
+                       seed=args.seed, batch_size=args.batch_size)
+    print(f"trained {len(results)} arms for {args.steps} steps each and sampled "
+          f"{len(held_out)} layouts per arm in {time.time() - t0:.0f}s", flush=True)
     rows = []
-    for arm in args.arms:
-        t0 = time.time()
-        res = run_arm(arm, train_scenes, held_out, steps=args.steps, lr=args.lr,
-                      seed=args.seed, batch_size=args.batch_size)
-        run_s = time.time() - t0
+    for arm, res in results.items():
         _save_checkpoint(out_dir / f"{arm}.ckpt", res.result.params, res.result.step,
                          RunConfig(embed_seed=0))
         for i, (img, _) in enumerate(res.pairs[:8]):
             write_ppm(out_dir / f"{arm}_{i:02d}.ppm", img)
         rows.append((arm, res.report, float(np.mean(res.result.losses[-50:]))))
-        print(f"[{arm}] trained {args.steps} steps and sampled {len(held_out)} layouts "
-              f"in {run_s:.0f}s, final smoothed loss {rows[-1][2]:.3f}", flush=True)
+        print(f"[{arm}] final smoothed loss {rows[-1][2]:.3f}")
 
     print(f"\n{'arm':12s} {'mIoU':>6s} {'attr':>6s} {'succ':>6s} {'qty':>6s} {'rel':>6s}")
     for arm, rep, _ in rows:

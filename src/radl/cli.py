@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -33,6 +34,16 @@ CKPT_SCHEMA = "radl-ckpt/1"
 
 # images `gen` denoises in one pass; bounds the (K, rows, h*w) score memory
 GEN_CHUNK = 16
+
+# the commands that read each global flag; any other command given it exits 2
+FLAG_READERS = {
+    "resume": ("train",),
+    "json": ("selftest",),
+    "steps": ("train", "gen"),
+    "radl_steps": ("gen",),
+    "seed": ("gen", "train", "gradcheck", "selftest"),
+    "out": ("gen", "train", "eval"),
+}
 
 
 # accepted value types per RunConfig annotation; bool is rejected everywhere
@@ -291,11 +302,11 @@ def cmd_eval(cfg: RunConfig, images_dir: str, layouts_dir: str) -> int:
         image = read_ppm(images[stem])
         layout = parse_layout(read_utf8(layouts[stem]))
         pairs.append((image, layout))
-    report = evaluate_images(pairs, SceneConfig().palette, table=table)
+    text = evaluate_images(pairs, SceneConfig().palette, table=table).to_json()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    print(report.to_json())
+    (out_dir / "metrics.json").write_text(text + "\n", encoding="utf-8")
+    print(text)
     return EXIT_OK
 
 
@@ -350,6 +361,7 @@ def cmd_selftest(cfg: RunConfig, as_json: bool = False) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="radl", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON config file")
@@ -358,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="training steps (train) or sampling steps (gen)")
     parser.add_argument("--radl-steps", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.add_argument("--json", action="store_true", default=None,
+                        help="machine-readable output")
     parser.add_argument("--resume", default=None, help="checkpoint to resume from")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -397,6 +410,9 @@ def main(argv=None) -> int:
 
     # commands return EXIT_OK or EXIT_CHECK; every other exit code is chosen here
     try:
+        for flag, readers in FLAG_READERS.items():
+            if getattr(args, flag) is not None and args.command not in readers:
+                raise MalformedDoc(f"--{flag.replace('_', '-')} is not read by {args.command}")
         cfg = load_config(args.config, overrides)
         if args.command == "gen":
             return cmd_gen(cfg, args.layout, args.count)

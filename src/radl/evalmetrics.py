@@ -9,6 +9,7 @@ fall from that oracle.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -31,11 +32,11 @@ MIN_REGION_SIZE = 4  # pixels a detected region needs; smaller specks are noise
 
 def load_hsv_table(path=None) -> dict[str, HsvRange]:
     """Color name -> ((h_min,h_max),(s_min,s_max),(v_min,v_max)); hue in
-    degrees, wraparound ranges (h_min > h_max) allowed."""
+    degrees, wraparound ranges (h_min > h_max) allowed.  No path: a copy of
+    the packaged table, which is parsed once per process."""
     if path is None:
-        raw = resources.files("radl").joinpath("data/hsv_ranges.json").read_text("utf-8")
-    else:
-        raw = read_utf8(path)
+        return dict(_packaged_hsv_table())
+    raw = read_utf8(path)
     try:
         table = json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -54,6 +55,12 @@ def load_hsv_table(path=None) -> dict[str, HsvRange]:
         name: tuple(tuple(float(x) for x in rng) for rng in ranges)
         for name, ranges in table.items()
     }
+
+
+@functools.cache
+def _packaged_hsv_table() -> dict[str, HsvRange]:
+    with resources.as_file(resources.files("radl").joinpath("data/hsv_ranges.json")) as path:
+        return load_hsv_table(path)
 
 
 def rgb_to_hsv(image: np.ndarray) -> HsvPlanes:

@@ -6,7 +6,9 @@ and runs in well under a second.
 """
 from __future__ import annotations
 
+import traceback
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .text import EmbedderConfig, EmbeddingSeq, embed_tokens
 Check = tuple[str, bool, str]
 
 
-def _check_total_mask_union(rng) -> Check:
+def _check_total_mask_union(rng) -> tuple[bool, str]:
     worst = True
     for _ in range(50):
         masks = [MaskGrid((rng.random((6, 6)) < 0.4).astype(float)) for _ in range(3)]
@@ -44,7 +46,7 @@ def _check_total_mask_union(rng) -> Check:
             for c in range(6):
                 want[r, c] = 1.0 if sum(m.values[r, c] for m in masks) > 0 else 0.0
         worst = worst and np.array_equal(got, want)
-    return ("total_mask union vs brute force", worst, "50 random mask triples")
+    return worst, "50 random mask triples"
 
 
 def _scalar_attention(q, k, v) -> np.ndarray:
@@ -59,7 +61,7 @@ def _scalar_attention(q, k, v) -> np.ndarray:
     return out
 
 
-def _check_attention_oracle(rng) -> Check:
+def _check_attention_oracle(rng) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(10):
         q = rng.standard_normal((4, 8))
@@ -67,10 +69,10 @@ def _check_attention_oracle(rng) -> Check:
         v = rng.standard_normal((5, 8))
         out = scaled_dot_attention_forward(q, k, v)[0]
         worst = max(worst, float(np.max(np.abs(out - _scalar_attention(q, k, v)))))
-    return ("attention vs scalar oracle", worst <= 1e-12, f"max abs err {worst:.2e}")
+    return worst <= 1e-12, f"max abs err {worst:.2e}"
 
 
-def _check_in_mask_attention(rng) -> Check:
+def _check_in_mask_attention(rng) -> tuple[bool, str]:
     # the masked ops compute only the rows their mask keeps; each must equal
     # the dense scalar oracle with the rows outside the mask zeroed
     worst = 0.0
@@ -94,18 +96,18 @@ def _check_in_mask_attention(rng) -> Check:
             float(np.max(np.abs(got_ae - want_ae))),
         )
     ok = worst <= 1e-12
-    return ("in-mask attention vs scalar oracle", ok, f"{len(masks)} masks, max abs err {worst:.2e}")
+    return ok, f"{len(masks)} masks, max abs err {worst:.2e}"
 
 
-def _check_softmax_rows(rng) -> Check:
+def _check_softmax_rows(rng) -> tuple[bool, str]:
     _, cache = scaled_dot_attention_forward(
         rng.standard_normal((6, 4)), rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
     )
     err = float(np.max(np.abs(cache.attn.sum(axis=1) - 1.0)))
-    return ("attention rows sum to one", err <= 1e-12, f"max dev {err:.2e}")
+    return err <= 1e-12, f"max dev {err:.2e}"
 
 
-def _check_fusion(rng) -> Check:
+def _check_fusion(rng) -> tuple[bool, str]:
     ones = MaskGrid(np.ones((4, 4)))
     branches = [
         FusionBranch(BACKGROUND, FeatureGrid(4, 4, rng.standard_normal((16, 4))), ones, 0.3),
@@ -118,10 +120,10 @@ def _check_fusion(rng) -> Check:
     out, out_shifted = fuse_forward(branches)[0].values, fuse_forward(shifted)[0].values
     shift_err = float(np.max(np.abs(out - out_shifted)))
     ok = sums_ok and shift_err <= 1e-12
-    return ("fusion weight sum and logit-shift invariance", ok, f"shift dev {shift_err:.2e}")
+    return ok, f"shift dev {shift_err:.2e}"
 
 
-def _check_rasterize_area(rng) -> Check:
+def _check_rasterize_area(rng) -> tuple[bool, str]:
     ok = True
     for _ in range(30):
         x1, y1 = rng.uniform(0, 0.8, 2)
@@ -130,19 +132,19 @@ def _check_rasterize_area(rng) -> Check:
         box = BBox(float(x1), float(y1), float(x2), float(y2))
         m = rasterize_mask(box, 16, 16)
         ok = ok and abs(m.values.mean() - box.area) <= 4.0 / 16
-    return ("rasterized area tracks box area", ok, "30 random boxes at 16x16")
+    return ok, "30 random boxes at 16x16"
 
 
-def _check_embedder(rng) -> Check:
+def _check_embedder(rng) -> tuple[bool, str]:
     cfg = EmbedderConfig(dim=8, seed=0)
     a = embed_tokens(["red", "square"], cfg).values
     b = embed_tokens(["red", "square"], cfg).values
     norms = np.linalg.norm(a, axis=1)
     ok = np.array_equal(a, b) and bool(np.all(np.abs(norms - 1.0) <= 1e-12))
-    return ("embedder deterministic unit rows", ok, "2 tokens")
+    return ok, "2 tokens"
 
 
-def _check_schedule_and_trace(rng) -> Check:
+def _check_schedule_and_trace(rng) -> tuple[bool, str]:
     sched = NoiseSchedule.make(6)
     mono = bool(np.all(np.diff(sched.betas) > 0) and np.all(np.diff(sched.alpha_bars) < 0))
     params = init_denoiser(0, d=4, image_size=8, t_train=12)
@@ -152,10 +154,10 @@ def _check_schedule_and_trace(rng) -> Check:
         rng_seed=1, embed_cfg=EmbedderConfig(dim=4, seed=0),
     )
     ok = mono and trace == [True] * 3 + [False] * 3
-    return ("schedule monotone and activation trace", ok, f"trace {trace}")
+    return ok, f"trace {trace}"
 
 
-def _check_batched_sampling(rng) -> Check:
+def _check_batched_sampling(rng) -> tuple[bool, str]:
     params = init_denoiser(0, d=4, image_size=8, t_train=12)
     layout = LayoutSpec(
         prompt="a red square resting on a blue square",
@@ -171,10 +173,10 @@ def _check_batched_sampling(rng) -> Check:
         np.array_equal(batched[k], sample(params, layout, rng_seed=seed, **kwargs)[0])
         for k, seed in enumerate(seeds)
     )
-    return ("batched sampling equals serial", ok, f"seeds {seeds}, 2 instances, byte equality")
+    return ok, f"seeds {seeds}, 2 instances, byte equality"
 
 
-def _check_packed_train_step(rng) -> Check:
+def _check_packed_train_step(rng) -> tuple[bool, str]:
     # one packed forward and backward over three layouts (2, 1 and 0
     # instances) must give the loss and gradients of three lone passes
     params = init_denoiser(0, d=4, image_size=8, t_train=12)
@@ -201,11 +203,10 @@ def _check_packed_train_step(rng) -> Check:
         return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))
 
     worst = max([rel(np.array(loss), np.array(loss_ref))] + [rel(g[k], g_ref[k]) for k in g])
-    return ("packed train step equals per-sample steps", worst <= 1e-12,
-            f"3 scenes (2, 1, 0 instances), max rel err {worst:.2e}")
+    return worst <= 1e-12, f"3 scenes (2, 1, 0 instances), max rel err {worst:.2e}"
 
 
-def _check_detect_oracle(rng) -> Check:
+def _check_detect_oracle(rng) -> tuple[bool, str]:
     # noise of two exact palette colors and the background (so the labels are
     # known) against a pixel-by-pixel flood fill, in raster order of first pixel
     names = sorted(PALETTE_RGB)
@@ -231,22 +232,35 @@ def _check_detect_oracle(rng) -> Check:
                 want.append(Detection(box, names[labels[start]], len(comp)))
         ok = ok and detect(centers[labels].transpose(2, 0, 1), PALETTE_RGB) == want
         count += len(want)
-    return ("detect vs flood-fill oracle", ok, f"4 noise images, {count} regions, list equality")
+    return ok, f"4 noise images, {count} regions, list equality"
+
+
+CHECKS = (  # (name, check); a check returns (passed, detail)
+    ("total_mask union vs brute force", _check_total_mask_union),
+    ("attention vs scalar oracle", _check_attention_oracle),
+    ("in-mask attention vs scalar oracle", _check_in_mask_attention),
+    ("attention rows sum to one", _check_softmax_rows),
+    ("fusion weight sum and logit-shift invariance", _check_fusion),
+    ("rasterized area tracks box area", _check_rasterize_area),
+    ("embedder deterministic unit rows", _check_embedder),
+    ("schedule monotone and activation trace", _check_schedule_and_trace),
+    ("batched sampling equals serial", _check_batched_sampling),
+    ("packed train step equals per-sample steps", _check_packed_train_step),
+    ("detect vs flood-fill oracle", _check_detect_oracle),
+)
 
 
 def run_selftest(seed: int = 0) -> list[Check]:
+    """(name, passed, detail) of every check, in order; a check that raises
+    fails, its detail naming the exception and where it was raised."""
     rng = np.random.default_rng(seed)
-    checks = [
-        _check_total_mask_union,
-        _check_attention_oracle,
-        _check_in_mask_attention,
-        _check_softmax_rows,
-        _check_fusion,
-        _check_rasterize_area,
-        _check_embedder,
-        _check_schedule_and_trace,
-        _check_batched_sampling,
-        _check_packed_train_step,
-        _check_detect_oracle,
-    ]
-    return [(name, bool(ok), detail) for name, ok, detail in (fn(rng) for fn in checks)]
+    results = []
+    for name, check in CHECKS:
+        try:
+            ok, detail = check(rng)
+        except Exception as e:  # a broken program fails its check, it is no input error
+            at = traceback.extract_tb(e.__traceback__)[-1]
+            ok = False
+            detail = f"raised {type(e).__name__}: {e} ({Path(at.filename).name}:{at.lineno})"
+        results.append((name, bool(ok), detail))
+    return results

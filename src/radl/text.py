@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 from importlib import resources
 from typing import Sequence
 
@@ -37,8 +37,10 @@ def load_verb_lexicon(path) -> frozenset[str]:
     return frozenset(stems)
 
 
+@cache
 def default_verb_lexicon() -> frozenset[str]:
-    """Lexicon shipped with the package (~60 common relation verbs)."""
+    """Lexicon shipped with the package (~60 common relation verbs), read
+    once per process."""
     with resources.as_file(resources.files("radl").joinpath("data/verbs.txt")) as path:
         return load_verb_lexicon(path)
 

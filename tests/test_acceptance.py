@@ -47,7 +47,7 @@ from radl.pipeline import (
     sample,
 )
 from radl.scenes import SceneConfig, generate, make_scene
-from radl.steering import run_arm
+from radl.steering import run_arms
 from radl.text import EmbedderConfig
 
 EC = EmbedderConfig(dim=8, seed=0)
@@ -283,13 +283,10 @@ def test_criterion_4_schedule_conformance():
 def steering():
     train_scenes = generate(0, 256)
     held_out = generate(100_000, 64)
-    return {
-        variant: run_arm(
-            variant, train_scenes, held_out, steps=STEERING_STEPS, lr=STEERING_LR,
-            seed=STEERING_SEED, batch_size=8,
-        )
-        for variant in ("full", "text_attn_only", "no_relation")
-    }
+    return run_arms(
+        ["full", "text_attn_only", "no_relation"], train_scenes, held_out,
+        steps=STEERING_STEPS, lr=STEERING_LR, seed=STEERING_SEED, batch_size=8,
+    )
 
 
 def test_criterion_5_steering(steering):

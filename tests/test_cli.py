@@ -3,18 +3,22 @@ import json
 import struct
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from radl import pipeline
+from radl import cli, pipeline
 from radl.checkpoint import MAGIC, load_tensors, save_tensors
 from radl.cli import main
+from radl.errors import InvalidBBox
+from radl.evalmetrics import load_hsv_table
 from radl.imageio import read_ppm, write_ppm
 from radl.layout import serialize_layout
 from radl.pipeline import init_denoiser, params_to_dict
 from radl.scenes import SceneConfig, generate, write_corpus
+from radl.text import default_verb_lexicon, load_verb_lexicon
 
 SMALL = dict(
     d=4, image_size=8, t_train=12, t_sample=6, radl_steps=3,
@@ -545,6 +549,128 @@ def test_selftest_failure_exit_5(workdir, monkeypatch, capsys):
     monkeypatch.setattr(selftest, "run_selftest", lambda seed=0: [("forced", False, "x")])
     assert run("--config", workdir / "config.json", "selftest") == 5
     assert "forced" in capsys.readouterr().err
+
+
+def test_selftest_raising_check_exit_5(workdir, monkeypatch, capsys):
+    from radl import selftest
+
+    def detect(*args, **kwargs):
+        raise InvalidBBox("x2 must exceed x1")
+
+    monkeypatch.setattr(selftest, "detect", detect)
+    assert run("--config", workdir / "config.json", "--json", "selftest") == 5
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == len(selftest.CHECKS)  # the other checks still ran
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["name"] for c in failed] == ["detect vs flood-fill oracle"]
+    assert "InvalidBBox: x2 must exceed x1" in failed[0]["detail"]
+
+
+# --- global flags ------------------------------------------------------------------
+
+# the commands that read each global flag; every other pairing must exit 2
+FLAG_READERS = {
+    ("--resume", "x.ckpt"): {"train"},
+    ("--json",): {"selftest"},
+    ("--steps", "4"): {"train", "gen"},
+    ("--radl-steps", "2"): {"gen"},
+    ("--seed", "3"): {"gen", "train", "gradcheck", "selftest"},
+    ("--out", "flag_out"): {"gen", "train", "eval"},
+}
+IGNORED_FLAGS = [
+    (flag, command)
+    for flag, readers in FLAG_READERS.items()
+    for command in ("gen", "train", "eval", "gradcheck", "selftest")
+    if command not in readers
+]
+
+
+@pytest.mark.parametrize("flag, command", IGNORED_FLAGS,
+                         ids=[f"{flag[0]}-{command}" for flag, command in IGNORED_FLAGS])
+def test_flag_the_command_ignores_exit_2(workdir, flag, command, capsys):
+    img_dir, lay_dir = eval_dirs(workdir, small_scenes(1))
+    operands = {"gen": [workdir / "layout.json"], "eval": [img_dir, lay_dir]}.get(command, [])
+    assert run("--config", workdir / "config.json", *flag, command, *operands) == 2
+    assert capsys.readouterr().err == f"{flag[0]} is not read by {command}\n"
+    assert not (workdir / "out").exists() and not (workdir / "flag_out").exists()
+
+
+# --- fixed costs paid once per process ----------------------------------------------
+
+def test_one_parser_per_process_equals_fresh_parsers(workdir, capsys):
+    assert run("--config", workdir / "config.json", "--steps", 0, "train") == 0
+    img_dir, lay_dir = eval_dirs(workdir, generate(0, 4))
+    calls = [
+        ["--no-such-flag", "selftest"],  # argparse exits 2
+        ["--json", "selftest"],
+        ["gen", workdir / "layout.json", 2],
+        ["eval", img_dir, lay_dir],
+    ]
+
+    def session(out: Path, fresh: bool):
+        cli.build_parser.cache_clear()
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out_flag = ["--out", out] if argv[0] in ("gen", "eval") else []
+            try:
+                code = run("--config", workdir / "config.json", *out_flag, *argv)
+            except SystemExit as e:
+                code = e.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        return seen, files, cli.build_parser.cache_info().misses
+
+    once, once_files, built = session(workdir / "once", fresh=False)
+    fresh, fresh_files, _ = session(workdir / "fresh", fresh=True)
+    assert built == 1
+    assert [code for code, _, _ in once] == [2, 0, 0, 0]
+    assert once == fresh
+    assert once_files == fresh_files and len(once_files) == 5  # 2 PPM, 2 traces, metrics
+
+
+def test_caller_cannot_change_packaged_tables(workdir, capsys):
+    assert run("--config", workdir / "config.json", "--steps", 0, "train") == 0
+    img_dir, lay_dir = eval_dirs(workdir, generate(0, 4))
+
+    def outputs():
+        assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == 0
+        assert run("--config", workdir / "config.json", "gen", workdir / "layout.json", 2) == 0
+        return {p.name: p.read_bytes() for p in (workdir / "out").iterdir()}
+
+    before = outputs()
+    table = load_hsv_table()
+    for color in table:
+        table[color] = ((0.0, 0.0), (2.0, 2.0), (2.0, 2.0))  # matches no pixel
+    lexicon = default_verb_lexicon()
+    with pytest.raises(AttributeError):
+        lexicon.add("paint")
+    assert load_hsv_table() != table
+    with resources.as_file(resources.files("radl").joinpath("data/verbs.txt")) as path:
+        assert default_verb_lexicon() == load_verb_lexicon(path)
+    assert outputs() == before
+    assert json.loads(before["metrics.json"])["attribute_acc"] == 1.0
+
+
+def test_hsv_table_by_path_read_on_every_eval(workdir, capsys):
+    packaged = resources.files("radl").joinpath("data/hsv_ranges.json").read_text("utf-8")
+    (workdir / "hsv.json").write_text(packaged, encoding="utf-8")
+    cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+    cfg["hsv_table"] = str(workdir / "hsv.json")
+    (workdir / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    img_dir, lay_dir = eval_dirs(workdir, generate(0, 4))
+
+    def metrics():
+        assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == 0
+        return json.loads((workdir / "out" / "metrics.json").read_text(encoding="utf-8"))
+
+    assert metrics()["attribute_acc"] == 1.0
+    edited = {color: [[0, 0], [2, 2], [2, 2]] for color in json.loads(packaged)}
+    (workdir / "hsv.json").write_text(json.dumps(edited), encoding="utf-8")
+    after = metrics()
+    assert after["attribute_acc"] == 0.0 and after["success_rate"] == 0.0
 
 
 # --- scripts ---------------------------------------------------------------------
