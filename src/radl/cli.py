@@ -122,7 +122,9 @@ class RunConfig:
         return EmbedderConfig(dim=self.d, seed=self.embed_seed, verb_lexicon=lexicon)
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
+def load_config(path: str | None, overrides: dict, defaults: dict | None = None) -> RunConfig:
+    """The config file's values over `defaults`, and `overrides` (None
+    entries skipped) over both."""
     values: dict = {}
     if path is not None:
         try:
@@ -139,6 +141,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         unknown = set(values) - known
         if unknown:
             raise MalformedDoc(f"config {path}: unknown keys {sorted(unknown)}")
+    values = {**(defaults or {}), **values}
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
 
@@ -396,15 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {"seed": args.seed, "out": args.out}
-    if args.radl_steps is not None:
-        overrides["radl_steps"] = args.radl_steps
+    overrides = {"seed": args.seed, "out": args.out, "radl_steps": args.radl_steps}
+    defaults = {}
     if args.steps is not None:
         if args.command == "gen":
             overrides["t_sample"] = args.steps
-            # keep the invariant when shrinking the schedule below the default split
-            if args.radl_steps is None:
-                overrides["radl_steps"] = min(30, args.steps // 2)
+            # keep the invariant when shrinking the schedule below the default
+            # split; a radl_steps from the flag or the config wins
+            defaults["radl_steps"] = min(30, args.steps // 2)
         else:
             overrides["train_steps"] = args.steps
 
@@ -413,7 +415,7 @@ def main(argv=None) -> int:
         for flag, readers in FLAG_READERS.items():
             if getattr(args, flag) is not None and args.command not in readers:
                 raise MalformedDoc(f"--{flag.replace('_', '-')} is not read by {args.command}")
-        cfg = load_config(args.config, overrides)
+        cfg = load_config(args.config, overrides, defaults)
         if args.command == "gen":
             return cmd_gen(cfg, args.layout, args.count)
         if args.command == "train":

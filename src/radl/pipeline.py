@@ -42,6 +42,7 @@ from .attention import (
 from .errors import NonFiniteLoss, ShapeMismatch, StepOutOfRange
 from .fusion import BACKGROUND, INSTANCE, RELATION, FusionBranch, fuse_backward, fuse_forward
 from .layout import BBox, LayoutSpec, MaskGrid, rasterize_mask, total_mask
+from .oracles import central_diff, rel_err
 from .scenes import SyntheticScene
 from .text import (
     EmbedderConfig,
@@ -1012,16 +1013,7 @@ def gradcheck(
             coords = [coords[int(i)] for i in chosen]
         worst = 0.0
         for name, idx in coords:
-            arr = pdict[name]
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            up = loss_fn()
-            arr[idx] = orig - eps
-            dn = loss_fn()
-            arr[idx] = orig
-            numeric = (up - dn) / (2.0 * eps)
-            analytic = g[name][idx]
-            denom = max(abs(analytic), abs(numeric), 1e-6)
-            worst = max(worst, abs(analytic - numeric) / denom)
+            numeric = central_diff(loss_fn, pdict[name], 1.0, eps, [idx])[idx]
+            worst = max(worst, rel_err(g[name][idx], numeric, floor=1e-6))
         report[group] = worst
     return GradCheckReport(max_rel_err=report, threshold=GRADCHECK_THRESHOLD)

@@ -19,9 +19,10 @@ from .attention import (
     masked_text_attention_forward,
     scaled_dot_attention_forward,
 )
-from .evalmetrics import BACKGROUND_RGB, MIN_REGION_SIZE, Detection, detect
+from .evalmetrics import BACKGROUND_RGB, detect
 from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
 from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
+from .oracles import attention_oracle, detect_oracle, rel_err, union_oracle
 from .pipeline import (
     NoiseSchedule,
     encode_layout,
@@ -40,25 +41,8 @@ def _check_total_mask_union(rng) -> tuple[bool, str]:
     worst = True
     for _ in range(50):
         masks = [MaskGrid((rng.random((6, 6)) < 0.4).astype(float)) for _ in range(3)]
-        got = total_mask(masks).values
-        want = np.zeros((6, 6))
-        for r in range(6):
-            for c in range(6):
-                want[r, c] = 1.0 if sum(m.values[r, c] for m in masks) > 0 else 0.0
-        worst = worst and np.array_equal(got, want)
+        worst = worst and np.array_equal(total_mask(masks).values, union_oracle(masks, 6, 6))
     return worst, "50 random mask triples"
-
-
-def _scalar_attention(q, k, v) -> np.ndarray:
-    out = np.zeros((q.shape[0], v.shape[1]))
-    for i in range(q.shape[0]):
-        logits = [float(q[i] @ k[j]) / np.sqrt(q.shape[1]) for j in range(k.shape[0])]
-        m = max(logits)
-        e = [np.exp(l - m) for l in logits]
-        z = sum(e)
-        for j in range(k.shape[0]):
-            out[i] += (e[j] / z) * v[j]
-    return out
 
 
 def _check_attention_oracle(rng) -> tuple[bool, str]:
@@ -68,7 +52,7 @@ def _check_attention_oracle(rng) -> tuple[bool, str]:
         k = rng.standard_normal((5, 8))
         v = rng.standard_normal((5, 8))
         out = scaled_dot_attention_forward(q, k, v)[0]
-        worst = max(worst, float(np.max(np.abs(out - _scalar_attention(q, k, v)))))
+        worst = max(worst, float(np.max(np.abs(out - attention_oracle(q, k, v)))))
     return worst <= 1e-12, f"max abs err {worst:.2e}"
 
 
@@ -87,9 +71,9 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
         got_text = masked_text_attention_forward(
             feat, EmbeddingSeq(emb), proj, MaskGrid(m)
         )[0].values
-        want_text = keep * _scalar_attention(feat.values @ proj.wq, emb @ proj.wk, emb @ proj.wv)
+        want_text = keep * attention_oracle(feat.values @ proj.wq, emb @ proj.wk, emb @ proj.wv)
         got_ae = attribute_enhancement_forward(feat, qlp, proj, MaskGrid(m))[0].values
-        want_ae = keep * _scalar_attention(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
+        want_ae = keep * attention_oracle(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
         worst = max(
             worst,
             float(np.max(np.abs(got_text - want_text))),
@@ -199,38 +183,21 @@ def _check_packed_train_step(rng) -> tuple[bool, str]:
     for scene, t, n, enc in zip(scenes, ts, noise, encs):
         loss_ref += mse_loss_and_grads(params, [scene], [t], n[None], [enc], True, g_ref)
 
-    def rel(a, b) -> float:
-        return float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300))
-
-    worst = max([rel(np.array(loss), np.array(loss_ref))] + [rel(g[k], g_ref[k]) for k in g])
+    worst = max([rel_err(loss, loss_ref)] + [rel_err(g[k], g_ref[k]) for k in g])
     return worst <= 1e-12, f"3 scenes (2, 1, 0 instances), max rel err {worst:.2e}"
 
 
 def _check_detect_oracle(rng) -> tuple[bool, str]:
-    # noise of two exact palette colors and the background (so the labels are
-    # known) against a pixel-by-pixel flood fill, in raster order of first pixel
+    # noise of two exact palette colors and the background, so that the
+    # detector sees regions of every size and shape
     names = sorted(PALETTE_RGB)
     centers = np.array([PALETTE_RGB[n] for n in names] + [BACKGROUND_RGB])
     ok, count = True, 0
     for h, w in ((32, 32), (16, 24), (1, 32), (32, 1)):
         labels = rng.choice([*rng.choice(len(names), 2, replace=False), len(names)], (h, w))
-        seen, want = labels == len(names), []
-        for start in np.ndindex(h, w):
-            if seen[start]:
-                continue
-            seen[start], todo, comp = True, [start], []
-            while todo:
-                r, c = todo.pop()
-                comp.append((r, c))
-                for q in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if 0 <= q[0] < h and 0 <= q[1] < w and not seen[q] and labels[q] == labels[start]:
-                        seen[q] = True
-                        todo.append(q)
-            rows, cols = zip(*comp)
-            if len(comp) >= MIN_REGION_SIZE:
-                box = BBox(min(cols) / w, min(rows) / h, (max(cols) + 1) / w, (max(rows) + 1) / h)
-                want.append(Detection(box, names[labels[start]], len(comp)))
-        ok = ok and detect(centers[labels].transpose(2, 0, 1), PALETTE_RGB) == want
+        image = centers[labels].transpose(2, 0, 1)
+        want = detect_oracle(image, PALETTE_RGB)
+        ok = ok and detect(image, PALETTE_RGB) == want
         count += len(want)
     return ok, f"4 noise images, {count} regions, list equality"
 

@@ -8,7 +8,6 @@ in the active mechanism.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -57,10 +56,9 @@ def run_arm(
 
 def run_arms(arms: list[str], *args, **kwargs) -> dict[str, ArmResult]:
     """`run_arm(arm, *args, **kwargs)` for every arm, the arms in parallel in
-    at most one worker process per usable core; an arm that raises raises
-    here.  Each result equals that of a serial run bit for bit."""
+    one worker process each; an arm that raises raises here.  Each result
+    equals that of a serial run bit for bit."""
     arms = list(dict.fromkeys(arms))  # an arm named twice runs once
-    workers = min(len(arms), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ProcessPoolExecutor(len(arms), mp_context=multiprocessing.get_context("spawn")) as pool:
         futures = {arm: pool.submit(run_arm, arm, *args, **kwargs) for arm in arms}
         return {arm: future.result() for arm, future in futures.items()}

@@ -39,6 +39,7 @@ from radl.evalmetrics import (
 )
 from radl.fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
 from radl.layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, Relation, rasterize_mask, total_mask
+from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.pipeline import (
     denoise_forward,
     encode_layout,
@@ -62,37 +63,6 @@ STEERING_SEED = 0
 
 def announce(num: int, ok: bool, detail: str):
     print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def rel_err(a, b):
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-    return np.max(np.abs(a - b)) / denom
-
-
-def attention_oracle(q, k, v):
-    n_q, d = q.shape
-    out = np.zeros((n_q, d))
-    for i in range(n_q):
-        logits = [float(q[i] @ k[j]) / np.sqrt(d) for j in range(k.shape[0])]
-        m = max(logits)
-        exps = [np.exp(l - m) for l in logits]
-        z = sum(exps)
-        for j in range(k.shape[0]):
-            out[i] += (exps[j] / z) * v[j]
-    return out
-
-
-def fd_grad(fn, arr, d_out, eps=1e-5):
-    num = np.zeros_like(arr)
-    for idx in np.ndindex(arr.shape):
-        orig = arr[idx]
-        arr[idx] = orig + eps
-        up = float((fn() * d_out).sum())
-        arr[idx] = orig - eps
-        dn = float((fn() * d_out).sum())
-        arr[idx] = orig
-        num[idx] = (up - dn) / (2 * eps)
-    return num
 
 
 # --- criterion 1: attention oracle suite --------------------------------------
@@ -135,7 +105,7 @@ def _op_backward_errors(rng):
     _, cache = scaled_dot_attention_forward(q, k, v)
     dq, dk, dv = scaled_dot_attention_backward(d_small, cache)
     for arr, an in ((q, dq), (k, dk), (v, dv)):
-        num = fd_grad(lambda: scaled_dot_attention_forward(q, k, v)[0], arr, d_small)
+        num = central_diff(lambda: scaled_dot_attention_forward(q, k, v)[0], arr, d_small)
         errs.append(rel_err(an, num))
 
     from radl.text import EmbeddingSeq
@@ -149,7 +119,7 @@ def _op_backward_errors(rng):
 
     for arr, an in ((feat.values, grads["feat"]), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
-        errs.append(rel_err(an, fd_grad(run_mta, arr, d_out)))
+        errs.append(rel_err(an, central_diff(run_mta, arr, d_out)))
 
     qlp = rng.standard_normal((6, d))
     out, cache = attribute_enhancement_forward(feat, qlp, proj)
@@ -160,7 +130,7 @@ def _op_backward_errors(rng):
 
     for arr, an in ((qlp, grads["qlp"]), (feat.values, grads["feat"]),
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
-        errs.append(rel_err(an, fd_grad(run_ae, arr, d_out)))
+        errs.append(rel_err(an, central_diff(run_ae, arr, d_out)))
 
     out, cache = instance_attention_forward(feat, emb, proj, mask)
     grads = instance_attention_backward(d_out, cache)
@@ -168,7 +138,7 @@ def _op_backward_errors(rng):
     def run_ia():
         return instance_attention_forward(feat, emb, proj, mask)[0].values
 
-    errs.append(rel_err(grads["feat"], fd_grad(run_ia, feat.values, d_out)))
+    errs.append(rel_err(grads["feat"], central_diff(run_ia, feat.values, d_out)))
 
     da, db = fuse_residual_backward(d_out)
     errs.append(rel_err(da, d_out))
@@ -179,7 +149,7 @@ def _op_backward_errors(rng):
     def run_rel():
         return relation_attention_forward(feat, emb, proj, mask)[0].values
 
-    errs.append(rel_err(grads["emb"], fd_grad(run_rel, emb.values, d_out)))
+    errs.append(rel_err(grads["emb"], central_diff(run_rel, emb.values, d_out)))
 
     ones = MaskGrid(np.ones((2, 3)))
     branches = [
@@ -190,7 +160,7 @@ def _op_backward_errors(rng):
 
     _, cache = fuse_forward(branches)
     d_feats, d_logits = fuse_backward(d_out, cache)
-    num = fd_grad(lambda: fuse_forward(branches)[0].values, branches[0].feat.values, d_out)
+    num = central_diff(lambda: fuse_forward(branches)[0].values, branches[0].feat.values, d_out)
     errs.append(rel_err(d_feats[0], num))
     return max(errs)
 

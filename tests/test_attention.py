@@ -23,34 +23,8 @@ from radl.attention import (
 from radl.errors import MissingCache, ShapeMismatch
 from radl.fusion import INSTANCE, FusionBranch, fuse_forward
 from radl.layout import BBox, MaskGrid, rasterize_mask
+from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.text import EmbeddingSeq
-
-
-def attention_oracle(q, k, v):
-    """Naive scalar triple-loop attention, kept independent of the kernel."""
-    n_q, d = q.shape
-    n_k = k.shape[0]
-    out = np.zeros((n_q, d))
-    for i in range(n_q):
-        logits = []
-        for j in range(n_k):
-            s = 0.0
-            for c in range(d):
-                s += q[i, c] * k[j, c]
-            logits.append(s / np.sqrt(d))
-        m = max(logits)
-        exps = [np.exp(l - m) for l in logits]
-        z = sum(exps)
-        for j in range(n_k):
-            w = exps[j] / z
-            for c in range(d):
-                out[i, c] += w * v[j, c]
-    return out
-
-
-def rel_err(a, b):
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-    return np.max(np.abs(a - b)) / denom
 
 
 def grid(rng, h, w, d):
@@ -59,21 +33,6 @@ def grid(rng, h, w, d):
 
 def random_mask(rng, h, w):
     return MaskGrid((rng.random((h, w)) < 0.5).astype(float))
-
-
-def central_diff(f, arr, d_out, eps=1e-5, coords=None):
-    """Numeric gradient of sum(f() * d_out) w.r.t. arr (in place perturbation)."""
-    num = np.zeros_like(arr)
-    indices = coords if coords is not None else list(np.ndindex(arr.shape))
-    for idx in indices:
-        orig = arr[idx]
-        arr[idx] = orig + eps
-        up = float((f() * d_out).sum())
-        arr[idx] = orig - eps
-        dn = float((f() * d_out).sum())
-        arr[idx] = orig
-        num[idx] = (up - dn) / (2 * eps)
-    return num
 
 
 # --- scaled_dot_attention ---------------------------------------------------

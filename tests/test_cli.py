@@ -362,6 +362,29 @@ def test_gen_bad_schedule_exit_2(workdir, flags, key, capsys):
     assert not (workdir / "out" / "img_000.ppm").exists()
 
 
+@pytest.mark.parametrize("config_split, steps, want", [
+    (3, 4, 3),  # the config's radl_steps holds under --steps
+    (None, 4, 2),  # no radl_steps in the config: min(30, steps // 2)
+    (3, 2, None),  # the config's radl_steps exceeds the schedule: exit 2
+])
+def test_gen_steps_keeps_config_radl_steps(workdir, config_split, steps, want, capsys):
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "train") == 0
+    cfg = json.loads(cfg_path.read_text())
+    cfg.pop("radl_steps")
+    if config_split is not None:
+        cfg["radl_steps"] = config_split
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    code = run("--config", cfg_path, "--steps", steps, "gen", workdir / "layout.json")
+    if want is None:
+        assert code == 2
+        assert "radl_steps 3 exceeds t_sample 2" in capsys.readouterr().err
+        return
+    assert code == 0
+    trace = json.loads((workdir / "out" / "img_000.trace.json").read_text())
+    assert trace["radl_on"] == [True] * want + [False] * (steps - want)
+
+
 def test_gen_chunks_equal_single_image_runs(workdir):
     # 17 images cross the 16-image chunk boundary; image i must carry the
     # bytes a lone run with seed seed+i writes
@@ -564,6 +587,22 @@ def test_selftest_raising_check_exit_5(workdir, monkeypatch, capsys):
     failed = [c for c in checks if not c["passed"]]
     assert [c["name"] for c in failed] == ["detect vs flood-fill oracle"]
     assert "InvalidBBox: x2 must exceed x1" in failed[0]["detail"]
+
+
+@pytest.mark.parametrize("name, broken, check", [
+    ("scaled_dot_attention_forward",  # the 1/sqrt(d) score scale dropped
+     lambda real: lambda q, k, v, key_keep=None: real(q * np.sqrt(q.shape[-1]), k, v, key_keep),
+     "attention vs scalar oracle"),
+    ("detect", lambda real: lambda image, palette: real(image, palette)[:-1],
+     "detect vs flood-fill oracle"),
+], ids=["attention_unscaled", "detect_drops_last"])
+def test_selftest_oracle_fails_broken_program(workdir, name, broken, check, monkeypatch, capsys):
+    from radl import selftest
+
+    monkeypatch.setattr(selftest, name, broken(getattr(selftest, name)))
+    assert run("--config", workdir / "config.json", "--json", "selftest") == 5
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [check]
 
 
 # --- global flags ------------------------------------------------------------------

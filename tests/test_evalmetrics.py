@@ -23,6 +23,7 @@ from radl.evalmetrics import (
     success_rate,
 )
 from radl.layout import BBox, InstanceSpec, LayoutSpec, Relation
+from radl.oracles import detect_oracle
 from radl.scenes import PALETTE_RGB, SceneConfig, generate, make_scene, render_layout
 
 PALETTE = SceneConfig().palette
@@ -91,51 +92,6 @@ def test_rgb_to_hsv_known_points(rgb, hsv):
 
 
 # --- detect ---------------------------------------------------------------------
-
-def detect_oracle(image, palette):
-    """The reference detector: palette quantization, then a flood fill from
-    each unvisited pixel in raster order, one pixel at a time."""
-    if not isinstance(palette, dict):
-        palette = {name: PALETTE_RGB[name] for name in palette}
-    names = sorted(palette)
-    centers = np.array([palette[n] for n in names] + [list(BACKGROUND_RGB)])
-    h, w = image.shape[1], image.shape[2]
-
-    pixels = image.reshape(3, -1).T  # (h*w, 3)
-    dist = ((pixels[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = dist.argmin(axis=1).reshape(h, w)
-    bg_index = len(names)
-
-    detections = []
-    seen = np.zeros((h, w), dtype=bool)
-    for r in range(h):
-        for c in range(w):
-            if seen[r, c] or labels[r, c] == bg_index:
-                continue
-            color_idx = labels[r, c]
-            stack = [(r, c)]
-            seen[r, c] = True
-            comp = []
-            while stack:
-                rr, cc = stack.pop()
-                comp.append((rr, cc))
-                for nr, nc in ((rr - 1, cc), (rr + 1, cc), (rr, cc - 1), (rr, cc + 1)):
-                    if 0 <= nr < h and 0 <= nc < w and not seen[nr, nc] and labels[nr, nc] == color_idx:
-                        seen[nr, nc] = True
-                        stack.append((nr, nc))
-            if len(comp) < MIN_REGION_SIZE:
-                continue
-            rows = [p[0] for p in comp]
-            cols = [p[1] for p in comp]
-            detections.append(
-                Detection(
-                    bbox=BBox(min(cols) / w, min(rows) / h, (max(cols) + 1) / w, (max(rows) + 1) / h),
-                    dominant_color=names[color_idx],
-                    pixel_count=len(comp),
-                )
-            )
-    return detections
-
 
 def assert_detect_matches_oracle(image):
     got = detect(image, PALETTE)

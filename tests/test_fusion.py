@@ -5,6 +5,7 @@ from radl.attention import FeatureGrid
 from radl.errors import MissingCache, NoBranches, ShapeMismatch
 from radl.fusion import BACKGROUND, INSTANCE, RELATION, FusionBranch, fuse_backward, fuse_forward
 from radl.layout import MaskGrid
+from radl.oracles import rel_err
 
 
 def fuse_oracle(branches):
@@ -20,11 +21,6 @@ def fuse_oracle(branches):
         for b, e in zip(active, exps):
             out[p] += (e / z) * b.feat.values[p]
     return out
-
-
-def rel_err(a, b):
-    denom = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-    return np.max(np.abs(a - b)) / denom
 
 
 def make_branches(rng, h=8, w=8, d=8, n_inst=2, logits=None):

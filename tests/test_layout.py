@@ -18,6 +18,7 @@ from radl.layout import (
     serialize_layout,
     total_mask,
 )
+from radl.oracles import union_oracle
 
 
 def rasterize_oracle(bbox: BBox, h: int, w: int) -> np.ndarray:
@@ -29,16 +30,6 @@ def rasterize_oracle(bbox: BBox, h: int, w: int) -> np.ndarray:
             py = (r + 0.5) / h
             if bbox.x1 <= px < bbox.x2 and bbox.y1 <= py < bbox.y2:
                 out[r, c] = 1.0
-    return out
-
-
-def union_oracle(masks, h, w) -> np.ndarray:
-    """Brute-force double loop computing sum_i m_i(x, y) > 0."""
-    out = np.zeros((h, w))
-    for r in range(h):
-        for c in range(w):
-            s = sum(m.values[r, c] for m in masks)
-            out[r, c] = 1.0 if s > 0 else 0.0
     return out
 
 

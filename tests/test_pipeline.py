@@ -26,6 +26,7 @@ from radl.pipeline import (
     zero_grads,
 )
 from radl.layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask
+from radl.oracles import central_diff, rel_err
 from radl.scenes import SceneConfig, generate, make_scene
 from radl.text import EmbedderConfig, extract_verbs
 
@@ -190,7 +191,7 @@ def test_variant_validation_and_shape_checks():
     for radl_on in (True, False):
         shared = denoise_forward(params, x, [120], encs, radl_on)
         repeated = denoise_forward(params, x, [120, 120], encs, radl_on)
-        assert rel_diff(shared, repeated) <= 1e-12
+        assert rel_err(shared, repeated) <= 1e-12
 
 
 def test_text_attn_only_uses_no_enhancement_params():
@@ -231,10 +232,6 @@ def crowded_layouts(count=3):
     return layouts
 
 
-def rel_diff(a, b):
-    return np.max(np.abs(a - b)) / max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
-
-
 def forward_and_grads(params, layout, x, t, variant):
     eps, cache = denoise_forward_cached(params, x[None], [t], encode(params, layout), True, variant)
     g = zero_grads(params)
@@ -261,9 +258,9 @@ def test_in_mask_enhancement_matches_dense_reference(variant, monkeypatch):
     )
     for case, (eps, g) in zip(cases, fast):
         eps_ref, g_ref = forward_and_grads(params, *case, variant)
-        assert rel_diff(eps, eps_ref) <= 1e-12
+        assert rel_err(eps, eps_ref) <= 1e-12
         for name in g_ref:
-            assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
+            assert rel_err(g[name], g_ref[name]) <= 1e-12, name
 
 
 # --- sampling ----------------------------------------------------------------
@@ -359,7 +356,7 @@ def test_backward_on_batched_cache_sums_images():
             )
             denoise_backward(d_eps[k : k + 1], cache_k, params, g_ref)
         for name in g:
-            assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
+            assert rel_err(g[name], g_ref[name]) <= 1e-12, name
 
 
 def test_sample_rejects_bad_split():
@@ -527,9 +524,9 @@ def test_packed_loss_and_grads_equal_per_sample_sum(variant, mode):
     args = full, [150, 120], np.random.default_rng(23).standard_normal((2, 3, 32, 32))
     loss += pack_loss_and_grads(params, *args, g, variant, True, 0.25)
     loss_ref += per_sample_loss_and_grads(params, *args, g_ref, variant, True, 0.25)
-    assert rel_diff(np.array(loss), np.array(loss_ref)) <= 1e-12
+    assert rel_err(np.array(loss), np.array(loss_ref)) <= 1e-12
     for name in g_ref:
-        assert rel_diff(g[name], g_ref[name]) <= 1e-12, name
+        assert rel_err(g[name], g_ref[name]) <= 1e-12, name
 
 
 def test_packed_gradients_match_central_differences():
@@ -554,15 +551,9 @@ def test_packed_gradients_match_central_differences():
         coords = [(name, idx) for name in names for idx in np.ndindex(pdict[name].shape)]
         for i in rng.choice(len(coords), size=min(4, len(coords)), replace=False):
             name, idx = coords[int(i)]
-            arr, orig = pdict[name], pdict[name][idx]
-            arr[idx] = orig + eps
-            up = loss_fn()
-            arr[idx] = orig - eps
-            dn = loss_fn()
-            arr[idx] = orig
-            numeric = (up - dn) / (2.0 * eps)
+            numeric = central_diff(loss_fn, pdict[name], 1.0, eps, [idx])[idx]
             analytic = g[name][idx]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+            err = rel_err(analytic, numeric, floor=1e-6)
             assert err <= 1e-4, (group, name, idx, analytic, numeric)
 
 
@@ -610,7 +601,7 @@ def test_packed_train_matches_per_sample_reference(mode):
     assert np.allclose(result.losses, ref_losses, rtol=1e-10, atol=0.0)
     ref_params = params_to_dict(ref)
     for name, arr in params_to_dict(packed).items():
-        assert rel_diff(arr, ref_params[name]) <= 1e-10, name
+        assert rel_err(arr, ref_params[name]) <= 1e-10, name
 
 
 # --- gradient checking -------------------------------------------------------
