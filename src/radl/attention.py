@@ -9,7 +9,7 @@ against central finite differences in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -305,6 +305,7 @@ def masked_attention_forward(
     out, ac = scaled_dot_attention_forward(
         x @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv, emb.keep
     )
+    ac.q = None  # as large as the kept rows: the backward projects them again
     return feat.like(rows.put(out)), MaskedAttnCache(
         q_src=x, emb=emb, rows=rows, attn_cache=ac, proj=proj
     )
@@ -316,9 +317,8 @@ def masked_attention_backward(
     if cache is None:
         raise MissingCache("masked attention backward needs its forward cache")
     rows, proj, emb = cache.rows, cache.proj, cache.emb.values
-    dq, dk, dv = scaled_dot_attention_backward(
-        rows.take_grad(flip_stack(d_out)), cache.attn_cache
-    )
+    ac = replace(cache.attn_cache, q=cache.q_src @ proj.wq)
+    dq, dk, dv = scaled_dot_attention_backward(rows.take_grad(flip_stack(d_out)), ac)
     return {
         "feat": flip_stack(rows.put(dq @ proj.wq.T)),
         "emb": dk @ proj.wk.T + dv @ proj.wv.T,

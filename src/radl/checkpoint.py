@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -35,12 +36,19 @@ def save_tensors(path, tensors: dict[str, np.ndarray], meta: dict | None = None)
         blobs.append(blob)
         offset += len(blob)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+    # written beside the target and renamed over it, so a failed write (a
+    # full disk, an interrupt) leaves the old checkpoint whole
+    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:

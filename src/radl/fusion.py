@@ -7,8 +7,8 @@ contribute exactly zero and receive zero gradient at that pixel.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -77,8 +77,9 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
 
 def fuse_backward(
     d_out: np.ndarray, cache: FuseCache | None
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Gradients (per-branch feature grads, per-branch logit grads).
+) -> tuple[Sequence[np.ndarray], np.ndarray]:
+    """Gradients (per-branch feature grads, each made when read; per-branch
+    logit grads).
 
     For a stack, d_out and the feature grads are rows-first (n_pix, K, d),
     as in the attention backwards, and the logit grads sum over the stack.
@@ -89,13 +90,28 @@ def fuse_backward(
         raise MissingCache("fuse backward needs its forward cache")
     w = cache.weights
     if d_out.ndim == 2:
-        d_feats = [w[b][:, None] * d_out for b in range(w.shape[0])]
         # g[b, p] = d_out(p) . feat_b(p)
         g = np.einsum("nd,bnd->bn", d_out, cache.feats)
     else:
         w = w if w.ndim == 3 else w[None]  # (K or 1, B, n)
-        d_feats = [w[:, b].T[..., None] * d_out for b in range(w.shape[1])]
         g = np.einsum("nkd,kbnd->kbn", d_out, cache.feats)
     gbar = (w * g).sum(axis=-2, keepdims=True)
     d_logits = (w * (g - gbar)).sum(axis=-1)
-    return d_feats, d_logits.reshape(-1, w.shape[-2]).sum(axis=0)
+    return _BranchGrads(w, d_out), d_logits.reshape(-1, w.shape[-2]).sum(axis=0)
+
+
+class _BranchGrads(Sequence):
+    """Each branch's feature gradient, weight times upstream gradient, made
+    when read: together they are as large as the fusion cache, and the
+    attention backwards read them one at a time."""
+
+    def __init__(self, w: np.ndarray, d_out: np.ndarray):
+        self.w, self.d_out = w, d_out
+
+    def __len__(self) -> int:
+        return self.w.shape[-2]
+
+    def __getitem__(self, b: int) -> np.ndarray:
+        if self.d_out.ndim == 2:
+            return self.w[b][:, None] * self.d_out
+        return self.w[:, b].T[..., None] * self.d_out

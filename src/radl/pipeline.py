@@ -16,8 +16,9 @@ takes the K images' layout encodings.  A lone image is a stack of one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -59,12 +60,6 @@ from .text import (
 
 VARIANTS = ("full", "text_attn_only", "no_relation")
 TRAIN_MODES = ("mirror", "always_on")
-
-# stack-on samples a training step runs through one forward and one
-# backward.  A pack holds its samples' attention activations until its
-# backward, so this bounds the step's memory: on the crowded benchmark
-# workload, packs of 8 raised peak RSS by about 10%, packs of 4 by about 5%
-TRAIN_PACK = 4
 
 # parameters that act as gates/queries rather than weights
 NO_DECAY = frozenset(
@@ -157,7 +152,8 @@ def _gain_basis(u, s0) -> np.ndarray:
 
 @dataclass
 class DenoiserParams:
-    """All learnable state of the toy denoiser."""
+    """All learnable state of the toy denoiser.  Every tensor is a view into
+    one vector, `flat`, so an optimizer step is one pass over it."""
 
     d: int
     image_size: int
@@ -177,6 +173,15 @@ class DenoiserParams:
     logit_bg: np.ndarray    # ()
     logit_inst: np.ndarray  # ()
     logit_rel: np.ndarray   # ()
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _flatten(self)
+
+    def __setstate__(self, state):
+        # pickling copies each view on its own: lay them out in one vector again
+        self.__dict__.update(state)
+        _flatten(self)
 
     @property
     def fine_side(self) -> int:
@@ -217,34 +222,54 @@ def init_denoiser(
     )
 
 
+# name -> attribute path of every learnable tensor, in the order the flat
+# parameter vector lays them out
+_TENSOR_PATHS = {
+    "enc1.w": "enc1_w", "enc1.b": "enc1_b",
+    "enc2.w": "enc2_w", "enc2.b": "enc2_b",
+    "dec1.w": "dec1_w", "dec1.b": "dec1_b",
+    "dec2.w": "dec2_w", "dec2.b": "dec2_b",
+    "temb": "temb",
+    "anchor_gain": "anchor_gain",
+    **{
+        f"radl.{kind}.{w}": f"radl.proj_{kind}.{w}"
+        for kind in ("text", "ae", "inst", "rel") for w in ("wq", "wk", "wv")
+    },
+    "radl.qlp_fine": "radl.qlp_fine", "radl.qlp_coarse": "radl.qlp_coarse",
+    "radl.e_proj": "radl.e_proj",
+    **{f"posmlp.{w}": f"posmlp.{w}" for w in ("w1", "b1", "w2", "b2")},
+    "fusion.logit_bg": "logit_bg", "fusion.logit_inst": "logit_inst",
+    "fusion.logit_rel": "logit_rel",
+}
+
+
 def params_to_dict(p: DenoiserParams) -> dict[str, np.ndarray]:
-    """Name -> array view of every learnable tensor (shared references)."""
+    """Name -> every learnable tensor (shared references: views into
+    `p.flat`, laid out in this order)."""
+    return {name: attrgetter(path)(p) for name, path in _TENSOR_PATHS.items()}
+
+
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views into `flat` shaped as the arrays of `like`, end to end in its order."""
+    ends = np.cumsum([a.size for a in like.values()]).tolist()
     return {
-        "enc1.w": p.enc1_w, "enc1.b": p.enc1_b,
-        "enc2.w": p.enc2_w, "enc2.b": p.enc2_b,
-        "dec1.w": p.dec1_w, "dec1.b": p.dec1_b,
-        "dec2.w": p.dec2_w, "dec2.b": p.dec2_b,
-        "temb": p.temb,
-        "anchor_gain": p.anchor_gain,
-        "radl.text.wq": p.radl.proj_text.wq, "radl.text.wk": p.radl.proj_text.wk,
-        "radl.text.wv": p.radl.proj_text.wv,
-        "radl.ae.wq": p.radl.proj_ae.wq, "radl.ae.wk": p.radl.proj_ae.wk,
-        "radl.ae.wv": p.radl.proj_ae.wv,
-        "radl.inst.wq": p.radl.proj_inst.wq, "radl.inst.wk": p.radl.proj_inst.wk,
-        "radl.inst.wv": p.radl.proj_inst.wv,
-        "radl.rel.wq": p.radl.proj_rel.wq, "radl.rel.wk": p.radl.proj_rel.wk,
-        "radl.rel.wv": p.radl.proj_rel.wv,
-        "radl.qlp_fine": p.radl.qlp_fine, "radl.qlp_coarse": p.radl.qlp_coarse,
-        "radl.e_proj": p.radl.e_proj,
-        "posmlp.w1": p.posmlp.w1, "posmlp.b1": p.posmlp.b1,
-        "posmlp.w2": p.posmlp.w2, "posmlp.b2": p.posmlp.b2,
-        "fusion.logit_bg": p.logit_bg, "fusion.logit_inst": p.logit_inst,
-        "fusion.logit_rel": p.logit_rel,
+        name: flat[end - a.size : end].reshape(a.shape)
+        for (name, a), end in zip(like.items(), ends)
     }
 
 
+def _flatten(p: DenoiserParams) -> None:
+    """Copy every tensor into one vector, `p.flat`, and point p at views of it."""
+    tensors = params_to_dict(p)
+    p.flat = np.concatenate([a.ravel() for a in tensors.values()])
+    for name, view in _views(p.flat, tensors).items():
+        head, _, attr = _TENSOR_PATHS[name].rpartition(".")
+        setattr(attrgetter(head)(p) if head else p, attr, view)
+
+
 def zero_grads(p: DenoiserParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params_to_dict(p).items()}
+    """Zero gradients named as params_to_dict, views into one vector."""
+    return _views(np.zeros_like(p.flat), params_to_dict(p))
 
 
 PARAM_GROUPS: dict[str, tuple[str, ...]] = {
@@ -294,6 +319,15 @@ class LayoutEncoding:
     blocks: dict[int, BlockInputs]
 
 
+@lru_cache(maxsize=None)
+def _every_row(side: int) -> tuple[RowSet, MaskGrid]:
+    """The background's rows and all-ones mask at one grid side, read-only
+    and shared by every encoding."""
+    idx, ones = np.arange(side * side), np.ones((side, side))
+    idx.flags.writeable = ones.flags.writeable = False
+    return RowSet(side, side, idx), MaskGrid(ones)
+
+
 def encode_layout(
     layout: LayoutSpec, cfg: EmbedderConfig, sides: Sequence[int]
 ) -> LayoutEncoding:
@@ -307,7 +341,7 @@ def encode_layout(
         masks = [rasterize_mask(i.bbox, side, side) for i in layout.instances]
         total = total_mask(masks, height=side, width=side)
         blocks[side] = BlockInputs(
-            background=Branch(RowSet.every(side, side), MaskGrid(np.ones((side, side))), prompt),
+            background=Branch(*_every_row(side), prompt),
             instances=tuple(
                 Branch(RowSet.of(m), m, label, inst.bbox)
                 for m, label, inst in zip(masks, labels, layout.instances)
@@ -487,17 +521,8 @@ def _radl_block_forward(
 
     inst_caches = []
     for i, inst in enumerate(inputs.instances):
-        r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, radl.proj_text, inst.rows)
-        ic = InstanceCache(r=r_cache)
-        if variant == "text_attn_only":
-            r_f = r_i
-        else:
-            # enhancement keys/values come from the instance's own masked
-            # features; only in-box query rows are computed, which is exact
-            # because instance attention reads and back-propagates only those
-            r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, radl.proj_ae, inst.rows)
-            r_ia, ic.ia = instance_attention_forward(r_ae, embs[i], radl.proj_inst, inst.rows)
-            r_f = fuse_residual(r_i, r_ia)
+        emb = None if embs is None else embs[i]
+        r_f, ic = _instance_branch(feat, inst, emb, qlp, radl, variant)
         inst_caches.append(ic)
         branches.append(FusionBranch(INSTANCE, r_f, inst.mask, float(params.logit_inst)))
 
@@ -512,6 +537,24 @@ def _radl_block_forward(
         qlp_name=qlp_name, bg=bg_cache, instances=inst_caches,
         rel=rel_cache, fuse=fuse_cache, variant=variant,
     )
+
+
+def _instance_branch(
+    feat: FeatureGrid, inst: Branch, emb: EmbeddingSeq | None, qlp: np.ndarray,
+    radl: RadlAttnParams, variant: str,
+) -> tuple[FeatureGrid, InstanceCache]:
+    """One instance slot's branch features and cache.  Its intermediate
+    features die here, before fusion stacks every branch."""
+    r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, radl.proj_text, inst.rows)
+    ic = InstanceCache(r=r_cache)
+    if variant == "text_attn_only":
+        return r_i, ic
+    # enhancement keys/values come from the instance's own masked features;
+    # only in-box query rows are computed, which is exact because instance
+    # attention reads and back-propagates only those
+    r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, radl.proj_ae, inst.rows)
+    r_ia, ic.ia = instance_attention_forward(r_ae, emb, radl.proj_inst, inst.rows)
+    return fuse_residual(r_i, r_ia), ic
 
 
 def _accumulate_text_attn(g: dict, prefix: str, grads: dict):
@@ -537,6 +580,7 @@ def _radl_block_backward(
         g["fusion.logit_rel"] += d_logits[1 + n]
 
     bg_grads = masked_text_attention_backward(d_feats[0], cache.bg)
+    cache.bg = None
     d_feat = bg_grads["feat"].copy()
     _accumulate_text_attn(g, "radl.text", bg_grads)
 
@@ -558,7 +602,7 @@ def _radl_block_backward(
         r_grads = masked_text_attention_backward(d_r, ic.r)
         d_feat += r_grads["feat"]
         _accumulate_text_attn(g, "radl.text", r_grads)
-        cache.instances[i] = d_feats[1 + i] = None
+        cache.instances[i] = None
 
     if cache.rel is not None:
         rel_grads = relation_attention_backward(d_feats[1 + n], cache.rel)
@@ -575,7 +619,6 @@ def _radl_block_backward(
 class DenoiseCache:
     x: np.ndarray
     t: np.ndarray  # (T,): one step per image, or T = 1 shared by the stack
-    p_img: np.ndarray
     block_fine: BlockCache | None  # None with the stack off
     p16: np.ndarray
     block_coarse: BlockCache | None
@@ -630,15 +673,18 @@ def denoise_forward_cached(
         return fused.values, block
 
     temb_t = params.temb[t - 1][:, None, :]
-    p_img = image_to_patches(x_t)
-    b16, block_fine = attend(p_img @ params.enc1_w + params.enc1_b + temb_t, fine)
+    b16, block_fine = attend(image_to_patches(x_t) @ params.enc1_w + params.enc1_b + temb_t, fine)
     p16 = grid_to_patches(b16, fine)
     b8, block_coarse = attend(p16 @ params.enc2_w + params.enc2_b + temb_t, coarse)
 
-    u16 = patches_to_grid(b8 @ params.dec1_w + params.dec1_b, fine)
-    u16c = u16 + b16  # skip: the fine-grid features reach the decoder directly
+    # in place: each temporary here is an image-sized stack, and a pack's
+    # forward holds its caches on top of them
+    u16c = patches_to_grid(b8 @ params.dec1_w + params.dec1_b, fine)
+    u16c += b16  # skip: the fine-grid features reach the decoder directly
 
-    correction = patches_to_image(u16c @ params.dec2_w + params.dec2_b, s)
+    correction = u16c @ params.dec2_w
+    correction += params.dec2_b
+    correction = patches_to_image(correction, s)
 
     # Wiener-anchored noise estimate.  s0 is the optimal linear gain for
     # predicting the noise from x_t alone under the pixel prior moment; the
@@ -657,10 +703,12 @@ def denoise_forward_cached(
     # noise gain, reachable as the content correction becomes trustworthy.
     basis = _gain_basis(u, s0)
     gain = s0 + basis @ params.anchor_gain
-    eps = gain[:, None, None, None] * x_t + net_scale * correction
+    eps = correction
+    eps *= net_scale
+    eps += gain[:, None, None, None] * x_t
 
     return eps, DenoiseCache(
-        x=x_t, t=t, p_img=p_img, block_fine=block_fine, p16=p16,
+        x=x_t, t=t, block_fine=block_fine, p16=p16,
         block_coarse=block_coarse, b8=b8, u16c=u16c, emb_caches=emb_caches,
         net_scale=net_scale, gain_basis=basis,
     )
@@ -693,19 +741,13 @@ def denoise_backward(
     fine = params.fine_side
     radl_on = cache.block_fine is not None
 
-    d_gain = d_eps * cache.x
     basis = cache.gain_basis
-    g["anchor_gain"] += d_gain.reshape(len(basis), -1).sum(axis=1) @ basis
+    g["anchor_gain"] += (d_eps * cache.x).reshape(len(basis), -1).sum(axis=1) @ basis
 
-    d_p_out = image_to_patches(cache.net_scale * d_eps)
-    g["dec2.w"] += as_rows(cache.u16c).T @ as_rows(d_p_out)
-    g["dec2.b"] += as_rows(d_p_out).sum(axis=0)
-    d_u16c = d_p_out @ params.dec2_w.T
-
-    d_dec1_out = grid_to_patches(d_u16c, fine)
-    g["dec1.w"] += as_rows(cache.b8).T @ as_rows(d_dec1_out)
-    g["dec1.b"] += as_rows(d_dec1_out).sum(axis=0)
-    d_b8 = d_dec1_out @ params.dec1_w.T
+    d_u16c = _linear_backward(
+        cache.u16c, image_to_patches(cache.net_scale * d_eps), params.dec2_w, g, "dec2"
+    )
+    d_b8 = _linear_backward(cache.b8, grid_to_patches(d_u16c, fine), params.dec1_w, g, "dec1")
 
     if radl_on:
         d_h8, d_embs = _radl_block_backward(d_b8, cache.block_coarse, params, g)
@@ -714,10 +756,9 @@ def denoise_backward(
         d_h8 = d_b8
 
     _add_temb_grad(g, cache.t, d_h8)
-    g["enc2.w"] += as_rows(cache.p16).T @ as_rows(d_h8)
-    g["enc2.b"] += as_rows(d_h8).sum(axis=0)
     # b16 feeds both the downsampling stage and the decoder skip
-    d_b16 = patches_to_grid(d_h8 @ params.enc2_w.T, fine) + d_u16c
+    d_b16 = d_u16c
+    d_b16 += patches_to_grid(_linear_backward(cache.p16, d_h8, params.enc2_w, g, "enc2"), fine)
 
     if radl_on:
         d_h16, d_embs_fine = _radl_block_backward(d_b16, cache.block_fine, params, g)
@@ -729,8 +770,18 @@ def denoise_backward(
         d_h16 = d_b16
 
     _add_temb_grad(g, cache.t, d_h16)
-    g["enc1.w"] += as_rows(cache.p_img).T @ as_rows(d_h16)
+    g["enc1.w"] += as_rows(image_to_patches(cache.x)).T @ as_rows(d_h16)
     g["enc1.b"] += as_rows(d_h16).sum(axis=0)
+
+
+def _linear_backward(
+    x: np.ndarray, d_y: np.ndarray, w: np.ndarray, g: dict[str, np.ndarray], name: str
+) -> np.ndarray:
+    """Accumulate the weight and bias gradients of y = x @ w + b over a
+    stack into g; returns the input gradient."""
+    g[f"{name}.w"] += as_rows(x).T @ as_rows(d_y)
+    g[f"{name}.b"] += as_rows(d_y).sum(axis=0)
+    return d_y @ w.T
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +814,8 @@ def sample(
     sequence of K seeds gives (K, 3, S, S), denoised together, each image
     byte-identical to the one its seed gives alone.
     """
-    if radl_steps > total_steps:
-        raise ValueError(f"radl_steps {radl_steps} > total_steps {total_steps}")
+    if not 0 <= radl_steps <= total_steps:
+        raise ValueError(f"radl_steps {radl_steps} outside 0..total_steps {total_steps}")
     if embed_cfg is None:
         embed_cfg = EmbedderConfig(dim=params.d)
 
@@ -824,11 +875,13 @@ def mse_loss_and_grads(
     accumulate into g.  The per-sample losses are summed in pack order."""
     sched = training_schedule(params.t_train)
     x_t = np.stack([forward_diffuse(sc.image, t, sched, n) for sc, t, n in zip(scenes, ts, noise)])
-    eps_hat, cache = denoise_forward_cached(params, x_t, ts, encs, radl_on, variant)
-    resid = eps_hat - noise
+    resid, cache = denoise_forward_cached(params, x_t, ts, encs, radl_on, variant)
+    # in place, so that one image-stack array lives through the backward
+    resid -= noise
     per_sample = (resid * resid).reshape(len(resid), -1).mean(axis=1)
-    d_eps = (2.0 / noise[0].size) * resid * grad_scale
-    denoise_backward(d_eps, cache, params, g)
+    resid *= 2.0 / noise[0].size
+    resid *= grad_scale
+    denoise_backward(resid, cache, params, g)
     return sum(per_sample.tolist())
 
 
@@ -869,8 +922,9 @@ def train(
     steps, so the plain pass also trains at the noise levels where
     inference uses it; "always_on" keeps the stack active at every t.
     Each step draws its samples first, then runs those with the stack on
-    in packs of at most TRAIN_PACK samples and those with it off in one
-    pack (see mse_loss_and_grads).
+    as one pack and those with it off as another (see mse_loss_and_grads).
+    A pack holds its samples' activations until its backward, so
+    batch_size bounds a step's memory as well as its work.
     """
     if radl_train_mode not in TRAIN_MODES:
         raise ValueError(f"unknown radl_train_mode {radl_train_mode!r}")
@@ -878,12 +932,23 @@ def train(
         raise ValueError("training dataset is empty")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if embed_cfg is None:
         embed_cfg = EmbedderConfig(dim=params.d)
 
     pdict = params_to_dict(params)
-    m = opt_m if opt_m is not None else {k: np.zeros_like(v) for k, v in pdict.items()}
-    v = opt_v if opt_v is not None else {k: np.zeros_like(x) for k, x in pdict.items()}
+    # AdamW runs as one pass over flat vectors laid out as params.flat
+    m, v = (
+        np.zeros_like(params.flat) if state is None
+        else np.concatenate([state[name].ravel() for name in pdict])
+        for state in (opt_m, opt_v)
+    )
+    decay = np.concatenate([
+        np.full(a.size, 0.0 if name in NO_DECAY else weight_decay) for name, a in pdict.items()
+    ])
+    grad = np.zeros_like(params.flat)
+    g = _views(grad, pdict)
     # beta2 shortened for runs of a few thousand steps
     beta1, beta2, adam_eps = 0.9, 0.99, 1e-8
     # each scene is encoded, masks included, when first drawn with the stack on
@@ -901,17 +966,14 @@ def train(
             pick = int(rng.integers(len(dataset)))
             t = int(rng.integers(1, params.t_train + 1))
             draws.append((pick, t, rng.standard_normal(dataset[pick].image.shape)))
-        # the samples with the stack on in packs of at most TRAIN_PACK, then
-        # those with it off in one pack, each run as one forward and one
-        # backward
-        g = zero_grads(params)
+        # the samples with the stack on in one pack, then those with it off
+        # in another, each run as one forward and one backward
+        grad.fill(0.0)
         loss = 0.0
-        on = [d for d in draws if stack_on(d[1])]
-        off = [d for d in draws if not stack_on(d[1])]
-        packs = [(True, on[i : i + TRAIN_PACK]) for i in range(0, len(on), TRAIN_PACK)]
-        if off:
-            packs.append((False, off))
-        for radl_on, pack in packs:
+        for radl_on in (True, False):
+            pack = [d for d in draws if stack_on(d[1]) == radl_on]
+            if not pack:
+                continue
             picks, ts, noises = zip(*pack)
             if radl_on:
                 for pick in picks:
@@ -928,22 +990,19 @@ def train(
 
         lr_t = lr if warmup_steps <= 0 else lr * min(step / warmup_steps, 1.0)
         count = step + 1
-        for name, p in pdict.items():
-            grad = g[name]
-            m[name] = beta1 * m[name] + (1.0 - beta1) * grad
-            v[name] = beta2 * v[name] + (1.0 - beta2) * grad * grad
-            m_hat = m[name] / (1.0 - beta1**count)
-            v_hat = v[name] / (1.0 - beta2**count)
-            update = m_hat / (np.sqrt(v_hat) + adam_eps)
-            if name not in NO_DECAY:
-                update = update + weight_decay * p
-            p -= lr_t * update
+        m = beta1 * m + (1.0 - beta1) * grad
+        v = beta2 * v + (1.0 - beta2) * grad * grad
+        m_hat = m / (1.0 - beta1**count)
+        v_hat = v / (1.0 - beta2**count)
+        # decay is 0 on NO_DECAY tensors: adding 0 * p leaves their update as is
+        params.flat -= lr_t * (m_hat / (np.sqrt(v_hat) + adam_eps) + decay * params.flat)
 
         losses.append(loss)
         lrs.append(lr_t)
 
     return TrainResult(
-        params=params, losses=losses, lrs=lrs, opt_m=m, opt_v=v, step=start_step + steps
+        params=params, losses=losses, lrs=lrs, opt_m=_views(m, pdict), opt_v=_views(v, pdict),
+        step=start_step + steps,
     )
 
 

@@ -1,9 +1,11 @@
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from radl import checkpoint
 from radl.checkpoint import MAGIC, load_tensors, save_tensors
 from radl.cli import RunConfig, _load_checkpoint, _save_checkpoint
 from radl.errors import MalformedDoc
@@ -88,3 +90,37 @@ def test_loader_rejects_incomplete_checkpoint(tmp_path, damage, message):
     save_tensors(path, tensors, meta)
     with pytest.raises(MalformedDoc, match=message):
         _load_checkpoint(path, RunConfig(d=4, image_size=8, t_train=12))
+
+
+def test_failed_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    # `radl --resume x.ckpt train` whose checkpoint is x.ckpt overwrites the
+    # only copy of its state: a write that fails part way must leave it whole
+    path = tmp_path / "model.ckpt"
+    save_tensors(path, {"x": np.arange(4.0)}, {"step": 1})
+
+    class FullDisk:
+        """A file whose writes fail once 100 bytes are in."""
+
+        def __init__(self, fh):
+            self.fh, self.written = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.written += len(data)
+            if self.written > 100:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda p, mode: FullDisk(open(p, mode)), raising=False)
+    with pytest.raises(OSError):
+        save_tensors(path, {"x": np.arange(400.0)}, {"step": 2})
+    monkeypatch.undo()
+    tensors, meta = load_tensors(path)
+    assert meta == {"step": 1}
+    assert np.array_equal(tensors["x"], np.arange(4.0))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

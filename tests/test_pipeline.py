@@ -1,10 +1,12 @@
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from radl import pipeline
+from radl.cli import RunConfig, _load_checkpoint, _save_checkpoint
 from radl.errors import NonFiniteLoss, PlacementFailure, ShapeMismatch, StepOutOfRange
 from radl.pipeline import (
     NO_DECAY,
@@ -365,6 +367,12 @@ def test_sample_rejects_bad_split():
         sample(params, small_scene().layout, total_steps=4, radl_steps=5, embed_cfg=EC4)
 
 
+def test_sample_rejects_negative_radl_steps():
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    with pytest.raises(ValueError):
+        sample(params, small_scene().layout, total_steps=4, radl_steps=-1, embed_cfg=EC4)
+
+
 # --- training ----------------------------------------------------------------
 
 def make_dataset(n=12, image_size=8):
@@ -445,6 +453,68 @@ def test_train_rejects_batch_size_below_one():
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     with pytest.raises(ValueError):
         train(params, make_dataset(), steps=1, embed_cfg=EC4, batch_size=0)
+
+
+def test_train_rejects_negative_steps():
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    with pytest.raises(ValueError):
+        train(params, make_dataset(), steps=-2, embed_cfg=EC4, batch_size=1, start_step=5)
+
+
+# --- flat parameter and gradient buffers ----------------------------------------
+
+def test_params_and_grads_are_views_of_one_vector():
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    for tensors in (params_to_dict(params), zero_grads(params)):
+        flat = next(iter(tensors.values())).base
+        assert flat.ndim == 1 and flat.size == sum(a.size for a in tensors.values())
+        start = 0
+        for name, arr in tensors.items():  # laid out end to end in dict order
+            assert arr.base is flat, name
+            offset = arr.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+            assert offset == 8 * start, name
+            start += arr.size
+    assert params_to_dict(params)["enc1.w"].base is params.flat
+
+
+def test_training_continues_after_pickle_and_checkpoint_load(tmp_path):
+    # pickling copies each view on its own, and a checkpoint load fills a new
+    # model in place: either way the trained tensors must be the flat vector's
+    dataset = make_dataset()
+    kw = dict(steps=3, lr=1e-2, warmup_steps=0, rng_seed=2, embed_cfg=EC4, batch_size=4)
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    cfg = RunConfig(d=4, image_size=8, t_train=20)
+    _save_checkpoint(tmp_path / "m.ckpt", params, 0, cfg)
+    copies = [pickle.loads(pickle.dumps(params)), _load_checkpoint(tmp_path / "m.ckpt", cfg)[0]]
+    init = params.flat.copy()
+    train(params, dataset, **kw)
+    assert not np.array_equal(params.flat, init)
+    for other in copies:
+        train(other, dataset, **kw)
+        for name, arr in params_to_dict(params).items():
+            assert np.array_equal(params_to_dict(other)[name], arr), name
+
+
+@pytest.mark.parametrize("mode, most", [("always_on", 1), ("mirror", 2)])
+def test_train_runs_one_pack_per_stack_setting(monkeypatch, mode, most):
+    # every stack-on sample of a step goes through one forward, and in mirror
+    # mode the stack-off samples through one more
+    packs = []
+    forward = pipeline.denoise_forward_cached
+
+    def counted(*args, **kwargs):
+        packs[-1].append(args[4])  # radl_on
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "denoise_forward_cached", counted)
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    for step in range(4):
+        packs.append([])
+        train(params, make_dataset(), steps=1, start_step=step, rng_seed=1,
+              embed_cfg=EC4, batch_size=16, radl_train_mode=mode)
+    for radl_on in packs:
+        assert 1 <= len(radl_on) <= most and len(set(radl_on)) == len(radl_on)
+        assert mode == "mirror" or radl_on == [True]
 
 
 # --- packed training step ------------------------------------------------------
@@ -592,16 +662,18 @@ def reference_train(params, dataset, steps, lr, warmup, seed, batch_size, mode):
 
 @pytest.mark.parametrize("mode", TRAIN_MODES)
 def test_packed_train_matches_per_sample_reference(mode):
+    # a batch of 16 puts up to 16 samples in one pack
     scenes = mixed_scenes()
-    packed = init_denoiser(0, d=8, image_size=32, t_train=200)
-    result = train(packed, scenes, steps=8, lr=5e-3, warmup_steps=3, rng_seed=4,
-                   embed_cfg=EC, batch_size=8, radl_train_mode=mode)
-    ref = init_denoiser(0, d=8, image_size=32, t_train=200)
-    ref_losses = reference_train(ref, scenes, 8, 5e-3, 3, 4, 8, mode)
-    assert np.allclose(result.losses, ref_losses, rtol=1e-10, atol=0.0)
-    ref_params = params_to_dict(ref)
-    for name, arr in params_to_dict(packed).items():
-        assert rel_err(arr, ref_params[name]) <= 1e-10, name
+    for batch_size in (8, 16):
+        packed = init_denoiser(0, d=8, image_size=32, t_train=200)
+        result = train(packed, scenes, steps=8, lr=5e-3, warmup_steps=3, rng_seed=4,
+                       embed_cfg=EC, batch_size=batch_size, radl_train_mode=mode)
+        ref = init_denoiser(0, d=8, image_size=32, t_train=200)
+        ref_losses = reference_train(ref, scenes, 8, 5e-3, 3, 4, batch_size, mode)
+        assert np.allclose(result.losses, ref_losses, rtol=1e-10, atol=0.0), batch_size
+        ref_params = params_to_dict(ref)
+        for name, arr in params_to_dict(packed).items():
+            assert rel_err(arr, ref_params[name]) <= 1e-10, (batch_size, name)
 
 
 # --- gradient checking -------------------------------------------------------
