@@ -1,11 +1,6 @@
 """Relation-aware multi-instance attention in a miniature diffusion pipeline."""
 
-from .attention import (
-    AttnProjection,
-    FeatureGrid,
-    RadlAttnParams,
-    fuse_residual,
-)
+from .attention import AttnProjection, FeatureGrid, RadlAttnParams
 from .fusion import FusionBranch
 from .layout import (
     BBox,
@@ -21,7 +16,6 @@ from .layout import (
 from .pipeline import (
     DenoiserParams,
     NoiseSchedule,
-    denoise_forward,
     forward_diffuse,
     gradcheck,
     init_denoiser,

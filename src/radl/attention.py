@@ -1,6 +1,6 @@
 """Attention core: masked instance cross-attention, learnable-query
-attribute enhancement, instance attention, residual fusion, and
-verb-conditioned relation attention, each with an exact analytic backward.
+attribute enhancement, instance attention and verb-conditioned relation
+attention, each with an exact analytic backward.
 
 Every forward op is a `*_forward` function returning (output, cache); the
 matching `*_backward` consumes an upstream gradient and the cache and
@@ -22,8 +22,8 @@ from .text import EmbeddingSeq
 
 @dataclass(frozen=True)
 class FeatureGrid:
-    """H x W x d feature map stored row-major as an (H*W, d) matrix, or as a
-    stack (..., H*W, d) of such maps sharing one grid."""
+    """A stack of K H x W x d feature maps sharing one grid, each stored
+    row-major: values (K, H*W, d)."""
 
     h: int
     w: int
@@ -31,9 +31,9 @@ class FeatureGrid:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim < 2 or v.shape[-2] != self.h * self.w:
+        if v.ndim != 3 or v.shape[1] != self.h * self.w:
             raise ShapeMismatch(
-                f"feature values must be (..., {self.h * self.w}, d), got {v.shape}"
+                f"feature values must be (K, {self.h * self.w}, d), got {v.shape}"
             )
         object.__setattr__(self, "values", v)
 
@@ -185,26 +185,25 @@ def scaled_dot_attention_backward(
 # Every masked op computes only the query rows its mask keeps and scatters
 # them into a zero grid; keys and values are never gathered.  Rows outside
 # the mask are exactly +0.0, as the masked dense op would give, and their
-# upstream gradient is dropped, as masking it would.  Forwards take one
-# grid (h*w, d) or a stack (K, h*w, d).  A backward's upstream gradient and
-# its "feat" gradient keep the grid rows on the leading axis: (h*w, d) for
-# one grid, (h*w, K, d) for a stack (see `flip_stack`), so the leading axis
-# names the resolution either way.
+# upstream gradient is dropped, as masking it would.  Forwards take a stack
+# (K, h*w, d) and the `RowSet` of their mask.  A backward's upstream
+# gradient and its "feat" gradient are rows-first, (h*w, K, d) (see
+# `flip_stack`), so their leading axis names the resolution.
 
 def flip_stack(x: np.ndarray) -> np.ndarray:
-    """(K, h*w, d) <-> (h*w, K, d) as a view; one (h*w, d) grid is unchanged."""
-    return x if x.ndim == 2 else x.swapaxes(0, 1)
+    """(K, h*w, d) <-> (h*w, K, d) as a view."""
+    return x.swapaxes(0, 1)
 
 
 @dataclass(frozen=True)
 class RowSet:
     """The query rows a mask keeps, as indices into a grid's h*w rows.
 
-    `idx` (R,) holds the rows of one grid, or of every grid of a stack
-    alike.  A packed set gives some grids of a stack of `stack` grids rows
-    of their own: `grids` (K',) names them, `idx` (K', R) lists their rows
-    padded to the longest, and `keep` (K', R) is False on the padding.  The
-    grids a packed set leaves out keep no row.
+    `idx` (R,) holds the rows that every grid of a stack keeps alike.  A
+    packed set gives some grids of a stack of `stack` grids rows of their
+    own: `grids` (K',) names them, `idx` (K', R) lists their rows padded to
+    the longest, and `keep` (K', R) is False on the padding.  The grids a
+    packed set leaves out keep no row.
     """
 
     h: int
@@ -217,10 +216,6 @@ class RowSet:
     @staticmethod
     def of(mask: MaskGrid) -> "RowSet":
         return RowSet(mask.h, mask.w, np.flatnonzero(mask.flat()))
-
-    @staticmethod
-    def every(h: int, w: int) -> "RowSet":
-        return RowSet(h, w, np.arange(h * w))
 
     @staticmethod
     def pack(sets: Sequence["RowSet"], grids: Sequence[int], stack: int) -> "RowSet":
@@ -246,12 +241,12 @@ class RowSet:
         return np.where(self.keep, self.grids[:, None] * n + self.idx, self.stack * n)
 
     def take(self, x: np.ndarray) -> np.ndarray:
-        """The kept rows of x (..., h*w, d): (..., R, d), or (K', R, d) for
-        a packed set, whose padding rows repeat row 0 of their grid."""
+        """The kept rows of a stack x (K, h*w, d): (K, R, d), or (K', R, d)
+        for a packed set, whose padding rows repeat row 0 of their grid."""
         if self.whole:
             return x
         if self.grids is None:
-            return x[..., self.idx, :]
+            return x[:, self.idx]
         return x[self.grids[:, None], self.idx]
 
     def take_grad(self, d_out: np.ndarray) -> np.ndarray:
@@ -285,20 +280,19 @@ class MaskedAttnCache:
     proj: AttnProjection
 
 
-def _row_set(feat: FeatureGrid, mask: MaskGrid | RowSet) -> RowSet:
-    if (mask.h, mask.w) != (feat.h, feat.w):
+def _check_rows(feat: FeatureGrid, rows: RowSet):
+    if (rows.h, rows.w) != (feat.h, feat.w):
         raise ShapeMismatch(
-            f"mask {mask.h}x{mask.w} does not match feature grid {feat.h}x{feat.w}"
+            f"mask {rows.h}x{rows.w} does not match feature grid {feat.h}x{feat.w}"
         )
-    return mask if isinstance(mask, RowSet) else RowSet.of(mask)
 
 
 def masked_attention_forward(
-    feat: FeatureGrid, emb: EmbeddingSeq, proj: AttnProjection, mask: MaskGrid | RowSet
+    feat: FeatureGrid, emb: EmbeddingSeq, proj: AttnProjection, rows: RowSet
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
     """Cross-attention from image features to a token sequence, zeroed
-    outside the mask."""
-    rows = _row_set(feat, mask)
+    outside the mask whose rows are `rows`."""
+    _check_rows(feat, rows)
     if emb.dim != feat.d:
         raise ShapeMismatch(f"embedding dim {emb.dim} != feature dim {feat.d}")
     x = rows.take(feat.values)
@@ -354,19 +348,18 @@ class AttributeEnhanceCache:
 
 
 def attribute_enhancement_forward(
-    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection,
-    mask: MaskGrid | RowSet | None = None,
+    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection, rows: RowSet
 ) -> tuple[FeatureGrid, AttributeEnhanceCache]:
     """Attention with the learnable queries used raw (no query projection);
     keys/values project from the instance image features.  Output row j is
     spatially aligned with grid location j.
 
-    With a mask, returns mask * AE(feat): only the query rows the mask
-    keeps are attended, each over the full key and value set."""
+    Returns mask * AE(feat) for the mask whose rows are `rows`: only those
+    query rows are attended, each over the full key and value set."""
     n = feat.h * feat.w
     if qlp.shape[0] != n:
         raise ShapeMismatch(f"learnable queries have {qlp.shape[0]} rows, grid has {n}")
-    rows = RowSet.every(feat.h, feat.w) if mask is None else _row_set(feat, mask)
+    _check_rows(feat, rows)
     kv = feat.values if rows.grids is None else feat.values[rows.grids]
     out, ac = scaled_dot_attention_forward(qlp[rows.idx], kv @ proj.wk, kv @ proj.wv)
     return feat.like(rows.put(out)), AttributeEnhanceCache(
@@ -395,19 +388,3 @@ def attribute_enhancement_backward(
         "wk": as_rows(kv).T @ as_rows(dk),
         "wv": as_rows(kv).T @ as_rows(dv),
     }
-
-
-# ---------------------------------------------------------------------------
-# residual fusion
-
-def fuse_residual(r: FeatureGrid, r_ia: FeatureGrid) -> FeatureGrid:
-    """Elementwise r + r_ia."""
-    if (r.h, r.w, r.d) != (r_ia.h, r_ia.w, r_ia.d):
-        raise ShapeMismatch("fuse_residual requires identical feature shapes")
-    return r.like(r.values + r_ia.values)
-
-
-def fuse_residual_backward(d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Addition passes the upstream gradient unchanged to both inputs."""
-    return d_out, d_out
-

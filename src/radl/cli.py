@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,6 +104,9 @@ class RunConfig:
             raise MalformedDoc(
                 f"radl_steps {self.radl_steps} exceeds t_sample {self.t_sample}"
             )
+        for key in ("lr", "weight_decay"):  # json reads NaN and Infinity
+            if not math.isfinite(getattr(self, key)):
+                raise MalformedDoc(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.lr <= 0:
             raise MalformedDoc("lr must be > 0")
         if self.variant not in pipeline.VARIANTS:
@@ -230,7 +234,7 @@ def cmd_gen(cfg: RunConfig, layout_path: str, count: int) -> int:
         seeds = [cfg.seed + i for i in range(start, min(start + GEN_CHUNK, count))]
         images, trace = pipeline.sample(
             params, layout, total_steps=cfg.t_sample,
-            radl_steps=cfg.radl_steps, rng_seed=seeds,
+            radl_steps=cfg.radl_steps, seeds=seeds,
             embed_cfg=embed_cfg, variant=cfg.variant,
         )
         for i, seed_i, image in zip(range(start, count), seeds, images):
@@ -305,7 +309,7 @@ def cmd_eval(cfg: RunConfig, images_dir: str, layouts_dir: str) -> int:
         image = read_ppm(images[stem])
         layout = parse_layout(read_utf8(layouts[stem]))
         pairs.append((image, layout))
-    text = evaluate_images(pairs, SceneConfig().palette, table=table).to_json()
+    text = evaluate_images(pairs, SceneConfig().palette, table).to_json()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(text + "\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -18,14 +19,13 @@ import numpy as np
 
 from .errors import MalformedDoc, UnknownColor, read_utf8
 from .layout import RELATION_PREDICATES, BBox, LayoutSpec, Relation, rasterize_mask
-from .scenes import PALETTE_RGB
+from .scenes import BACKGROUND_RGB, PALETTE_RGB
 
 HsvRange = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 HsvPlanes = tuple[np.ndarray, np.ndarray, np.ndarray]  # rgb_to_hsv's (H, S, V)
 Matches = list[tuple[int | None, float]]  # match_instances' (detection, IoU) per instance
 
 METRICS_SCHEMA = "radl-metrics/1"
-BACKGROUND_RGB = (0.5, 0.5, 0.5)  # the scene generator's background
 IOU_THRESH = 0.5  # matched IoU an instance needs to succeed
 MIN_REGION_SIZE = 4  # pixels a detected region needs; smaller specks are noise
 
@@ -51,6 +51,10 @@ def load_hsv_table(path=None) -> dict[str, HsvRange]:
         raise MalformedDoc(
             f"HSV table {path}: each color needs [[h_min, h_max], [s_min, s_max], [v_min, v_max]]"
         )
+    for name, ranges in table.items():
+        # json reads NaN and Infinity; a non-finite bound never matches
+        if not all(math.isfinite(x) for rng in ranges for x in rng):
+            raise MalformedDoc(f"HSV table {path}: color {name!r} has a non-finite bound")
     return {
         name: tuple(tuple(float(x) for x in rng) for rng in ranges)
         for name, ranges in table.items()
@@ -128,20 +132,16 @@ def iou(a: BBox, b: BBox) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def detect(
-    image: np.ndarray,
-    palette: dict[str, tuple[float, float, float]] | tuple[str, ...],
-) -> list[Detection]:
-    """Quantize to the nearest palette color and extract 4-connected
-    components per non-background color of at least MIN_REGION_SIZE pixels,
-    in raster order of first pixel.  Touching same-color regions merge into
-    one detection (connectivity limitation, by design)."""
+def detect(image: np.ndarray, palette: tuple[str, ...]) -> list[Detection]:
+    """Quantize to the nearest color of the named `PALETTE_RGB` entries and
+    extract 4-connected components per non-background color of at least
+    MIN_REGION_SIZE pixels, in raster order of first pixel.  Touching
+    same-color regions merge into one detection (connectivity limitation,
+    by design)."""
     if not palette:
         raise ValueError("palette must be non-empty")
-    if not isinstance(palette, dict):
-        palette = {name: PALETTE_RGB[name] for name in palette}
     names = sorted(palette)
-    centers = np.array([palette[n] for n in names] + [list(BACKGROUND_RGB)])
+    centers = np.array([PALETTE_RGB[n] for n in names] + [list(BACKGROUND_RGB)])
     h, w = image.shape[1], image.shape[2]
 
     pixels = image.reshape(3, -1).T  # (h*w, 3)
@@ -314,13 +314,8 @@ def quantity_acc(dets: list[Detection], layout: LayoutSpec) -> bool:
 
 
 def evaluate_image(
-    image: np.ndarray,
-    layout: LayoutSpec,
-    palette: dict[str, tuple[float, float, float]] | tuple[str, ...],
-    table: dict[str, HsvRange] | None = None,
+    image: np.ndarray, layout: LayoutSpec, palette: tuple[str, ...], table: dict[str, HsvRange]
 ) -> ImageEval:
-    if table is None:
-        table = load_hsv_table()
     dets = detect(image, palette)
     hsv = rgb_to_hsv(image)
     matched = match_instances(dets, layout)
@@ -340,12 +335,10 @@ def evaluate_image(
 
 def evaluate_images(
     pairs: list[tuple[np.ndarray, LayoutSpec]],
-    palette: dict[str, tuple[float, float, float]] | tuple[str, ...],
-    table: dict[str, HsvRange] | None = None,
+    palette: tuple[str, ...],
+    table: dict[str, HsvRange],
 ) -> MetricsReport:
     """Aggregate per-image metrics as plain means."""
-    if table is None:
-        table = load_hsv_table()
     evals = [evaluate_image(img, layout, palette, table) for img, layout in pairs]
     rel_evals = [e.relation_acc for e in evals if e.n_relations > 0]
     return MetricsReport(

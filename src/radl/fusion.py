@@ -40,7 +40,7 @@ class FusionBranch:
 
 @dataclass
 class FuseCache:
-    feats: np.ndarray    # (..., B, n_pix, d)
+    feats: np.ndarray    # (K, B, n_pix, d)
     masks: np.ndarray    # ([K,] B, n_pix)
     weights: np.ndarray  # ([K,] B, n_pix), zero where inactive
 
@@ -48,9 +48,9 @@ class FuseCache:
 def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCache]:
     """Per-pixel convex combination of active branch features.
 
-    Branch features may be stacks (K, n_pix, d).  A branch's mask is one
-    grid, shared by every grid of the stack, or a stack (K, h, w) of them;
-    a grid whose mask for a branch is all zero gives it zero weight."""
+    Branch features are stacks (K, n_pix, d).  A branch's mask is one grid,
+    shared by every grid of the stack, or a stack (K, h, w) of them; a grid
+    whose mask for a branch is all zero gives it zero weight."""
     branches = list(branches)
     if not branches:
         raise NoBranches("fusion requires at least one branch")
@@ -59,7 +59,7 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
         if (b.feat.h, b.feat.w, b.feat.values.shape) != (ref.h, ref.w, ref.values.shape):
             raise ShapeMismatch("fusion branches must share feature grid shape")
 
-    feats = np.stack([b.feat.values for b in branches], axis=-3)  # (..., B, n, d)
+    feats = np.stack([b.feat.values for b in branches], axis=-3)  # (K, B, n, d)
     masks = np.stack(np.broadcast_arrays(*[b.mask.flat() for b in branches]), axis=-2)
     logits = np.array([b.logit for b in branches])[:, None]      # (B, 1)
     if not np.all(masks.sum(axis=-2) > 0.0):
@@ -81,20 +81,17 @@ def fuse_backward(
     """Gradients (per-branch feature grads, each made when read; per-branch
     logit grads).
 
-    For a stack, d_out and the feature grads are rows-first (n_pix, K, d),
-    as in the attention backwards, and the logit grads sum over the stack.
-    Logit gradients are zero at pixels where the branch is inactive; the
+    d_out and the feature grads are rows-first (n_pix, K, d), as in the
+    attention backwards, and the logit grads sum over the stack.  Logit
+    gradients are zero at pixels where the branch is inactive; the
     per-pixel softmax Jacobian couples only branches active there.
     """
     if cache is None:
         raise MissingCache("fuse backward needs its forward cache")
     w = cache.weights
-    if d_out.ndim == 2:
-        # g[b, p] = d_out(p) . feat_b(p)
-        g = np.einsum("nd,bnd->bn", d_out, cache.feats)
-    else:
-        w = w if w.ndim == 3 else w[None]  # (K or 1, B, n)
-        g = np.einsum("nkd,kbnd->kbn", d_out, cache.feats)
+    w = w if w.ndim == 3 else w[None]  # (K or 1, B, n)
+    # g[k, b, p] = d_out(p, k) . feat_kb(p)
+    g = np.einsum("nkd,kbnd->kbn", d_out, cache.feats)
     gbar = (w * g).sum(axis=-2, keepdims=True)
     d_logits = (w * (g - gbar)).sum(axis=-1)
     return _BranchGrads(w, d_out), d_logits.reshape(-1, w.shape[-2]).sum(axis=0)
@@ -112,6 +109,4 @@ class _BranchGrads(Sequence):
         return self.w.shape[-2]
 
     def __getitem__(self, b: int) -> np.ndarray:
-        if self.d_out.ndim == 2:
-            return self.w[b][:, None] * self.d_out
         return self.w[:, b].T[..., None] * self.d_out

@@ -241,25 +241,16 @@ def rasterize_mask(bbox: BBox, h: int, w: int) -> MaskGrid:
 
 
 def total_mask(
-    masks: list[MaskGrid] | tuple[MaskGrid, ...],
-    height: int | None = None,
-    width: int | None = None,
+    masks: list[MaskGrid] | tuple[MaskGrid, ...], height: int, width: int
 ) -> MaskGrid:
-    """Pixelwise union of instance masks.
+    """Pixelwise union of height x width instance masks.
 
     Entry is 1 iff the sum over masks at that entry is > 0.  An empty
-    sequence yields the all-zeros grid of the requested size.
+    sequence yields the all-zeros grid.
     """
-    masks = list(masks)
-    if not masks:
-        if height is None or width is None:
-            raise ShapeMismatch("empty mask sequence requires explicit height/width")
-        return MaskGrid(np.zeros((height, width), dtype=np.float64))
-    h, w = masks[0].h, masks[0].w
-    for m in masks[1:]:
-        if (m.h, m.w) != (h, w):
-            raise ShapeMismatch(f"mask dims {m.h}x{m.w} differ from {h}x{w}")
-    total = np.zeros((h, w), dtype=np.float64)
+    total = np.zeros((height, width), dtype=np.float64)
     for m in masks:
+        if (m.h, m.w) != (height, width):
+            raise ShapeMismatch(f"mask dims {m.h}x{m.w} differ from {height}x{width}")
         total += m.values
     return MaskGrid((total > 0.0).astype(np.float64))

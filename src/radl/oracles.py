@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evalmetrics import BACKGROUND_RGB, MIN_REGION_SIZE, Detection
+from .evalmetrics import MIN_REGION_SIZE, Detection
 from .layout import BBox
-from .scenes import PALETTE_RGB
+from .scenes import BACKGROUND_RGB, PALETTE_RGB
 
 
 def attention_oracle(q, k, v) -> np.ndarray:
@@ -37,12 +37,11 @@ def attention_oracle(q, k, v) -> np.ndarray:
 
 
 def detect_oracle(image, palette) -> list[Detection]:
-    """The reference detector: palette quantization, then a flood fill from
-    each unvisited pixel in raster order, one pixel at a time."""
-    if not isinstance(palette, dict):
-        palette = {name: PALETTE_RGB[name] for name in palette}
+    """The reference detector for the palette names `palette`: palette
+    quantization, then a flood fill from each unvisited pixel in raster
+    order, one pixel at a time."""
     names = sorted(palette)
-    centers = np.array([palette[n] for n in names] + [list(BACKGROUND_RGB)])
+    centers = np.array([PALETTE_RGB[n] for n in names] + [list(BACKGROUND_RGB)])
     h, w = image.shape[1], image.shape[2]
 
     pixels = image.reshape(3, -1).T  # (h*w, 3)

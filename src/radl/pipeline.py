@@ -31,8 +31,6 @@ from .attention import (
     flip_stack,
     attribute_enhancement_forward,
     attribute_enhancement_backward,
-    fuse_residual,
-    fuse_residual_backward,
     instance_attention_forward,
     instance_attention_backward,
     masked_text_attention_forward,
@@ -554,7 +552,7 @@ def _instance_branch(
     # attention reads and back-propagates only those
     r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, radl.proj_ae, inst.rows)
     r_ia, ic.ia = instance_attention_forward(r_ae, emb, radl.proj_inst, inst.rows)
-    return fuse_residual(r_i, r_ia), ic
+    return r_i.like(r_i.values + r_ia.values), ic  # residual fusion
 
 
 def _accumulate_text_attn(g: dict, prefix: str, grads: dict):
@@ -590,15 +588,15 @@ def _radl_block_backward(
         if cache.variant == "text_attn_only":
             d_r = d_rf
         else:
-            d_r_direct, d_ria = fuse_residual_backward(d_rf)
-            ia_grads = instance_attention_backward(d_ria, ic.ia)
+            # the residual passes d_rf to both of its terms
+            ia_grads = instance_attention_backward(d_rf, ic.ia)
             _accumulate_text_attn(g, "radl.inst", ia_grads)
             d_embs.append(ia_grads["emb"])
             ae_grads = attribute_enhancement_backward(ia_grads["feat"], ic.ae)
             g[cache.qlp_name] += ae_grads["qlp"]
             g["radl.ae.wk"] += ae_grads["wk"]
             g["radl.ae.wv"] += ae_grads["wv"]
-            d_r = d_r_direct + ae_grads["feat"]
+            d_r = d_rf + ae_grads["feat"]
         r_grads = masked_text_attention_backward(d_r, ic.r)
         d_feat += r_grads["feat"]
         _accumulate_text_attn(g, "radl.text", r_grads)
@@ -714,18 +712,6 @@ def denoise_forward_cached(
     )
 
 
-def denoise_forward(
-    params: DenoiserParams,
-    x_t: np.ndarray,
-    t: Sequence[int],
-    enc: Sequence[LayoutEncoding] | None,
-    radl_on: bool,
-    variant: str = "full",
-) -> np.ndarray:
-    """Predict the noise in x_t; the encodings only enter when radl_on."""
-    return denoise_forward_cached(params, x_t, t, enc, radl_on, variant)[0]
-
-
 def _add_temb_grad(g: dict[str, np.ndarray], t: np.ndarray, d_h: np.ndarray):
     # one row per image, summed over the stack where it shares one step
     rows = d_h.sum(axis=1)
@@ -802,17 +788,17 @@ def sample(
     layout: LayoutSpec,
     total_steps: int = 60,
     radl_steps: int = 30,
-    rng_seed: int | Sequence[int] = 0,
+    seeds: Sequence[int] = (0,),
     embed_cfg: EmbedderConfig | None = None,
     variant: str = "full",
 ) -> tuple[np.ndarray, list[bool]]:
-    """Ancestral sampling from pure noise.
+    """Ancestral sampling from pure noise, one image per seed.
 
     The attention stack is active for the first `radl_steps` iterations
-    (largest t) and off afterwards; returns the [0,1]-clamped image and the
-    per-step activation trace.  An int seed gives one (3, S, S) image; a
-    sequence of K seeds gives (K, 3, S, S), denoised together, each image
-    byte-identical to the one its seed gives alone.
+    (largest t) and off afterwards; returns the [0,1]-clamped images
+    (K, 3, S, S) for K seeds and the per-step activation trace.  The images
+    are denoised together, each byte-identical to the one its seed gives
+    alone.
     """
     if not 0 <= radl_steps <= total_steps:
         raise ValueError(f"radl_steps {radl_steps} outside 0..total_steps {total_steps}")
@@ -821,8 +807,6 @@ def sample(
 
     sched = NoiseSchedule.make(total_steps)
     s = params.image_size
-    lone = isinstance(rng_seed, (int, np.integer))
-    seeds = [rng_seed] if lone else list(rng_seed)
     if not seeds:
         raise ValueError("sampling needs at least one seed")
     # one noise stream per image, drawn in the order a lone run draws it
@@ -840,7 +824,7 @@ def sample(
         radl_on = i < radl_steps
         trace.append(radl_on)
         # the stack shares one step
-        eps_hat = denoise_forward(params, x, temb_map[t - 1 : t], encs, radl_on, variant)
+        eps_hat = denoise_forward_cached(params, x, temb_map[t - 1 : t], encs, radl_on, variant)[0]
         # static thresholding: clamp the implied clean image to [0,1] and
         # use the consistent noise estimate in the ancestral update
         ab = sched.alpha_bar(t)
@@ -852,7 +836,7 @@ def sample(
             x = mean + np.sqrt(sched.posterior_variance(t)) * noise()
         else:
             x = mean
-    return np.clip(x[0] if lone else x, 0.0, 1.0), trace
+    return np.clip(x, 0.0, 1.0), trace
 
 
 # ---------------------------------------------------------------------------
@@ -1053,7 +1037,7 @@ def gradcheck(
     encs = [_encode(scene.layout, embed_cfg, params)]  # independent of parameter values
 
     def loss_fn() -> float:
-        r = denoise_forward(params, x_t, [t], encs, True, variant) - noise
+        r = denoise_forward_cached(params, x_t, [t], encs, True, variant)[0] - noise
         return float((r * r).mean())
 
     g = zero_grads(params)

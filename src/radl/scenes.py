@@ -35,6 +35,8 @@ PALETTE_RGB: dict[str, tuple[float, float, float]] = {
     "white": (1.0, 1.0, 1.0),
     "black": (0.0, 0.0, 0.0),
 }
+BACKGROUND_RGB = (0.5, 0.5, 0.5)  # every scene's background, neutral gray
+VERB_TEMPLATES = ("resting", "floating", "sitting", "standing")  # verbs a prompt may carry
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,6 @@ class SceneConfig:
     palette: tuple[str, ...] = ("red", "green", "blue", "yellow")
     min_box: float = 0.35
     max_box: float = 0.55
-    background: tuple[float, float, float] = (0.5, 0.5, 0.5)
-    verb_templates: tuple[str, ...] = ("resting", "floating", "sitting", "standing")
     max_attempts: int = 200
 
     def __post_init__(self):
@@ -100,13 +100,12 @@ def _prompt(labels: list[str], relations: tuple[Relation, ...], verb: str) -> st
     return "a scene with " + ", ".join(f"a {l}" for l in labels)
 
 
-def render_layout(
-    layout: LayoutSpec, image_size: int, background: tuple[float, float, float]
-) -> np.ndarray:
-    """Paint each instance's palette color inside its rasterized box."""
+def render_layout(layout: LayoutSpec, image_size: int) -> np.ndarray:
+    """Paint each instance's palette color inside its rasterized box on the
+    background."""
     img = np.empty((3, image_size, image_size), dtype=np.float64)
     for c in range(3):
-        img[c].fill(background[c])
+        img[c].fill(BACKGROUND_RGB[c])
     for inst in layout.instances:
         color_word = inst.label.split()[0]
         rgb = PALETTE_RGB[color_word]
@@ -156,13 +155,13 @@ def make_scene(rng_seed: int, config: SceneConfig = SceneConfig()) -> SyntheticS
         for i in range(n)
         for j in range(i + 1, n)
     )
-    verb = str(rng.choice(config.verb_templates)) if config.verb_templates else "resting"
+    verb = str(rng.choice(VERB_TEMPLATES))
     layout = LayoutSpec(
         prompt=_prompt(labels, relations, verb),
         instances=tuple(InstanceSpec(label=l, bbox=b) for l, b in zip(labels, boxes)),
         relations=relations,
     )
-    return SyntheticScene(image=render_layout(layout, config.image_size, config.background), layout=layout)
+    return SyntheticScene(image=render_layout(layout, config.image_size), layout=layout)
 
 
 def generate(seed0: int, count: int, config: SceneConfig = SceneConfig()) -> list[SyntheticScene]:

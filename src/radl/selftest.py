@@ -15,11 +15,12 @@ import numpy as np
 from .attention import (
     AttnProjection,
     FeatureGrid,
+    RowSet,
     attribute_enhancement_forward,
     masked_text_attention_forward,
     scaled_dot_attention_forward,
 )
-from .evalmetrics import BACKGROUND_RGB, detect
+from .evalmetrics import detect
 from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
 from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
 from .oracles import attention_oracle, detect_oracle, rel_err, union_oracle
@@ -31,7 +32,7 @@ from .pipeline import (
     sample,
     zero_grads,
 )
-from .scenes import PALETTE_RGB, SceneConfig, generate, make_scene
+from .scenes import BACKGROUND_RGB, PALETTE_RGB, SceneConfig, generate, make_scene
 from .text import EmbedderConfig, EmbeddingSeq, embed_tokens
 
 Check = tuple[str, bool, str]
@@ -41,7 +42,7 @@ def _check_total_mask_union(rng) -> tuple[bool, str]:
     worst = True
     for _ in range(50):
         masks = [MaskGrid((rng.random((6, 6)) < 0.4).astype(float)) for _ in range(3)]
-        worst = worst and np.array_equal(total_mask(masks).values, union_oracle(masks, 6, 6))
+        worst = worst and np.array_equal(total_mask(masks, 6, 6).values, union_oracle(masks, 6, 6))
     return worst, "50 random mask triples"
 
 
@@ -63,17 +64,16 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
     masks = [np.zeros((4, 4)), np.ones((4, 4))]
     masks += [(rng.random((4, 4)) < 0.3).astype(float) for _ in range(4)]
     for m in masks:
-        feat = FeatureGrid(4, 4, rng.standard_normal((16, 8)))
+        feat = FeatureGrid(4, 4, rng.standard_normal((1, 16, 8)))
+        x = feat.values[0]
         emb = rng.standard_normal((3, 8))
         qlp = rng.standard_normal((16, 8))
         proj = AttnProjection.init(rng, 8)
-        keep = m.reshape(-1, 1)
-        got_text = masked_text_attention_forward(
-            feat, EmbeddingSeq(emb), proj, MaskGrid(m)
-        )[0].values
-        want_text = keep * attention_oracle(feat.values @ proj.wq, emb @ proj.wk, emb @ proj.wv)
-        got_ae = attribute_enhancement_forward(feat, qlp, proj, MaskGrid(m))[0].values
-        want_ae = keep * attention_oracle(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
+        keep, rows = m.reshape(-1, 1), RowSet.of(MaskGrid(m))
+        got_text = masked_text_attention_forward(feat, EmbeddingSeq(emb), proj, rows)[0].values
+        want_text = keep * attention_oracle(x @ proj.wq, emb @ proj.wk, emb @ proj.wv)
+        got_ae = attribute_enhancement_forward(feat, qlp, proj, rows)[0].values
+        want_ae = keep * attention_oracle(qlp, x @ proj.wk, x @ proj.wv)
         worst = max(
             worst,
             float(np.max(np.abs(got_text - want_text))),
@@ -94,8 +94,8 @@ def _check_softmax_rows(rng) -> tuple[bool, str]:
 def _check_fusion(rng) -> tuple[bool, str]:
     ones = MaskGrid(np.ones((4, 4)))
     branches = [
-        FusionBranch(BACKGROUND, FeatureGrid(4, 4, rng.standard_normal((16, 4))), ones, 0.3),
-        FusionBranch(INSTANCE, FeatureGrid(4, 4, rng.standard_normal((16, 4))),
+        FusionBranch(BACKGROUND, FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), ones, 0.3),
+        FusionBranch(INSTANCE, FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
                      MaskGrid((rng.random((4, 4)) < 0.5).astype(float)), -0.7),
     ]
     _, cache = fuse_forward(branches)
@@ -135,7 +135,7 @@ def _check_schedule_and_trace(rng) -> tuple[bool, str]:
     scene = make_scene(3, SceneConfig(image_size=8, n_instances=(1, 1)))
     _, trace = sample(
         params, scene.layout, total_steps=6, radl_steps=3,
-        rng_seed=1, embed_cfg=EmbedderConfig(dim=4, seed=0),
+        seeds=[1], embed_cfg=EmbedderConfig(dim=4, seed=0),
     )
     ok = mono and trace == [True] * 3 + [False] * 3
     return ok, f"trace {trace}"
@@ -152,9 +152,9 @@ def _check_batched_sampling(rng) -> tuple[bool, str]:
     )
     seeds = [int(s) for s in rng.integers(0, 2**31, 2)]
     kwargs = dict(total_steps=6, radl_steps=3, embed_cfg=EmbedderConfig(dim=4, seed=0))
-    batched, _ = sample(params, layout, rng_seed=seeds, **kwargs)
+    batched, _ = sample(params, layout, seeds=seeds, **kwargs)
     ok = all(
-        np.array_equal(batched[k], sample(params, layout, rng_seed=seed, **kwargs)[0])
+        np.array_equal(batched[k], sample(params, layout, seeds=[seed], **kwargs)[0][0])
         for k, seed in enumerate(seeds)
     )
     return ok, f"seeds {seeds}, 2 instances, byte equality"
@@ -196,8 +196,8 @@ def _check_detect_oracle(rng) -> tuple[bool, str]:
     for h, w in ((32, 32), (16, 24), (1, 32), (32, 1)):
         labels = rng.choice([*rng.choice(len(names), 2, replace=False), len(names)], (h, w))
         image = centers[labels].transpose(2, 0, 1)
-        want = detect_oracle(image, PALETTE_RGB)
-        ok = ok and detect(image, PALETTE_RGB) == want
+        want = detect_oracle(image, tuple(names))
+        ok = ok and detect(image, tuple(names)) == want
         count += len(want)
     return ok, f"4 noise images, {count} regions, list equality"
 

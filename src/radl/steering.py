@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evalmetrics import MetricsReport, evaluate_images
+from .evalmetrics import MetricsReport, evaluate_images, load_hsv_table
 from .layout import LayoutSpec
 from .pipeline import TrainResult, init_denoiser, sample, train
 from .scenes import SceneConfig, SyntheticScene
@@ -46,12 +46,12 @@ def run_arm(
     )
     pairs = []
     for i, scene in enumerate(held_out):
-        img, _ = sample(
+        images, _ = sample(
             params, scene.layout, total_steps=60, radl_steps=30,
-            rng_seed=777 + i, embed_cfg=ec, variant=arm,
+            seeds=[777 + i], embed_cfg=ec, variant=arm,
         )
-        pairs.append((img, scene.layout))
-    return ArmResult(result, pairs, evaluate_images(pairs, SceneConfig().palette))
+        pairs.append((images[0], scene.layout))
+    return ArmResult(result, pairs, evaluate_images(pairs, SceneConfig().palette, load_hsv_table()))
 
 
 def run_arms(arms: list[str], *args, **kwargs) -> dict[str, ArmResult]:

@@ -14,9 +14,9 @@ import pytest
 from radl.attention import (
     AttnProjection,
     FeatureGrid,
+    RowSet,
     attribute_enhancement_backward,
     attribute_enhancement_forward,
-    fuse_residual_backward,
     instance_attention_backward,
     instance_attention_forward,
     masked_text_attention_backward,
@@ -41,7 +41,7 @@ from radl.fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
 from radl.layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, Relation, rasterize_mask, total_mask
 from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.pipeline import (
-    denoise_forward,
+    denoise_forward_cached,
     encode_layout,
     gradcheck,
     init_denoiser,
@@ -89,14 +89,18 @@ def test_criterion_1_attention_oracle():
 # --- criterion 2: gradient suite -----------------------------------------------
 
 def _op_backward_errors(rng):
-    """Max FD relative error over every backward op on one seeded case."""
+    """Max FD relative error over every backward op on one seeded case.
+    The ops run on stacks of one grid; backwards take and give feature
+    gradients rows-first, (h*w, K, d)."""
     errs = []
     d = 4
-    feat = FeatureGrid(2, 3, rng.standard_normal((6, d)))
+    feat = FeatureGrid(2, 3, rng.standard_normal((1, 6, d)))
     emb_vals = rng.standard_normal((3, d))
     proj = AttnProjection.init(rng, d)
     mask = MaskGrid((rng.random((2, 3)) < 0.6).astype(float))
-    d_out = rng.standard_normal((6, d))
+    d_out = rng.standard_normal((1, 6, d))
+    rows, d_rows = RowSet.of(mask), d_out.swapaxes(0, 1)
+    ones = MaskGrid(np.ones((2, 3)))
 
     q = rng.standard_normal((3, d))
     k = rng.standard_normal((4, d))
@@ -111,57 +115,54 @@ def _op_backward_errors(rng):
     from radl.text import EmbeddingSeq
 
     emb = EmbeddingSeq(emb_vals)
-    out, cache = masked_text_attention_forward(feat, emb, proj, mask)
-    grads = masked_text_attention_backward(d_out, cache)
+    out, cache = masked_text_attention_forward(feat, emb, proj, rows)
+    grads = masked_text_attention_backward(d_rows, cache)
 
     def run_mta():
-        return masked_text_attention_forward(feat, emb, proj, mask)[0].values
+        return masked_text_attention_forward(feat, emb, proj, rows)[0].values
 
-    for arr, an in ((feat.values, grads["feat"]), (emb.values, grads["emb"]),
+    for arr, an in ((feat.values, grads["feat"].swapaxes(0, 1)), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         errs.append(rel_err(an, central_diff(run_mta, arr, d_out)))
 
     qlp = rng.standard_normal((6, d))
-    out, cache = attribute_enhancement_forward(feat, qlp, proj)
-    grads = attribute_enhancement_backward(d_out, cache)
+    every = RowSet.of(ones)
+    out, cache = attribute_enhancement_forward(feat, qlp, proj, every)
+    grads = attribute_enhancement_backward(d_rows, cache)
 
     def run_ae():
-        return attribute_enhancement_forward(feat, qlp, proj)[0].values
+        return attribute_enhancement_forward(feat, qlp, proj, every)[0].values
 
-    for arr, an in ((qlp, grads["qlp"]), (feat.values, grads["feat"]),
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, grads["feat"].swapaxes(0, 1)),
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         errs.append(rel_err(an, central_diff(run_ae, arr, d_out)))
 
-    out, cache = instance_attention_forward(feat, emb, proj, mask)
-    grads = instance_attention_backward(d_out, cache)
+    out, cache = instance_attention_forward(feat, emb, proj, rows)
+    grads = instance_attention_backward(d_rows, cache)
 
     def run_ia():
-        return instance_attention_forward(feat, emb, proj, mask)[0].values
+        return instance_attention_forward(feat, emb, proj, rows)[0].values
 
-    errs.append(rel_err(grads["feat"], central_diff(run_ia, feat.values, d_out)))
+    errs.append(rel_err(grads["feat"].swapaxes(0, 1), central_diff(run_ia, feat.values, d_out)))
 
-    da, db = fuse_residual_backward(d_out)
-    errs.append(rel_err(da, d_out))
-
-    out, cache = relation_attention_forward(feat, emb, proj, mask)
-    grads = relation_attention_backward(d_out, cache)
+    out, cache = relation_attention_forward(feat, emb, proj, rows)
+    grads = relation_attention_backward(d_rows, cache)
 
     def run_rel():
-        return relation_attention_forward(feat, emb, proj, mask)[0].values
+        return relation_attention_forward(feat, emb, proj, rows)[0].values
 
     errs.append(rel_err(grads["emb"], central_diff(run_rel, emb.values, d_out)))
 
-    ones = MaskGrid(np.ones((2, 3)))
     branches = [
-        FusionBranch(BACKGROUND, FeatureGrid(2, 3, rng.standard_normal((6, d))), ones, 0.2),
-        FusionBranch(INSTANCE, FeatureGrid(2, 3, rng.standard_normal((6, d))), mask, -0.4),
+        FusionBranch(BACKGROUND, FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), ones, 0.2),
+        FusionBranch(INSTANCE, FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), mask, -0.4),
     ]
     from radl.fusion import fuse_backward
 
     _, cache = fuse_forward(branches)
-    d_feats, d_logits = fuse_backward(d_out, cache)
+    d_feats, d_logits = fuse_backward(d_rows, cache)
     num = central_diff(lambda: fuse_forward(branches)[0].values, branches[0].feat.values, d_out)
-    errs.append(rel_err(d_feats[0], num))
+    errs.append(rel_err(d_feats[0].swapaxes(0, 1), num))
     return max(errs)
 
 
@@ -206,12 +207,12 @@ def test_criterion_3_mask_fusion_invariants():
     for seed in range(100):
         rng = np.random.default_rng(4000 + seed)
         ones = MaskGrid(np.ones((4, 4)))
-        branches = [FusionBranch(BACKGROUND, FeatureGrid(4, 4, rng.standard_normal((16, 4))), ones, float(rng.standard_normal()))]
+        branches = [FusionBranch(BACKGROUND, FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), ones, float(rng.standard_normal()))]
         for _ in range(2):
             branches.append(
                 FusionBranch(
                     INSTANCE,
-                    FeatureGrid(4, 4, rng.standard_normal((16, 4))),
+                    FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
                     MaskGrid((rng.random((4, 4)) < 0.5).astype(float)),
                     float(rng.standard_normal()),
                 )
@@ -232,13 +233,13 @@ def test_criterion_3_mask_fusion_invariants():
 def test_criterion_4_schedule_conformance():
     params = init_denoiser(0, d=8, image_size=32, t_train=200)
     scene = make_scene(0, SCENE_CFG)
-    _, trace = sample(params, scene.layout, total_steps=60, radl_steps=30, rng_seed=0, embed_cfg=EC)
+    _, trace = sample(params, scene.layout, total_steps=60, radl_steps=30, seeds=[0], embed_cfg=EC)
     trace_ok = trace == [True] * 30 + [False] * 30
 
     other = make_scene(2, SCENE_CFG)
     x = np.random.default_rng(1).standard_normal((1, 3, 32, 32))
     sides = (params.fine_side, params.coarse_side)
-    a, b = (denoise_forward(params, x, [77], [encode_layout(sc.layout, EC, sides)], False)
+    a, b = (denoise_forward_cached(params, x, [77], [encode_layout(sc.layout, EC, sides)], False)[0]
             for sc in (scene, other))
     invariant_ok = np.array_equal(a, b)
     ok = trace_ok and invariant_ok

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from radl.attention import (
     AttnProjection,
     FeatureGrid,
+    RowSet,
     attribute_enhancement_backward,
     attribute_enhancement_forward,
-    fuse_residual,
-    fuse_residual_backward,
     instance_attention_backward,
     instance_attention_forward,
     masked_text_attention_backward,
@@ -28,11 +27,26 @@ from radl.text import EmbeddingSeq
 
 
 def grid(rng, h, w, d):
-    return FeatureGrid(h, w, rng.standard_normal((h * w, d)))
+    """A stack of one random h x w grid."""
+    return FeatureGrid(h, w, rng.standard_normal((1, h * w, d)))
 
 
 def random_mask(rng, h, w):
     return MaskGrid((rng.random((h, w)) < 0.5).astype(float))
+
+
+def rows_of(values):
+    return RowSet.of(MaskGrid(np.asarray(values, dtype=float)))
+
+
+def every_row(h, w):
+    return rows_of(np.ones((h, w)))
+
+
+def rows_first(x):
+    """(K, h*w, d) <-> (h*w, K, d): backwards take and give feature
+    gradients rows-first."""
+    return x.swapaxes(0, 1)
 
 
 # --- scaled_dot_attention ---------------------------------------------------
@@ -136,7 +150,7 @@ def test_masked_text_zero_mask():
     feat = grid(rng, 4, 4, 8)
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
-    out = masked_text_attention_forward(feat, emb, proj, MaskGrid(np.zeros((4, 4))))[0]
+    out = masked_text_attention_forward(feat, emb, proj, rows_of(np.zeros((4, 4))))[0]
     assert not out.values.any()
 
 
@@ -145,7 +159,7 @@ def test_masked_text_ones_mask_equals_unmasked():
     feat = grid(rng, 4, 4, 8)
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
-    got = masked_text_attention_forward(feat, emb, proj, MaskGrid(np.ones((4, 4))))[0]
+    got = masked_text_attention_forward(feat, emb, proj, every_row(4, 4))[0]
     want, _ = scaled_dot_attention_forward(
         feat.values @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv
     )
@@ -159,17 +173,17 @@ def test_masked_text_half_mask_rows():
     proj = AttnProjection.init(rng, 8)
     mvals = np.zeros((4, 4))
     mvals[:2, :] = 1.0
-    got = masked_text_attention_forward(feat, emb, proj, MaskGrid(mvals))[0]
+    got = masked_text_attention_forward(feat, emb, proj, rows_of(mvals))[0].values[0]
     unmasked, _ = scaled_dot_attention_forward(
-        feat.values @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv
+        feat.values[0] @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv
     )
     flat = mvals.reshape(-1)
     for r in range(16):
         if flat[r] == 0:
-            assert np.array_equal(got.values[r], np.zeros(8))
-            assert not np.signbit(got.values[r]).any()  # bitwise +0.0
+            assert np.array_equal(got[r], np.zeros(8))
+            assert not np.signbit(got[r]).any()  # bitwise +0.0
         else:
-            assert np.array_equal(got.values[r], unmasked[r])
+            assert np.array_equal(got[r], unmasked[r])
 
 
 @given(st.integers(0, 2**16 - 1))
@@ -180,9 +194,9 @@ def test_masked_text_annihilation(bits):
     emb = EmbeddingSeq(rng.standard_normal((2, 4)))
     proj = AttnProjection.init(rng, 4)
     mask = MaskGrid(np.array([(bits >> i) & 1 for i in range(16)], dtype=float).reshape(4, 4))
-    out = masked_text_attention_forward(feat, emb, proj, mask)[0]
+    out = masked_text_attention_forward(feat, emb, proj, RowSet.of(mask))[0]
     outside = mask.flat() == 0
-    assert np.array_equal(out.values[outside], np.zeros((outside.sum(), 4)))
+    assert np.array_equal(out.values[0, outside], np.zeros((outside.sum(), 4)))
 
 
 def test_masked_text_backward_fd():
@@ -190,16 +204,16 @@ def test_masked_text_backward_fd():
     feat = grid(rng, 2, 3, 4)
     emb = EmbeddingSeq(rng.standard_normal((3, 4)))
     proj = AttnProjection.init(rng, 4)
-    mask = random_mask(rng, 2, 3)
-    d_out = rng.standard_normal((6, 4))
-    out, cache = masked_text_attention_forward(feat, emb, proj, mask)
-    grads = masked_text_attention_backward(d_out, cache)
+    rows = RowSet.of(random_mask(rng, 2, 3))
+    d_out = rng.standard_normal((6, 4))[None]
+    out, cache = masked_text_attention_forward(feat, emb, proj, rows)
+    grads = masked_text_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return masked_text_attention_forward(feat, emb, proj, mask)[0].values
+        return masked_text_attention_forward(feat, emb, proj, rows)[0].values
 
     pairs = [
-        (feat.values, grads["feat"]), (emb.values, grads["emb"]),
+        (feat.values, rows_first(grads["feat"])), (emb.values, grads["emb"]),
         (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"]),
     ]
     for arr, an in pairs:
@@ -210,10 +224,10 @@ def test_masked_text_backward_fd():
 
 def test_attribute_enhancement_constant_feat():
     rng = np.random.default_rng(12)
-    feat = FeatureGrid(2, 2, np.tile(rng.standard_normal(8), (4, 1)))
+    feat = FeatureGrid(2, 2, np.tile(rng.standard_normal(8), (1, 4, 1)))
     proj = AttnProjection.init(rng, 8)
-    out = attribute_enhancement_forward(feat, rng.standard_normal((4, 8)), proj)[0]
-    assert np.allclose(out.values, np.broadcast_to(out.values[0], (4, 8)), atol=1e-14)
+    out = attribute_enhancement_forward(feat, rng.standard_normal((4, 8)), proj, every_row(2, 2))[0]
+    assert np.allclose(out.values, np.broadcast_to(out.values[0, 0], (1, 4, 8)), atol=1e-14)
 
 
 def test_attribute_enhancement_equal_queries():
@@ -221,8 +235,8 @@ def test_attribute_enhancement_equal_queries():
     feat = grid(rng, 2, 2, 8)
     proj = AttnProjection.init(rng, 8)
     qlp = np.tile(rng.standard_normal(8), (4, 1))
-    out = attribute_enhancement_forward(feat, qlp, proj)[0]
-    assert np.allclose(out.values, np.broadcast_to(out.values[0], (4, 8)), atol=1e-14)
+    out = attribute_enhancement_forward(feat, qlp, proj, every_row(2, 2))[0]
+    assert np.allclose(out.values, np.broadcast_to(out.values[0, 0], (1, 4, 8)), atol=1e-14)
 
 
 def test_attribute_enhancement_oracle_8x8():
@@ -230,16 +244,17 @@ def test_attribute_enhancement_oracle_8x8():
     feat = grid(rng, 8, 8, 8)
     proj = AttnProjection.init(rng, 8)
     qlp = rng.standard_normal((64, 8))
-    got = attribute_enhancement_forward(feat, qlp, proj)[0]
-    want = attention_oracle(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
-    assert rel_err(got.values, want) <= 1e-12
+    got = attribute_enhancement_forward(feat, qlp, proj, every_row(8, 8))[0]
+    want = attention_oracle(qlp, feat.values[0] @ proj.wk, feat.values[0] @ proj.wv)
+    assert rel_err(got.values[0], want) <= 1e-12
 
 
 def test_attribute_enhancement_qlp_mismatch():
     rng = np.random.default_rng(15)
     with pytest.raises(ShapeMismatch):
         attribute_enhancement_forward(
-            grid(rng, 4, 4, 8), rng.standard_normal((9, 8)), AttnProjection.init(rng, 8)
+            grid(rng, 4, 4, 8), rng.standard_normal((9, 8)), AttnProjection.init(rng, 8),
+            every_row(4, 4),
         )
 
 
@@ -248,14 +263,15 @@ def test_attribute_enhancement_backward_fd():
     feat = grid(rng, 2, 2, 4)
     proj = AttnProjection.init(rng, 4)
     qlp = rng.standard_normal((4, 4))
-    d_out = rng.standard_normal((4, 4))
-    out, cache = attribute_enhancement_forward(feat, qlp, proj)
-    grads = attribute_enhancement_backward(d_out, cache)
+    d_out = rng.standard_normal((4, 4))[None]
+    rows = every_row(2, 2)
+    out, cache = attribute_enhancement_forward(feat, qlp, proj, rows)
+    grads = attribute_enhancement_backward(rows_first(d_out), cache)
 
     def run():
-        return attribute_enhancement_forward(feat, qlp, proj)[0].values
+        return attribute_enhancement_forward(feat, qlp, proj, rows)[0].values
 
-    for arr, an in ((qlp, grads["qlp"]), (feat.values, grads["feat"]),
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows_first(grads["feat"])),
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
 
@@ -266,7 +282,7 @@ def test_instance_attention_zero_mask():
     rng = np.random.default_rng(17)
     out = instance_attention_forward(
         grid(rng, 3, 3, 4), EmbeddingSeq(rng.standard_normal((2, 4))),
-        AttnProjection.init(rng, 4), MaskGrid(np.zeros((3, 3))),
+        AttnProjection.init(rng, 4), rows_of(np.zeros((3, 3))),
     )[0]
     assert not out.values.any()
 
@@ -277,10 +293,10 @@ def test_instance_attention_single_token():
     e_i = EmbeddingSeq(rng.standard_normal((1, 4)))
     proj = AttnProjection.init(rng, 4)
     mask = random_mask(rng, 3, 3)
-    out = instance_attention_forward(r_ae, e_i, proj, mask)[0]
+    out = instance_attention_forward(r_ae, e_i, proj, RowSet.of(mask))[0]
     token_v = (e_i.values @ proj.wv)[0]
     inside = mask.flat() == 1
-    assert np.allclose(out.values[inside], np.broadcast_to(token_v, (inside.sum(), 4)), atol=1e-14)
+    assert np.allclose(out.values[0, inside], np.broadcast_to(token_v, (inside.sum(), 4)), atol=1e-14)
 
 
 def test_instance_attention_oracle():
@@ -289,10 +305,10 @@ def test_instance_attention_oracle():
     e_i = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
     mask = random_mask(rng, 4, 4)
-    got = instance_attention_forward(r_ae, e_i, proj, mask)[0]
-    want = attention_oracle(r_ae.values @ proj.wq, e_i.values @ proj.wk, e_i.values @ proj.wv)
+    got = instance_attention_forward(r_ae, e_i, proj, RowSet.of(mask))[0]
+    want = attention_oracle(r_ae.values[0] @ proj.wq, e_i.values @ proj.wk, e_i.values @ proj.wv)
     want = want * mask.flat()[:, None]
-    assert rel_err(got.values, want) <= 1e-12
+    assert rel_err(got.values[0], want) <= 1e-12
 
 
 def test_instance_attention_backward_fd():
@@ -300,55 +316,17 @@ def test_instance_attention_backward_fd():
     r_ae = grid(rng, 2, 2, 4)
     e_i = EmbeddingSeq(rng.standard_normal((2, 4)))
     proj = AttnProjection.init(rng, 4)
-    mask = MaskGrid(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    d_out = rng.standard_normal((4, 4))
-    out, cache = instance_attention_forward(r_ae, e_i, proj, mask)
-    grads = instance_attention_backward(d_out, cache)
+    rows = rows_of([[1.0, 0.0], [1.0, 1.0]])
+    d_out = rng.standard_normal((4, 4))[None]
+    out, cache = instance_attention_forward(r_ae, e_i, proj, rows)
+    grads = instance_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return instance_attention_forward(r_ae, e_i, proj, mask)[0].values
+        return instance_attention_forward(r_ae, e_i, proj, rows)[0].values
 
-    for arr, an in ((r_ae.values, grads["feat"]), (e_i.values, grads["emb"]),
+    for arr, an in ((r_ae.values, rows_first(grads["feat"])), (e_i.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
-
-
-# --- fuse_residual -----------------------------------------------------------
-
-def test_fuse_residual_identities():
-    rng = np.random.default_rng(21)
-    r = grid(rng, 3, 2, 4)
-    zero = r.like(np.zeros_like(r.values))
-    assert np.array_equal(fuse_residual(r, zero).values, r.values)
-    assert np.array_equal(fuse_residual(zero, r).values, r.values)
-
-
-def test_fuse_residual_sum_oracle():
-    rng = np.random.default_rng(22)
-    a = grid(rng, 3, 2, 4)
-    b = grid(rng, 3, 2, 4)
-    got = fuse_residual(a, b).values
-    for i in range(6):
-        for c in range(4):
-            assert got[i, c] == a.values[i, c] + b.values[i, c]
-
-
-def test_fuse_residual_linearity_exact():
-    # Integer-valued grids keep every float64 addition exact, so the
-    # linearity identity can be asserted bitwise.
-    rng = np.random.default_rng(23)
-    a, b, c = (
-        FeatureGrid(2, 2, rng.integers(-8, 8, (4, 4)).astype(float)) for _ in range(3)
-    )
-    lhs = fuse_residual(a.like(a.values + b.values), c).values
-    rhs = fuse_residual(a, c).values + b.values
-    assert np.array_equal(lhs, rhs)
-
-
-def test_fuse_residual_backward_passthrough():
-    d = np.random.default_rng(24).standard_normal((4, 4))
-    da, db = fuse_residual_backward(d)
-    assert np.array_equal(da, d) and np.array_equal(db, d)
 
 
 # --- relation_attention ------------------------------------------------------
@@ -361,7 +339,7 @@ def test_token_width_mismatch_raises(forward):
     feat = grid(rng, 4, 4, 8)
     tokens = EmbeddingSeq(rng.standard_normal((3, 6)))
     with pytest.raises(ShapeMismatch):
-        forward(feat, tokens, AttnProjection.init(rng, 8), MaskGrid(np.ones((4, 4))))
+        forward(feat, tokens, AttnProjection.init(rng, 8), every_row(4, 4))
 
 
 def test_relation_zero_total_mask():
@@ -369,7 +347,7 @@ def test_relation_zero_total_mask():
     feat = grid(rng, 4, 4, 8)
     verb = EmbeddingSeq(rng.standard_normal((2, 8)))
     proj = AttnProjection.init(rng, 8)
-    out = relation_attention_forward(feat, verb, proj, MaskGrid(np.zeros((4, 4))))[0]
+    out = relation_attention_forward(feat, verb, proj, rows_of(np.zeros((4, 4))))[0]
     assert not out.values.any()
 
 
@@ -378,8 +356,8 @@ def test_relation_single_verb_full_mask():
     feat = grid(rng, 4, 4, 8)
     verb = EmbeddingSeq(rng.standard_normal((1, 8)))
     proj = AttnProjection.init(rng, 8)
-    out = relation_attention_forward(feat, verb, proj, MaskGrid(np.ones((4, 4))))[0]
-    assert np.allclose(out.values, np.broadcast_to((verb.values @ proj.wv)[0], (16, 8)), atol=1e-14)
+    out = relation_attention_forward(feat, verb, proj, every_row(4, 4))[0]
+    assert np.allclose(out.values, np.broadcast_to((verb.values @ proj.wv)[0], (1, 16, 8)), atol=1e-14)
 
 
 def test_relation_backward_fd():
@@ -387,15 +365,15 @@ def test_relation_backward_fd():
     feat = grid(rng, 2, 2, 4)
     verb = EmbeddingSeq(rng.standard_normal((2, 4)))
     proj = AttnProjection.init(rng, 4)
-    mask = MaskGrid(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    d_out = rng.standard_normal((4, 4))
-    out, cache = relation_attention_forward(feat, verb, proj, mask)
-    grads = relation_attention_backward(d_out, cache)
+    rows = rows_of([[1.0, 0.0], [0.0, 1.0]])
+    d_out = rng.standard_normal((4, 4))[None]
+    out, cache = relation_attention_forward(feat, verb, proj, rows)
+    grads = relation_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return relation_attention_forward(feat, verb, proj, mask)[0].values
+        return relation_attention_forward(feat, verb, proj, rows)[0].values
 
-    for arr, an in ((feat.values, grads["feat"]), (verb.values, grads["emb"]),
+    for arr, an in ((feat.values, rows_first(grads["feat"])), (verb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
 
@@ -423,35 +401,21 @@ MASK_CASES = ("empty", "one_cell", "full", "random")
 def test_in_mask_ops_match_masked_oracle(case):
     rng = np.random.default_rng(29)
     mask = mask_case(case, rng)
-    keep = mask.flat()[:, None]
+    keep, rows = mask.flat()[:, None], RowSet.of(mask)
     feat = grid(rng, 8, 8, 8)
+    x = feat.values[0]
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
-    want = keep * attention_oracle(feat.values @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv)
+    want = keep * attention_oracle(x @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv)
     # the text, instance and relation ops are one masked op
     assert masked_text_attention_forward is instance_attention_forward is relation_attention_forward
-    got = masked_text_attention_forward(feat, emb, proj, mask)[0].values
+    got = masked_text_attention_forward(feat, emb, proj, rows)[0].values[0]
     assert rel_err(got, want) <= 1e-12
     assert not np.signbit(got[keep[:, 0] == 0]).any()  # bitwise +0.0
     qlp = rng.standard_normal((64, 8))
-    got = attribute_enhancement_forward(feat, qlp, proj, mask)[0].values
-    want = keep * attention_oracle(qlp, feat.values @ proj.wk, feat.values @ proj.wv)
+    got = attribute_enhancement_forward(feat, qlp, proj, rows)[0].values[0]
+    want = keep * attention_oracle(qlp, x @ proj.wk, x @ proj.wv)
     assert rel_err(got, want) <= 1e-12
-
-
-def test_attribute_enhancement_ones_mask_equals_no_mask():
-    rng = np.random.default_rng(30)
-    feat = grid(rng, 8, 8, 4)
-    proj = AttnProjection.init(rng, 4)
-    qlp = rng.standard_normal((64, 4))
-    d_out = rng.standard_normal((64, 4))
-    out_m, cache_m = attribute_enhancement_forward(feat, qlp, proj, MaskGrid(np.ones((8, 8))))
-    out_n, cache_n = attribute_enhancement_forward(feat, qlp, proj)
-    assert np.array_equal(out_m.values, out_n.values)
-    grads_m = attribute_enhancement_backward(d_out, cache_m)
-    grads_n = attribute_enhancement_backward(d_out, cache_n)
-    for key in grads_n:
-        assert np.array_equal(grads_m[key], grads_n[key]), key
 
 
 def test_attribute_enhancement_mask_shape_mismatch():
@@ -459,65 +423,65 @@ def test_attribute_enhancement_mask_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         attribute_enhancement_forward(
             grid(rng, 4, 4, 4), rng.standard_normal((16, 4)), AttnProjection.init(rng, 4),
-            MaskGrid(np.ones((2, 2))),
+            every_row(2, 2),
         )
 
 
 @pytest.mark.parametrize("case", MASK_CASES)
 def test_in_mask_backward_fd(case):
     rng = np.random.default_rng(32)
-    mask = mask_case(case, rng)
+    rows = RowSet.of(mask_case(case, rng))
     feat = grid(rng, 8, 8, 4)
     emb = EmbeddingSeq(rng.standard_normal((2, 4)))
     qlp = rng.standard_normal((64, 4))
     proj = AttnProjection.init(rng, 4)
-    d_out = rng.standard_normal((64, 4))
+    d_out = rng.standard_normal((64, 4))[None]
 
-    _, cache = attribute_enhancement_forward(feat, qlp, proj, mask)
-    grads = attribute_enhancement_backward(d_out, cache)
+    _, cache = attribute_enhancement_forward(feat, qlp, proj, rows)
+    grads = attribute_enhancement_backward(rows_first(d_out), cache)
 
     def run_ae():
-        return attribute_enhancement_forward(feat, qlp, proj, mask)[0].values
+        return attribute_enhancement_forward(feat, qlp, proj, rows)[0].values
 
-    for arr, an in ((qlp, grads["qlp"]), (feat.values, grads["feat"]),
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows_first(grads["feat"])),
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run_ae, arr, d_out)) < 1e-6
 
-    _, cache = masked_text_attention_forward(feat, emb, proj, mask)
-    grads = masked_text_attention_backward(d_out, cache)
+    _, cache = masked_text_attention_forward(feat, emb, proj, rows)
+    grads = masked_text_attention_backward(rows_first(d_out), cache)
 
     def run_text():
-        return masked_text_attention_forward(feat, emb, proj, mask)[0].values
+        return masked_text_attention_forward(feat, emb, proj, rows)[0].values
 
-    for arr, an in ((feat.values, grads["feat"]), (emb.values, grads["emb"]),
+    for arr, an in ((feat.values, rows_first(grads["feat"])), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run_text, arr, d_out)) < 1e-6
 
 
 # --- stacked feature grids ----------------------------------------------------
 # A forward given K grids (K, h*w, d) under one mask must give each grid the
-# bytes the 2-d call gives it alone; sampling relies on it.
+# bytes a stack of that grid alone gets; sampling relies on it.
 
 @pytest.mark.parametrize("case", MASK_CASES)
 def test_stacked_forwards_equal_per_grid_calls(case):
     rng = np.random.default_rng(33)
-    mask = mask_case(case, rng)
+    rows = RowSet.of(mask_case(case, rng))
     stack = rng.standard_normal((3, 64, 8))
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     qlp = rng.standard_normal((64, 8))
     proj = AttnProjection.init(rng, 8)
     calls = {
-        "masked_text_attention": lambda f: masked_text_attention_forward(f, emb, proj, mask),
-        "instance_attention": lambda f: instance_attention_forward(f, emb, proj, mask),
-        "relation_attention": lambda f: relation_attention_forward(f, emb, proj, mask),
-        "attribute_enhancement": lambda f: attribute_enhancement_forward(f, qlp, proj, mask),
-        "attribute_enhancement_dense": lambda f: attribute_enhancement_forward(f, qlp, proj),
+        "masked_text_attention": lambda f: masked_text_attention_forward(f, emb, proj, rows),
+        "instance_attention": lambda f: instance_attention_forward(f, emb, proj, rows),
+        "relation_attention": lambda f: relation_attention_forward(f, emb, proj, rows),
+        "attribute_enhancement": lambda f: attribute_enhancement_forward(f, qlp, proj, rows),
     }
     for name, call in calls.items():
         got = call(FeatureGrid(8, 8, stack))[0].values
         assert got.shape == stack.shape, name
         for k in range(3):
-            assert np.array_equal(got[k], call(FeatureGrid(8, 8, stack[k]))[0].values), name
+            alone = call(FeatureGrid(8, 8, stack[k : k + 1]))[0].values
+            assert np.array_equal(got[k], alone[0]), name
 
 
 def test_stacked_fuse_forward_equals_per_grid_calls():
@@ -534,8 +498,8 @@ def test_stacked_fuse_forward_equals_per_grid_calls():
 
     out, cache = fused(lambda s: s)
     for k in range(4):
-        out_k, cache_k = fused(lambda s: s[k])
-        assert np.array_equal(out.values[k], out_k.values)
+        out_k, cache_k = fused(lambda s: s[k : k + 1])
+        assert np.array_equal(out.values[k], out_k.values[0])
         assert np.array_equal(cache.weights, cache_k.weights)
 
 
@@ -544,4 +508,6 @@ def test_feature_grid_rejects_wrong_rows_under_leading_axis():
         FeatureGrid(4, 4, np.zeros((2, 15, 3)))
     with pytest.raises(ShapeMismatch):
         FeatureGrid(4, 4, np.zeros((16, 2, 3)))
+    with pytest.raises(ShapeMismatch):  # one grid without its stack axis
+        FeatureGrid(4, 4, np.zeros((16, 3)))
     assert FeatureGrid(4, 4, np.zeros((2, 16, 3))).d == 3

@@ -73,6 +73,11 @@ def test_missing_config_file(tmp_path, capsys):
     ("seed", -1),            # was ValueError from the seed sequence
     ("threads", -2),         # not a setting: an unknown key
     ("threads", 0),
+    ("lr", float("nan")),    # json reads NaN: was exit 0 or 4 on non-finite weights
+    ("lr", float("inf")),
+    ("weight_decay", float("nan")),   # was exit 4, a non-finite loss
+    ("weight_decay", float("inf")),
+    ("weight_decay", float("-inf")),
 ])
 def test_bad_config_value_exit_2(workdir, key, value, capsys):
     cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
@@ -496,6 +501,8 @@ def test_eval_unpaired_exit_2(workdir, capsys):
     ("hsv_table", b"red: [0, 30]"),     # was JSONDecodeError
     ("hsv_table", b'{"red": 5}'),        # was TypeError
     ("hsv_table", b'{"r\xffd": 5}'),     # not UTF-8
+    ("hsv_table", b'{"red": [[NaN, 20], [0, 1], [0, 1]]}'),  # was a color that never matches
+    ("hsv_table", b'{"red": [[0, 20], [0, Infinity], [0, 1]]}'),
 ])
 def test_bad_data_file_exit_2(workdir, key, text, capsys):
     (workdir / "data.txt").write_bytes(text)

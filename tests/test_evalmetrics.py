@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from radl.errors import UnknownColor
 from radl.evalmetrics import (
-    BACKGROUND_RGB,
     MIN_REGION_SIZE,
     Detection,
     attribute_acc,
@@ -24,7 +23,7 @@ from radl.evalmetrics import (
 )
 from radl.layout import BBox, InstanceSpec, LayoutSpec, Relation
 from radl.oracles import detect_oracle
-from radl.scenes import PALETTE_RGB, SceneConfig, generate, make_scene, render_layout
+from radl.scenes import BACKGROUND_RGB, PALETTE_RGB, SceneConfig, generate, make_scene, render_layout
 
 PALETTE = SceneConfig().palette
 TABLE = load_hsv_table()
@@ -142,7 +141,7 @@ def test_detect_touching_same_color_merges():
             InstanceSpec("blue square", BBox(0.25, 0.5, 0.5, 1.0)),
         ),
     )
-    img = render_layout(layout, 16, (0.5, 0.5, 0.5))
+    img = render_layout(layout, 16)
     dets = assert_detect_matches_oracle(img)
     # connectivity cannot split same-color touching regions
     assert [d.dominant_color for d in dets] == ["red", "blue"]
@@ -251,7 +250,7 @@ def test_success_wrong_color_fails():
     )
     red_render = render_layout(
         LayoutSpec(prompt="p", instances=(InstanceSpec("red square", layout.instances[0].bbox),)),
-        32, (0.5, 0.5, 0.5),
+        32,
     )
     dets = detect(red_render, PALETTE)
     rate, flags = success(dets, layout, red_render)
@@ -362,7 +361,7 @@ def test_quantity_cases():
 
 def test_evaluate_images_oracle_round_trip():
     scenes = generate(0, 6)
-    report = evaluate_images([(s.image, s.layout) for s in scenes], PALETTE)
+    report = evaluate_images([(s.image, s.layout) for s in scenes], PALETTE, TABLE)
     assert report.success_rate == 1.0
     assert report.miou == pytest.approx(1.0)
     assert report.attribute_acc == 1.0
@@ -376,7 +375,7 @@ def test_attribute_acc_blank_image():
     scene = make_scene(0, SceneConfig())
     blank = solid((0.5, 0.5, 0.5), 32)
     assert attribute_acc(rgb_to_hsv(blank), scene.layout, TABLE) == 0.0
-    ev = evaluate_image(blank, scene.layout, PALETTE)
+    ev = evaluate_image(blank, scene.layout, PALETTE, TABLE)
     assert ev.success is False and ev.miou == 0.0
 
 

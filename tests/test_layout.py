@@ -202,25 +202,27 @@ def test_rasterize_area_bound(bbox, size):
 # --- total_mask -------------------------------------------------------------
 
 def test_total_mask_empty():
-    m = total_mask([], height=4, width=4)
+    m = total_mask([], 4, 4)
     assert np.array_equal(m.values, np.zeros((4, 4)))
 
 
 def test_total_mask_single_full():
     ones = MaskGrid(np.ones((3, 5)))
-    assert np.array_equal(total_mask([ones]).values, np.ones((3, 5)))
+    assert np.array_equal(total_mask([ones], 3, 5).values, np.ones((3, 5)))
 
 
 def test_total_mask_union_oracle():
     a = rasterize_mask(BBox(0.0, 0.0, 0.6, 0.6), 8, 8)
     b = rasterize_mask(BBox(0.4, 0.4, 1.0, 1.0), 8, 8)
-    got = total_mask([a, b])
+    got = total_mask([a, b], 8, 8)
     assert np.array_equal(got.values, union_oracle([a, b], 8, 8))
 
 
 def test_total_mask_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        total_mask([MaskGrid(np.ones((2, 2))), MaskGrid(np.ones((3, 3)))])
+        total_mask([MaskGrid(np.ones((2, 2))), MaskGrid(np.ones((3, 3)))], 2, 2)
+    with pytest.raises(ShapeMismatch):  # masks that do not match the dims given
+        total_mask([MaskGrid(np.ones((2, 2)))], 3, 3)
 
 
 mask_grids = st.integers(0, 2**16 - 1).map(
@@ -232,13 +234,13 @@ mask_grids = st.integers(0, 2**16 - 1).map(
 
 @given(mask_grids)
 def test_total_mask_idempotent(m):
-    assert np.array_equal(total_mask([m]).values, m.values)
+    assert np.array_equal(total_mask([m], 4, 4).values, m.values)
 
 
 @given(st.lists(mask_grids, min_size=1, max_size=4), mask_grids)
 def test_total_mask_monotone(ms, extra):
-    before = total_mask(ms).values
-    after = total_mask(ms + [extra]).values
+    before = total_mask(ms, 4, 4).values
+    after = total_mask(ms + [extra], 4, 4).values
     assert np.all(after >= before)
 
 
@@ -246,7 +248,7 @@ def test_total_mask_monotone(ms, extra):
 def test_total_mask_commutative(ms, rnd):
     shuffled = list(ms)
     rnd.shuffle(shuffled)
-    assert np.array_equal(total_mask(ms).values, total_mask(shuffled).values)
+    assert np.array_equal(total_mask(ms, 4, 4).values, total_mask(shuffled, 4, 4).values)
 
 
 # --- round trip -------------------------------------------------------------

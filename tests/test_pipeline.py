@@ -15,7 +15,6 @@ from radl.pipeline import (
     VARIANTS,
     NoiseSchedule,
     denoise_backward,
-    denoise_forward,
     denoise_forward_cached,
     encode_layout,
     forward_diffuse,
@@ -27,7 +26,8 @@ from radl.pipeline import (
     train,
     zero_grads,
 )
-from radl.layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask
+from radl.attention import RowSet
+from radl.layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask
 from radl.oracles import central_diff, rel_err
 from radl.scenes import SceneConfig, generate, make_scene
 from radl.text import EmbedderConfig, extract_verbs
@@ -121,8 +121,8 @@ def test_radl_off_is_layout_invariant_bitwise():
     a_scene = make_scene(0, SceneConfig())
     b_scene = make_scene(2, SceneConfig())
     x = np.random.default_rng(5).standard_normal((1, 3, 32, 32))
-    a = denoise_forward(params, x, [100], encode(params, a_scene.layout), False)
-    b = denoise_forward(params, x, [100], encode(params, b_scene.layout), False)
+    a = denoise_forward_cached(params, x, [100], encode(params, a_scene.layout), False)[0]
+    b = denoise_forward_cached(params, x, [100], encode(params, b_scene.layout), False)[0]
     assert np.array_equal(a, b)
 
 
@@ -130,7 +130,7 @@ def test_radl_on_empty_layout_runs():
     params = init_denoiser(0, d=8, image_size=32, t_train=200)
     layout = LayoutSpec(prompt="a plain gray background")
     x = np.random.default_rng(6).standard_normal((1, 3, 32, 32))
-    eps = denoise_forward(params, x, [50], encode(params, layout), True)
+    eps = denoise_forward_cached(params, x, [50], encode(params, layout), True)[0]
     assert np.all(np.isfinite(eps))
 
 
@@ -140,7 +140,7 @@ def test_golden_regression_fixture():
     sched = NoiseSchedule.make(200)
     rng = np.random.default_rng(99)
     x_t = forward_diffuse(scene.image, 120, sched, rng.standard_normal(scene.image.shape))
-    eps = denoise_forward(params, x_t[None], [120], encode(params, scene.layout), True)
+    eps = denoise_forward_cached(params, x_t[None], [120], encode(params, scene.layout), True)[0]
     assert hashlib.sha256(eps[0].tobytes()).hexdigest() == GOLDEN_EPS_SHA256
 
 
@@ -155,8 +155,8 @@ def test_layout_sensitivity_inside_moved_box():
         instances=(InstanceSpec("red square", BBox(0.5, 0.5, 0.875, 0.875)),),
     )
     x = np.random.default_rng(7).standard_normal((1, 3, 32, 32))
-    a = denoise_forward(params, x, [100], encode(params, base), True)
-    b = denoise_forward(params, x, [100], encode(params, moved), True)
+    a = denoise_forward_cached(params, x, [100], encode(params, base), True)[0]
+    b = denoise_forward_cached(params, x, [100], encode(params, moved), True)[0]
     diff = np.abs(a - b).sum(axis=(0, 1))
     region = (
         rasterize_mask(base.instances[0].bbox, 32, 32).values
@@ -164,8 +164,8 @@ def test_layout_sensitivity_inside_moved_box():
     ) > 0
     assert diff[region].max() > 0.0
     # the off path stays invariant
-    a_off = denoise_forward(params, x, [100], encode(params, base), False)
-    b_off = denoise_forward(params, x, [100], encode(params, moved), False)
+    a_off = denoise_forward_cached(params, x, [100], encode(params, base), False)[0]
+    b_off = denoise_forward_cached(params, x, [100], encode(params, moved), False)[0]
     assert np.array_equal(a_off, b_off)
 
 
@@ -175,24 +175,24 @@ def test_variant_validation_and_shape_checks():
     x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
     encs = encode(params, scene.layout) * 2
     with pytest.raises(ValueError):
-        denoise_forward(params, x, [1], encs, True, variant="bogus")
+        denoise_forward_cached(params, x, [1], encs, True, variant="bogus")
     with pytest.raises(ShapeMismatch):
-        denoise_forward(params, np.zeros((2, 3, 16, 16)), [1], encs, True)
+        denoise_forward_cached(params, np.zeros((2, 3, 16, 16)), [1], encs, True)
     with pytest.raises(ShapeMismatch):  # one image without its stack axis
-        denoise_forward(params, x[0], [1], encs[:1], True)
+        denoise_forward_cached(params, x[0], [1], encs[:1], True)
     for t in ([1, 2, 3], [], 1):
         with pytest.raises(ShapeMismatch):
-            denoise_forward(params, x, t, encs, True)
+            denoise_forward_cached(params, x, t, encs, True)
     for bad in (None, encs[:1], encs * 2):
         with pytest.raises(ShapeMismatch):
-            denoise_forward(params, x, [1], bad, True)
+            denoise_forward_cached(params, x, [1], bad, True)
     with pytest.raises(StepOutOfRange):
-        denoise_forward(params, x, [201], encs, True)
+        denoise_forward_cached(params, x, [201], encs, True)
     # a shared step equals that step repeated per image up to rounding: the
     # gain basis product rounds differently over one row and over K rows
     for radl_on in (True, False):
-        shared = denoise_forward(params, x, [120], encs, radl_on)
-        repeated = denoise_forward(params, x, [120, 120], encs, radl_on)
+        shared = denoise_forward_cached(params, x, [120], encs, radl_on)[0]
+        repeated = denoise_forward_cached(params, x, [120, 120], encs, radl_on)[0]
         assert rel_err(shared, repeated) <= 1e-12
 
 
@@ -253,11 +253,10 @@ def test_in_mask_enhancement_matches_dense_reference(variant, monkeypatch):
              for layout in crowded_layouts()]
     fast = [forward_and_grads(params, *case, variant) for case in cases]
 
-    dense_ae = pipeline.attribute_enhancement_forward
-    monkeypatch.setattr(
-        pipeline, "attribute_enhancement_forward",
-        lambda feat, qlp, proj, mask=None: dense_ae(feat, qlp, proj),
-    )
+    def dense_ae(feat, qlp, proj, rows, ae=pipeline.attribute_enhancement_forward):
+        return ae(feat, qlp, proj, RowSet.of(MaskGrid(np.ones((feat.h, feat.w)))))
+
+    monkeypatch.setattr(pipeline, "attribute_enhancement_forward", dense_ae)
     for case, (eps, g) in zip(cases, fast):
         eps_ref, g_ref = forward_and_grads(params, *case, variant)
         assert rel_err(eps, eps_ref) <= 1e-12
@@ -270,19 +269,19 @@ def test_in_mask_enhancement_matches_dense_reference(variant, monkeypatch):
 def test_sample_trace_split():
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     scene = small_scene()
-    img, trace = sample(
-        params, scene.layout, total_steps=10, radl_steps=4, rng_seed=0, embed_cfg=EC4
+    images, trace = sample(
+        params, scene.layout, total_steps=10, radl_steps=4, seeds=[0], embed_cfg=EC4
     )
     assert trace == [True] * 4 + [False] * 6
-    assert img.shape == (3, 8, 8)
-    assert img.min() >= 0.0 and img.max() <= 1.0
+    assert images.shape == (1, 3, 8, 8)
+    assert images.min() >= 0.0 and images.max() <= 1.0
 
 
 def test_sample_all_on_trace():
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     scene = small_scene()
     _, trace = sample(
-        params, scene.layout, total_steps=6, radl_steps=6, rng_seed=0, embed_cfg=EC4
+        params, scene.layout, total_steps=6, radl_steps=6, seeds=[0], embed_cfg=EC4
     )
     assert trace == [True] * 6
 
@@ -291,8 +290,8 @@ def test_sample_radl_zero_matches_layout_free_baseline():
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     scene = small_scene()
     empty = LayoutSpec(prompt="anything else entirely")
-    a, trace = sample(params, scene.layout, total_steps=8, radl_steps=0, rng_seed=3, embed_cfg=EC4)
-    b, _ = sample(params, empty, total_steps=8, radl_steps=0, rng_seed=3, embed_cfg=EC4)
+    a, trace = sample(params, scene.layout, total_steps=8, radl_steps=0, seeds=[3], embed_cfg=EC4)
+    b, _ = sample(params, empty, total_steps=8, radl_steps=0, seeds=[3], embed_cfg=EC4)
     assert trace == [False] * 8
     assert np.array_equal(a, b)
 
@@ -300,8 +299,8 @@ def test_sample_radl_zero_matches_layout_free_baseline():
 def test_sample_deterministic():
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     scene = small_scene()
-    a, _ = sample(params, scene.layout, total_steps=8, radl_steps=4, rng_seed=5, embed_cfg=EC4)
-    b, _ = sample(params, scene.layout, total_steps=8, radl_steps=4, rng_seed=5, embed_cfg=EC4)
+    a, _ = sample(params, scene.layout, total_steps=8, radl_steps=4, seeds=[5], embed_cfg=EC4)
+    b, _ = sample(params, scene.layout, total_steps=8, radl_steps=4, seeds=[5], embed_cfg=EC4)
     assert np.array_equal(a, b)
 
 
@@ -321,20 +320,19 @@ def test_batched_sample_equals_serial_bytes(variant, name):
     layout = batched_sample_layouts()[name]
     kwargs = dict(total_steps=6, radl_steps=3, embed_cfg=EC, variant=variant)
     seeds = [11, 3, 11 + 2**40]
-    images, trace = sample(params, layout, rng_seed=seeds, **kwargs)
+    images, trace = sample(params, layout, seeds=seeds, **kwargs)
     assert images.shape == (3, 3, 32, 32)
     assert trace == [True] * 3 + [False] * 3
     for k, seed in enumerate(seeds):
-        alone, _ = sample(params, layout, rng_seed=seed, **kwargs)
-        assert np.array_equal(images[k], alone), (k, seed)
-    one, _ = sample(params, layout, rng_seed=seeds[:1], **kwargs)
-    assert one.shape == (1, 3, 32, 32) and np.array_equal(one[0], images[0])
+        alone, _ = sample(params, layout, seeds=[seed], **kwargs)
+        assert alone.shape == (1, 3, 32, 32)
+        assert np.array_equal(images[k], alone[0]), (k, seed)
 
 
 def test_batched_sample_needs_a_seed():
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     with pytest.raises(ValueError):
-        sample(params, small_scene().layout, total_steps=4, radl_steps=2, rng_seed=[],
+        sample(params, small_scene().layout, total_steps=4, radl_steps=2, seeds=[],
                embed_cfg=EC4)
 
 
@@ -612,7 +610,7 @@ def test_packed_gradients_match_central_differences():
                     for sc, t, n in zip(scenes, MIXED_TS, noise)])
 
     def loss_fn():
-        r = denoise_forward(params, x_t, MIXED_TS, encs, True) - noise
+        r = denoise_forward_cached(params, x_t, MIXED_TS, encs, True)[0] - noise
         return float((r * r).reshape(len(r), -1).mean(axis=1).sum())
 
     pdict = params_to_dict(params)

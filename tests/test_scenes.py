@@ -5,6 +5,7 @@ from radl.errors import PlacementFailure
 from radl.layout import rasterize_mask
 from radl.scenes import (
     PALETTE_RGB,
+    VERB_TEMPLATES,
     SceneConfig,
     generate,
     make_scene,
@@ -94,12 +95,12 @@ def test_two_instance_prompt_carries_verb_and_predicate():
     for scene in generate(0, 5, SceneConfig(n_instances=(2, 2))):
         rel = scene.relations[0]
         assert rel.predicate in scene.layout.prompt
-        assert any(v in scene.layout.prompt for v in CFG.verb_templates)
+        assert any(v in scene.layout.prompt for v in VERB_TEMPLATES)
 
 
 def test_render_layout_matches_scene_image():
     scene = make_scene(4, CFG)
-    again = render_layout(scene.layout, 32, CFG.background)
+    again = render_layout(scene.layout, 32)
     assert np.array_equal(scene.image, again)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from radl.errors import ShapeMismatch
 from radl.layout import BBox
+from radl.oracles import central_diff
 from radl.text import (
     EMPTY_TOKEN,
     EmbedderConfig,
@@ -180,18 +181,10 @@ def test_position_embed_backward_fd():
     d_out = rng.standard_normal(4)
     out, cache = position_embed_forward(bbox, params)
     grads = position_embed_backward(d_out, cache, params)
-    eps = 1e-6
     for name in ("w1", "b1", "w2", "b2"):
-        arr = getattr(params, name)
-        num = np.zeros_like(arr)
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            up = position_embed_forward(bbox, params)[0] @ d_out
-            arr[idx] = orig - eps
-            dn = position_embed_forward(bbox, params)[0] @ d_out
-            arr[idx] = orig
-            num[idx] = (up - dn) / (2 * eps)
+        num = central_diff(
+            lambda: position_embed_forward(bbox, params)[0], getattr(params, name), d_out, eps=1e-6
+        )
         assert np.allclose(grads[name], num, rtol=1e-6, atol=1e-9), name
 
 
@@ -245,26 +238,10 @@ def test_instance_embedding_backward_fd():
     d_out = rng.standard_normal((3, 4))
     out, cache = build_instance_embedding_forward(label, pos, proj)
     grads = build_instance_embedding_backward(d_out, cache, proj)
-    eps = 1e-6
 
-    num_proj = np.zeros_like(proj)
-    for idx in np.ndindex(proj.shape):
-        orig = proj[idx]
-        proj[idx] = orig + eps
-        up = (build_instance_embedding_forward(label, pos, proj)[0].values * d_out).sum()
-        proj[idx] = orig - eps
-        dn = (build_instance_embedding_forward(label, pos, proj)[0].values * d_out).sum()
-        proj[idx] = orig
-        num_proj[idx] = (up - dn) / (2 * eps)
-    assert np.allclose(grads["proj"], num_proj, rtol=1e-6, atol=1e-9)
+    def run():
+        return build_instance_embedding_forward(label, pos, proj)[0].values
 
-    num_pos = np.zeros_like(pos)
-    for i in range(pos.shape[0]):
-        orig = pos[i]
-        pos[i] = orig + eps
-        up = (build_instance_embedding_forward(label, pos, proj)[0].values * d_out).sum()
-        pos[i] = orig - eps
-        dn = (build_instance_embedding_forward(label, pos, proj)[0].values * d_out).sum()
-        pos[i] = orig
-        num_pos[i] = (up - dn) / (2 * eps)
-    assert np.allclose(grads["pos"], num_pos, rtol=1e-6, atol=1e-9)
+    for arr, name in ((proj, "proj"), (pos, "pos")):
+        num = central_diff(run, arr, d_out, eps=1e-6)
+        assert np.allclose(grads[name], num, rtol=1e-6, atol=1e-9), name
