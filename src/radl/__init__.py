@@ -1,6 +1,6 @@
 """Relation-aware multi-instance attention in a miniature diffusion pipeline."""
 
-from .attention import AttnProjection, FeatureGrid, RadlAttnParams
+from .attention import AttnProjection, FeatureGrid
 from .fusion import FusionBranch
 from .layout import (
     BBox,

@@ -9,7 +9,7 @@ against central finite differences in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -60,43 +60,6 @@ class AttnProjection:
             wq=rng.standard_normal((d, d)) * s,
             wk=rng.standard_normal((d, d)) * s,
             wv=rng.standard_normal((d, d)) * s,
-        )
-
-
-@dataclass
-class RadlAttnParams:
-    """All learnable pieces of the attention stack.
-
-    One projection triple per attention kind, one learnable-query bank per
-    injection resolution (16x16 and 8x8 grids at the default 32x32 image;
-    row count always equals H*W of its resolution), and the shared
-    instance-embedding reprojection.
-    """
-
-    proj_text: AttnProjection
-    proj_ae: AttnProjection
-    proj_inst: AttnProjection
-    proj_rel: AttnProjection
-    qlp_fine: np.ndarray    # (fine_side**2, d)
-    qlp_coarse: np.ndarray  # (coarse_side**2, d)
-    e_proj: np.ndarray      # (d + d_pos, d)
-
-    @staticmethod
-    def init(
-        rng: np.random.Generator, d: int, fine_side: int, coarse_side: int
-    ) -> "RadlAttnParams":
-        s = 1.0 / np.sqrt(d)
-        return RadlAttnParams(
-            proj_text=AttnProjection.init(rng, d),
-            proj_ae=AttnProjection.init(rng, d),
-            proj_inst=AttnProjection.init(rng, d),
-            proj_rel=AttnProjection.init(rng, d),
-            qlp_fine=rng.standard_normal((fine_side * fine_side, d)) * s,
-            qlp_coarse=rng.standard_normal((coarse_side * coarse_side, d)) * s,
-            # identity on the label block, small noise on the position block:
-            # instance embeddings start as label content plus a weak
-            # position perturbation
-            e_proj=np.vstack([np.eye(d), 0.1 * rng.standard_normal((d, d))]),
         )
 
 
@@ -179,8 +142,9 @@ def scaled_dot_attention_backward(
 
 
 # ---------------------------------------------------------------------------
-# masked cross-attention against a token sequence (shared by the text,
-# instance, and relation layers)
+# masked attention: one core (`_attend_rows`) for the four kinds.  Text,
+# instance and relation attention are one op over a token sequence;
+# attribute enhancement attends learnable queries over image features.
 #
 # Every masked op computes only the query rows its mask keeps and scatters
 # them into a zero grid; keys and values are never gathered.  Rows outside
@@ -273,10 +237,15 @@ class RowSet:
 
 @dataclass
 class MaskedAttnCache:
-    q_src: np.ndarray      # the kept query-source rows
-    emb: EmbeddingSeq      # key/value source (L, d), or a padded stack
+    """What the backward of a masked op or of attribute enhancement reads.
+    It keeps sources, not their projections: over every row of a packed
+    grid the keys and values are the bulk of a forward's cache, and the
+    backward projects them again."""
+
+    q_src: np.ndarray      # the kept rows' queries before `wq`, or AE's raw queries
+    kv: np.ndarray         # key/value source (L, d), or a stack of them
+    attn: np.ndarray       # the kept rows' attention
     rows: RowSet
-    attn_cache: AttnCache  # over the kept query rows only
     proj: AttnProjection
 
 
@@ -285,6 +254,28 @@ def _check_rows(feat: FeatureGrid, rows: RowSet):
         raise ShapeMismatch(
             f"mask {rows.h}x{rows.w} does not match feature grid {feat.h}x{feat.w}"
         )
+
+
+def _attend_rows(
+    feat: FeatureGrid, q_src: np.ndarray, q: np.ndarray, kv: np.ndarray,
+    key_keep: np.ndarray | None, proj: AttnProjection, rows: RowSet,
+) -> tuple[FeatureGrid, MaskedAttnCache]:
+    """The kept rows' queries q, made from q_src, attend over the keys and
+    values projected from kv (`key_keep` marks the real keys of a padded
+    stack); returns feat-shaped zero grids with those rows set."""
+    out, ac = scaled_dot_attention_forward(q, kv @ proj.wk, kv @ proj.wv, key_keep)
+    return feat.like(rows.put(out)), MaskedAttnCache(q_src, kv, ac.attn, rows, proj)
+
+
+def _attend_rows_backward(
+    d_out: np.ndarray, q: np.ndarray, cache: MaskedAttnCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (dq, d_kv, d_wk, d_wv) of `_attend_rows` given its queries
+    q again and the grids' rows-first upstream gradient."""
+    kv, wk, wv = cache.kv, cache.proj.wk, cache.proj.wv
+    ac = AttnCache(q=q, k=kv @ wk, v=kv @ wv, attn=cache.attn)
+    dq, dk, dv = scaled_dot_attention_backward(cache.rows.take_grad(flip_stack(d_out)), ac)
+    return dq, dk @ wk.T + dv @ wv.T, as_rows(kv).T @ as_rows(dk), as_rows(kv).T @ as_rows(dv)
 
 
 def masked_attention_forward(
@@ -296,13 +287,7 @@ def masked_attention_forward(
     if emb.dim != feat.d:
         raise ShapeMismatch(f"embedding dim {emb.dim} != feature dim {feat.d}")
     x = rows.take(feat.values)
-    out, ac = scaled_dot_attention_forward(
-        x @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv, emb.keep
-    )
-    ac.q = None  # as large as the kept rows: the backward projects them again
-    return feat.like(rows.put(out)), MaskedAttnCache(
-        q_src=x, emb=emb, rows=rows, attn_cache=ac, proj=proj
-    )
+    return _attend_rows(feat, x, x @ proj.wq, emb.values, emb.keep, proj, rows)
 
 
 def masked_attention_backward(
@@ -310,16 +295,10 @@ def masked_attention_backward(
 ) -> dict[str, np.ndarray]:
     if cache is None:
         raise MissingCache("masked attention backward needs its forward cache")
-    rows, proj, emb = cache.rows, cache.proj, cache.emb.values
-    ac = replace(cache.attn_cache, q=cache.q_src @ proj.wq)
-    dq, dk, dv = scaled_dot_attention_backward(rows.take_grad(flip_stack(d_out)), ac)
-    return {
-        "feat": flip_stack(rows.put(dq @ proj.wq.T)),
-        "emb": dk @ proj.wk.T + dv @ proj.wv.T,
-        "wq": as_rows(cache.q_src).T @ as_rows(dq),
-        "wk": as_rows(emb).T @ as_rows(dk),
-        "wv": as_rows(emb).T @ as_rows(dv),
-    }
+    x, wq = cache.q_src, cache.proj.wq
+    dq, d_emb, d_wk, d_wv = _attend_rows_backward(d_out, x @ wq, cache)
+    d_feat = flip_stack(cache.rows.put(dq @ wq.T))
+    return {"feat": d_feat, "emb": d_emb, "wq": as_rows(x).T @ as_rows(dq), "wk": d_wk, "wv": d_wv}
 
 
 # masked text attention attends to a label's tokens, instance attention to
@@ -336,20 +315,9 @@ relation_attention_backward = masked_attention_backward
 # attribute enhancement: learnable per-location queries over instance
 # image features
 
-@dataclass
-class AttributeEnhanceCache:
-    # keys and values are not kept: over every grid row they are the bulk of
-    # a packed forward's cache, and the backward projects them again
-    feat: np.ndarray       # key/value source: every row of the grids with rows
-    rows: RowSet
-    q: np.ndarray          # the kept learnable-query rows
-    attn: np.ndarray       # their attention over every row
-    proj: AttnProjection
-
-
 def attribute_enhancement_forward(
     feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection, rows: RowSet
-) -> tuple[FeatureGrid, AttributeEnhanceCache]:
+) -> tuple[FeatureGrid, MaskedAttnCache]:
     """Attention with the learnable queries used raw (no query projection);
     keys/values project from the instance image features.  Output row j is
     spatially aligned with grid location j.
@@ -361,30 +329,22 @@ def attribute_enhancement_forward(
         raise ShapeMismatch(f"learnable queries have {qlp.shape[0]} rows, grid has {n}")
     _check_rows(feat, rows)
     kv = feat.values if rows.grids is None else feat.values[rows.grids]
-    out, ac = scaled_dot_attention_forward(qlp[rows.idx], kv @ proj.wk, kv @ proj.wv)
-    return feat.like(rows.put(out)), AttributeEnhanceCache(
-        feat=kv, rows=rows, q=ac.q, attn=ac.attn, proj=proj
-    )
+    q = qlp[rows.idx]
+    return _attend_rows(feat, q, q, kv, None, proj, rows)
 
 
 def attribute_enhancement_backward(
-    d_out: np.ndarray, cache: AttributeEnhanceCache | None
+    d_out: np.ndarray, cache: MaskedAttnCache | None
 ) -> dict[str, np.ndarray]:
     if cache is None:
         raise MissingCache("attribute_enhancement backward needs its forward cache")
-    rows, proj, kv = cache.rows, cache.proj, cache.feat
-    ac = AttnCache(q=cache.q, k=kv @ proj.wk, v=kv @ proj.wv, attn=cache.attn)
-    dq, dk, dv = scaled_dot_attention_backward(rows.take_grad(flip_stack(d_out)), ac)
-    d_kv = dk @ proj.wk.T + dv @ proj.wv.T
+    rows = cache.rows
+    dq, d_kv, d_wk, d_wv = _attend_rows_backward(d_out, cache.q_src, cache)
     if rows.grids is None:
         d_feat = d_kv
     else:
         d_feat = np.zeros((rows.stack,) + d_kv.shape[1:])
         d_feat[rows.grids] = d_kv
     d_qlp = rows.put(dq)
-    return {
-        "qlp": _sum_to(d_qlp, d_qlp.shape[-2:]),
-        "feat": flip_stack(d_feat),
-        "wk": as_rows(kv).T @ as_rows(dk),
-        "wv": as_rows(kv).T @ as_rows(dv),
-    }
+    return {"qlp": _sum_to(d_qlp, d_qlp.shape[-2:]), "feat": flip_stack(d_feat),
+            "wk": d_wk, "wv": d_wv}

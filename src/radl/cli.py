@@ -16,12 +16,16 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import pipeline
 from .checkpoint import load_tensors, save_tensors
-from .errors import MalformedDoc, NonFiniteLoss, RadlError, read_utf8
+from .errors import (
+    InvalidBBox, MalformedDoc, NonFiniteLoss, RadlError, TooManyInstances, read_utf8,
+)
 from .evalmetrics import evaluate_images, load_hsv_table
 from .imageio import read_ppm, write_ppm
-from .layout import parse_layout
+from .layout import LayoutSpec, parse_layout
 from .scenes import SceneConfig, generate, read_corpus
 from .text import EmbedderConfig, default_verb_lexicon, load_verb_lexicon
 
@@ -209,6 +213,9 @@ def _load_checkpoint(path, cfg: RunConfig):
             )
     if set(tensors) - set(shapes):
         raise MalformedDoc(f"{path}: unknown tensors {sorted(set(tensors) - set(shapes))}")
+    for name in shapes:  # a non-finite weight gives NaN images and losses
+        if not np.isfinite(tensors[name]).all():
+            raise MalformedDoc(f"{path}: tensor {name!r} holds a non-finite value")
     for key, value in stored.items():
         if value != getattr(cfg, key):
             raise MalformedDoc(
@@ -222,12 +229,21 @@ def _load_checkpoint(path, cfg: RunConfig):
     return params, step, (opt_m or None), (opt_v or None)
 
 
+def _read_layout(path) -> LayoutSpec:
+    """parse_layout of a layout file; its errors name the file."""
+    text = read_utf8(path)
+    try:
+        return parse_layout(text)
+    except (MalformedDoc, InvalidBBox, TooManyInstances) as e:
+        raise type(e)(f"{path}: {e}") from e
+
+
 def cmd_gen(cfg: RunConfig, layout_path: str, count: int) -> int:
     if count < 1:
         raise MalformedDoc(f"image count must be >= 1, got {count}")
     params, _, _, _ = _load_checkpoint(cfg.checkpoint, cfg)
     embed_cfg = cfg.embedder()
-    layout = parse_layout(read_utf8(layout_path))
+    layout = _read_layout(layout_path)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for start in range(0, count, GEN_CHUNK):
@@ -269,6 +285,11 @@ def cmd_train(cfg: RunConfig, resume: str | None = None) -> int:
         )
         opt_m = opt_v = None
         start_step = 0
+    size = dataset[0].image.shape[-1]
+    if size != cfg.image_size:
+        raise MalformedDoc(
+            f"corpus {cfg.corpus} holds {size}x{size} images, image_size is {cfg.image_size}"
+        )
 
     result = pipeline.train(
         params, dataset, steps=cfg.train_steps, lr=cfg.lr,
@@ -304,11 +325,7 @@ def cmd_eval(cfg: RunConfig, images_dir: str, layouts_dir: str) -> int:
         )
 
     table = load_hsv_table(cfg.hsv_table)
-    pairs = []
-    for stem in sorted(images):
-        image = read_ppm(images[stem])
-        layout = parse_layout(read_utf8(layouts[stem]))
-        pairs.append((image, layout))
+    pairs = [(read_ppm(images[stem]), _read_layout(layouts[stem])) for stem in sorted(images)]
     text = evaluate_images(pairs, SceneConfig().palette, table).to_json()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)

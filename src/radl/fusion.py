@@ -16,16 +16,10 @@ from .attention import FeatureGrid
 from .errors import MissingCache, NoBranches, ShapeMismatch
 from .layout import MaskGrid
 
-BACKGROUND = "background"
-INSTANCE = "instance"
-RELATION = "relation"
-
-
 @dataclass
 class FusionBranch:
     """One fusion input: a feature grid gated by a mask with a scalar logit."""
 
-    kind: str
     feat: FeatureGrid
     mask: MaskGrid
     logit: float
@@ -41,7 +35,6 @@ class FusionBranch:
 @dataclass
 class FuseCache:
     feats: np.ndarray    # (K, B, n_pix, d)
-    masks: np.ndarray    # ([K,] B, n_pix)
     weights: np.ndarray  # ([K,] B, n_pix), zero where inactive
 
 
@@ -72,7 +65,7 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
     weights = gated / gated.sum(axis=-2, keepdims=True)
 
     out = np.einsum("...bn,...bnd->...nd", weights, feats)
-    return ref.like(out), FuseCache(feats=feats, masks=masks, weights=weights)
+    return ref.like(out), FuseCache(feats=feats, weights=weights)
 
 
 def fuse_backward(

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .attention import (
+    AttnProjection,
     FeatureGrid,
-    RadlAttnParams,
     RowSet,
     as_rows,
     flip_stack,
@@ -39,7 +39,7 @@ from .attention import (
     relation_attention_backward,
 )
 from .errors import NonFiniteLoss, ShapeMismatch, StepOutOfRange
-from .fusion import BACKGROUND, INSTANCE, RELATION, FusionBranch, fuse_backward, fuse_forward
+from .fusion import FusionBranch, fuse_backward, fuse_forward
 from .layout import BBox, LayoutSpec, MaskGrid, rasterize_mask, total_mask
 from .oracles import central_diff, rel_err
 from .scenes import SyntheticScene
@@ -166,7 +166,14 @@ class DenoiserParams:
     dec2_b: np.ndarray  # (12,)
     temb: np.ndarray    # (t_train, d)
     anchor_gain: np.ndarray  # (4,) basis coefficients for the x_t gain correction
-    radl: RadlAttnParams
+    # the attention stack's projections, learnable queries and embedding reprojection
+    proj_text: AttnProjection
+    proj_ae: AttnProjection  # attribute enhancement never reads wq
+    proj_inst: AttnProjection
+    proj_rel: AttnProjection
+    qlp_fine: np.ndarray    # (fine_side**2, d)
+    qlp_coarse: np.ndarray  # (coarse_side**2, d)
+    e_proj: np.ndarray      # (d + d_pos, d)
     posmlp: PositionMLPParams
     logit_bg: np.ndarray    # ()
     logit_inst: np.ndarray  # ()
@@ -197,6 +204,8 @@ def init_denoiser(
         raise ValueError("image_size must be a multiple of 4, at least 8")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     fine, coarse = image_size // 2, image_size // 4
+    s = 1.0 / np.sqrt(d)
+    # keyword arguments evaluate in order: the draws below keep their order
     return DenoiserParams(
         d=d,
         image_size=image_size,
@@ -211,7 +220,13 @@ def init_denoiser(
         dec2_b=np.zeros(12),
         temb=np.zeros((t_train, d)),
         anchor_gain=np.zeros(4),
-        radl=RadlAttnParams.init(rng, d, fine, coarse),
+        **{f"proj_{kind}": AttnProjection.init(rng, d) for kind in ("text", "ae", "inst", "rel")},
+        qlp_fine=rng.standard_normal((fine * fine, d)) * s,
+        qlp_coarse=rng.standard_normal((coarse * coarse, d)) * s,
+        # identity on the label block, small noise on the position block:
+        # instance embeddings start as label content plus a weak position
+        # perturbation
+        e_proj=np.vstack([np.eye(d), 0.1 * rng.standard_normal((d, d))]),
         posmlp=PositionMLPParams.init(rng, hidden=16, d_pos=d),
         # instances should dominate their own regions from the start
         logit_bg=np.array(0.0),
@@ -230,11 +245,11 @@ _TENSOR_PATHS = {
     "temb": "temb",
     "anchor_gain": "anchor_gain",
     **{
-        f"radl.{kind}.{w}": f"radl.proj_{kind}.{w}"
+        f"radl.{kind}.{w}": f"proj_{kind}.{w}"
         for kind in ("text", "ae", "inst", "rel") for w in ("wq", "wk", "wv")
     },
-    "radl.qlp_fine": "radl.qlp_fine", "radl.qlp_coarse": "radl.qlp_coarse",
-    "radl.e_proj": "radl.e_proj",
+    "radl.qlp_fine": "qlp_fine", "radl.qlp_coarse": "qlp_coarse",
+    "radl.e_proj": "e_proj",
     **{f"posmlp.{w}": f"posmlp.{w}" for w in ("w1", "b1", "w2", "b2")},
     "fusion.logit_bg": "logit_bg", "fusion.logit_inst": "logit_inst",
     "fusion.logit_rel": "logit_rel",
@@ -309,12 +324,9 @@ class BlockInputs:
     relation: Branch | None  # None without verbs or instances
 
 
-@dataclass(frozen=True)
-class LayoutEncoding:
-    """A layout's embedded text and rasterized masks, as the attention block
-    reads them at each grid side."""
-
-    blocks: dict[int, BlockInputs]
+# a layout's embedded text and rasterized masks, as the attention block
+# reads them at each grid side
+LayoutEncoding = dict[int, BlockInputs]
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +361,7 @@ def encode_layout(
                 if verb_emb is not None and masks else None
             ),
         )
-    return LayoutEncoding(blocks)
+    return blocks
 
 
 def _encode(layout: LayoutSpec, cfg: EmbedderConfig, params: DenoiserParams) -> LayoutEncoding:
@@ -435,11 +447,11 @@ def _block_inputs(encs: Sequence[LayoutEncoding]) -> dict[int, BlockInputs]:
     Distinct layouts are packed; instance slot i holds the grids whose
     layout has an i-th instance."""
     if all(e is encs[0] for e in encs):
-        return encs[0].blocks
+        return encs[0]
     stacks: dict = {}
     packed = {}
-    for side in encs[0].blocks:
-        blocks = [e.blocks[side] for e in encs]
+    for side in encs[0]:
+        blocks = [e[side] for e in encs]
         slots = max(len(b.instances) for b in blocks)
         packed[side] = BlockInputs(
             background=_pack([b.background for b in blocks], stacks),
@@ -460,7 +472,7 @@ def _instance_embeddings(
     embs, caches = [], []
     for inst in inputs.instances:
         pos, pos_cache = position_embed_forward(inst.box, params.posmlp)
-        e_i, emb_cache = build_instance_embedding_forward(inst.tokens, pos, params.radl.e_proj)
+        e_i, emb_cache = build_instance_embedding_forward(inst.tokens, pos, params.e_proj)
         embs.append(e_i)
         caches.append((pos_cache, emb_cache))
     return embs, caches
@@ -471,7 +483,7 @@ def _instance_embeddings_backward(
     g: dict[str, np.ndarray],
 ):
     for d_emb, (pos_cache, emb_cache) in zip(d_embs, caches):
-        emb_grads = build_instance_embedding_backward(d_emb, emb_cache, params.radl.e_proj)
+        emb_grads = build_instance_embedding_backward(d_emb, emb_cache, params.e_proj)
         g["radl.e_proj"] += emb_grads["proj"]
         pos_grads = position_embed_backward(emb_grads["pos"], pos_cache, params.posmlp)
         for key in ("w1", "b1", "w2", "b2"):
@@ -505,30 +517,30 @@ def _radl_block_forward(
     """embs: each instance slot's embedding (see _instance_embeddings);
     None for the text_attn_only variant, which does not read them."""
     side = feat.h
-    radl = params.radl
     if side == params.fine_side:
-        qlp, qlp_name = radl.qlp_fine, "radl.qlp_fine"
+        qlp, qlp_name = params.qlp_fine, "radl.qlp_fine"
     elif side == params.coarse_side:
-        qlp, qlp_name = radl.qlp_coarse, "radl.qlp_coarse"
+        qlp, qlp_name = params.qlp_coarse, "radl.qlp_coarse"
     else:
         raise ShapeMismatch(f"no injection site at resolution {side}x{side}")
 
     bg = inputs.background
-    r_bg, bg_cache = masked_text_attention_forward(feat, bg.tokens, radl.proj_text, bg.rows)
-    branches = [FusionBranch(BACKGROUND, r_bg, bg.mask, float(params.logit_bg))]
+    r_bg, bg_cache = masked_text_attention_forward(feat, bg.tokens, params.proj_text, bg.rows)
+    # fusion's branches in order: background, each instance slot, relation
+    branches = [FusionBranch(r_bg, bg.mask, float(params.logit_bg))]
 
     inst_caches = []
     for i, inst in enumerate(inputs.instances):
         emb = None if embs is None else embs[i]
-        r_f, ic = _instance_branch(feat, inst, emb, qlp, radl, variant)
+        r_f, ic = _instance_branch(feat, inst, emb, qlp, params, variant)
         inst_caches.append(ic)
-        branches.append(FusionBranch(INSTANCE, r_f, inst.mask, float(params.logit_inst)))
+        branches.append(FusionBranch(r_f, inst.mask, float(params.logit_inst)))
 
     rel_cache = None
     rel = inputs.relation if variant == "full" else None
     if rel is not None:
-        r_rel, rel_cache = relation_attention_forward(feat, rel.tokens, radl.proj_rel, rel.rows)
-        branches.append(FusionBranch(RELATION, r_rel, rel.mask, float(params.logit_rel)))
+        r_rel, rel_cache = relation_attention_forward(feat, rel.tokens, params.proj_rel, rel.rows)
+        branches.append(FusionBranch(r_rel, rel.mask, float(params.logit_rel)))
 
     fused, fuse_cache = fuse_forward(branches)
     return fused, BlockCache(
@@ -539,19 +551,19 @@ def _radl_block_forward(
 
 def _instance_branch(
     feat: FeatureGrid, inst: Branch, emb: EmbeddingSeq | None, qlp: np.ndarray,
-    radl: RadlAttnParams, variant: str,
+    params: DenoiserParams, variant: str,
 ) -> tuple[FeatureGrid, InstanceCache]:
     """One instance slot's branch features and cache.  Its intermediate
     features die here, before fusion stacks every branch."""
-    r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, radl.proj_text, inst.rows)
+    r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, params.proj_text, inst.rows)
     ic = InstanceCache(r=r_cache)
     if variant == "text_attn_only":
         return r_i, ic
     # enhancement keys/values come from the instance's own masked features;
     # only in-box query rows are computed, which is exact because instance
     # attention reads and back-propagates only those
-    r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, radl.proj_ae, inst.rows)
-    r_ia, ic.ia = instance_attention_forward(r_ae, emb, radl.proj_inst, inst.rows)
+    r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, params.proj_ae, inst.rows)
+    r_ia, ic.ia = instance_attention_forward(r_ae, emb, params.proj_inst, inst.rows)
     return r_i.like(r_i.values + r_ia.values), ic  # residual fusion
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedDoc, PlacementFailure, read_utf8
+from .errors import MalformedDoc, PlacementFailure, RadlError, read_utf8
 from .layout import (
     BBox,
     InstanceSpec,
@@ -190,7 +190,10 @@ def _image_to_obj(image: np.ndarray) -> dict:
 
 
 def _image_from_obj(obj: dict) -> np.ndarray:
-    h, w = int(obj["height"]), int(obj["width"])
+    h, w = obj["height"], obj["width"]
+    for key, n in (("height", h), ("width", w)):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"image {key} must be a positive integer, got {n!r}")
     raw = base64.b64decode(obj["data"])
     u8 = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
     return u8.transpose(2, 0, 1).astype(np.float64) / 255.0
@@ -224,16 +227,24 @@ def read_corpus(path) -> list[SyntheticScene]:
         if not line:
             continue
         # a line that is not an object (or nests past the recursion limit),
-        # lacks a key, or whose image data does not decode to its stated
-        # size (an infinite one overflows)
+        # lacks a key, has a bad layout, or whose image data does not decode
+        # to its stated size
         try:
             obj = json.loads(line)
             layout_obj = dict(obj["layout"])
             layout_obj["relations"] = obj.get("relations", [])
             image = _image_from_obj(obj["image"])
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
+            layout = parse_layout(json.dumps(layout_obj))
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError, RadlError) as e:
             raise MalformedDoc(
                 f"{path}:{lineno}: bad corpus line: {type(e).__name__}: {e}"
             ) from e
-        scenes.append(SyntheticScene(image=image, layout=parse_layout(json.dumps(layout_obj))))
+        # the denoiser trains on square images of one size
+        h, w = image.shape[1:]
+        if h != w:
+            raise MalformedDoc(f"{path}:{lineno}: image is {h}x{w}, not square")
+        if scenes and image.shape != scenes[0].image.shape:
+            size = scenes[0].image.shape[1]
+            raise MalformedDoc(f"{path}:{lineno}: image is {h}x{w}, the first is {size}x{size}")
+        scenes.append(SyntheticScene(image=image, layout=layout))
     return scenes

@@ -21,7 +21,7 @@ from .attention import (
     scaled_dot_attention_forward,
 )
 from .evalmetrics import detect
-from .fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
+from .fusion import FusionBranch, fuse_forward
 from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
 from .oracles import attention_oracle, detect_oracle, rel_err, union_oracle
 from .pipeline import (
@@ -94,13 +94,13 @@ def _check_softmax_rows(rng) -> tuple[bool, str]:
 def _check_fusion(rng) -> tuple[bool, str]:
     ones = MaskGrid(np.ones((4, 4)))
     branches = [
-        FusionBranch(BACKGROUND, FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), ones, 0.3),
-        FusionBranch(INSTANCE, FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
+        FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), ones, 0.3),
+        FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
                      MaskGrid((rng.random((4, 4)) < 0.5).astype(float)), -0.7),
     ]
     _, cache = fuse_forward(branches)
     sums_ok = bool(np.all(np.abs(cache.weights.sum(axis=0) - 1.0) <= 1e-12))
-    shifted = [FusionBranch(b.kind, b.feat, b.mask, b.logit + 1.234) for b in branches]
+    shifted = [replace(b, logit=b.logit + 1.234) for b in branches]
     out, out_shifted = fuse_forward(branches)[0].values, fuse_forward(shifted)[0].values
     shift_err = float(np.max(np.abs(out - out_shifted)))
     ok = sums_ok and shift_err <= 1e-12

@@ -7,6 +7,7 @@ runs at package defaults.  All runs are seeded, so results are exact on a
 given platform.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from radl.evalmetrics import (
     rgb_to_hsv,
     success_rate,
 )
-from radl.fusion import BACKGROUND, INSTANCE, FusionBranch, fuse_forward
+from radl.fusion import FusionBranch, fuse_forward
 from radl.layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, Relation, rasterize_mask, total_mask
 from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.pipeline import (
@@ -154,8 +155,8 @@ def _op_backward_errors(rng):
     errs.append(rel_err(grads["emb"], central_diff(run_rel, emb.values, d_out)))
 
     branches = [
-        FusionBranch(BACKGROUND, FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), ones, 0.2),
-        FusionBranch(INSTANCE, FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), mask, -0.4),
+        FusionBranch(FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), ones, 0.2),
+        FusionBranch(FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), mask, -0.4),
     ]
     from radl.fusion import fuse_backward
 
@@ -207,11 +208,10 @@ def test_criterion_3_mask_fusion_invariants():
     for seed in range(100):
         rng = np.random.default_rng(4000 + seed)
         ones = MaskGrid(np.ones((4, 4)))
-        branches = [FusionBranch(BACKGROUND, FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), ones, float(rng.standard_normal()))]
+        branches = [FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), ones, float(rng.standard_normal()))]
         for _ in range(2):
             branches.append(
                 FusionBranch(
-                    INSTANCE,
                     FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
                     MaskGrid((rng.random((4, 4)) < 0.5).astype(float)),
                     float(rng.standard_normal()),
@@ -219,7 +219,7 @@ def test_criterion_3_mask_fusion_invariants():
             )
         _, cache = fuse_forward(branches)
         worst_sum = max(worst_sum, float(np.max(np.abs(cache.weights.sum(axis=0) - 1.0))))
-        shifted = [FusionBranch(b.kind, b.feat, b.mask, b.logit + 0.917) for b in branches]
+        shifted = [replace(b, logit=b.logit + 0.917) for b in branches]
         out, out_shifted = fuse_forward(branches)[0].values, fuse_forward(shifted)[0].values
         worst_shift = max(worst_shift, rel_err(out, out_shifted))
     ok = worst_sum <= 1e-12 and worst_shift <= 1e-12

@@ -20,7 +20,7 @@ from radl.attention import (
     softmax_rows,
 )
 from radl.errors import MissingCache, ShapeMismatch
-from radl.fusion import INSTANCE, FusionBranch, fuse_forward
+from radl.fusion import FusionBranch, fuse_forward
 from radl.layout import BBox, MaskGrid, rasterize_mask
 from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.text import EmbeddingSeq
@@ -492,7 +492,7 @@ def test_stacked_fuse_forward_equals_per_grid_calls():
     logits = rng.standard_normal(len(masks))
 
     def fused(pick):
-        branches = [FusionBranch(INSTANCE, FeatureGrid(8, 8, pick(s)), m, float(z))
+        branches = [FusionBranch(FeatureGrid(8, 8, pick(s)), m, float(z))
                     for s, m, z in zip(stacks, masks, logits)]
         return fuse_forward(branches)
 

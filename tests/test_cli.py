@@ -115,23 +115,49 @@ def test_train_missing_corpus(tmp_path, capsys):
     assert "corpus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["no_image", "no_layout", "not_object", "short_image"])
+@pytest.mark.parametrize("damage", [
+    "no_image", "no_layout", "not_object", "short_image",
+    "negative_height",  # was read as 8, reshape inferring the size
+    "bool_height",      # was read as 1
+    "other_size",       # was exit 1 from stacking 8x8 and 4x4 images
+    "not_square",       # was exit 2 from the denoiser, naming no file
+    "bad_box",          # was exit 2 naming no file
+])
 def test_train_bad_corpus_line_exit_2(workdir, damage, capsys):
     corpus = workdir / "corpus.jsonl"
     lines = corpus.read_text(encoding="utf-8").splitlines()
     obj = json.loads(lines[1])
+    image = obj.get("image")
     if damage == "no_image":
         del obj["image"]
     elif damage == "no_layout":
         del obj["layout"]
     elif damage == "not_object":
         obj = [1, 2]
+    elif damage == "short_image":
+        image["height"] += 1
+    elif damage == "negative_height":
+        image["height"] = -1
+    elif damage == "bool_height":
+        image.update(height=True, data="A" * 32)  # 24 bytes, one 8-pixel row
+    elif damage == "other_size":
+        image.update(height=4, width=4, data="A" * 64)
+    elif damage == "not_square":
+        image.update(height=4, width=16)  # as many bytes as 8x8
     else:
-        obj["image"]["height"] += 1
+        obj["layout"]["instances"][0]["bbox"] = [0.5, 0.1, 0.2, 0.9]
     lines[1] = json.dumps(obj)
     corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run("--config", workdir / "config.json", "train") == 2
     assert "corpus.jsonl:2:" in capsys.readouterr().err
+
+
+def test_train_corpus_of_other_size_exit_2(workdir, capsys):
+    # was exit 2 from the denoiser's shape check, naming no file
+    write_corpus(workdir / "corpus.jsonl", generate(0, 2, SceneConfig(image_size=16)))
+    assert run("--config", workdir / "config.json", "train") == 2
+    err = capsys.readouterr().err
+    assert "corpus.jsonl" in err and "16x16" in err and "image_size is 8" in err
 
 
 def test_train_resume_continues_step(workdir):
@@ -174,6 +200,44 @@ def test_config_checkpoint_mismatch_exit_2(workdir, command, key, value, capsys)
     assert run("--config", cfg_path, *argv) == 2
     err = capsys.readouterr().err
     assert "model.ckpt" in err and f"{key} {SMALL.get(key, 0)}" in err and str(value) in err
+
+
+# sha256 of `radl train`'s checkpoint and loss.csv for each variant and
+# train mode, and of `radl gen`'s two images and traces from each variant's
+# mirror checkpoint, all at SMALL sizes on the workdir corpus and layout
+GOLDEN_TRAIN_GEN_SHA256 = {
+    "train.full.mirror": "62d6a3b6422bec29deaddb904e6c1d41ba2b70da4897efd0121c6da48b583985",
+    "train.full.always_on": "9e36b43ecd59edb6442dcc3435f5a2520996429951f06c8625cfe06167114efc",
+    "gen.full": "403126dae9da56f195df8045b7fa2569d65070e232d04ab08bae2aea15da8f57",
+    "train.text_attn_only.mirror": "894920a0bba8327e9380ce3d252071b8d507e626652c7b76c463cdbf548ac519",
+    "train.text_attn_only.always_on": "91084798d5d81b9f783510e432178bfe5ea19189e7f5fe34a549df57bc7e6d19",
+    "gen.text_attn_only": "e79ed4c67f7d73b2e1e95dca846dcacc8b272927f845d916571477fe4ae720f8",
+    "train.no_relation.mirror": "33dfa5621bbad63fdd7d5cfa77370592c03b300fd4836a0e76fe0f301515f578",
+    "train.no_relation.always_on": "0c569b99e1a90cfdd380c20b78a549fe5cd23359871220feb433dfc14953db73",
+    "gen.no_relation": "76b344d324f434491603d40a7d0d5b8ad5b5170bbb323f8fd1d96aa351159d53",
+}
+
+
+def test_train_and_gen_bytes_golden(workdir):
+    base = json.loads((workdir / "config.json").read_text(encoding="utf-8"))
+
+    def digest(paths):
+        return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+    got = {}
+    for variant in pipeline.VARIANTS:
+        for mode in pipeline.TRAIN_MODES:
+            name = f"{variant}.{mode}"
+            cfg = dict(base, variant=variant, radl_train_mode=mode,
+                       checkpoint=str(workdir / f"{name}.ckpt"), out=str(workdir / name))
+            (workdir / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
+            assert run("--config", workdir / f"{name}.json", "train") == 0
+            got[f"train.{name}"] = digest([workdir / f"{name}.ckpt", workdir / name / "loss.csv"])
+        out = workdir / f"gen.{variant}"
+        assert run("--config", workdir / f"{variant}.mirror.json", "--out", out,
+                   "gen", workdir / "layout.json", 2) == 0
+        got[f"gen.{variant}"] = digest(sorted(out.iterdir()))
+    assert got == GOLDEN_TRAIN_GEN_SHA256
 
 
 def test_train_determinism_byte_identical(workdir):
@@ -239,6 +303,46 @@ def test_gen_bad_checkpoint_exit_2(workdir, damage, capsys):
         save_tensors(ckpt, tensors, meta)
     assert run("--config", cfg_path, "gen", workdir / "layout.json") == 2
     assert "model.ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name", [
+    ("gen", "dec2.b"),     # was exit 0, casting NaN pixels to uint8
+    ("resume", "dec2.b"),  # was exit 4, a non-finite loss
+    ("resume", "opt.v.temb"),
+])
+def test_non_finite_checkpoint_exit_2(workdir, command, name, capsys):
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "train") == 0
+    tensors, meta = load_tensors(workdir / "model.ckpt")
+    tensors[name].flat[0] = np.nan if name == "dec2.b" else np.inf
+    save_tensors(workdir / "model.ckpt", tensors, meta)
+    argv = (["--resume", workdir / "model.ckpt", "train"] if command == "resume"
+            else ["gen", workdir / "layout.json"])
+    assert run("--config", cfg_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert "model.ckpt" in err and repr(name) in err
+
+
+@pytest.mark.parametrize("command", ["gen", "eval"])
+@pytest.mark.parametrize("doc", [
+    '{"prompt": "p", "instances": [}',  # not JSON
+    '{"prompt": "p", "instances": [{"label": "red square", "bbox": [0.5, 0.1, 0.2, 0.9]}]}',
+])
+def test_bad_layout_names_the_file(workdir, command, doc, capsys):
+    # was exit 2 naming no file: with many layouts, no way to tell which
+    cfg_path = workdir / "config.json"
+    img_dir, lay_dir = eval_dirs(workdir, small_scenes(3))
+    bad = lay_dir / "s001.json"
+    bad.write_text(doc, encoding="utf-8")
+    if command == "gen":
+        assert run("--config", cfg_path, "--steps", 0, "train") == 0
+        capsys.readouterr()
+        argv = ["gen", bad]
+    else:
+        argv = ["eval", img_dir, lay_dir]
+    assert run("--config", cfg_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: ") and len(err.splitlines()) == 1
 
 
 def test_gen_writes_images_and_traces(workdir):

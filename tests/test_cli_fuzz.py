@@ -190,6 +190,8 @@ def test_layout_fuzz_keeps_contract(base, doc, count, command, ppm_size):
 
 @FUZZ
 @example(edits=[(0, ("height", float("inf")))], resume=False)  # was OverflowError
+# an 8x8 corpus with a 4x4 image in it: was exit 1 from stacking the two sizes
+@example(edits=[(2, ("image", {"height": 4, "width": 4, "data": "A" * 64}))], resume=False)
 @given(
     edits=st.lists(
         st.tuples(

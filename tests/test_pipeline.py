@@ -218,7 +218,7 @@ def test_relation_branch_only_with_verbs():
     x = np.random.default_rng(9).standard_normal((1, 3, 8, 8))
     for layout, has_rel in ((plain, False), (verbed, True)):
         (enc,) = encode(params, layout)
-        assert [b.relation is not None for b in enc.blocks.values()] == [has_rel] * 2
+        assert [b.relation is not None for b in enc.values()] == [has_rel] * 2
         _, cache = denoise_forward_cached(params, x, [15], [enc], True, "full")
         for block in (cache.block_fine, cache.block_coarse):
             assert (block.rel is not None) == has_rel
