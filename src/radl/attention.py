@@ -46,21 +46,23 @@ class FeatureGrid:
 
 
 @dataclass
-class AttnProjection:
-    """Learned query/key/value projections for one attention layer."""
+class KVProjection:
+    """Learned key/value projections, all that attribute enhancement has."""
 
-    wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
 
+
+@dataclass
+class AttnProjection(KVProjection):
+    """Learned query/key/value projections for one attention layer."""
+
+    wq: np.ndarray
+
     @staticmethod
     def init(rng: np.random.Generator, d: int) -> "AttnProjection":
-        s = 1.0 / np.sqrt(d)
-        return AttnProjection(
-            wq=rng.standard_normal((d, d)) * s,
-            wk=rng.standard_normal((d, d)) * s,
-            wv=rng.standard_normal((d, d)) * s,
-        )
+        wq, wk, wv = rng.standard_normal((3, d, d)) * (1.0 / np.sqrt(d))
+        return AttnProjection(wq=wq, wk=wk, wv=wv)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,7 @@ class MaskedAttnCache:
     kv: np.ndarray         # key/value source (L, d), or a stack of them
     attn: np.ndarray       # the kept rows' attention
     rows: RowSet
-    proj: AttnProjection
+    proj: KVProjection  # an AttnProjection for the token-sequence ops
 
 
 def _check_rows(feat: FeatureGrid, rows: RowSet):
@@ -258,7 +260,7 @@ def _check_rows(feat: FeatureGrid, rows: RowSet):
 
 def _attend_rows(
     feat: FeatureGrid, q_src: np.ndarray, q: np.ndarray, kv: np.ndarray,
-    key_keep: np.ndarray | None, proj: AttnProjection, rows: RowSet,
+    key_keep: np.ndarray | None, proj: KVProjection, rows: RowSet,
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
     """The kept rows' queries q, made from q_src, attend over the keys and
     values projected from kv (`key_keep` marks the real keys of a padded
@@ -316,7 +318,7 @@ relation_attention_backward = masked_attention_backward
 # image features
 
 def attribute_enhancement_forward(
-    feat: FeatureGrid, qlp: np.ndarray, proj: AttnProjection, rows: RowSet
+    feat: FeatureGrid, qlp: np.ndarray, proj: KVProjection, rows: RowSet
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
     """Attention with the learnable queries used raw (no query projection);
     keys/values project from the instance image features.  Output row j is

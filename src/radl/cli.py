@@ -35,7 +35,7 @@ EXIT_MISSING = 3
 EXIT_NUMERIC = 4
 EXIT_CHECK = 5  # gradcheck or selftest failure
 
-CKPT_SCHEMA = "radl-ckpt/1"
+CKPT_SCHEMA = "radl-ckpt/2"
 
 # images `gen` denoises in one pass; bounds the (K, rows, h*w) score memory
 GEN_CHUNK = 16
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (RadlError, OSError) as e:  # OSError: a directory, no permission
         print(str(e), file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as e:  # numpy's message names the array's size
+        print(f"the config needs more memory than can be allocated: {e}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -22,7 +22,7 @@ def write_ppm(path, image: np.ndarray) -> None:
 def read_ppm(path) -> np.ndarray:
     """Read a binary PPM into a (3, H, W) float image in [0,1]."""
     data = Path(path).read_bytes()
-    if not data.startswith(b"P6"):
+    if not data.startswith(b"P6") or not data[2:3].isspace():
         raise MalformedDoc(f"{path}: not a binary PPM (P6) file")
     # header: magic, width, height, maxval, separated by whitespace/comments
     fields: list[bytes] = []
@@ -39,10 +39,10 @@ def read_ppm(path) -> np.ndarray:
             pos += 1
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError as e:
-        raise MalformedDoc(f"{path}: bad PPM header") from e
+    # ASCII digits only: int() would also take "+2", "1_0" and non-ASCII digits
+    if not all(f.isdigit() for f in fields):
+        raise MalformedDoc(f"{path}: bad PPM header")
+    w, h, maxval = (int(f) for f in fields)
     if maxval != 255:
         raise MalformedDoc(f"{path}: only maxval 255 supported, got {maxval}")
     if min(w, h) < 1:

@@ -26,6 +26,7 @@ import numpy as np
 from .attention import (
     AttnProjection,
     FeatureGrid,
+    KVProjection,
     RowSet,
     as_rows,
     flip_stack,
@@ -168,7 +169,7 @@ class DenoiserParams:
     anchor_gain: np.ndarray  # (4,) basis coefficients for the x_t gain correction
     # the attention stack's projections, learnable queries and embedding reprojection
     proj_text: AttnProjection
-    proj_ae: AttnProjection  # attribute enhancement never reads wq
+    proj_ae: KVProjection  # attribute enhancement uses its queries raw
     proj_inst: AttnProjection
     proj_rel: AttnProjection
     qlp_fine: np.ndarray    # (fine_side**2, d)
@@ -220,7 +221,11 @@ def init_denoiser(
         dec2_b=np.zeros(12),
         temb=np.zeros((t_train, d)),
         anchor_gain=np.zeros(4),
-        **{f"proj_{kind}": AttnProjection.init(rng, d) for kind in ("text", "ae", "inst", "rel")},
+        proj_text=AttnProjection.init(rng, d),
+        # drawn as AttnProjection.init draws, its wq dropped: later tensors keep their draws
+        proj_ae=KVProjection(*(rng.standard_normal((3, d, d)) * s)[1:]),
+        proj_inst=AttnProjection.init(rng, d),
+        proj_rel=AttnProjection.init(rng, d),
         qlp_fine=rng.standard_normal((fine * fine, d)) * s,
         qlp_coarse=rng.standard_normal((coarse * coarse, d)) * s,
         # identity on the label block, small noise on the position block:
@@ -245,8 +250,8 @@ _TENSOR_PATHS = {
     "temb": "temb",
     "anchor_gain": "anchor_gain",
     **{
-        f"radl.{kind}.{w}": f"proj_{kind}.{w}"
-        for kind in ("text", "ae", "inst", "rel") for w in ("wq", "wk", "wv")
+        f"radl.{kind}.w{w}": f"proj_{kind}.w{w}"
+        for kind in ("text", "ae", "inst", "rel") for w in ("kv" if kind == "ae" else "qkv")
     },
     "radl.qlp_fine": "qlp_fine", "radl.qlp_coarse": "qlp_coarse",
     "radl.e_proj": "e_proj",
@@ -293,7 +298,7 @@ PARAM_GROUPS: dict[str, tuple[str, ...]] = {
     "temb": ("temb",),
     "anchor_gain": ("anchor_gain",),
     "attn_text": ("radl.text.wq", "radl.text.wk", "radl.text.wv"),
-    "attn_ae": ("radl.ae.wq", "radl.ae.wk", "radl.ae.wv"),
+    "attn_ae": ("radl.ae.wk", "radl.ae.wv"),
     "attn_inst": ("radl.inst.wq", "radl.inst.wk", "radl.inst.wv"),
     "attn_rel": ("radl.rel.wq", "radl.rel.wk", "radl.rel.wv"),
     "qlp": ("radl.qlp_fine", "radl.qlp_coarse"),
@@ -504,7 +509,6 @@ class BlockCache:
     instances: list[InstanceCache]
     rel: object | None  # None without a relation branch
     fuse: object
-    variant: str
 
 
 def _radl_block_forward(
@@ -532,7 +536,7 @@ def _radl_block_forward(
     inst_caches = []
     for i, inst in enumerate(inputs.instances):
         emb = None if embs is None else embs[i]
-        r_f, ic = _instance_branch(feat, inst, emb, qlp, params, variant)
+        r_f, ic = _instance_branch(feat, inst, emb, qlp, params)
         inst_caches.append(ic)
         branches.append(FusionBranch(r_f, inst.mask, float(params.logit_inst)))
 
@@ -543,21 +547,18 @@ def _radl_block_forward(
         branches.append(FusionBranch(r_rel, rel.mask, float(params.logit_rel)))
 
     fused, fuse_cache = fuse_forward(branches)
-    return fused, BlockCache(
-        qlp_name=qlp_name, bg=bg_cache, instances=inst_caches,
-        rel=rel_cache, fuse=fuse_cache, variant=variant,
-    )
+    return fused, BlockCache(qlp_name, bg_cache, inst_caches, rel_cache, fuse_cache)
 
 
 def _instance_branch(
     feat: FeatureGrid, inst: Branch, emb: EmbeddingSeq | None, qlp: np.ndarray,
-    params: DenoiserParams, variant: str,
+    params: DenoiserParams,
 ) -> tuple[FeatureGrid, InstanceCache]:
-    """One instance slot's branch features and cache.  Its intermediate
-    features die here, before fusion stacks every branch."""
+    """One instance slot's branch and cache, its text attention alone without an
+    embedding.  Its intermediate features die here, before fusion stacks every branch."""
     r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, params.proj_text, inst.rows)
     ic = InstanceCache(r=r_cache)
-    if variant == "text_attn_only":
+    if emb is None:
         return r_i, ic
     # enhancement keys/values come from the instance's own masked features;
     # only in-box query rows are computed, which is exact because instance
@@ -567,10 +568,10 @@ def _instance_branch(
     return r_i.like(r_i.values + r_ia.values), ic  # residual fusion
 
 
-def _accumulate_text_attn(g: dict, prefix: str, grads: dict):
-    g[f"{prefix}.wq"] += grads["wq"]
-    g[f"{prefix}.wk"] += grads["wk"]
-    g[f"{prefix}.wv"] += grads["wv"]
+def _accumulate_proj(g: dict, prefix: str, grads: dict):
+    """Add each projection gradient an attention backward returned."""
+    for w in grads.keys() & {"wq", "wk", "wv"}:
+        g[f"{prefix}.{w}"] += grads[w]
 
 
 def _radl_block_backward(
@@ -592,32 +593,31 @@ def _radl_block_backward(
     bg_grads = masked_text_attention_backward(d_feats[0], cache.bg)
     cache.bg = None
     d_feat = bg_grads["feat"].copy()
-    _accumulate_text_attn(g, "radl.text", bg_grads)
+    _accumulate_proj(g, "radl.text", bg_grads)
 
     d_embs = []
     for i, ic in enumerate(cache.instances):
         d_rf = d_feats[1 + i]
-        if cache.variant == "text_attn_only":
+        if ic.ae is None:  # text_attn_only: the slot's branch is its text attention
             d_r = d_rf
         else:
             # the residual passes d_rf to both of its terms
             ia_grads = instance_attention_backward(d_rf, ic.ia)
-            _accumulate_text_attn(g, "radl.inst", ia_grads)
+            _accumulate_proj(g, "radl.inst", ia_grads)
             d_embs.append(ia_grads["emb"])
             ae_grads = attribute_enhancement_backward(ia_grads["feat"], ic.ae)
             g[cache.qlp_name] += ae_grads["qlp"]
-            g["radl.ae.wk"] += ae_grads["wk"]
-            g["radl.ae.wv"] += ae_grads["wv"]
+            _accumulate_proj(g, "radl.ae", ae_grads)
             d_r = d_rf + ae_grads["feat"]
         r_grads = masked_text_attention_backward(d_r, ic.r)
         d_feat += r_grads["feat"]
-        _accumulate_text_attn(g, "radl.text", r_grads)
+        _accumulate_proj(g, "radl.text", r_grads)
         cache.instances[i] = None
 
     if cache.rel is not None:
         rel_grads = relation_attention_backward(d_feats[1 + n], cache.rel)
         d_feat += rel_grads["feat"]
-        _accumulate_text_attn(g, "radl.rel", rel_grads)
+        _accumulate_proj(g, "radl.rel", rel_grads)
 
     return flip_stack(d_feat), d_embs
 

@@ -182,7 +182,6 @@ class PositionMLPParams:
 class PositionEmbedCache:
     box: np.ndarray
     pre: np.ndarray   # hidden pre-activation
-    hid: np.ndarray   # relu output
 
 
 def position_embed_forward(
@@ -193,9 +192,8 @@ def position_embed_forward(
     One box gives (d_pos,); a sequence of K boxes gives (K, d_pos)."""
     box = bbox.as_array() if isinstance(bbox, BBox) else np.stack([b.as_array() for b in bbox])
     pre = box @ params.w1 + params.b1
-    hid = np.maximum(pre, 0.0)
-    out = hid @ params.w2 + params.b2
-    return out, PositionEmbedCache(box=box, pre=pre, hid=hid)
+    out = np.maximum(pre, 0.0) @ params.w2 + params.b2
+    return out, PositionEmbedCache(box=box, pre=pre)
 
 
 def position_embed_backward(
@@ -206,29 +204,22 @@ def position_embed_backward(
     d_out = np.atleast_2d(d_out)
     d_pre = (d_out @ params.w2.T) * (np.atleast_2d(cache.pre) > 0.0)
     return {
-        "w2": np.atleast_2d(cache.hid).T @ d_out,
+        "w2": np.maximum(np.atleast_2d(cache.pre), 0.0).T @ d_out,
         "b2": d_out.sum(axis=0),
         "w1": np.atleast_2d(cache.box).T @ d_pre,
         "b1": d_pre.sum(axis=0),
     }
 
 
-@dataclass(frozen=True)
-class InstanceEmbedCache:
-    concat: np.ndarray  # ([K,] L, d + d_pos)
-    d: int
-    d_pos: int
-
-
 def build_instance_embedding_forward(
     label_emb: EmbeddingSeq, pos: np.ndarray, proj: np.ndarray
-) -> tuple[EmbeddingSeq, InstanceEmbedCache]:
+) -> tuple[EmbeddingSeq, np.ndarray]:
     """Concat the position embedding onto every token row, project back to d.
 
     Output token count equals the label's, so two instances of the same
     class at different boxes get distinguishable embeddings.  A stack of K
     padded label sequences takes K position vectors (K, d_pos); the result
-    keeps the labels' padding."""
+    keeps the labels' padding.  The cache is the ([K,] L, d + d_pos) concat."""
     d = label_emb.dim
     d_pos = pos.shape[-1]
     if proj.shape != (d + d_pos, d):
@@ -238,16 +229,17 @@ def build_instance_embedding_forward(
     rows = np.broadcast_to(pos[..., None, :], label_emb.values.shape[:-1] + (d_pos,))
     concat = np.concatenate([label_emb.values, rows], axis=-1)
     out = concat @ proj
-    return EmbeddingSeq(out, label_emb.keep), InstanceEmbedCache(concat=concat, d=d, d_pos=d_pos)
+    return EmbeddingSeq(out, label_emb.keep), concat
 
 
 def build_instance_embedding_backward(
-    d_out: np.ndarray, cache: InstanceEmbedCache, proj: np.ndarray
+    d_out: np.ndarray, concat: np.ndarray, proj: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Gradients w.r.t. the projection, the position vector(s), and label rows."""
+    d = proj.shape[1]  # proj is (d + d_pos, d)
     d_concat = d_out @ proj.T
     return {
-        "proj": cache.concat.reshape(-1, cache.d + cache.d_pos).T @ d_out.reshape(-1, cache.d),
-        "pos": d_concat[..., cache.d :].sum(axis=-2),
-        "label": d_concat[..., : cache.d],
+        "proj": concat.reshape(-1, proj.shape[0]).T @ d_out.reshape(-1, d),
+        "pos": d_concat[..., d:].sum(axis=-2),
+        "label": d_concat[..., :d],
     }

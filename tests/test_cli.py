@@ -87,6 +87,25 @@ def test_bad_config_value_exit_2(workdir, key, value, capsys):
     assert key in capsys.readouterr().err
 
 
+# 10**15 steps is far beyond any address space, so each allocation fails at once
+@pytest.mark.parametrize("key, command", [
+    ("t_train", ["train"]),                   # was exit 1, MemoryError from the temb allocation
+    ("t_train", ["gradcheck", "--scenes", 1]),
+    ("t_sample", ["gen", "layout.json"]),     # was exit 1, MemoryError from the schedule
+])
+def test_config_too_large_to_allocate_exit_2(workdir, key, command, capsys):
+    cfg_path = workdir / "config.json"
+    if command[0] == "gen":
+        assert run("--config", cfg_path, "--steps", 0, "train") == 0
+    cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg[key] = 10**15
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert run("--config", cfg_path, *command) == 2
+    err = capsys.readouterr().err
+    assert "memory" in err and len(err.splitlines()) == 1
+
+
 # --- train ----------------------------------------------------------------------
 
 def test_train_fresh_run(workdir):
@@ -206,14 +225,14 @@ def test_config_checkpoint_mismatch_exit_2(workdir, command, key, value, capsys)
 # train mode, and of `radl gen`'s two images and traces from each variant's
 # mirror checkpoint, all at SMALL sizes on the workdir corpus and layout
 GOLDEN_TRAIN_GEN_SHA256 = {
-    "train.full.mirror": "62d6a3b6422bec29deaddb904e6c1d41ba2b70da4897efd0121c6da48b583985",
-    "train.full.always_on": "9e36b43ecd59edb6442dcc3435f5a2520996429951f06c8625cfe06167114efc",
+    "train.full.mirror": "5277fe7720b8fbc7ba3bcc373cdbf359726e5a582f13876797e854b90db8f5e1",
+    "train.full.always_on": "d0bfcb58af04efa4641b3224113a6923b1640e344cb5324775834bd338abbcd0",
     "gen.full": "403126dae9da56f195df8045b7fa2569d65070e232d04ab08bae2aea15da8f57",
-    "train.text_attn_only.mirror": "894920a0bba8327e9380ce3d252071b8d507e626652c7b76c463cdbf548ac519",
-    "train.text_attn_only.always_on": "91084798d5d81b9f783510e432178bfe5ea19189e7f5fe34a549df57bc7e6d19",
+    "train.text_attn_only.mirror": "f5c8b324a333f14a4e90ad63be28b3b2acbca9990b6d703f5a97ac05c355b35d",
+    "train.text_attn_only.always_on": "a4f6cadbd5a7a3fd0dd4921a94cd49538b8f288c662f35273378e83692259e48",
     "gen.text_attn_only": "e79ed4c67f7d73b2e1e95dca846dcacc8b272927f845d916571477fe4ae720f8",
-    "train.no_relation.mirror": "33dfa5621bbad63fdd7d5cfa77370592c03b300fd4836a0e76fe0f301515f578",
-    "train.no_relation.always_on": "0c569b99e1a90cfdd380c20b78a549fe5cd23359871220feb433dfc14953db73",
+    "train.no_relation.mirror": "d2be8f3a7b9208dc261664a2dc0ec7a9d602e99b8fe941b3496f39d17753be5c",
+    "train.no_relation.always_on": "672f0cdfea5c9454e42b4993f87d22c1197948082499fc4756725d5917981b5c",
     "gen.no_relation": "76b344d324f434491603d40a7d0d5b8ad5b5170bbb323f8fd1d96aa351159d53",
 }
 
@@ -303,6 +322,21 @@ def test_gen_bad_checkpoint_exit_2(workdir, damage, capsys):
         save_tensors(ckpt, tensors, meta)
     assert run("--config", cfg_path, "gen", workdir / "layout.json") == 2
     assert "model.ckpt" in capsys.readouterr().err
+
+
+def test_schema_1_checkpoint_exit_2(workdir, capsys):
+    # the format before attribute enhancement dropped its query projection
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "train") == 0
+    tensors, meta = load_tensors(workdir / "model.ckpt")
+    for name in ("radl.ae.wq", "opt.m.radl.ae.wq", "opt.v.radl.ae.wq"):
+        tensors[name] = np.zeros((meta["d"], meta["d"]))
+    save_tensors(workdir / "model.ckpt", tensors, dict(meta, schema="radl-ckpt/1"))
+    capsys.readouterr()
+    for argv in (["gen", workdir / "layout.json"], ["--resume", workdir / "model.ckpt", "train"]):
+        assert run("--config", cfg_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert "model.ckpt" in err and "'radl-ckpt/1'" in err
 
 
 @pytest.mark.parametrize("command, name", [
@@ -561,6 +595,22 @@ def test_eval_metrics_golden(workdir, capsys):
     metrics = (workdir / "out" / "metrics.json").read_bytes()
     assert capsys.readouterr().out.encode() == metrics
     assert hashlib.sha256(metrics).hexdigest() == GOLDEN_METRICS_SHA256
+
+
+# each header with the width and height a lenient reader takes from it
+@pytest.mark.parametrize("header, size, rc", [
+    (b"P6\n# a comment\n4 4 # another\n255\n", (4, 4), 0),
+    (b"P6 4\t4\r255\n", (4, 4), 0),
+    (b"P64 4 255\n", (4, 4), 2),      # nothing after the magic: was read as 4x4
+    (b"P6\n1_0 4\n255\n", (10, 4), 2),  # was read as 10 wide
+    (b"P6\n+2 4\n255\n", (2, 4), 2),    # was read as 2 wide
+])
+def test_eval_ppm_header(workdir, header, size, rc, capsys):
+    img_dir, lay_dir = eval_dirs(workdir, small_scenes(1))
+    (img_dir / "s000.ppm").write_bytes(header + bytes(3 * size[0] * size[1]))
+    assert run("--config", workdir / "config.json", "eval", img_dir, lay_dir) == rc
+    if rc:
+        assert "s000.ppm" in capsys.readouterr().err
 
 
 def test_eval_unknown_predicate_exit_2(workdir, capsys):

@@ -683,6 +683,22 @@ def test_gradcheck_passes_small_scenes():
         assert report.passed, report.max_rel_err
 
 
+def test_every_parameter_gets_a_gradient():
+    # Two verbs: over a single verb token, relation attention's softmax is
+    # 1 whatever its scores, so radl.rel.wq and radl.rel.wk get exactly zero
+    # gradient.  Generated prompts carry at most one verb.
+    params = init_denoiser(0, d=8, image_size=8, t_train=50)
+    cfg = SceneConfig(image_size=8, n_instances=(2, 2), min_box=0.3, max_box=0.45)
+    scene = generate(0, 1, cfg)[0]
+    scene = replace(scene, layout=replace(scene.layout, verbs=("resting", "floating")))
+    noise = np.random.default_rng(24).standard_normal((2, 3, 8, 8))
+    g = zero_grads(params)
+    pack_loss_and_grads(params, [scene, scene], [12, 40], noise, g, "full", True, 1.0)
+    assert [name for name, grad in g.items() if not np.any(grad)] == []
+    report = gradcheck(params, scene, t=25, rng_seed=3, embed_cfg=EC)
+    assert report.passed, report.max_rel_err
+
+
 def test_gradcheck_negative_control():
     params = init_denoiser(0, d=8, image_size=8, t_train=50)
     report = gradcheck(params, small_scene(), t=25, rng_seed=0, embed_cfg=EC, grad_fault=True)
