@@ -200,6 +200,14 @@ class RowSet:
         return self.grids is None and len(self.idx) == self.h * self.w
 
     @cached_property
+    def mask(self) -> np.ndarray:
+        """1.0 on the kept rows and 0.0 elsewhere: (h*w,), or (stack, h*w)
+        for a packed set."""
+        mask = self.put(np.ones(self.idx.shape + (1,)))[..., 0]
+        mask.flags.writeable = False  # cached: every reader gets this array
+        return mask
+
+    @cached_property
     def _dest(self) -> np.ndarray:
         # a packed set's rows as flat indices into its stack's rows; the
         # padding goes to one extra row past the end

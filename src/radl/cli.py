@@ -113,6 +113,12 @@ class RunConfig:
                 raise MalformedDoc(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.lr <= 0:
             raise MalformedDoc("lr must be > 0")
+        for key in ("warmup", "weight_decay"):
+            if getattr(self, key) < 0:
+                raise MalformedDoc(f"{key} must be >= 0, got {getattr(self, key)!r}")
+        for key in ("checkpoint", "corpus", "lexicon", "hsv_table"):
+            if getattr(self, key) == "":
+                raise MalformedDoc(f"{key} must name a file, got an empty path")
         if self.variant not in pipeline.VARIANTS:
             raise MalformedDoc(
                 f"variant {self.variant!r} is not one of {list(pipeline.VARIANTS)}"

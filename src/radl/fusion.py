@@ -1,6 +1,6 @@
 """Pixel-wise softmax fusion of background, instance, and relation branches.
 
-At each pixel the branches whose mask is 1 form the active set; their
+At each pixel the branches whose mask keeps it form the active set; their
 scalar logits are softmax-normalized over that set and the output is the
 resulting convex combination of branch features.  Inactive branches
 contribute exactly zero and receive zero gradient at that pixel.
@@ -12,23 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import FeatureGrid
+from .attention import FeatureGrid, RowSet
 from .errors import MissingCache, NoBranches, ShapeMismatch
-from .layout import MaskGrid
 
 @dataclass
 class FusionBranch:
-    """One fusion input: a feature grid gated by a mask with a scalar logit."""
+    """One fusion input: a feature grid gated by the rows its branch keeps,
+    with a scalar logit."""
 
     feat: FeatureGrid
-    mask: MaskGrid
+    rows: RowSet
     logit: float
 
     def __post_init__(self):
-        if (self.feat.h, self.feat.w) != (self.mask.h, self.mask.w):
+        if (self.feat.h, self.feat.w) != (self.rows.h, self.rows.w):
             raise ShapeMismatch(
                 f"branch feat {self.feat.h}x{self.feat.w} does not match "
-                f"mask {self.mask.h}x{self.mask.w}"
+                f"mask {self.rows.h}x{self.rows.w}"
             )
 
 
@@ -41,9 +41,9 @@ class FuseCache:
 def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCache]:
     """Per-pixel convex combination of active branch features.
 
-    Branch features are stacks (K, n_pix, d).  A branch's mask is one grid,
-    shared by every grid of the stack, or a stack (K, h, w) of them; a grid
-    whose mask for a branch is all zero gives it zero weight."""
+    Branch features are stacks (K, n_pix, d).  A branch's rows are one set
+    every grid of the stack shares, or a packed set; a grid that keeps no
+    row of a branch gives it zero weight."""
     branches = list(branches)
     if not branches:
         raise NoBranches("fusion requires at least one branch")
@@ -53,7 +53,7 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
             raise ShapeMismatch("fusion branches must share feature grid shape")
 
     feats = np.stack([b.feat.values for b in branches], axis=-3)  # (K, B, n, d)
-    masks = np.stack(np.broadcast_arrays(*[b.mask.flat() for b in branches]), axis=-2)
+    masks = np.stack(np.broadcast_arrays(*[b.rows.mask for b in branches]), axis=-2)
     logits = np.array([b.logit for b in branches])[:, None]      # (B, 1)
     if not np.all(masks.sum(axis=-2) > 0.0):
         raise NoBranches("every pixel needs at least one active branch")

@@ -94,30 +94,29 @@ class LayoutSpec:
 
 @dataclass(frozen=True)
 class MaskGrid:
-    """H x W binary grid stored as float64 values in {0, 1}, or a stack
-    (K, H, W) of such grids, one per feature grid of a stack."""
+    """H x W binary grid stored as float64 values in {0, 1}."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim not in (2, 3) or v.size < 1:
-            raise ShapeMismatch(f"mask must be a 2-d grid or a stack of them, got shape {v.shape}")
+        if v.ndim != 2 or v.size < 1:
+            raise ShapeMismatch(f"mask must be a 2-d grid, got shape {v.shape}")
         if not np.all((v == 0.0) | (v == 1.0)):
             raise ShapeMismatch("mask entries must be exactly 0 or 1")
         object.__setattr__(self, "values", v)
 
     @property
     def h(self) -> int:
-        return self.values.shape[-2]
+        return self.values.shape[0]
 
     @property
     def w(self) -> int:
-        return self.values.shape[-1]
+        return self.values.shape[1]
 
     def flat(self) -> np.ndarray:
-        """Row-major ([K,] h*w) view matching FeatureGrid spatial order."""
-        return self.values.reshape(self.values.shape[:-2] + (-1,))
+        """Row-major (h*w,) view matching FeatureGrid spatial order."""
+        return self.values.reshape(-1)
 
 
 def _require(cond: bool, msg: str):

@@ -41,7 +41,7 @@ from .attention import (
 )
 from .errors import NonFiniteLoss, ShapeMismatch, StepOutOfRange
 from .fusion import FusionBranch, fuse_backward, fuse_forward
-from .layout import BBox, LayoutSpec, MaskGrid, rasterize_mask, total_mask
+from .layout import LayoutSpec, rasterize_mask, total_mask
 from .oracles import central_diff, rel_err
 from .scenes import SyntheticScene
 from .text import (
@@ -313,64 +313,54 @@ PARAM_GROUPS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class Branch:
-    """What one attention branch reads at one grid side: the query rows it
-    computes, its fusion mask, its key tokens, and an instance's box."""
+    """What one attention branch reads: its key tokens, the query rows it
+    computes at each grid side, which are also the rows its fusion mask
+    keeps, and an instance's box [x1, y1, x2, y2]."""
 
-    rows: RowSet
-    mask: MaskGrid
     tokens: EmbeddingSeq
-    box: BBox | tuple[BBox, ...] | None = None  # one box per grid when packed
+    rows: dict[int, RowSet]  # grid side -> rows
+    box: np.ndarray | None = None  # (4,), or (K', 4) when packed
 
 
 @dataclass(frozen=True)
-class BlockInputs:
+class LayoutEncoding:
+    """A layout's embedded text and rasterized masks, as the attention block
+    reads them at both grid sides."""
+
     background: Branch
     instances: tuple[Branch, ...]
     relation: Branch | None  # None without verbs or instances
 
 
-# a layout's embedded text and rasterized masks, as the attention block
-# reads them at each grid side
-LayoutEncoding = dict[int, BlockInputs]
-
-
 @lru_cache(maxsize=None)
-def _every_row(side: int) -> tuple[RowSet, MaskGrid]:
-    """The background's rows and all-ones mask at one grid side, read-only
-    and shared by every encoding."""
-    idx, ones = np.arange(side * side), np.ones((side, side))
-    idx.flags.writeable = ones.flags.writeable = False
-    return RowSet(side, side, idx), MaskGrid(ones)
+def _every_row(side: int) -> RowSet:
+    """The background's rows at one grid side, shared by every encoding."""
+    idx = np.arange(side * side)
+    idx.flags.writeable = False
+    return RowSet(side, side, idx)
 
 
-def encode_layout(
-    layout: LayoutSpec, cfg: EmbedderConfig, sides: Sequence[int]
-) -> LayoutEncoding:
-    """Embed the layout's text and rasterize its masks at each grid side."""
+def encode_layout(layout: LayoutSpec, cfg: EmbedderConfig, image_size: int) -> LayoutEncoding:
+    """Embed the layout's text and rasterize its masks at both grid sides
+    of an image_size denoiser."""
     verbs = list(layout.verbs) if layout.verbs is not None else extract_verbs(layout.prompt, cfg)
-    prompt = embed_tokens(tokenize(layout.prompt), cfg)
-    labels = [embed_tokens(tokenize(i.label), cfg) for i in layout.instances]
-    verb_emb = embed_tokens(verbs, cfg) if verbs else None
-    blocks = {}
-    for side in sides:
-        masks = [rasterize_mask(i.bbox, side, side) for i in layout.instances]
-        total = total_mask(masks, height=side, width=side)
-        blocks[side] = BlockInputs(
-            background=Branch(*_every_row(side), prompt),
-            instances=tuple(
-                Branch(RowSet.of(m), m, label, inst.bbox)
-                for m, label, inst in zip(masks, labels, layout.instances)
-            ),
-            relation=(
-                Branch(RowSet.of(total), total, verb_emb)
-                if verb_emb is not None and masks else None
-            ),
-        )
-    return blocks
+    sides = (image_size // 2, image_size // 4)
+    masks = {s: [rasterize_mask(i.bbox, s, s) for i in layout.instances] for s in sides}
+    totals = {s: total_mask(m, height=s, width=s) for s, m in masks.items()}
 
+    def branch(tokens, rows_at, box=None) -> Branch:
+        return Branch(embed_tokens(tokens, cfg), {s: rows_at(s) for s in sides}, box)
 
-def _encode(layout: LayoutSpec, cfg: EmbedderConfig, params: DenoiserParams) -> LayoutEncoding:
-    return encode_layout(layout, cfg, (params.fine_side, params.coarse_side))
+    return LayoutEncoding(
+        background=branch(tokenize(layout.prompt), _every_row),
+        instances=tuple(
+            branch(tokenize(inst.label), lambda s: RowSet.of(masks[s][i]), inst.bbox.as_array())
+            for i, inst in enumerate(layout.instances)
+        ),
+        relation=(
+            branch(verbs, lambda s: RowSet.of(totals[s])) if verbs and layout.instances else None
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,57 +410,47 @@ def patches_to_grid(p: np.ndarray, side: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # attention block at one resolution
 
-def _pack(branches: Sequence[Branch | None], stacks: dict) -> Branch | None:
+def _pack(branches: Sequence[Branch | None]) -> Branch | None:
     """One branch over a stack of grids from each grid's own branch (None
-    where a grid has none): rows and tokens padded to the longest, and an
-    all-zero mask on the grids without it.  Grids that all keep every row
-    share the first grid's rows and mask.  `stacks` keeps each padded
-    token stack for reuse at the other grid side."""
+    where a grid has none): tokens and, at each side, rows padded to the
+    longest; the grids without it keep no row.  At a side where every grid
+    keeps every row, the stack shares the first grid's rows."""
     grids = [k for k, b in enumerate(branches) if b is not None]
     if not grids:
         return None
     present = [branches[k] for k in grids]
-    key = tuple(id(b.tokens) for b in present)
-    if key not in stacks:
-        stacks[key] = EmbeddingSeq.pack([b.tokens for b in present])
-    box = None if present[0].box is None else tuple(b.box for b in present)
-    if len(present) == len(branches) and all(b.rows.whole for b in present):
-        return Branch(present[0].rows, present[0].mask, stacks[key], box)
-    masks = np.zeros((len(branches),) + present[0].mask.values.shape)
-    masks[grids] = [b.mask.values for b in present]
+    rows = {}
+    for side, first in present[0].rows.items():
+        sets = [b.rows[side] for b in present]
+        whole = len(present) == len(branches) and all(r.whole for r in sets)
+        rows[side] = first if whole else RowSet.pack(sets, grids, len(branches))
     return Branch(
-        rows=RowSet.pack([b.rows for b in present], grids, len(branches)),
-        mask=MaskGrid(masks),
-        tokens=stacks[key],
-        box=box,
+        tokens=EmbeddingSeq.pack([b.tokens for b in present]),
+        rows=rows,
+        box=None if present[0].box is None else np.stack([b.box for b in present]),
     )
 
 
-def _block_inputs(encs: Sequence[LayoutEncoding]) -> dict[int, BlockInputs]:
-    """The block inputs at each grid side.  Grids that share one encoding
-    share its branches unpadded, so each gets the bytes it gets alone.
-    Distinct layouts are packed; instance slot i holds the grids whose
-    layout has an i-th instance."""
+def _block_inputs(encs: Sequence[LayoutEncoding]) -> LayoutEncoding:
+    """One encoding over the stack.  Grids that share one encoding share its
+    branches unpadded, so each gets the bytes it gets alone.  Distinct
+    layouts are packed; instance slot i holds the grids whose layout has an
+    i-th instance."""
     if all(e is encs[0] for e in encs):
         return encs[0]
-    stacks: dict = {}
-    packed = {}
-    for side in encs[0]:
-        blocks = [e[side] for e in encs]
-        slots = max(len(b.instances) for b in blocks)
-        packed[side] = BlockInputs(
-            background=_pack([b.background for b in blocks], stacks),
-            instances=tuple(
-                _pack([b.instances[i] if i < len(b.instances) else None for b in blocks], stacks)
-                for i in range(slots)
-            ),
-            relation=_pack([b.relation for b in blocks], stacks),
-        )
-    return packed
+    slots = max(len(e.instances) for e in encs)
+    return LayoutEncoding(
+        background=_pack([e.background for e in encs]),
+        instances=tuple(
+            _pack([e.instances[i] if i < len(e.instances) else None for e in encs])
+            for i in range(slots)
+        ),
+        relation=_pack([e.relation for e in encs]),
+    )
 
 
 def _instance_embeddings(
-    inputs: BlockInputs, params: DenoiserParams
+    inputs: LayoutEncoding, params: DenoiserParams
 ) -> tuple[list[EmbeddingSeq], list[tuple]]:
     """Each instance slot's position-augmented embedding and its caches;
     both injection sides read the same ones."""
@@ -513,7 +493,7 @@ class BlockCache:
 
 def _radl_block_forward(
     feat: FeatureGrid,
-    inputs: BlockInputs,
+    inputs: LayoutEncoding,
     embs: Sequence[EmbeddingSeq] | None,
     params: DenoiserParams,
     variant: str,
@@ -529,22 +509,24 @@ def _radl_block_forward(
         raise ShapeMismatch(f"no injection site at resolution {side}x{side}")
 
     bg = inputs.background
-    r_bg, bg_cache = masked_text_attention_forward(feat, bg.tokens, params.proj_text, bg.rows)
+    rows = bg.rows[side]
+    r_bg, bg_cache = masked_text_attention_forward(feat, bg.tokens, params.proj_text, rows)
     # fusion's branches in order: background, each instance slot, relation
-    branches = [FusionBranch(r_bg, bg.mask, float(params.logit_bg))]
+    branches = [FusionBranch(r_bg, rows, float(params.logit_bg))]
 
     inst_caches = []
     for i, inst in enumerate(inputs.instances):
         emb = None if embs is None else embs[i]
         r_f, ic = _instance_branch(feat, inst, emb, qlp, params)
         inst_caches.append(ic)
-        branches.append(FusionBranch(r_f, inst.mask, float(params.logit_inst)))
+        branches.append(FusionBranch(r_f, inst.rows[side], float(params.logit_inst)))
 
     rel_cache = None
     rel = inputs.relation if variant == "full" else None
     if rel is not None:
-        r_rel, rel_cache = relation_attention_forward(feat, rel.tokens, params.proj_rel, rel.rows)
-        branches.append(FusionBranch(r_rel, rel.mask, float(params.logit_rel)))
+        rows = rel.rows[side]
+        r_rel, rel_cache = relation_attention_forward(feat, rel.tokens, params.proj_rel, rows)
+        branches.append(FusionBranch(r_rel, rows, float(params.logit_rel)))
 
     fused, fuse_cache = fuse_forward(branches)
     return fused, BlockCache(qlp_name, bg_cache, inst_caches, rel_cache, fuse_cache)
@@ -556,15 +538,16 @@ def _instance_branch(
 ) -> tuple[FeatureGrid, InstanceCache]:
     """One instance slot's branch and cache, its text attention alone without an
     embedding.  Its intermediate features die here, before fusion stacks every branch."""
-    r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, params.proj_text, inst.rows)
+    rows = inst.rows[feat.h]
+    r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, params.proj_text, rows)
     ic = InstanceCache(r=r_cache)
     if emb is None:
         return r_i, ic
     # enhancement keys/values come from the instance's own masked features;
     # only in-box query rows are computed, which is exact because instance
     # attention reads and back-propagates only those
-    r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, params.proj_ae, inst.rows)
-    r_ia, ic.ia = instance_attention_forward(r_ae, emb, params.proj_inst, inst.rows)
+    r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, params.proj_ae, rows)
+    r_ia, ic.ia = instance_attention_forward(r_ae, emb, params.proj_inst, rows)
     return r_i.like(r_i.values + r_ia.values), ic  # residual fusion
 
 
@@ -671,14 +654,14 @@ def denoise_forward_cached(
     if radl_on:
         blocks = _block_inputs(enc)
         if variant != "text_attn_only":
-            embs, emb_caches = _instance_embeddings(blocks[fine], params)
+            embs, emb_caches = _instance_embeddings(blocks, params)
 
     def attend(h: np.ndarray, side: int) -> tuple[np.ndarray, BlockCache | None]:
         """The attention stack at one grid side; the plain pass when off."""
         if not radl_on:
             return h, None
         fused, block = _radl_block_forward(
-            FeatureGrid(side, side, h), blocks[side], embs, params, variant
+            FeatureGrid(side, side, h), blocks, embs, params, variant
         )
         return fused.values, block
 
@@ -827,7 +810,7 @@ def sample(
     def noise() -> np.ndarray:
         return np.stack([rng.standard_normal((3, s, s)) for rng in rngs])
 
-    encs = [_encode(layout, embed_cfg, params)] * len(seeds)
+    encs = [encode_layout(layout, embed_cfg, s)] * len(seeds)
     temb_map = _temb_index_map(sched, params.t_train)
 
     x = noise()
@@ -974,7 +957,8 @@ def train(
             if radl_on:
                 for pick in picks:
                     if pick not in encs:
-                        encs[pick] = _encode(dataset[pick].layout, embed_cfg, params)
+                        layout = dataset[pick].layout
+                        encs[pick] = encode_layout(layout, embed_cfg, params.image_size)
             loss += mse_loss_and_grads(
                 params, [dataset[p] for p in picks], ts, np.stack(noises),
                 [encs[p] for p in picks] if radl_on else None, radl_on, g,
@@ -1046,7 +1030,8 @@ def gradcheck(
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(4,)))
     noise = rng.standard_normal((1,) + scene.image.shape)
     x_t = forward_diffuse(scene.image, t, sched, noise[0])[None]
-    encs = [_encode(scene.layout, embed_cfg, params)]  # independent of parameter values
+    # independent of parameter values
+    encs = [encode_layout(scene.layout, embed_cfg, params.image_size)]
 
     def loss_fn() -> float:
         r = denoise_forward_cached(params, x_t, [t], encs, True, variant)[0] - noise

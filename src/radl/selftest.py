@@ -92,11 +92,11 @@ def _check_softmax_rows(rng) -> tuple[bool, str]:
 
 
 def _check_fusion(rng) -> tuple[bool, str]:
-    ones = MaskGrid(np.ones((4, 4)))
+    every = RowSet.of(MaskGrid(np.ones((4, 4))))
     branches = [
-        FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), ones, 0.3),
+        FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), every, 0.3),
         FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
-                     MaskGrid((rng.random((4, 4)) < 0.5).astype(float)), -0.7),
+                     RowSet.of(MaskGrid((rng.random((4, 4)) < 0.5).astype(float))), -0.7),
     ]
     _, cache = fuse_forward(branches)
     sums_ok = bool(np.all(np.abs(cache.weights.sum(axis=0) - 1.0) <= 1e-12))
@@ -174,8 +174,7 @@ def _check_packed_train_step(rng) -> tuple[bool, str]:
     scenes.append(replace(scenes[0], layout=LayoutSpec(prompt="a plain gray background")))
     ts = [int(t) for t in rng.integers(1, 13, len(scenes))]
     noise = rng.standard_normal((len(scenes), 3, 8, 8))
-    sides = (params.fine_side, params.coarse_side)
-    encs = [encode_layout(sc.layout, embed_cfg, sides) for sc in scenes]
+    encs = [encode_layout(sc.layout, embed_cfg, params.image_size) for sc in scenes]
 
     g = zero_grads(params)
     loss = mse_loss_and_grads(params, scenes, ts, noise, encs, True, g)

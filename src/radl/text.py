@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedDoc, ShapeMismatch, read_utf8
-from .layout import BBox
 
 EMPTY_TOKEN = "⟨empty⟩"  # sentinel for empty input
 
@@ -185,12 +184,11 @@ class PositionEmbedCache:
 
 
 def position_embed_forward(
-    bbox: BBox | Sequence[BBox], params: PositionMLPParams
+    box: np.ndarray, params: PositionMLPParams
 ) -> tuple[np.ndarray, PositionEmbedCache]:
     """out = W2' relu(W1' [x1,y1,x2,y2] + b1) + b2.
 
-    One box gives (d_pos,); a sequence of K boxes gives (K, d_pos)."""
-    box = bbox.as_array() if isinstance(bbox, BBox) else np.stack([b.as_array() for b in bbox])
+    One box (4,) gives (d_pos,); a stack of K boxes (K, 4) gives (K, d_pos)."""
     pre = box @ params.w1 + params.b1
     out = np.maximum(pre, 0.0) @ params.w2 + params.b2
     return out, PositionEmbedCache(box=box, pre=pre)

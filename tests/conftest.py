@@ -5,9 +5,10 @@ takes most of the suite's time.  Once collection has selected a test that
 uses the `steering` fixture, the arms start in the background, each in its
 own worker process (`steering.run_arms`), and the tests that use them move
 to the end of the run.  A session that ends before they finish stops the
-workers.
+workers, also one ended by SIGTERM.
 """
 import multiprocessing
+import signal
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
@@ -22,7 +23,8 @@ STEERING_LR = 5e-3
 STEERING_STEPS = 2000
 STEERING_SEED = 0
 
-_ARMS = pytest.StashKey()  # (the thread that waits on the arms, its future)
+# (the thread that waits on the arms, its future, the SIGTERM handler before them)
+_ARMS = pytest.StashKey()
 
 
 def _run_steering_arms():
@@ -41,7 +43,14 @@ def pytest_collection_modifyitems(config, items):
         return
     items.sort(key=uses_arms)  # stable: the users last, each side in order
     runner = ThreadPoolExecutor(1)
-    config.stash[_ARMS] = runner, runner.submit(_run_steering_arms)
+    # SIGTERM unwinds the session as Ctrl-C does, so that pytest_unconfigure
+    # still stops the workers
+    handler = signal.signal(signal.SIGTERM, _interrupt)
+    config.stash[_ARMS] = runner, runner.submit(_run_steering_arms), handler
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt(f"signal {signum}")
 
 
 @pytest.fixture(scope="session")
@@ -51,9 +60,10 @@ def steering(request):
 
 
 def pytest_unconfigure(config):
-    runner, future = config.stash.get(_ARMS, (None, None))
+    runner, future, handler = config.stash.get(_ARMS, (None, None, None))
     if runner is None:
         return
+    signal.signal(signal.SIGTERM, handler)
     # a session that failed or was interrupted before the arms finished:
     # ending the workers breaks their pool, which ends run_arms
     while not future.done():

@@ -93,7 +93,7 @@ def _op_backward_errors(rng):
     mask = MaskGrid((rng.random((2, 3)) < 0.6).astype(float))
     d_out = rng.standard_normal((1, 6, d))
     rows, d_rows = RowSet.of(mask), d_out.swapaxes(0, 1)
-    ones = MaskGrid(np.ones((2, 3)))
+    every = RowSet.of(MaskGrid(np.ones((2, 3))))
 
     q = rng.standard_normal((3, d))
     k = rng.standard_normal((4, d))
@@ -119,7 +119,6 @@ def _op_backward_errors(rng):
         errs.append(rel_err(an, central_diff(run_mta, arr, d_out)))
 
     qlp = rng.standard_normal((6, d))
-    every = RowSet.of(ones)
     out, cache = attribute_enhancement_forward(feat, qlp, proj, every)
     grads = attribute_enhancement_backward(d_rows, cache)
 
@@ -147,8 +146,8 @@ def _op_backward_errors(rng):
     errs.append(rel_err(grads["emb"], central_diff(run_rel, emb.values, d_out)))
 
     branches = [
-        FusionBranch(FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), ones, 0.2),
-        FusionBranch(FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), mask, -0.4),
+        FusionBranch(FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), every, 0.2),
+        FusionBranch(FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), rows, -0.4),
     ]
     from radl.fusion import fuse_backward
 
@@ -199,13 +198,13 @@ def test_criterion_3_mask_fusion_invariants():
     worst_shift = 0.0
     for seed in range(100):
         rng = np.random.default_rng(4000 + seed)
-        ones = MaskGrid(np.ones((4, 4)))
-        branches = [FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), ones, float(rng.standard_normal()))]
+        every = RowSet.of(MaskGrid(np.ones((4, 4))))
+        branches = [FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), every, float(rng.standard_normal()))]
         for _ in range(2):
             branches.append(
                 FusionBranch(
                     FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
-                    MaskGrid((rng.random((4, 4)) < 0.5).astype(float)),
+                    RowSet.of(MaskGrid((rng.random((4, 4)) < 0.5).astype(float))),
                     float(rng.standard_normal()),
                 )
             )
@@ -230,8 +229,7 @@ def test_criterion_4_schedule_conformance():
 
     other = make_scene(2, SCENE_CFG)
     x = np.random.default_rng(1).standard_normal((1, 3, 32, 32))
-    sides = (params.fine_side, params.coarse_side)
-    a, b = (denoise_forward_cached(params, x, [77], [encode_layout(sc.layout, EC, sides)], False)[0]
+    a, b = (denoise_forward_cached(params, x, [77], [encode_layout(sc.layout, EC, 32)], False)[0]
             for sc in (scene, other))
     invariant_ok = np.array_equal(a, b)
     ok = trace_ok and invariant_ok

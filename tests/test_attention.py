@@ -458,6 +458,28 @@ def test_in_mask_backward_fd(case):
         assert rel_err(an, central_diff(run_text, arr, d_out)) < 1e-6
 
 
+# --- RowSet.mask ---------------------------------------------------------------
+# fusion reads a branch's mask from its rows: it must be the mask they came from
+
+@pytest.mark.parametrize("case", MASK_CASES)
+def test_row_set_mask_equals_source_mask(case):
+    mask = mask_case(case, np.random.default_rng(35))
+    assert np.array_equal(RowSet.of(mask).mask, mask.flat())
+
+
+def test_packed_row_set_mask_equals_source_masks():
+    rng = np.random.default_rng(36)
+    masks = [mask_case(name, rng) for name in ("random", "one_cell", "full", "empty")]
+    # grids 1 and 3 of a stack of 5 have no set: they keep no row; the
+    # shorter sets are padded to the longest
+    grids = [0, 2, 4, 3]
+    packed = RowSet.pack([RowSet.of(m) for m in masks], grids, 5)
+    want = np.zeros((5, 64))
+    want[grids] = [m.flat() for m in masks]
+    assert packed.keep is not None and not packed.keep.all()
+    assert np.array_equal(packed.mask, want)
+
+
 # --- stacked feature grids ----------------------------------------------------
 # A forward given K grids (K, h*w, d) under one mask must give each grid the
 # bytes a stack of that grid alone gets; sampling relies on it.
@@ -486,14 +508,14 @@ def test_stacked_forwards_equal_per_grid_calls(case):
 
 def test_stacked_fuse_forward_equals_per_grid_calls():
     rng = np.random.default_rng(34)
-    masks = [MaskGrid(np.ones((8, 8))), random_mask(rng, 8, 8), mask_case("one_cell", rng),
-             MaskGrid(np.zeros((8, 8)))]
-    stacks = [rng.standard_normal((4, 64, 8)) for _ in masks]
-    logits = rng.standard_normal(len(masks))
+    rows = [RowSet.of(m) for m in (MaskGrid(np.ones((8, 8))), random_mask(rng, 8, 8),
+                                    mask_case("one_cell", rng), MaskGrid(np.zeros((8, 8))))]
+    stacks = [rng.standard_normal((4, 64, 8)) for _ in rows]
+    logits = rng.standard_normal(len(rows))
 
     def fused(pick):
-        branches = [FusionBranch(FeatureGrid(8, 8, pick(s)), m, float(z))
-                    for s, m, z in zip(stacks, masks, logits)]
+        branches = [FusionBranch(FeatureGrid(8, 8, pick(s)), r, float(z))
+                    for s, r, z in zip(stacks, rows, logits)]
         return fuse_forward(branches)
 
     out, cache = fused(lambda s: s)

@@ -78,6 +78,12 @@ def test_missing_config_file(tmp_path, capsys):
     ("weight_decay", float("nan")),   # was exit 4, a non-finite loss
     ("weight_decay", float("inf")),
     ("weight_decay", float("-inf")),
+    ("checkpoint", ""),      # was exit 3, as a missing file
+    ("corpus", ""),          # was exit 2 naming no key: "Is a directory: '.'"
+    ("lexicon", ""),         # was exit 0 with the packaged lexicon
+    ("hsv_table", ""),       # was exit 0: train does not read the table
+    ("warmup", -5),          # was exit 0, trained as if warmup were 0
+    ("weight_decay", -0.5),  # was exit 0, growing every decayed weight
 ])
 def test_bad_config_value_exit_2(workdir, key, value, capsys):
     cfg = json.loads((workdir / "config.json").read_text(encoding="utf-8"))

@@ -3,70 +3,82 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radl.attention import FeatureGrid
+from radl.attention import FeatureGrid, RowSet
 from radl.errors import MissingCache, NoBranches, ShapeMismatch
 from radl.fusion import FusionBranch, fuse_backward, fuse_forward
 from radl.layout import MaskGrid
 from radl.oracles import central_diff, rel_err
 
 
-def fuse_oracle(branches):
-    """Per-pixel scalar-loop fusion of stacks of one grid, independent of
-    the vectorized path."""
-    h, w, d = branches[0].feat.h, branches[0].feat.w, branches[0].feat.d
-    out = np.zeros((h * w, d))
-    for p in range(h * w):
-        active = [b for b in branches if b.mask.flat()[p] == 1.0]
-        logits = [b.logit for b in active]
-        m = max(logits)
-        exps = [np.exp(l - m) for l in logits]
-        z = sum(exps)
-        for b, e in zip(active, exps):
-            out[p] += (e / z) * b.feat.values[0, p]
+def rows_of(values):
+    return RowSet.of(MaskGrid(np.asarray(values, dtype=float)))
+
+
+def fuse_oracle(branches, masks):
+    """Per-pixel scalar-loop fusion from each branch's own 0/1 mask, one
+    shared by the stack (h*w,) or one per grid (k, h*w), independent of the
+    vectorized path."""
+    k, n, d = branches[0].feat.values.shape
+    out = np.zeros((k, n, d))
+    for g in range(k):
+        for p in range(n):
+            active = [b for b, m in zip(branches, masks) if np.broadcast_to(m, (k, n))[g, p] == 1.0]
+            logits = [b.logit for b in active]
+            m = max(logits)
+            exps = [np.exp(l - m) for l in logits]
+            z = sum(exps)
+            for b, e in zip(active, exps):
+                out[g, p] += (e / z) * b.feat.values[g, p]
     return out
 
 
+def packed(mask, grids, h, w):
+    """The rows of a shared mask (h*w,), or of the given grids of a
+    per-grid mask (k, h*w) packed over the stack."""
+    if mask.ndim == 1:
+        return rows_of(mask.reshape(h, w))
+    sets = [rows_of(mask[g].reshape(h, w)) for g in grids]
+    return RowSet.pack(sets, list(grids), len(mask))
+
+
 def make_branches(rng, h=8, w=8, d=8, n_inst=2, logits=None, k=1):
-    """Background, instance and relation branches over stacks of k grids.
-    With k > 1 the instance masks are stacks (k, h, w), as a training pack
-    passes them, and the last grid lacks the last instance."""
+    """Background, instance and relation branches over stacks of k grids,
+    and each branch's 0/1 mask.  With k > 1 each instance has a mask per
+    grid (k, h*w), and its rows are a `RowSet.pack` set, as a training pack
+    passes them; the last grid lacks the last instance."""
     n_pix = h * w
-    bg = FusionBranch(
-        FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))),
-        MaskGrid(np.ones((h, w))),
-        0.0 if logits is None else logits[0],
-    )
-    branches = [bg]
-    inst_masks = []
+
+    def logit(i):
+        return 0.0 if logits is None else logits[i]
+
+    masks = [np.ones(n_pix)]
+    branches = [FusionBranch(
+        FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))), rows_of(np.ones((h, w))), logit(0)
+    )]
     for i in range(n_inst):
-        values = (rng.random((h, w) if k == 1 else (k, h, w)) < 0.4).astype(float)
+        mask = (rng.random(n_pix if k == 1 else (k, n_pix)) < 0.4).astype(float)
+        grids = list(range(k))
         if k > 1 and i == n_inst - 1:
-            values[-1] = 0.0
-        mask = MaskGrid(values)
-        inst_masks.append(mask)
-        branches.append(
-            FusionBranch(
-                FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))),
-                mask,
-                0.0 if logits is None else logits[1 + i],
-            )
-        )
-    m_total = MaskGrid((np.sum([m.values for m in inst_masks], axis=0) > 0).astype(float)) \
-        if inst_masks else MaskGrid(np.zeros((h, w)))
-    branches.append(
-        FusionBranch(
-            FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))),
-            m_total,
-            0.0 if logits is None else logits[-1],
-        )
-    )
-    return branches
+            mask[-1] = 0.0
+            grids.pop()
+        masks.append(mask)
+        branches.append(FusionBranch(
+            FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))), packed(mask, grids, h, w),
+            logit(1 + i),
+        ))
+    total = (np.sum(masks[1:], axis=0) > 0).astype(float) if n_inst else np.zeros(n_pix)
+    masks.append(total)
+    branches.append(FusionBranch(
+        FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))), packed(total, range(k), h, w),
+        logit(-1),
+    ))
+    return branches, masks
 
 
 def test_single_background_branch_exact():
     rng = np.random.default_rng(0)
     feat = FeatureGrid(4, 4, rng.standard_normal((1, 16, 8)))
-    out = fuse_forward([FusionBranch(feat, MaskGrid(np.ones((4, 4))), 1.3)])[0]
+    out = fuse_forward([FusionBranch(feat, rows_of(np.ones((4, 4))), 1.3)])[0]
     assert np.array_equal(out.values, feat.values)
 
 
@@ -74,7 +86,7 @@ def test_two_equal_logit_branches_mean():
     rng = np.random.default_rng(1)
     a = FeatureGrid(2, 2, rng.standard_normal((1, 4, 3)))
     b = FeatureGrid(2, 2, rng.standard_normal((1, 4, 3)))
-    ones = MaskGrid(np.ones((2, 2)))
+    ones = rows_of(np.ones((2, 2)))
     branches = [FusionBranch(a, ones, 0.7), FusionBranch(b, ones, 0.7)]
     out = fuse_forward(branches)[0]
     assert np.allclose(out.values, 0.5 * (a.values + b.values), atol=1e-15)
@@ -82,21 +94,27 @@ def test_two_equal_logit_branches_mean():
 
 def test_fuse_matches_pixel_loop_oracle():
     rng = np.random.default_rng(2)
-    branches = make_branches(rng, logits=rng.standard_normal(4))
+    branches, masks = make_branches(rng, logits=rng.standard_normal(4))
     got = fuse_forward(branches)[0]
-    assert rel_err(got.values[0], fuse_oracle(branches)) <= 1e-12
+    assert rel_err(got.values, fuse_oracle(branches, masks)) <= 1e-12
+
+
+def test_packed_fuse_matches_pixel_loop_oracle():
+    rng = np.random.default_rng(12)
+    branches, masks = make_branches(rng, logits=rng.standard_normal(4), k=3)
+    got = fuse_forward(branches)[0]
+    assert rel_err(got.values, fuse_oracle(branches, masks)) <= 1e-12
 
 
 def test_fuse_weights_sum_to_one():
     rng = np.random.default_rng(3)
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        branches = make_branches(rng, h=4, w=4, d=4, logits=rng.standard_normal(4))
+        branches, masks = make_branches(rng, h=4, w=4, d=4, logits=rng.standard_normal(4))
         _, cache = fuse_forward(branches)
         assert np.all(np.abs(cache.weights.sum(axis=0) - 1.0) <= 1e-12)
         # inactive branches carry exactly zero weight
-        masks = np.stack([b.mask.flat() for b in branches])
-        assert np.array_equal(cache.weights != 0.0, masks != 0.0)
+        assert np.array_equal(cache.weights != 0.0, np.stack(masks) != 0.0)
 
 
 def test_fuse_logit_shift_invariance():
@@ -104,17 +122,17 @@ def test_fuse_logit_shift_invariance():
     for seed in range(100):
         rng = np.random.default_rng(10_000 + seed)
         logits = rng.standard_normal(4)
-        base = make_branches(np.random.default_rng(seed), h=4, w=4, d=4, logits=logits)
+        base, _ = make_branches(np.random.default_rng(seed), h=4, w=4, d=4, logits=logits)
         shifted = [replace(b, logit=b.logit + 0.37) for b in base]
         assert rel_err(fuse_forward(base)[0].values, fuse_forward(shifted)[0].values) <= 1e-12
 
 
 def test_fuse_convexity_envelope():
     rng = np.random.default_rng(5)
-    branches = make_branches(rng, logits=rng.standard_normal(4))
+    branches, masks = make_branches(rng, logits=rng.standard_normal(4))
     out = fuse_forward(branches)[0].values[0]
     feats = np.stack([b.feat.values[0] for b in branches])
-    masks = np.stack([b.mask.flat() for b in branches])
+    masks = np.stack(masks)
     active = np.where(masks[:, :, None] > 0, feats, np.nan)
     lo = np.nanmin(active, axis=0)
     hi = np.nanmax(active, axis=0)
@@ -123,12 +141,12 @@ def test_fuse_convexity_envelope():
 
 def test_fuse_background_outside_masks():
     rng = np.random.default_rng(6)
-    branches = make_branches(rng, logits=rng.standard_normal(4))
+    branches, masks = make_branches(rng, logits=rng.standard_normal(4))
     out = fuse_forward(branches)[0].values[0]
     bg = branches[0]
     covered = np.zeros(64)
-    for b in branches[1:]:
-        covered = np.maximum(covered, b.mask.flat())
+    for m in masks[1:]:
+        covered = np.maximum(covered, m)
     outside = covered == 0
     assert np.array_equal(out[outside], bg.feat.values[0, outside])
 
@@ -137,22 +155,22 @@ def test_fuse_errors():
     with pytest.raises(NoBranches):
         fuse_forward([])
     rng = np.random.default_rng(7)
-    a = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), MaskGrid(np.ones((2, 2))), 0.0)
-    b = FusionBranch(FeatureGrid(3, 3, rng.standard_normal((1, 9, 3))), MaskGrid(np.ones((3, 3))), 0.0)
+    a = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), rows_of(np.ones((2, 2))), 0.0)
+    b = FusionBranch(FeatureGrid(3, 3, rng.standard_normal((1, 9, 3))), rows_of(np.ones((3, 3))), 0.0)
     with pytest.raises(ShapeMismatch):
         fuse_forward([a, b])
     # no active branch at some pixel
-    inst_only = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), MaskGrid(np.eye(2)), 0.0)
+    inst_only = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), rows_of(np.eye(2)), 0.0)
     with pytest.raises(NoBranches):
         fuse_forward([inst_only])
     with pytest.raises(ShapeMismatch):
-        FusionBranch(FeatureGrid(2, 2, np.zeros((1, 4, 3))), MaskGrid(np.ones((3, 3))), 0.0)
+        FusionBranch(FeatureGrid(2, 2, np.zeros((1, 4, 3))), rows_of(np.ones((3, 3))), 0.0)
 
 
 def test_fuse_backward_single_branch():
     rng = np.random.default_rng(8)
     feat = FeatureGrid(2, 2, rng.standard_normal((1, 4, 3)))
-    _, cache = fuse_forward([FusionBranch(feat, MaskGrid(np.ones((2, 2))), 0.4)])
+    _, cache = fuse_forward([FusionBranch(feat, rows_of(np.ones((2, 2))), 0.4)])
     d_out = rng.standard_normal((4, 3))[:, None]  # rows-first
     d_feats, d_logits = fuse_backward(d_out, cache)
     assert np.array_equal(d_feats[0], d_out)
@@ -161,8 +179,8 @@ def test_fuse_backward_single_branch():
 
 def test_fuse_backward_inactive_branch_zero_grads():
     rng = np.random.default_rng(9)
-    bg = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), MaskGrid(np.ones((2, 2))), 0.0)
-    dead = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), MaskGrid(np.zeros((2, 2))), 0.0)
+    bg = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), rows_of(np.ones((2, 2))), 0.0)
+    dead = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), rows_of(np.zeros((2, 2))), 0.0)
     _, cache = fuse_forward([bg, dead])
     d_feats, d_logits = fuse_backward(rng.standard_normal((4, 3))[:, None], cache)
     assert not d_feats[1].any()
@@ -175,13 +193,13 @@ def test_fuse_backward_missing_cache():
 
 
 def test_fuse_backward_vs_central_differences():
-    # stacks of one grid, then packs of K = 2 grids with stacked masks
+    # stacks of one grid, then packs of K = 2 grids with packed rows
     cases = [(100 + seed, 1) for seed in range(8)] + [(200 + seed, 2) for seed in range(4)]
     worst = 0.0
     for seed, k in cases:
         case_rng = np.random.default_rng(seed)
         logits = case_rng.standard_normal(4)
-        branches = make_branches(case_rng, h=3, w=3, d=4, logits=logits, k=k)
+        branches, _ = make_branches(case_rng, h=3, w=3, d=4, logits=logits, k=k)
         d_out = case_rng.standard_normal((k, 9, 4))
         _, cache = fuse_forward(branches)
         d_feats, d_logits = fuse_backward(d_out.swapaxes(0, 1), cache)

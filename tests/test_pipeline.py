@@ -28,7 +28,7 @@ from radl.pipeline import (
 )
 from radl.attention import RowSet
 from radl.layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask
-from radl.oracles import central_diff, rel_err
+from radl.oracles import central_diff, rel_err, union_oracle
 from radl.scenes import SceneConfig, generate, make_scene
 from radl.text import EmbedderConfig, extract_verbs
 
@@ -44,9 +44,9 @@ def small_scene(seed=42):
 
 
 def encode(params, *layouts):
-    """The layouts' encodings at the denoiser's two grid sides."""
+    """The layouts' encodings for the denoiser."""
     cfg = EmbedderConfig(dim=params.d, seed=0)
-    return [encode_layout(lay, cfg, (params.fine_side, params.coarse_side)) for lay in layouts]
+    return [encode_layout(lay, cfg, params.image_size) for lay in layouts]
 
 
 # --- noise schedule ----------------------------------------------------------
@@ -208,8 +208,8 @@ def test_text_attn_only_uses_no_enhancement_params():
 
 
 def test_relation_branch_only_with_verbs():
-    # a layout without verbs has no relation branch at either grid side, so
-    # the full forward runs no relation attention; one with verbs has both
+    # a layout without verbs has no relation branch, so the full forward
+    # runs no relation attention at either grid side; one with verbs has one
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     instances = (InstanceSpec("red square", BBox(0.1, 0.1, 0.6, 0.6)),)
     plain = LayoutSpec(prompt="a red square", instances=instances)
@@ -218,10 +218,33 @@ def test_relation_branch_only_with_verbs():
     x = np.random.default_rng(9).standard_normal((1, 3, 8, 8))
     for layout, has_rel in ((plain, False), (verbed, True)):
         (enc,) = encode(params, layout)
-        assert [b.relation is not None for b in enc.values()] == [has_rel] * 2
+        assert (enc.relation is not None) == has_rel
         _, cache = denoise_forward_cached(params, x, [15], [enc], True, "full")
         for block in (cache.block_fine, cache.block_coarse):
             assert (block.rel is not None) == has_rel
+
+
+def test_encode_layout_rows_equal_rasterized_masks():
+    # each instance's rows at both grid sides are those of its box's
+    # rasterized mask, and the relation's are those of the masks' union
+    params = init_denoiser(0, d=8, image_size=32, t_train=20)
+    crowded = crowded_layouts()
+    layouts = crowded + [replace(crowded[0], verbs=("leaning",)), LayoutSpec(prompt="a plain wall")]
+    unions = 0
+    for layout in layouts:
+        (enc,) = encode(params, layout)
+        assert len(enc.instances) == len(layout.instances)
+        for side in (16, 8):
+            masks = [rasterize_mask(i.bbox, side, side) for i in layout.instances]
+            assert enc.background.rows[side].whole
+            for inst, spec, mask in zip(enc.instances, layout.instances, masks):
+                assert np.array_equal(inst.rows[side].idx, RowSet.of(mask).idx)
+                assert np.array_equal(inst.box, spec.bbox.as_array())
+            if enc.relation is not None:
+                union = np.flatnonzero(union_oracle(masks, side, side))
+                assert np.array_equal(enc.relation.rows[side].idx, union)
+                unions += 1
+    assert unions >= 2  # the verbed layout's at both sides
 
 
 def crowded_layouts(count=3):

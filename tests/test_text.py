@@ -120,14 +120,14 @@ def zero_mlp(hidden=16, d_pos=8):
 
 
 def test_position_embed_zero_params():
-    out = position_embed_forward(BBox(0.2, 0.3, 0.7, 0.9), zero_mlp())[0]
+    out = position_embed_forward(BBox(0.2, 0.3, 0.7, 0.9).as_array(), zero_mlp())[0]
     assert np.array_equal(out, np.zeros(8))
 
 
 def test_position_embed_deterministic():
     params = PositionMLPParams.init(np.random.default_rng(7))
-    a = position_embed_forward(BBox(0.1, 0.1, 0.5, 0.5), params)[0]
-    b = position_embed_forward(BBox(0.1, 0.1, 0.5, 0.5), params)[0]
+    a = position_embed_forward(BBox(0.1, 0.1, 0.5, 0.5).as_array(), params)[0]
+    b = position_embed_forward(BBox(0.1, 0.1, 0.5, 0.5).as_array(), params)[0]
     assert np.array_equal(a, b)
 
 
@@ -148,7 +148,7 @@ def test_position_embed_scalar_oracle():
         for j in range(5):
             acc += hid[j] * params.w2[j, k]
         expect.append(acc)
-    got = position_embed_forward(bbox, params)[0]
+    got = position_embed_forward(bbox.as_array(), params)[0]
     assert np.allclose(got, expect, rtol=0, atol=1e-15)
 
 
@@ -168,7 +168,8 @@ def test_position_embed_lipschitz():
         if not (b_arr[0] < b_arr[2] and b_arr[1] < b_arr[3]):
             continue
         b = BBox(*b_arr)
-        pos_a, pos_b = position_embed_forward(a, params)[0], position_embed_forward(b, params)[0]
+        pos_a = position_embed_forward(a.as_array(), params)[0]
+        pos_b = position_embed_forward(b.as_array(), params)[0]
         lhs = np.linalg.norm(pos_a - pos_b)
         rhs = c * np.linalg.norm(a.as_array() - b.as_array())
         assert lhs <= rhs + 1e-12
@@ -179,11 +180,11 @@ def test_position_embed_backward_fd():
     bbox = BBox(0.2, 0.1, 0.8, 0.7)
     rng = np.random.default_rng(6)
     d_out = rng.standard_normal(4)
-    out, cache = position_embed_forward(bbox, params)
+    out, cache = position_embed_forward(bbox.as_array(), params)
     grads = position_embed_backward(d_out, cache, params)
     for name in ("w1", "b1", "w2", "b2"):
         num = central_diff(
-            lambda: position_embed_forward(bbox, params)[0], getattr(params, name), d_out, eps=1e-6
+            lambda: position_embed_forward(bbox.as_array(), params)[0], getattr(params, name), d_out, eps=1e-6
         )
         assert np.allclose(grads[name], num, rtol=1e-6, atol=1e-9), name
 
@@ -202,9 +203,9 @@ def test_instance_embedding_position_distinguishes():
     label = embed_tokens(["red", "square"], CFG)
     params = PositionMLPParams.init(np.random.default_rng(1))
     proj = np.random.default_rng(2).standard_normal((16, 8))
-    pos_a = position_embed_forward(BBox(0.0, 0.0, 0.3, 0.3), params)[0]
+    pos_a = position_embed_forward(BBox(0.0, 0.0, 0.3, 0.3).as_array(), params)[0]
     e_a = build_instance_embedding_forward(label, pos_a, proj)[0]
-    pos_b = position_embed_forward(BBox(0.6, 0.6, 0.9, 0.9), params)[0]
+    pos_b = position_embed_forward(BBox(0.6, 0.6, 0.9, 0.9).as_array(), params)[0]
     e_b = build_instance_embedding_forward(label, pos_b, proj)[0]
     assert not np.allclose(e_a.values, e_b.values)
 
