@@ -76,27 +76,38 @@ class AttnCache:
     attn: np.ndarray  # rowwise softmax(q k' / sqrt(d))
 
 
-def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Rowwise softmax with per-row max subtraction for overflow safety."""
+def softmax_rows(scores: np.ndarray, zero_keys=None) -> np.ndarray:
+    """Rowwise softmax with per-row max subtraction for overflow safety;
+    `zero_keys` (counts broadcasting against `scores`) more keys per row
+    score exactly 0: they join the row max and the denominator only."""
+    top = scores.max(axis=-1, keepdims=True, initial=-np.inf)
+    if zero_keys is not None:
+        top = np.maximum(top, np.where(zero_keys > 0, 0.0, -np.inf))
     # in place on one fresh array: a stacked score block is the largest
     # array of a batched forward
-    e = scores - scores.max(axis=-1, keepdims=True)
+    e = scores - top
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    total = e.sum(axis=-1, keepdims=True)
+    if zero_keys is not None:  # top >= 0 where a row has zero keys: exp(-top) <= 1
+        total += zero_keys * np.exp(-np.maximum(top, 0.0))
+    e /= total
     return e
 
 
 def scaled_dot_attention_forward(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, key_keep: np.ndarray | None = None
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, key_keep: np.ndarray | None = None,
+    zero_keys=None,
 ) -> tuple[np.ndarray, AttnCache]:
     """out = rowwise-softmax(q k' / sqrt(d)) v.
 
     Leading axes broadcast: each matrix of a stack is attended exactly as
     the 2-d op would attend it alone.  `key_keep` (..., L) marks the real
-    keys of a padded key stack; padding keys get exactly zero weight."""
+    keys of a padded key stack; padding keys get exactly zero weight.
+    `zero_keys` counts keys left out of k and v because they are zero (see
+    `softmax_rows`); the backward needs no count, as they add nothing to it."""
     if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
         raise ShapeMismatch("q, k, v must be matrices or stacks of matrices")
-    if k.shape[-2] < 1:
+    if k.shape[-2] < 1 and zero_keys is None:
         raise ShapeMismatch("attention requires at least one key")
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise ShapeMismatch(
@@ -106,7 +117,7 @@ def scaled_dot_attention_forward(
     scores /= np.sqrt(q.shape[-1])
     if key_keep is not None:
         scores += np.where(key_keep, 0.0, -np.inf)[..., None, :]
-    attn = softmax_rows(scores)
+    attn = softmax_rows(scores, zero_keys)
     return attn @ v, AttnCache(q=q, k=k, v=v, attn=attn)
 
 
@@ -149,12 +160,12 @@ def scaled_dot_attention_backward(
 # attribute enhancement attends learnable queries over image features.
 #
 # Every masked op computes only the query rows its mask keeps and scatters
-# them into a zero grid; keys and values are never gathered.  Rows outside
-# the mask are exactly +0.0, as the masked dense op would give, and their
-# upstream gradient is dropped, as masking it would.  Forwards take a stack
-# (K, h*w, d) and the `RowSet` of their mask.  A backward's upstream
-# gradient and its "feat" gradient are rows-first, (h*w, K, d) (see
-# `flip_stack`), so their leading axis names the resolution.
+# them into a zero grid.  Rows outside the mask are exactly +0.0, as the
+# masked dense op would give, and their upstream gradient is dropped, as
+# masking it would.  Forwards take a stack (K, h*w, d) and the `RowSet` of
+# their mask.  A backward's upstream gradient and its "feat" gradient are
+# rows-first, (h*w, K, d) (see `flip_stack`), so their leading axis names
+# the resolution.
 
 def flip_stack(x: np.ndarray) -> np.ndarray:
     """(K, h*w, d) <-> (h*w, K, d) as a view."""
@@ -248,9 +259,8 @@ class RowSet:
 @dataclass
 class MaskedAttnCache:
     """What the backward of a masked op or of attribute enhancement reads.
-    It keeps sources, not their projections: over every row of a packed
-    grid the keys and values are the bulk of a forward's cache, and the
-    backward projects them again."""
+    It keeps sources, not their projections, which the backward projects
+    again."""
 
     q_src: np.ndarray      # the kept rows' queries before `wq`, or AE's raw queries
     kv: np.ndarray         # key/value source (L, d), or a stack of them
@@ -268,12 +278,13 @@ def _check_rows(feat: FeatureGrid, rows: RowSet):
 
 def _attend_rows(
     feat: FeatureGrid, q_src: np.ndarray, q: np.ndarray, kv: np.ndarray,
-    key_keep: np.ndarray | None, proj: KVProjection, rows: RowSet,
+    key_keep: np.ndarray | None, proj: KVProjection, rows: RowSet, zero_keys=None,
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
     """The kept rows' queries q, made from q_src, attend over the keys and
     values projected from kv (`key_keep` marks the real keys of a padded
-    stack); returns feat-shaped zero grids with those rows set."""
-    out, ac = scaled_dot_attention_forward(q, kv @ proj.wk, kv @ proj.wv, key_keep)
+    stack) and `zero_keys` zero keys; returns feat-shaped zero grids with
+    those rows set."""
+    out, ac = scaled_dot_attention_forward(q, kv @ proj.wk, kv @ proj.wv, key_keep, zero_keys)
     return feat.like(rows.put(out)), MaskedAttnCache(q_src, kv, ac.attn, rows, proj)
 
 
@@ -332,15 +343,17 @@ def attribute_enhancement_forward(
     keys/values project from the instance image features.  Output row j is
     spatially aligned with grid location j.
 
-    Returns mask * AE(feat) for the mask whose rows are `rows`: only those
-    query rows are attended, each over the full key and value set."""
+    Returns mask * AE(feat) for the mask whose rows are `rows`, given feat
+    zero outside those rows (the instance's masked features): only those
+    rows are queries, keys and values.  The other rows are zero keys with
+    score 0 and value 0, so they enter each softmax as one counted term."""
     n = feat.h * feat.w
     if qlp.shape[0] != n:
         raise ShapeMismatch(f"learnable queries have {qlp.shape[0]} rows, grid has {n}")
     _check_rows(feat, rows)
-    kv = feat.values if rows.grids is None else feat.values[rows.grids]
+    kept = len(rows.idx) if rows.keep is None else rows.keep.sum(axis=-1)[:, None, None]
     q = qlp[rows.idx]
-    return _attend_rows(feat, q, q, kv, None, proj, rows)
+    return _attend_rows(feat, q, q, rows.take(feat.values), rows.keep, proj, rows, n - kept)
 
 
 def attribute_enhancement_backward(
@@ -350,11 +363,6 @@ def attribute_enhancement_backward(
         raise MissingCache("attribute_enhancement backward needs its forward cache")
     rows = cache.rows
     dq, d_kv, d_wk, d_wv = _attend_rows_backward(d_out, cache.q_src, cache)
-    if rows.grids is None:
-        d_feat = d_kv
-    else:
-        d_feat = np.zeros((rows.stack,) + d_kv.shape[1:])
-        d_feat[rows.grids] = d_kv
     d_qlp = rows.put(dq)
-    return {"qlp": _sum_to(d_qlp, d_qlp.shape[-2:]), "feat": flip_stack(d_feat),
+    return {"qlp": _sum_to(d_qlp, d_qlp.shape[-2:]), "feat": flip_stack(rows.put(d_kv)),
             "wk": d_wk, "wv": d_wv}

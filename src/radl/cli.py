@@ -100,6 +100,8 @@ class RunConfig:
             raise MalformedDoc(f"t_train must be >= 2, got {self.t_train}")
         if self.seed < 0:
             raise MalformedDoc(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.embed_seed < 2**64:  # the token generator keys on 64 bits
+            raise MalformedDoc(f"embed_seed must be in [0, 2**64), got {self.embed_seed}")
         if self.t_sample < 2:
             raise MalformedDoc(f"t_sample must be >= 2, got {self.t_sample}")
         if self.radl_steps < 0:
@@ -116,9 +118,9 @@ class RunConfig:
         for key in ("warmup", "weight_decay"):
             if getattr(self, key) < 0:
                 raise MalformedDoc(f"{key} must be >= 0, got {getattr(self, key)!r}")
-        for key in ("checkpoint", "corpus", "lexicon", "hsv_table"):
+        for key in ("checkpoint", "corpus", "lexicon", "hsv_table", "out"):
             if getattr(self, key) == "":
-                raise MalformedDoc(f"{key} must name a file, got an empty path")
+                raise MalformedDoc(f"{key} must name a path, got an empty one")
         if self.variant not in pipeline.VARIANTS:
             raise MalformedDoc(
                 f"variant {self.variant!r} is not one of {list(pipeline.VARIANTS)}"

@@ -59,7 +59,9 @@ def _check_attention_oracle(rng) -> tuple[bool, str]:
 
 def _check_in_mask_attention(rng) -> tuple[bool, str]:
     # the masked ops compute only the rows their mask keeps; each must equal
-    # the dense scalar oracle with the rows outside the mask zeroed
+    # the dense scalar oracle with the rows outside the mask zeroed.
+    # Attribute enhancement reads features zero outside its rows, and its
+    # oracle takes every row as a key.
     worst = 0.0
     masks = [np.zeros((4, 4)), np.ones((4, 4))]
     masks += [(rng.random((4, 4)) < 0.3).astype(float) for _ in range(4)]
@@ -72,15 +74,27 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
         keep, rows = m.reshape(-1, 1), RowSet.of(MaskGrid(m))
         got_text = masked_text_attention_forward(feat, EmbeddingSeq(emb), proj, rows)[0].values
         want_text = keep * attention_oracle(x @ proj.wq, emb @ proj.wk, emb @ proj.wv)
-        got_ae = attribute_enhancement_forward(feat, qlp, proj, rows)[0].values
+        x = keep * x
+        got_ae = attribute_enhancement_forward(feat.like(x[None]), qlp, proj, rows)[0].values
         want_ae = keep * attention_oracle(qlp, x @ proj.wk, x @ proj.wv)
         worst = max(
             worst,
             float(np.max(np.abs(got_text - want_text))),
             float(np.max(np.abs(got_ae - want_ae))),
         )
+    # a packed set: grids 0, 2 and 3 of a stack of 4 keep a random, the
+    # empty and the full mask's rows, padded to the longest; grid 1 keeps none
+    grids, packed = [0, 2, 3], [masks[2], masks[0], masks[1]]
+    rows = RowSet.pack([RowSet.of(MaskGrid(m)) for m in packed], grids, 4)
+    stack = rng.standard_normal((4, 16, 8)) * rows.mask[..., None]
+    qlp, proj = rng.standard_normal((16, 8)), AttnProjection.init(rng, 8)
+    want_ae = np.zeros_like(stack)
+    for g, m in zip(grids, packed):
+        want_ae[g] = m.reshape(-1, 1) * attention_oracle(qlp, stack[g] @ proj.wk, stack[g] @ proj.wv)
+    got_ae = attribute_enhancement_forward(FeatureGrid(4, 4, stack), qlp, proj, rows)[0].values
+    worst = max(worst, float(np.max(np.abs(got_ae - want_ae))))
     ok = worst <= 1e-12
-    return ok, f"{len(masks)} masks, max abs err {worst:.2e}"
+    return ok, f"{len(masks)} masks and a packed stack of 4, max abs err {worst:.2e}"
 
 
 def _check_softmax_rows(rng) -> tuple[bool, str]:

@@ -412,8 +412,10 @@ def test_in_mask_ops_match_masked_oracle(case):
     got = masked_text_attention_forward(feat, emb, proj, rows)[0].values[0]
     assert rel_err(got, want) <= 1e-12
     assert not np.signbit(got[keep[:, 0] == 0]).any()  # bitwise +0.0
-    qlp = rng.standard_normal((64, 8))
-    got = attribute_enhancement_forward(feat, qlp, proj, rows)[0].values[0]
+    # attribute enhancement reads masked features, zero outside the mask;
+    # the oracle takes every row as a key
+    qlp, x = rng.standard_normal((64, 8)), keep * x
+    got = attribute_enhancement_forward(feat.like(x[None]), qlp, proj, rows)[0].values[0]
     want = keep * attention_oracle(qlp, x @ proj.wk, x @ proj.wv)
     assert rel_err(got, want) <= 1e-12
 
@@ -456,6 +458,87 @@ def test_in_mask_backward_fd(case):
     for arr, an in ((feat.values, rows_first(grads["feat"])), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run_text, arr, d_out)) < 1e-6
+
+
+# --- kept-key attribute enhancement --------------------------------------------
+# Attribute enhancement reads only its rows as keys and values; the rows
+# outside, zero in its input, enter each softmax as counted zero keys.  The
+# whole-RowSet op over the masked features, every row a key, is the dense
+# reference.
+
+def test_zero_keys_equal_appended_zero_rows():
+    rng = np.random.default_rng(40)
+    q, k, v = rng.standard_normal((3, 2, 5, 4))
+    # the second matrix's scores are far below 0, where exp(-max) overflows
+    # if it is taken for a matrix without zero keys
+    q[1] *= 200.0
+    k[1] = -q[1]
+    zero_keys = np.array([3, 0])[:, None, None]
+    got = scaled_dot_attention_forward(q, k, v, zero_keys=zero_keys)[0]
+    zeros = np.zeros((3, 4))
+    want = [scaled_dot_attention_forward(q[0], np.vstack([k[0], zeros]),
+                                         np.vstack([v[0], zeros]))[0],
+            scaled_dot_attention_forward(q[1], k[1], v[1])[0]]
+    assert rel_err(got, np.stack(want)) <= 1e-12
+    assert np.array_equal(got[1], want[1])  # no zero keys: the arithmetic is unchanged
+
+
+def packed_rows(stack, side=8):
+    """Packed sets over a stack of `stack` grids, padded to the longest; a
+    stack of 5 leaves grid 1 without a set."""
+    rng = np.random.default_rng(41)
+    names, grids = {1: (("random",), [0]),
+                    4: (("random", "one_cell", "full", "empty"), [0, 2, 3, 1]),
+                    5: (("random", "one_cell", "full", "empty"), [0, 2, 4, 3])}[stack]
+    return RowSet.pack([RowSet.of(mask_case(n, rng, side)) for n in names], grids, stack)
+
+
+AE_CASES = [(case, k) for case in MASK_CASES for k in (1, 4)]
+AE_CASES += [("packed", k) for k in (1, 4, 5)]
+
+
+def ae_case(case, k, side=8, d=8):
+    """rows, their 0/1 mask (K, h*w), masked features and queries."""
+    rng = np.random.default_rng(42)
+    if case == "packed":
+        rows = packed_rows(k, side)
+        mask = rows.mask
+    else:
+        rows = RowSet.of(mask_case(case, rng, side))
+        mask = np.broadcast_to(rows.mask, (k, side * side))
+    feat = FeatureGrid(side, side, rng.standard_normal((k, side * side, d)) * mask[..., None])
+    return rows, mask, feat, rng.standard_normal((side * side, d))
+
+
+@pytest.mark.parametrize("case, k", AE_CASES)
+def test_kept_key_enhancement_matches_dense_reference(case, k):
+    rows, mask, feat, qlp = ae_case(case, k)
+    assert case != "packed" or k == 1 or not rows.keep.all()
+    proj = AttnProjection.init(np.random.default_rng(43), 8)
+    got, cache = attribute_enhancement_forward(feat, qlp, proj, rows)
+    dense = attribute_enhancement_forward(feat, qlp, proj, every_row(8, 8))[0].values
+    assert rel_err(got.values, mask[..., None] * dense) <= 1e-12
+    # the feature gradient outside the rows is bitwise +0.0
+    d_out = np.random.default_rng(44).standard_normal(feat.values.shape)
+    d_feat = rows_first(attribute_enhancement_backward(rows_first(d_out), cache)["feat"])
+    outside = d_feat[mask == 0]
+    assert not outside.any() and not np.signbit(outside).any()
+
+
+def test_packed_enhancement_backward_fd():
+    # grids 0, 2, 4 and 3 of a stack of 5 at 4x4, padded; grid 1 keeps no row
+    rows, _, feat, qlp = ae_case("packed", 5, side=4, d=4)
+    proj = AttnProjection.init(np.random.default_rng(46), 4)
+    d_out = np.random.default_rng(47).standard_normal(feat.values.shape)
+    _, cache = attribute_enhancement_forward(feat, qlp, proj, rows)
+    grads = attribute_enhancement_backward(rows_first(d_out), cache)
+
+    def run():
+        return attribute_enhancement_forward(feat, qlp, proj, rows)[0].values
+
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows_first(grads["feat"])),
+                    (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
+        assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
 
 
 # --- RowSet.mask ---------------------------------------------------------------

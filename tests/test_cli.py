@@ -82,6 +82,9 @@ def test_missing_config_file(tmp_path, capsys):
     ("corpus", ""),          # was exit 2 naming no key: "Is a directory: '.'"
     ("lexicon", ""),         # was exit 0 with the packaged lexicon
     ("hsv_table", ""),       # was exit 0: train does not read the table
+    ("out", ""),             # was exit 0, writing loss.csv into the working directory
+    ("embed_seed", -1),      # was exit 0, embedding as seed 2**64 - 1
+    ("embed_seed", 2**64),   # was exit 0, embedding as seed 0
     ("warmup", -5),          # was exit 0, trained as if warmup were 0
     ("weight_decay", -0.5),  # was exit 0, growing every decayed weight
 ])
@@ -231,14 +234,14 @@ def test_config_checkpoint_mismatch_exit_2(workdir, command, key, value, capsys)
 # train mode, and of `radl gen`'s two images and traces from each variant's
 # mirror checkpoint, all at SMALL sizes on the workdir corpus and layout
 GOLDEN_TRAIN_GEN_SHA256 = {
-    "train.full.mirror": "5277fe7720b8fbc7ba3bcc373cdbf359726e5a582f13876797e854b90db8f5e1",
-    "train.full.always_on": "d0bfcb58af04efa4641b3224113a6923b1640e344cb5324775834bd338abbcd0",
+    "train.full.mirror": "0818726974fe043330a1be892ff647873a63ff234c807a933a36dd67c1a6b06d",
+    "train.full.always_on": "0cc4d8ab25fb335de68aadf4052e712cc1a897751ed4f3dd5371c5fb0889ea34",
     "gen.full": "403126dae9da56f195df8045b7fa2569d65070e232d04ab08bae2aea15da8f57",
     "train.text_attn_only.mirror": "f5c8b324a333f14a4e90ad63be28b3b2acbca9990b6d703f5a97ac05c355b35d",
     "train.text_attn_only.always_on": "a4f6cadbd5a7a3fd0dd4921a94cd49538b8f288c662f35273378e83692259e48",
     "gen.text_attn_only": "e79ed4c67f7d73b2e1e95dca846dcacc8b272927f845d916571477fe4ae720f8",
-    "train.no_relation.mirror": "d2be8f3a7b9208dc261664a2dc0ec7a9d602e99b8fe941b3496f39d17753be5c",
-    "train.no_relation.always_on": "672f0cdfea5c9454e42b4993f87d22c1197948082499fc4756725d5917981b5c",
+    "train.no_relation.mirror": "15b7d18fc43b222d477e739acca466e2fa70f640ee0b02426c5194588ca66596",
+    "train.no_relation.always_on": "ca5ba4f736fa5700172a9e021a822f4ec90e1255412a8394344410237e643095",
     "gen.no_relation": "76b344d324f434491603d40a7d0d5b8ad5b5170bbb323f8fd1d96aa351159d53",
 }
 
@@ -303,6 +306,8 @@ HEADER_DAMAGE = {
     "unknown_tensor": lambda h: h["tensors"].update(extra={"shape": [], "offset": 0}),
     "step_not_int": lambda h: h["meta"].update(step="0"),
     "embed_seed_not_int": lambda h: h["meta"].update(embed_seed=1.5),
+    "embed_seed_negative": lambda h: h["meta"].update(embed_seed=-1),
+    "embed_seed_too_large": lambda h: h["meta"].update(embed_seed=2**64),
 }
 
 
