@@ -6,7 +6,6 @@ from .layout import (
     BBox,
     InstanceSpec,
     LayoutSpec,
-    MaskGrid,
     Relation,
     parse_layout,
     rasterize_mask,

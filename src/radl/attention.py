@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MissingCache, ShapeMismatch
-from .layout import MaskGrid
-from .text import EmbeddingSeq
+from .text import EmbeddingSeq, pad_stack
 
 
 @dataclass(frozen=True)
@@ -191,18 +190,15 @@ class RowSet:
     stack: int = 0
 
     @staticmethod
-    def of(mask: MaskGrid) -> "RowSet":
-        return RowSet(mask.h, mask.w, np.flatnonzero(mask.flat()))
+    def of(mask: np.ndarray) -> "RowSet":
+        """The rows an (h, w) bool mask keeps."""
+        h, w = mask.shape
+        return RowSet(h, w, np.flatnonzero(mask))
 
     @staticmethod
     def pack(sets: Sequence["RowSet"], grids: Sequence[int], stack: int) -> "RowSet":
         """Grid grids[j] of a stack of `stack` grids keeps the rows of sets[j]."""
-        longest = max(len(s.idx) for s in sets)
-        idx = np.zeros((len(sets), longest), dtype=np.intp)
-        keep = np.zeros((len(sets), longest), dtype=bool)
-        for j, s in enumerate(sets):
-            idx[j, : len(s.idx)] = s.idx
-            keep[j, : len(s.idx)] = True
+        idx, keep = pad_stack([s.idx for s in sets])
         return RowSet(sets[0].h, sets[0].w, idx, np.asarray(grids, dtype=np.intp), keep, stack)
 
     @cached_property
@@ -212,9 +208,8 @@ class RowSet:
 
     @cached_property
     def mask(self) -> np.ndarray:
-        """1.0 on the kept rows and 0.0 elsewhere: (h*w,), or (stack, h*w)
-        for a packed set."""
-        mask = self.put(np.ones(self.idx.shape + (1,)))[..., 0]
+        """True on the kept rows: (h*w,), or (stack, h*w) for a packed set."""
+        mask = self.put(np.ones(self.idx.shape + (1,), dtype=bool))[..., 0]
         mask.flags.writeable = False  # cached: every reader gets this array
         return mask
 
@@ -248,10 +243,10 @@ class RowSet:
         if self.whole:
             return values
         if self.grids is None:
-            out = np.zeros(values.shape[:-2] + (n, d))
+            out = np.zeros(values.shape[:-2] + (n, d), dtype=values.dtype)
             out[..., self.idx, :] = values
             return out
-        flat = np.zeros((self.stack * n + 1, d))
+        flat = np.zeros((self.stack * n + 1, d), dtype=values.dtype)
         flat[self._dest] = values
         return flat[:-1].reshape(self.stack, n, d)
 

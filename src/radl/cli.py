@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,8 @@ import numpy as np
 from . import pipeline
 from .checkpoint import load_tensors, save_tensors
 from .errors import (
-    InvalidBBox, MalformedDoc, NonFiniteLoss, RadlError, TooManyInstances, read_utf8,
+    InvalidBBox, MalformedDoc, NonFiniteLoss, RadlError, TooManyInstances, finite_number,
+    parse_json, read_utf8,
 )
 from .evalmetrics import evaluate_images, load_hsv_table
 from .imageio import read_ppm, write_ppm
@@ -110,8 +110,8 @@ class RunConfig:
             raise MalformedDoc(
                 f"radl_steps {self.radl_steps} exceeds t_sample {self.t_sample}"
             )
-        for key in ("lr", "weight_decay"):  # json reads NaN and Infinity
-            if not math.isfinite(getattr(self, key)):
+        for key in ("lr", "weight_decay"):
+            if not finite_number(getattr(self, key)):
                 raise MalformedDoc(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.lr <= 0:
             raise MalformedDoc("lr must be > 0")
@@ -147,10 +147,7 @@ def load_config(path: str | None, overrides: dict, defaults: dict | None = None)
             raw = read_utf8(path)
         except FileNotFoundError:
             raise FileNotFoundError(f"config file not found: {path}")
-        try:
-            values = json.loads(raw)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise MalformedDoc(f"config {path} is not valid JSON: {e}") from e
+        values = parse_json(raw, f"config {path}")
         if not isinstance(values, dict):
             raise MalformedDoc(f"config {path}: top level must be an object")
         known = {f.name for f in dataclasses.fields(RunConfig)}

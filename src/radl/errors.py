@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the one text-file reader
-every input goes through."""
+and JSON reader every input goes through."""
 
+import json
+import math
 from pathlib import Path
 
 
@@ -60,3 +62,25 @@ def read_utf8(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise MalformedDoc(f"{path} is not UTF-8: {e}") from e
+
+
+def parse_json(text: str, what: str):
+    """json.loads of text; text that is not JSON is a MalformedDoc that
+    names `what`.  Besides JSONDecodeError, json.loads raises RecursionError
+    past the interpreter's nesting limit and ValueError on an integer
+    longer than its digit limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise MalformedDoc(f"{what} is not valid JSON: {e}") from e
+
+
+def finite_number(x) -> bool:
+    """x is a JSON number (not a bool) that a float64 holds as a finite
+    value: json reads NaN and Infinity, and integers of any size."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float64 range
+        return False

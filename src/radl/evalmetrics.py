@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .errors import MalformedDoc, UnknownColor, read_utf8
+from .errors import MalformedDoc, UnknownColor, finite_number, parse_json, read_utf8
 from .layout import RELATION_PREDICATES, BBox, LayoutSpec, Relation, rasterize_mask
 from .scenes import BACKGROUND_RGB, PALETTE_RGB
 
@@ -27,6 +26,7 @@ Matches = list[tuple[int | None, float]]  # match_instances' (detection, IoU) pe
 
 METRICS_SCHEMA = "radl-metrics/1"
 IOU_THRESH = 0.5  # matched IoU an instance needs to succeed
+COVERAGE_THRESH = 0.2  # share of box pixels in the color's HSV range that matches it
 MIN_REGION_SIZE = 4  # pixels a detected region needs; smaller specks are noise
 
 
@@ -36,24 +36,17 @@ def load_hsv_table(path=None) -> dict[str, HsvRange]:
     the packaged table, which is parsed once per process."""
     if path is None:
         return dict(_packaged_hsv_table())
-    raw = read_utf8(path)
-    try:
-        table = json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise MalformedDoc(f"HSV table {path} is not valid JSON: {e}") from e
+    table = parse_json(read_utf8(path), f"HSV table {path}")
     if not isinstance(table, dict) or not all(
         isinstance(ranges, list) and len(ranges) == 3
         and all(isinstance(rng, list) and len(rng) == 2 for rng in ranges)
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                for rng in ranges for x in rng)
         for ranges in table.values()
     ):
         raise MalformedDoc(
             f"HSV table {path}: each color needs [[h_min, h_max], [s_min, s_max], [v_min, v_max]]"
         )
-    for name, ranges in table.items():
-        # json reads NaN and Infinity; a non-finite bound never matches
-        if not all(math.isfinite(x) for rng in ranges for x in rng):
+    for name, ranges in table.items():  # a non-finite bound never matches
+        if not all(finite_number(x) for rng in ranges for x in rng):
             raise MalformedDoc(f"HSV table {path}: color {name!r} has a non-finite bound")
     return {
         name: tuple(tuple(float(x) for x in rng) for rng in ranges)
@@ -188,15 +181,14 @@ def hsv_color_match(
     bbox: BBox,
     color_name: str,
     table: dict[str, HsvRange],
-    coverage_thresh: float = 0.2,
 ) -> bool:
     """True iff the fraction of box pixels whose HSV (`rgb_to_hsv` of the
-    image) falls in the named color's range reaches the coverage threshold."""
+    image) falls in the named color's range reaches COVERAGE_THRESH."""
     if color_name not in table:
         raise UnknownColor(f"color {color_name!r} not in the HSV range table")
     (h_lo, h_hi), (s_lo, s_hi), (v_lo, v_hi) = table[color_name]
     h, s, v = hsv
-    mask = rasterize_mask(bbox, *h.shape).values.astype(bool)
+    mask = rasterize_mask(bbox, *h.shape)
     if not mask.any():
         return False
     if h_lo <= h_hi:
@@ -205,7 +197,7 @@ def hsv_color_match(
         h_ok = (h >= h_lo) | (h <= h_hi)
     ok = h_ok & (s >= s_lo) & (s <= s_hi) & (v >= v_lo) & (v <= v_hi)
     coverage = ok[mask].mean()
-    return bool(coverage >= coverage_thresh)
+    return bool(coverage >= COVERAGE_THRESH)
 
 
 def match_instances(dets: list[Detection], layout: LayoutSpec) -> Matches:

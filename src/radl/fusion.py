@@ -55,13 +55,13 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
     feats = np.stack([b.feat.values for b in branches], axis=-3)  # (K, B, n, d)
     masks = np.stack(np.broadcast_arrays(*[b.rows.mask for b in branches]), axis=-2)
     logits = np.array([b.logit for b in branches])[:, None]      # (B, 1)
-    if not np.all(masks.sum(axis=-2) > 0.0):
+    if not masks.any(axis=-2).all():
         raise NoBranches("every pixel needs at least one active branch")
 
     # Softmax over the active set only: subtract the per-pixel max of the
     # active logits, then renormalize with inactive entries held at zero.
-    shifted = logits - np.where(masks > 0.0, logits, -np.inf).max(axis=-2, keepdims=True)
-    gated = np.where(masks > 0.0, np.exp(shifted) * masks, 0.0)
+    shifted = logits - np.where(masks, logits, -np.inf).max(axis=-2, keepdims=True)
+    gated = np.where(masks, np.exp(shifted), 0.0)
     weights = gated / gated.sum(axis=-2, keepdims=True)
 
     out = np.einsum("...bn,...bnd->...nd", weights, feats)

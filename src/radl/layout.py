@@ -7,13 +7,16 @@ masks at any grid resolution via a pixel-center inclusion rule.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidBBox, MalformedDoc, ShapeMismatch, TooManyInstances
+from .errors import (
+    InvalidBBox, MalformedDoc, ShapeMismatch, TooManyInstances, finite_number, parse_json,
+)
 
-DEFAULT_MAX_INSTANCES = 16
+MAX_INSTANCES = 16  # instances a layout may hold
 RELATION_PREDICATES = ("above", "below", "left of", "right of")  # what evaluation can score
 
 
@@ -92,49 +95,19 @@ class LayoutSpec:
         return len(self.instances)
 
 
-@dataclass(frozen=True)
-class MaskGrid:
-    """H x W binary grid stored as float64 values in {0, 1}."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.size < 1:
-            raise ShapeMismatch(f"mask must be a 2-d grid, got shape {v.shape}")
-        if not np.all((v == 0.0) | (v == 1.0)):
-            raise ShapeMismatch("mask entries must be exactly 0 or 1")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def h(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def w(self) -> int:
-        return self.values.shape[1]
-
-    def flat(self) -> np.ndarray:
-        """Row-major (h*w,) view matching FeatureGrid spatial order."""
-        return self.values.reshape(-1)
-
-
 def _require(cond: bool, msg: str):
     if not cond:
         raise MalformedDoc(msg)
 
 
-def parse_layout(doc: str, max_instances: int = DEFAULT_MAX_INSTANCES) -> LayoutSpec:
+def parse_layout(doc: str) -> LayoutSpec:
     """Parse a layout JSON document.
 
     Raises MalformedDoc for structural problems, InvalidBBox (with the
     instance index) for box-invariant violations, TooManyInstances past
-    the cap.  Coordinates are passed through untouched, never clamped.
+    MAX_INSTANCES.  Coordinates are passed through untouched, never clamped.
     """
-    try:
-        obj = json.loads(doc)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise MalformedDoc(f"not valid JSON: {e}") from e
+    obj = parse_json(doc, "layout")
     _require(isinstance(obj, dict), "top level must be a JSON object")
     _require("prompt" in obj, "missing field 'prompt'")
     _require(isinstance(obj["prompt"], str), "'prompt' must be a string")
@@ -142,9 +115,9 @@ def parse_layout(doc: str, max_instances: int = DEFAULT_MAX_INSTANCES) -> Layout
     _require(isinstance(obj["instances"], list), "'instances' must be an array")
 
     raw_instances = obj["instances"]
-    if len(raw_instances) > max_instances:
+    if len(raw_instances) > MAX_INSTANCES:
         raise TooManyInstances(
-            f"{len(raw_instances)} instances exceeds cap {max_instances}"
+            f"{len(raw_instances)} instances exceeds cap {MAX_INSTANCES}"
         )
 
     instances = []
@@ -155,9 +128,8 @@ def parse_layout(doc: str, max_instances: int = DEFAULT_MAX_INSTANCES) -> Layout
         _require("bbox" in inst, f"instance {i} missing field 'bbox'")
         box = inst["bbox"]
         _require(
-            isinstance(box, list) and len(box) == 4
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in box),
-            f"instance {i} 'bbox' must be an array of 4 numbers",
+            isinstance(box, list) and len(box) == 4 and all(finite_number(v) for v in box),
+            f"instance {i} 'bbox' must be an array of 4 finite numbers",
         )
         try:
             bbox = BBox(float(box[0]), float(box[1]), float(box[2]), float(box[3]))
@@ -222,13 +194,13 @@ def serialize_layout(spec: LayoutSpec) -> str:
     return json.dumps(obj)
 
 
-def rasterize_mask(bbox: BBox, h: int, w: int) -> MaskGrid:
-    """Rasterize a box to an h x w binary mask.
+def rasterize_mask(bbox: BBox, h: int, w: int) -> np.ndarray:
+    """Rasterize a box to an (h, w) bool mask.
 
-    Entry (r, c) is 1 iff the pixel center ((c+0.5)/w, (r+0.5)/h) lies in
+    Entry (r, c) is True iff the pixel center ((c+0.5)/w, (r+0.5)/h) lies in
     [x1, x2) x [y1, y2).  Half-open on the max edge; a box reaching 1.0
     still covers the last row/column because centers are strictly < 1.
-    Tiny boxes may rasterize to all zeros.
+    Tiny boxes may rasterize to all False.
     """
     if h < 1 or w < 1:
         raise ShapeMismatch(f"grid dims must be >= 1, got {h}x{w}")
@@ -236,20 +208,15 @@ def rasterize_mask(bbox: BBox, h: int, w: int) -> MaskGrid:
     cy = (np.arange(h, dtype=np.float64) + 0.5) / h
     in_x = (cx >= bbox.x1) & (cx < bbox.x2)
     in_y = (cy >= bbox.y1) & (cy < bbox.y2)
-    return MaskGrid(np.outer(in_y, in_x).astype(np.float64))
+    return in_y[:, None] & in_x
 
 
-def total_mask(
-    masks: list[MaskGrid] | tuple[MaskGrid, ...], height: int, width: int
-) -> MaskGrid:
-    """Pixelwise union of height x width instance masks.
-
-    Entry is 1 iff the sum over masks at that entry is > 0.  An empty
-    sequence yields the all-zeros grid.
-    """
-    total = np.zeros((height, width), dtype=np.float64)
+def total_mask(masks: Sequence[np.ndarray], height: int, width: int) -> np.ndarray:
+    """Pixelwise union of (height, width) bool instance masks.  An empty
+    sequence yields the all-False grid."""
+    total = np.zeros((height, width), dtype=bool)
     for m in masks:
-        if (m.h, m.w) != (height, width):
-            raise ShapeMismatch(f"mask dims {m.h}x{m.w} differ from {height}x{width}")
-        total += m.values
-    return MaskGrid((total > 0.0).astype(np.float64))
+        if m.shape != (height, width):
+            raise ShapeMismatch(f"mask shape {m.shape} differs from {height}x{width}")
+        total |= m
+    return total

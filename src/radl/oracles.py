@@ -76,11 +76,10 @@ def detect_oracle(image, palette) -> list[Detection]:
 
 def union_oracle(masks, h, w) -> np.ndarray:
     """Brute-force double loop computing sum_i m_i(x, y) > 0."""
-    out = np.zeros((h, w))
+    out = np.zeros((h, w), dtype=bool)
     for r in range(h):
         for c in range(w):
-            s = sum(m.values[r, c] for m in masks)
-            out[r, c] = 1.0 if s > 0 else 0.0
+            out[r, c] = sum(int(m[r, c]) for m in masks) > 0
     return out
 
 

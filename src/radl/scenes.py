@@ -37,6 +37,7 @@ PALETTE_RGB: dict[str, tuple[float, float, float]] = {
 }
 BACKGROUND_RGB = (0.5, 0.5, 0.5)  # every scene's background, neutral gray
 VERB_TEMPLATES = ("resting", "floating", "sitting", "standing")  # verbs a prompt may carry
+MAX_PLACEMENT_ATTEMPTS = 200  # draws per instance before make_scene gives up
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class SceneConfig:
     palette: tuple[str, ...] = ("red", "green", "blue", "yellow")
     min_box: float = 0.35
     max_box: float = 0.55
-    max_attempts: int = 200
 
     def __post_init__(self):
         if len(self.palette) < 2:
@@ -109,7 +109,7 @@ def render_layout(layout: LayoutSpec, image_size: int) -> np.ndarray:
     for inst in layout.instances:
         color_word = inst.label.split()[0]
         rgb = PALETTE_RGB[color_word]
-        mask = rasterize_mask(inst.bbox, image_size, image_size).values.astype(bool)
+        mask = rasterize_mask(inst.bbox, image_size, image_size)
         for c in range(3):
             img[c][mask] = rgb[c]
     return img
@@ -128,10 +128,10 @@ def make_scene(rng_seed: int, config: SceneConfig = SceneConfig()) -> SyntheticS
     boxes: list[BBox] = []
     for _ in range(n):
         placed = None
-        for attempt in range(config.max_attempts):
+        for attempt in range(MAX_PLACEMENT_ATTEMPTS):
             # anneal the size ceiling toward min_box so crowded layouts
             # still find room before the retry budget runs out
-            hi = config.max_box - (config.max_box - config.min_box) * attempt / config.max_attempts
+            hi = config.max_box - (config.max_box - config.min_box) * attempt / MAX_PLACEMENT_ATTEMPTS
             # snap to the pixel grid: rasterization at image resolution is
             # then exact and the detector round trip is lossless
             w = max(snap(float(rng.uniform(config.min_box, hi))), 1.0 / s)
@@ -144,7 +144,7 @@ def make_scene(rng_seed: int, config: SceneConfig = SceneConfig()) -> SyntheticS
                 break
         if placed is None:
             raise PlacementFailure(
-                f"could not place instance {len(boxes)} after {config.max_attempts} tries"
+                f"could not place instance {len(boxes)} after {MAX_PLACEMENT_ATTEMPTS} tries"
             )
         boxes.append(placed)
 

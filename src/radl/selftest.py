@@ -22,7 +22,7 @@ from .attention import (
 )
 from .evalmetrics import detect
 from .fusion import FusionBranch, fuse_forward
-from .layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, rasterize_mask, total_mask
+from .layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask, total_mask
 from .oracles import attention_oracle, detect_oracle, rel_err, union_oracle
 from .pipeline import (
     NoiseSchedule,
@@ -41,8 +41,8 @@ Check = tuple[str, bool, str]
 def _check_total_mask_union(rng) -> tuple[bool, str]:
     worst = True
     for _ in range(50):
-        masks = [MaskGrid((rng.random((6, 6)) < 0.4).astype(float)) for _ in range(3)]
-        worst = worst and np.array_equal(total_mask(masks, 6, 6).values, union_oracle(masks, 6, 6))
+        masks = [rng.random((6, 6)) < 0.4 for _ in range(3)]
+        worst = worst and np.array_equal(total_mask(masks, 6, 6), union_oracle(masks, 6, 6))
     return worst, "50 random mask triples"
 
 
@@ -63,15 +63,15 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
     # Attribute enhancement reads features zero outside its rows, and its
     # oracle takes every row as a key.
     worst = 0.0
-    masks = [np.zeros((4, 4)), np.ones((4, 4))]
-    masks += [(rng.random((4, 4)) < 0.3).astype(float) for _ in range(4)]
+    masks = [np.zeros((4, 4), dtype=bool), np.ones((4, 4), dtype=bool)]
+    masks += [rng.random((4, 4)) < 0.3 for _ in range(4)]
     for m in masks:
         feat = FeatureGrid(4, 4, rng.standard_normal((1, 16, 8)))
         x = feat.values[0]
         emb = rng.standard_normal((3, 8))
         qlp = rng.standard_normal((16, 8))
         proj = AttnProjection.init(rng, 8)
-        keep, rows = m.reshape(-1, 1), RowSet.of(MaskGrid(m))
+        keep, rows = m.reshape(-1, 1), RowSet.of(m)
         got_text = masked_text_attention_forward(feat, EmbeddingSeq(emb), proj, rows)[0].values
         want_text = keep * attention_oracle(x @ proj.wq, emb @ proj.wk, emb @ proj.wv)
         x = keep * x
@@ -85,7 +85,7 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
     # a packed set: grids 0, 2 and 3 of a stack of 4 keep a random, the
     # empty and the full mask's rows, padded to the longest; grid 1 keeps none
     grids, packed = [0, 2, 3], [masks[2], masks[0], masks[1]]
-    rows = RowSet.pack([RowSet.of(MaskGrid(m)) for m in packed], grids, 4)
+    rows = RowSet.pack([RowSet.of(m) for m in packed], grids, 4)
     stack = rng.standard_normal((4, 16, 8)) * rows.mask[..., None]
     qlp, proj = rng.standard_normal((16, 8)), AttnProjection.init(rng, 8)
     want_ae = np.zeros_like(stack)
@@ -106,11 +106,11 @@ def _check_softmax_rows(rng) -> tuple[bool, str]:
 
 
 def _check_fusion(rng) -> tuple[bool, str]:
-    every = RowSet.of(MaskGrid(np.ones((4, 4))))
+    every = RowSet.of(np.ones((4, 4), dtype=bool))
     branches = [
         FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), every, 0.3),
         FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
-                     RowSet.of(MaskGrid((rng.random((4, 4)) < 0.5).astype(float))), -0.7),
+                     RowSet.of(rng.random((4, 4)) < 0.5), -0.7),
     ]
     _, cache = fuse_forward(branches)
     sums_ok = bool(np.all(np.abs(cache.weights.sum(axis=0) - 1.0) <= 1e-12))
@@ -129,7 +129,7 @@ def _check_rasterize_area(rng) -> tuple[bool, str]:
         y2 = rng.uniform(y1 + 0.05, 1.0)
         box = BBox(float(x1), float(y1), float(x2), float(y2))
         m = rasterize_mask(box, 16, 16)
-        ok = ok and abs(m.values.mean() - box.area) <= 4.0 / 16
+        ok = ok and abs(m.mean() - box.area) <= 4.0 / 16
     return ok, "30 random boxes at 16x16"
 
 

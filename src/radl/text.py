@@ -86,13 +86,19 @@ class EmbeddingSeq:
     @staticmethod
     def pack(seqs: Sequence["EmbeddingSeq"]) -> "EmbeddingSeq":
         """Stack sequences, padding each with zero tokens to the longest."""
-        longest = max(s.length for s in seqs)
-        values = np.zeros((len(seqs), longest, seqs[0].dim))
-        keep = np.zeros((len(seqs), longest), dtype=bool)
-        for j, s in enumerate(seqs):
-            values[j, : s.length] = s.values
-            keep[j, : s.length] = True
-        return EmbeddingSeq(values, keep)
+        return EmbeddingSeq(*pad_stack([s.values for s in seqs]))
+
+
+def pad_stack(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack arrays (L_j, ...) into (K, L, ...), padding each with zeros to
+    the longest L, and a (K, L) `keep` that is False on the padding."""
+    longest = max(len(a) for a in arrays)
+    out = np.zeros((len(arrays), longest) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    keep = np.zeros((len(arrays), longest), dtype=bool)
+    for j, a in enumerate(arrays):
+        out[j, : len(a)] = a
+        keep[j, : len(a)] = True
+    return out, keep
 
 
 def tokenize(text: str) -> list[str]:

@@ -38,7 +38,7 @@ from radl.evalmetrics import (
     success_rate,
 )
 from radl.fusion import FusionBranch, fuse_forward
-from radl.layout import BBox, InstanceSpec, LayoutSpec, MaskGrid, Relation, rasterize_mask, total_mask
+from radl.layout import BBox, InstanceSpec, LayoutSpec, Relation, rasterize_mask, total_mask
 from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.pipeline import (
     denoise_forward_cached,
@@ -90,10 +90,10 @@ def _op_backward_errors(rng):
     feat = FeatureGrid(2, 3, rng.standard_normal((1, 6, d)))
     emb_vals = rng.standard_normal((3, d))
     proj = AttnProjection.init(rng, d)
-    mask = MaskGrid((rng.random((2, 3)) < 0.6).astype(float))
+    mask = rng.random((2, 3)) < 0.6
     d_out = rng.standard_normal((1, 6, d))
     rows, d_rows = RowSet.of(mask), d_out.swapaxes(0, 1)
-    every = RowSet.of(MaskGrid(np.ones((2, 3))))
+    every = RowSet.of(np.ones((2, 3), dtype=bool))
 
     q = rng.standard_normal((3, d))
     k = rng.standard_normal((4, d))
@@ -190,21 +190,21 @@ def test_criterion_3_mask_fusion_invariants():
             x1, y1 = rng.uniform(0, 0.8, 2)
             box = BBox(float(x1), float(y1), float(rng.uniform(x1 + 0.05, 1)), float(rng.uniform(y1 + 0.05, 1)))
             masks.append(rasterize_mask(box, 8, 8))
-        got = total_mask(masks, height=8, width=8).values
-        want = (np.sum([m.values for m in masks], axis=0) > 0).astype(float) if masks else np.zeros((8, 8))
+        got = total_mask(masks, height=8, width=8)
+        want = np.sum(masks, axis=0) > 0 if masks else np.zeros((8, 8), dtype=bool)
         assert np.array_equal(got, want)
 
     worst_sum = 0.0
     worst_shift = 0.0
     for seed in range(100):
         rng = np.random.default_rng(4000 + seed)
-        every = RowSet.of(MaskGrid(np.ones((4, 4))))
+        every = RowSet.of(np.ones((4, 4), dtype=bool))
         branches = [FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), every, float(rng.standard_normal()))]
         for _ in range(2):
             branches.append(
                 FusionBranch(
                     FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
-                    RowSet.of(MaskGrid((rng.random((4, 4)) < 0.5).astype(float))),
+                    RowSet.of(rng.random((4, 4)) < 0.5),
                     float(rng.standard_normal()),
                 )
             )

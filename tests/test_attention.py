@@ -21,7 +21,7 @@ from radl.attention import (
 )
 from radl.errors import MissingCache, ShapeMismatch
 from radl.fusion import FusionBranch, fuse_forward
-from radl.layout import BBox, MaskGrid, rasterize_mask
+from radl.layout import BBox, rasterize_mask
 from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.text import EmbeddingSeq
 
@@ -32,11 +32,11 @@ def grid(rng, h, w, d):
 
 
 def random_mask(rng, h, w):
-    return MaskGrid((rng.random((h, w)) < 0.5).astype(float))
+    return rng.random((h, w)) < 0.5
 
 
 def rows_of(values):
-    return RowSet.of(MaskGrid(np.asarray(values, dtype=float)))
+    return RowSet.of(np.asarray(values, dtype=bool))
 
 
 def every_row(h, w):
@@ -193,9 +193,9 @@ def test_masked_text_annihilation(bits):
     feat = grid(rng, 4, 4, 4)
     emb = EmbeddingSeq(rng.standard_normal((2, 4)))
     proj = AttnProjection.init(rng, 4)
-    mask = MaskGrid(np.array([(bits >> i) & 1 for i in range(16)], dtype=float).reshape(4, 4))
+    mask = np.array([(bits >> i) & 1 for i in range(16)], dtype=bool).reshape(4, 4)
     out = masked_text_attention_forward(feat, emb, proj, RowSet.of(mask))[0]
-    outside = mask.flat() == 0
+    outside = mask.ravel() == 0
     assert np.array_equal(out.values[0, outside], np.zeros((outside.sum(), 4)))
 
 
@@ -295,7 +295,7 @@ def test_instance_attention_single_token():
     mask = random_mask(rng, 3, 3)
     out = instance_attention_forward(r_ae, e_i, proj, RowSet.of(mask))[0]
     token_v = (e_i.values @ proj.wv)[0]
-    inside = mask.flat() == 1
+    inside = mask.ravel() == 1
     assert np.allclose(out.values[0, inside], np.broadcast_to(token_v, (inside.sum(), 4)), atol=1e-14)
 
 
@@ -307,7 +307,7 @@ def test_instance_attention_oracle():
     mask = random_mask(rng, 4, 4)
     got = instance_attention_forward(r_ae, e_i, proj, RowSet.of(mask))[0]
     want = attention_oracle(r_ae.values[0] @ proj.wq, e_i.values @ proj.wk, e_i.values @ proj.wv)
-    want = want * mask.flat()[:, None]
+    want = want * mask.ravel()[:, None]
     assert rel_err(got.values[0], want) <= 1e-12
 
 
@@ -384,13 +384,13 @@ def test_relation_backward_fd():
 
 def mask_case(name, rng, side=8):
     if name == "empty":
-        return MaskGrid(np.zeros((side, side)))
+        return np.zeros((side, side), dtype=bool)
     if name == "one_cell":
         mask = rasterize_mask(BBox(0.03125, 0.46875, 0.1875, 0.65625), side, side)
-        assert mask.values.sum() == 1.0
+        assert mask.sum() == 1
         return mask
     if name == "full":
-        return MaskGrid(np.ones((side, side)))
+        return np.ones((side, side), dtype=bool)
     return random_mask(rng, side, side)
 
 
@@ -401,7 +401,7 @@ MASK_CASES = ("empty", "one_cell", "full", "random")
 def test_in_mask_ops_match_masked_oracle(case):
     rng = np.random.default_rng(29)
     mask = mask_case(case, rng)
-    keep, rows = mask.flat()[:, None], RowSet.of(mask)
+    keep, rows = mask.ravel()[:, None], RowSet.of(mask)
     feat = grid(rng, 8, 8, 8)
     x = feat.values[0]
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
@@ -498,7 +498,7 @@ AE_CASES += [("packed", k) for k in (1, 4, 5)]
 
 
 def ae_case(case, k, side=8, d=8):
-    """rows, their 0/1 mask (K, h*w), masked features and queries."""
+    """rows, their bool mask (K, h*w), masked features and queries."""
     rng = np.random.default_rng(42)
     if case == "packed":
         rows = packed_rows(k, side)
@@ -547,7 +547,8 @@ def test_packed_enhancement_backward_fd():
 @pytest.mark.parametrize("case", MASK_CASES)
 def test_row_set_mask_equals_source_mask(case):
     mask = mask_case(case, np.random.default_rng(35))
-    assert np.array_equal(RowSet.of(mask).mask, mask.flat())
+    got = RowSet.of(mask).mask
+    assert got.dtype == bool and np.array_equal(got, mask.ravel())
 
 
 def test_packed_row_set_mask_equals_source_masks():
@@ -557,10 +558,10 @@ def test_packed_row_set_mask_equals_source_masks():
     # shorter sets are padded to the longest
     grids = [0, 2, 4, 3]
     packed = RowSet.pack([RowSet.of(m) for m in masks], grids, 5)
-    want = np.zeros((5, 64))
-    want[grids] = [m.flat() for m in masks]
+    want = np.zeros((5, 64), dtype=bool)
+    want[grids] = [m.ravel() for m in masks]
     assert packed.keep is not None and not packed.keep.all()
-    assert np.array_equal(packed.mask, want)
+    assert packed.mask.dtype == bool and np.array_equal(packed.mask, want)
 
 
 # --- stacked feature grids ----------------------------------------------------
@@ -591,8 +592,8 @@ def test_stacked_forwards_equal_per_grid_calls(case):
 
 def test_stacked_fuse_forward_equals_per_grid_calls():
     rng = np.random.default_rng(34)
-    rows = [RowSet.of(m) for m in (MaskGrid(np.ones((8, 8))), random_mask(rng, 8, 8),
-                                    mask_case("one_cell", rng), MaskGrid(np.zeros((8, 8))))]
+    rows = [RowSet.of(m) for m in (np.ones((8, 8), dtype=bool), random_mask(rng, 8, 8),
+                                    mask_case("one_cell", rng), np.zeros((8, 8), dtype=bool))]
     stacks = [rng.standard_normal((4, 64, 8)) for _ in rows]
     logits = rng.standard_normal(len(rows))
 

@@ -478,6 +478,50 @@ def test_deeply_nested_json_exit_2(workdir, reader, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+# json reads an integer of any size; beyond the float64 range float() raises
+# OverflowError, and past the interpreter's digit limit json.loads raises ValueError
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("reader", [
+    "lr", "weight_decay", "gen_layout", "eval_layout", "hsv_table", "config_digits",
+    "checkpoint_digits",
+])
+def test_huge_json_number_exit_2(workdir, reader, capsys):
+    cfg_path = workdir / "config.json"
+    assert run("--config", cfg_path, "--steps", 0, "train") == 0
+    capsys.readouterr()
+    cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    command, named = ["gen", workdir / "layout.json"], reader
+    if reader in ("lr", "weight_decay"):
+        cfg_path.write_text(json.dumps(dict(cfg, **{reader: HUGE})))
+        command = ["train"]
+    elif reader in ("gen_layout", "eval_layout"):
+        if reader == "eval_layout":
+            command = ["eval", *eval_dirs(workdir, small_scenes(1))]
+        path = workdir / ("layout.json" if reader == "gen_layout" else "layouts/s000.json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["instances"][0]["bbox"][2] = HUGE
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        named = str(path)
+    elif reader == "hsv_table":
+        table = dict(json.loads(resources.files("radl").joinpath("data/hsv_ranges.json").read_text()))
+        table["red"][0][1] = HUGE
+        (workdir / "hsv.json").write_text(json.dumps(table), encoding="utf-8")
+        cfg_path.write_text(json.dumps(dict(cfg, hsv_table=str(workdir / "hsv.json"))))
+        command, named = ["eval", *eval_dirs(workdir, small_scenes(1))], str(workdir / "hsv.json")
+    elif reader == "config_digits":
+        cfg_path.write_text('{"lr": 1' + "0" * 5000 + "}", encoding="utf-8")
+        command, named = ["train"], str(cfg_path)
+    else:
+        header = b'{"tensors": {}, "meta": {"step": 1' + b"0" * 5000 + b"}}"
+        (workdir / "model.ckpt").write_bytes(MAGIC + struct.pack("<Q", len(header)) + header)
+        named = str(workdir / "model.ckpt")
+    assert run("--config", cfg_path, *command) == 2
+    err = capsys.readouterr().err
+    assert named in err and len(err.splitlines()) == 1
+
+
 def test_gen_radl_steps_zero_trace(workdir):
     cfg_path = workdir / "config.json"
     assert run("--config", cfg_path, "train") == 0

@@ -49,8 +49,10 @@ SIZE_VALUES = {
     "t_sample": st.integers(-1, 4), "radl_steps": st.integers(-1, 4),
     "batch_size": st.integers(-1, 2), "warmup": st.integers(-2, 3),
 }
+# JSON integers beyond the float64 range, which json reads as Python ints
+huge_ints = st.one_of(st.integers(min_value=2**1024), st.integers(max_value=-(2**1024)))
 OTHER_VALUES = {
-    "lr": st.floats(), "weight_decay": st.floats(),
+    "lr": st.floats() | huge_ints, "weight_decay": st.floats() | huge_ints,
     "seed": st.integers(-2, 2**70), "embed_seed": st.integers(-(2**70), 2**70),
     "variant": st.sampled_from(["full", "no_relation", "text_attn_only", "bogus"]),
     "radl_train_mode": st.sampled_from(["mirror", "always_on", "bogus"]),
@@ -99,7 +101,20 @@ def base_cfg(base: Path) -> dict:
     return json.loads((base / "config.json").read_text(encoding="utf-8"))
 
 
+class FixedDraws:
+    """Stands in for `st.data()` in an @example: each draw returns the next
+    of the given values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
 @FUZZ
+@example(keys={"lr"}, data=FixedDraws(10**400), command="train")  # was OverflowError
+@example(keys={"weight_decay"}, data=FixedDraws(-(10**400)), command="train")
 @given(
     keys=st.sets(st.sampled_from([*SIZE_VALUES, *OTHER_VALUES, *PATH_KEYS, "unknown"]), max_size=4),
     data=st.data(),
@@ -141,7 +156,7 @@ def layout_docs():
                          ("instances", 1, "label"), ("verbs",), ("relations",)]),
         json_value,
     )
-    box = st.lists(st.floats(0, 1), min_size=4, max_size=4).map(
+    box = st.lists(st.floats(0, 1) | huge_ints, min_size=4, max_size=4).map(
         lambda v: [min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3])]
     )
     well_typed = st.fixed_dictionaries(
@@ -168,9 +183,15 @@ def _replace(doc, path, value):
     return doc
 
 
+HUGE_BOX = json.dumps({"prompt": "p", "instances": [
+    {"label": "red cube", "bbox": [0.1, 0.1, 10**400, 0.5]}]}).encode("utf-8")
+
+
 @FUZZ
 @example(doc=b'{"prompt": "p", "instances": []}', count=1, command="eval",
          ppm_size=(-2, -2))  # was ValueError from reshape
+@example(doc=HUGE_BOX, count=1, command="gen", ppm_size=(8, 8))  # was OverflowError
+@example(doc=HUGE_BOX, count=1, command="eval", ppm_size=(8, 8))
 @given(doc=layout_docs(), count=st.integers(-1, 2), command=st.sampled_from(["gen", "eval"]),
        ppm_size=st.tuples(st.integers(-2, 9), st.integers(-2, 9)))
 def test_layout_fuzz_keeps_contract(base, doc, count, command, ppm_size):

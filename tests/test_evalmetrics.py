@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from radl.errors import UnknownColor
 from radl.evalmetrics import (
+    COVERAGE_THRESH,
     MIN_REGION_SIZE,
     Detection,
     attribute_acc,
@@ -195,11 +196,12 @@ def test_hsv_solid_red_box():
 
 
 def test_hsv_half_red_thresholds():
-    img = solid((0.5, 0.5, 0.5), 16)
-    img[:, :, :8] = np.array(PALETTE_RGB["red"])[:, None, None]  # left half red
-    box = BBox(0.0, 0.0, 1.0, 1.0)  # coverage is exactly 0.5
-    assert hsv_color_match(rgb_to_hsv(img), box, "red", TABLE, coverage_thresh=0.2) is True
-    assert hsv_color_match(rgb_to_hsv(img), box, "red", TABLE, coverage_thresh=0.6) is False
+    box = BBox(0.0, 0.0, 1.0, 1.0)
+    for red_cols, want in ((8, True), (2, False)):  # coverage 0.5 and 0.125
+        assert (red_cols / 16 >= COVERAGE_THRESH) is want
+        img = solid((0.5, 0.5, 0.5), 16)
+        img[:, :, :red_cols] = np.array(PALETTE_RGB["red"])[:, None, None]  # left columns red
+        assert hsv_color_match(rgb_to_hsv(img), box, "red", TABLE) is want
 
 
 def test_hsv_unknown_color():

@@ -6,12 +6,11 @@ import pytest
 from radl.attention import FeatureGrid, RowSet
 from radl.errors import MissingCache, NoBranches, ShapeMismatch
 from radl.fusion import FusionBranch, fuse_backward, fuse_forward
-from radl.layout import MaskGrid
 from radl.oracles import central_diff, rel_err
 
 
 def rows_of(values):
-    return RowSet.of(MaskGrid(np.asarray(values, dtype=float)))
+    return RowSet.of(np.asarray(values, dtype=bool))
 
 
 def fuse_oracle(branches, masks):
