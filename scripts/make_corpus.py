@@ -28,10 +28,14 @@ def main() -> int:
                         help="also write <dir>/images/*.ppm and <dir>/layouts/*.json")
     args = parser.parse_args()
 
-    cfg = SceneConfig(
-        image_size=args.image_size,
-        n_instances=(args.min_instances, args.max_instances),
-    )
+    try:
+        cfg = SceneConfig(
+            image_size=args.image_size,
+            n_instances=(args.min_instances, args.max_instances),
+        )
+    except ValueError as e:  # an out-of-range size or instance count
+        print(f"make_corpus: {e}", file=sys.stderr)
+        return 2
     scenes = generate(args.seed, args.count, cfg)
     write_corpus(args.out, scenes)
     print(f"wrote {len(scenes)} scenes to {args.out}")

@@ -51,6 +51,10 @@ FLAG_READERS = {
 }
 
 
+# numpy refuses, with a ValueError rather than a MemoryError, an array of
+# more bytes than an intp holds; every array of a run is float64
+MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8
+
 # accepted value types per RunConfig annotation; bool is rejected everywhere
 _FIELD_TYPES = {
     "int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None)),
@@ -110,6 +114,22 @@ class RunConfig:
             raise MalformedDoc(
                 f"radl_steps {self.radl_steps} exceeds t_sample {self.t_sample}"
             )
+        # each size with those checked before it: an upper bound on the
+        # parameter vector's length (its d x d blocks, the timestep table and
+        # the learnable queries), a full-image box's (h*w, h*w) scores and
+        # the sampling schedule
+        d, side2 = self.d, (self.image_size // 2) ** 2
+        for key, values in (
+            ("d", 80 * d * d),
+            ("t_train", d * (80 * d + self.t_train)),
+            ("image_size", max(d * (80 * d + self.t_train + 2 * side2), side2 * side2)),
+            ("t_sample", self.t_sample),
+        ):
+            if values > MAX_ARRAY_VALUES:
+                raise MalformedDoc(
+                    f"{key} {getattr(self, key)} is too large: its arrays would exceed "
+                    f"numpy's {MAX_ARRAY_VALUES} values"
+                )
         for key in ("lr", "weight_decay"):
             if not finite_number(getattr(self, key)):
                 raise MalformedDoc(f"{key} must be finite, got {getattr(self, key)!r}")

@@ -101,13 +101,17 @@ def _require(cond: bool, msg: str):
 
 
 def parse_layout(doc: str) -> LayoutSpec:
-    """Parse a layout JSON document.
+    """Parse a layout JSON document (see layout_from_obj)."""
+    return layout_from_obj(parse_json(doc, "layout"))
+
+
+def layout_from_obj(obj) -> LayoutSpec:
+    """The layout a decoded layout JSON value describes.
 
     Raises MalformedDoc for structural problems, InvalidBBox (with the
     instance index) for box-invariant violations, TooManyInstances past
     MAX_INSTANCES.  Coordinates are passed through untouched, never clamped.
     """
-    obj = parse_json(doc, "layout")
     _require(isinstance(obj, dict), "top level must be a JSON object")
     _require("prompt" in obj, "missing field 'prompt'")
     _require(isinstance(obj["prompt"], str), "'prompt' must be a string")
@@ -177,6 +181,11 @@ def parse_layout(doc: str) -> LayoutSpec:
 
 def serialize_layout(spec: LayoutSpec) -> str:
     """Inverse of parse_layout: parse_layout(serialize_layout(s)) == s."""
+    return json.dumps(layout_to_obj(spec))
+
+
+def layout_to_obj(spec: LayoutSpec) -> dict:
+    """Inverse of layout_from_obj, a new dict on every call."""
     obj: dict = {
         "prompt": spec.prompt,
         "instances": [
@@ -191,7 +200,7 @@ def serialize_layout(spec: LayoutSpec) -> str:
             {"subject": r.subject, "predicate": r.predicate, "object": r.obj}
             for r in spec.relations
         ]
-    return json.dumps(obj)
+    return obj
 
 
 def rasterize_mask(bbox: BBox, h: int, w: int) -> np.ndarray:

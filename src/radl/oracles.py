@@ -3,15 +3,20 @@
 
 Each oracle works in scalar loops or one pixel at a time and calls none of
 the functions it checks; it takes from the program only types and
-constants.
+constants, and the scene oracle the seeding and composing steps around the
+box placement it checks.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .evalmetrics import MIN_REGION_SIZE, Detection
+from .errors import PlacementFailure
 from .layout import BBox
-from .scenes import BACKGROUND_RGB, PALETTE_RGB
+from .scenes import (
+    BACKGROUND_RGB, MAX_PLACEMENT_ATTEMPTS, PALETTE_RGB, SceneConfig, SyntheticScene,
+    compose_scene, scene_rng,
+)
 
 
 def attention_oracle(q, k, v) -> np.ndarray:
@@ -81,6 +86,51 @@ def union_oracle(masks, h, w) -> np.ndarray:
         for c in range(w):
             out[r, c] = sum(int(m[r, c]) for m in masks) > 0
     return out
+
+
+def _boxes_overlap(a: BBox, b: BBox, margin: float) -> bool:
+    return (
+        a.x1 < b.x2 + margin
+        and b.x1 < a.x2 + margin
+        and a.y1 < b.y2 + margin
+        and b.y1 < a.y2 + margin
+    )
+
+
+def make_scene_oracle(rng_seed: int, config: SceneConfig = SceneConfig()) -> SyntheticScene:
+    """`scenes.make_scene` placing its boxes with four scalar
+    `Generator.uniform` calls and a `BBox` per attempt."""
+    rng = scene_rng(rng_seed)
+    n = int(rng.integers(config.n_instances[0], config.n_instances[1] + 1))
+    s = config.image_size
+    margin = 0.5 / s  # on-grid boxes must stay at least one pixel apart
+
+    def snap(v: float) -> float:
+        return round(v * s) / s
+
+    boxes: list[BBox] = []
+    for _ in range(n):
+        placed = None
+        for attempt in range(MAX_PLACEMENT_ATTEMPTS):
+            # anneal the size ceiling toward min_box so crowded layouts
+            # still find room before the retry budget runs out
+            hi = config.max_box - (config.max_box - config.min_box) * attempt / MAX_PLACEMENT_ATTEMPTS
+            # snap to the pixel grid: rasterization at image resolution is
+            # then exact and the detector round trip is lossless
+            w = max(snap(float(rng.uniform(config.min_box, hi))), 1.0 / s)
+            h = max(snap(float(rng.uniform(config.min_box, hi))), 1.0 / s)
+            x1 = snap(float(rng.uniform(0.0, 1.0 - w)))
+            y1 = snap(float(rng.uniform(0.0, 1.0 - h)))
+            cand = BBox(x1, y1, x1 + w, y1 + h)
+            if not any(_boxes_overlap(cand, other, margin) for other in boxes):
+                placed = cand
+                break
+        if placed is None:
+            raise PlacementFailure(
+                f"could not place instance {len(boxes)} after {MAX_PLACEMENT_ATTEMPTS} tries"
+            )
+        boxes.append(placed)
+    return compose_scene(rng, boxes, config)
 
 
 def central_diff(f, arr, d_out, eps=1e-5, coords=None) -> np.ndarray:

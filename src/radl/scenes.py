@@ -19,9 +19,9 @@ from .layout import (
     InstanceSpec,
     LayoutSpec,
     Relation,
-    parse_layout,
+    layout_from_obj,
+    layout_to_obj,
     rasterize_mask,
-    serialize_layout,
 )
 
 PALETTE_RGB: dict[str, tuple[float, float, float]] = {
@@ -51,13 +51,25 @@ class SceneConfig:
     max_box: float = 0.55
 
     def __post_init__(self):
+        # an integer size keeps every snapped box inside the image
+        if not (isinstance(self.image_size, (int, np.integer)) and self.image_size >= 1):
+            raise ValueError(f"image_size must be an integer >= 1, got {self.image_size!r}")
+        if not 0 <= self.n_instances[0] <= self.n_instances[1]:
+            raise ValueError(f"n_instances must be a range 0 <= low <= high, got {self.n_instances!r}")
+        if not 0 < self.min_box <= 1:
+            raise ValueError(f"min_box must be in (0, 1], got {self.min_box!r}")
+        if not self.min_box <= self.max_box <= 1:
+            raise ValueError(f"max_box must be in [min_box, 1], got {self.max_box!r}")
         if len(self.palette) < 2:
             raise ValueError("palette needs at least 2 colors")
         for name in self.palette:
             if name not in PALETTE_RGB:
                 raise ValueError(f"unknown palette color {name!r}")
         if self.n_instances[1] > len(self.palette):
-            raise ValueError("cannot draw more distinct colors than the palette holds")
+            raise ValueError(
+                f"n_instances {self.n_instances!r} asks for more distinct colors than the "
+                f"palette's {len(self.palette)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -70,15 +82,6 @@ class SyntheticScene:
     @property
     def relations(self) -> tuple[Relation, ...]:
         return self.layout.relations
-
-
-def _boxes_overlap(a: BBox, b: BBox, margin: float) -> bool:
-    return (
-        a.x1 < b.x2 + margin
-        and b.x1 < a.x2 + margin
-        and a.y1 < b.y2 + margin
-        and b.y1 < a.y2 + margin
-    )
 
 
 def _predicate(a: BBox, b: BBox) -> str:
@@ -115,39 +118,60 @@ def render_layout(layout: LayoutSpec, image_size: int) -> np.ndarray:
     return img
 
 
+def scene_rng(rng_seed: int) -> np.random.Generator:
+    """The generator a scene's seed draws from."""
+    return np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(11,)))
+
+
 def make_scene(rng_seed: int, config: SceneConfig = SceneConfig()) -> SyntheticScene:
-    """Deterministically generate one scene from the seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed, spawn_key=(11,)))
+    """Deterministically generate one scene from the seed.
+
+    Each box is placed by rejection sampling: an attempt draws its four
+    uniforms in one call and applies `Generator.uniform`'s own formula,
+    low + (high - low) * u, to them, so the stream and the boxes are those
+    of four scalar `uniform` calls (`oracles.make_scene_oracle`).
+    """
+    rng = scene_rng(rng_seed)
     n = int(rng.integers(config.n_instances[0], config.n_instances[1] + 1))
     s = config.image_size
+    px = 1.0 / s
     margin = 0.5 / s  # on-grid boxes must stay at least one pixel apart
+    lo, top = config.min_box, config.max_box
 
-    def snap(v: float) -> float:
-        return round(v * s) / s
-
-    boxes: list[BBox] = []
+    boxes: list[tuple[float, float, float, float]] = []
     for _ in range(n):
-        placed = None
         for attempt in range(MAX_PLACEMENT_ATTEMPTS):
+            uw, uh, ux, uy = rng.random(4).tolist()
             # anneal the size ceiling toward min_box so crowded layouts
-            # still find room before the retry budget runs out
-            hi = config.max_box - (config.max_box - config.min_box) * attempt / MAX_PLACEMENT_ATTEMPTS
+            # still find room before the retry budget runs out; span is
+            # the ceiling's distance from min_box
+            span = top - (top - lo) * attempt / MAX_PLACEMENT_ATTEMPTS - lo
             # snap to the pixel grid: rasterization at image resolution is
             # then exact and the detector round trip is lossless
-            w = max(snap(float(rng.uniform(config.min_box, hi))), 1.0 / s)
-            h = max(snap(float(rng.uniform(config.min_box, hi))), 1.0 / s)
-            x1 = snap(float(rng.uniform(0.0, 1.0 - w)))
-            y1 = snap(float(rng.uniform(0.0, 1.0 - h)))
-            cand = BBox(x1, y1, x1 + w, y1 + h)
-            if not any(_boxes_overlap(cand, other, margin) for other in boxes):
-                placed = cand
+            w = max(round((lo + span * uw) * s) / s, px)
+            h = max(round((lo + span * uh) * s) / s, px)
+            x1 = round((1.0 - w) * ux * s) / s
+            y1 = round((1.0 - h) * uy * s) / s
+            x2, y2 = x1 + w, y1 + h
+            if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
+                BBox(x1, y1, x2, y2)  # raises the InvalidBBox naming the box
+            if not any(
+                x1 < bx2 + margin and bx1 < x2 + margin and y1 < by2 + margin and by1 < y2 + margin
+                for bx1, by1, bx2, by2 in boxes
+            ):
+                boxes.append((x1, y1, x2, y2))
                 break
-        if placed is None:
+        else:
             raise PlacementFailure(
                 f"could not place instance {len(boxes)} after {MAX_PLACEMENT_ATTEMPTS} tries"
             )
-        boxes.append(placed)
+    return compose_scene(rng, [BBox(*box) for box in boxes], config)
 
+
+def compose_scene(rng: np.random.Generator, boxes: list[BBox], config: SceneConfig) -> SyntheticScene:
+    """The scene of placed boxes: colors and a verb drawn from `rng`, the
+    relations the geometry gives, the prompt and the rendered image."""
+    n = len(boxes)
     colors = [config.palette[i] for i in rng.choice(len(config.palette), n, replace=False)]
     labels = [f"{color} square" for color in colors]
     relations = tuple(
@@ -202,7 +226,7 @@ def _image_from_obj(obj: dict) -> np.ndarray:
 def write_corpus(path, scenes: list[SyntheticScene]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for scene in scenes:
-            layout_obj = json.loads(serialize_layout(scene.layout))
+            layout_obj = layout_to_obj(scene.layout)
             relations = layout_obj.pop("relations", [])
             fh.write(
                 json.dumps(
@@ -234,7 +258,7 @@ def read_corpus(path) -> list[SyntheticScene]:
             layout_obj = dict(obj["layout"])
             layout_obj["relations"] = obj.get("relations", [])
             image = _image_from_obj(obj["image"])
-            layout = parse_layout(json.dumps(layout_obj))
+            layout = layout_from_obj(layout_obj)
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError, RadlError) as e:
             raise MalformedDoc(
                 f"{path}:{lineno}: bad corpus line: {type(e).__name__}: {e}"

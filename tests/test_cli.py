@@ -115,6 +115,28 @@ def test_config_too_large_to_allocate_exit_2(workdir, key, command, capsys):
     assert "memory" in err and len(err.splitlines()) == 1
 
 
+# 2**58 is past what numpy can shape: these exited 1 with "array is too big"
+# or "Maximum allowed dimension exceeded"
+@pytest.mark.parametrize("key, flags, command", [
+    ("t_train", [], ["train"]),
+    ("d", [], ["train"]),
+    ("image_size", [], ["train"]),
+    ("t_sample", ["--steps", 2**62], ["gen", "layout.json"]),
+])
+def test_size_numpy_cannot_shape_exit_2(workdir, key, flags, command, capsys):
+    cfg_path = workdir / "config.json"
+    if command[0] == "gen":
+        assert run("--config", cfg_path, "--steps", 0, "train") == 0
+    else:
+        cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+        cfg[key] = 2**58
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    assert run("--config", cfg_path, *flags, *command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{key} ") and "too large" in err and len(err.splitlines()) == 1
+
+
 # --- train ----------------------------------------------------------------------
 
 def test_train_fresh_run(workdir):
@@ -943,6 +965,19 @@ def test_make_corpus_writes_generated_scenes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     write_corpus(tmp_path / "want.jsonl", generate(0, 8, SceneConfig()))
     assert (tmp_path / "c.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--image-size", 0], "image_size"),
+    (["--min-instances", 3, "--max-instances", 2], "n_instances"),
+    (["--min-instances", -1], "n_instances"),
+    (["--max-instances", 5], "n_instances"),
+])
+def test_make_corpus_out_of_range_config_exit_2(tmp_path, args, field):
+    proc = script("make_corpus.py", *args, "--out", tmp_path / "c.jsonl")
+    assert proc.returncode == 2
+    assert field in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "c.jsonl").exists()
 
 
 def test_steering_experiment_checkpoint_loads_in_gen(tmp_path):

@@ -12,6 +12,8 @@ from radl.layout import (
     InstanceSpec,
     LayoutSpec,
     Relation,
+    layout_from_obj,
+    layout_to_obj,
     parse_layout,
     rasterize_mask,
     serialize_layout,
@@ -273,3 +275,5 @@ layout_specs = st.builds(
 @settings(max_examples=60, deadline=None)
 def test_layout_round_trip(spec):
     assert parse_layout(serialize_layout(spec)) == spec
+    obj = layout_to_obj(spec)
+    assert json.loads(serialize_layout(spec)) == obj and layout_from_obj(obj) == spec
