@@ -22,9 +22,26 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from radl.cli import RunConfig, _save_checkpoint
+from radl.errors import finite_number
 from radl.imageio import write_ppm
+from radl.pipeline import VARIANTS
 from radl.scenes import SceneConfig, generate
 from radl.steering import run_arms
+
+
+def bad_argument(args) -> str | None:
+    """What is wrong with the first argument out of range, if one is."""
+    for flag, value, low in (("--steps", args.steps, 0), ("--seed", args.seed, 0),
+                             ("--corpus-size", args.corpus_size, 1),
+                             ("--held-out", args.held_out, 1), ("--batch-size", args.batch_size, 1)):
+        if value < low:
+            return f"{flag} must be >= {low}, got {value}"
+    if not (finite_number(args.lr) and args.lr > 0):
+        return f"--lr must be a finite number > 0, got {args.lr}"
+    for arm in args.arms:
+        if arm not in VARIANTS:
+            return f"unknown arm {arm!r}; the arms are {', '.join(VARIANTS)}"
+    return None
 
 
 def main() -> int:
@@ -40,11 +57,19 @@ def main() -> int:
     parser.add_argument("--arms", nargs="+",
                         default=["full", "text_attn_only", "no_relation"])
     args = parser.parse_args()
+    error = bad_argument(args)
+    out_dir = Path(args.out)
+    if not error:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:  # an --out that is a file, or cannot be made
+            error = str(e)
+    if error:
+        print(f"steering_experiment: {error}", file=sys.stderr)
+        return 2
 
     train_scenes = generate(0, args.corpus_size, SceneConfig())
     held_out = generate(100_000, args.held_out, SceneConfig())
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.time()
     results = run_arms(args.arms, train_scenes, held_out, steps=args.steps, lr=args.lr,

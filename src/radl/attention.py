@@ -22,26 +22,41 @@ from .text import EmbeddingSeq, pad_stack
 @dataclass(frozen=True)
 class FeatureGrid:
     """A stack of K H x W x d feature maps sharing one grid, each stored
-    row-major: values (K, H*W, d)."""
+    row-major: values (K, H*W, d).  In rows form the grids hold only the
+    rows a `RowSet` keeps, laid out as `RowSet.take` gives them: values
+    (K, R, d), or (K', R, d) for a packed set; every other row is zero."""
 
     h: int
     w: int
     values: np.ndarray
+    rows: RowSet | None = None  # the rows form's rows; None holds every row
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3 or v.shape[1] != self.h * self.w:
-            raise ShapeMismatch(
-                f"feature values must be (K, {self.h * self.w}, d), got {v.shape}"
-            )
+        n = self.h * self.w if self.rows is None else self.rows.idx.shape[-1]
+        if v.ndim != 3 or v.shape[1] != n:
+            raise ShapeMismatch(f"feature values must be (K, {n}, d), got {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
     def d(self) -> int:
         return self.values.shape[-1]
 
+    @property
+    def stack(self) -> int:
+        """K, the grids the values stand for; a packed rows form holds fewer."""
+        shared = self.rows is None or self.rows.grids is None
+        return len(self.values) if shared else self.rows.stack
+
     def like(self, values: np.ndarray) -> "FeatureGrid":
-        return FeatureGrid(self.h, self.w, values)
+        return FeatureGrid(self.h, self.w, values, self.rows)
+
+    def at(self, rows: RowSet) -> np.ndarray:
+        """The values at the rows `rows` keeps, as `RowSet.take` gives them;
+        gathers only when the grids hold other rows."""
+        if self.rows is rows:
+            return self.values
+        return rows.take(self.values if self.rows is None else self.rows.put(self.values))
 
 
 @dataclass
@@ -158,13 +173,14 @@ def scaled_dot_attention_backward(
 # instance and relation attention are one op over a token sequence;
 # attribute enhancement attends learnable queries over image features.
 #
-# Every masked op computes only the query rows its mask keeps and scatters
-# them into a zero grid.  Rows outside the mask are exactly +0.0, as the
-# masked dense op would give, and their upstream gradient is dropped, as
-# masking it would.  Forwards take a stack (K, h*w, d) and the `RowSet` of
-# their mask.  A backward's upstream gradient and its "feat" gradient are
-# rows-first, (h*w, K, d) (see `flip_stack`), so their leading axis names
-# the resolution.
+# Every masked op computes only the query rows its mask keeps and returns
+# them in rows form (see `FeatureGrid`); a mask that keeps every row gives a
+# full grid.  Rows outside the mask are exactly +0.0, as the masked dense op
+# would give, and their upstream gradient is dropped, as masking it would.
+# Forwards take a stack (K, h*w, d), or one in rows form, and the `RowSet` of
+# their mask.  A backward's upstream gradient is a full grid rows-first,
+# (h*w, K, d) (see `flip_stack`), so its leading axis names the resolution;
+# its "feat" gradient holds the kept rows, as the forward's output does.
 
 def flip_stack(x: np.ndarray) -> np.ndarray:
     """(K, h*w, d) <-> (h*w, K, d) as a view."""
@@ -214,11 +230,13 @@ class RowSet:
         return mask
 
     @cached_property
-    def _dest(self) -> np.ndarray:
-        # a packed set's rows as flat indices into its stack's rows; the
-        # padding goes to one extra row past the end
-        n = self.h * self.w
-        return np.where(self.keep, self.grids[:, None] * n + self.idx, self.stack * n)
+    def _kept(self) -> tuple[tuple, np.ndarray | None]:
+        # where the kept rows sit in a stack (K, h*w, d), and which flat
+        # (K', R) positions of a packed set's rows are not padding
+        if self.grids is None:
+            return ((...,) if self.whole else (..., self.idx, slice(None))), None
+        at = np.flatnonzero(self.keep)
+        return (self.grids[at // self.keep.shape[1]], self.idx.ravel()[at]), at
 
     def take(self, x: np.ndarray) -> np.ndarray:
         """The kept rows of a stack x (K, h*w, d): (K, R, d), or (K', R, d)
@@ -236,19 +254,25 @@ class RowSet:
             rows[~self.keep] = 0.0
         return rows
 
-    def put(self, values: np.ndarray) -> np.ndarray:
-        """Zero grids with the kept rows set to values, the inverse of `take`:
-        (..., h*w, d), or (stack, h*w, d) for a packed set."""
-        n, d = self.h * self.w, values.shape[-1]
-        if self.whole:
-            return values
-        if self.grids is None:
-            out = np.zeros(values.shape[:-2] + (n, d), dtype=values.dtype)
-            out[..., self.idx, :] = values
-            return out
-        flat = np.zeros((self.stack * n + 1, d), dtype=values.dtype)
-        flat[self._dest] = values
-        return flat[:-1].reshape(self.stack, n, d)
+    def _kept_values(self, values: np.ndarray) -> np.ndarray:
+        at = self._kept[1]
+        return values if at is None else values.reshape(-1, values.shape[-1])[at]
+
+    def put(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Grids with the kept rows set to values, the inverse of `take`:
+        zero grids (..., h*w, d), or (stack, h*w, d) for a packed set; or
+        `out`, whose kept rows are set, when given."""
+        if out is None:
+            if self.whole:
+                return values
+            lead = values.shape[:-2] if self.grids is None else (self.stack,)
+            out = np.zeros(lead + (self.h * self.w, values.shape[-1]), dtype=values.dtype)
+        out[self._kept[0]] = self._kept_values(values)
+        return out
+
+    def add(self, out: np.ndarray, values: np.ndarray):
+        """out += put(values) in place, touching only the kept rows."""
+        out[self._kept[0]] += self._kept_values(values)
 
 
 @dataclass
@@ -277,10 +301,11 @@ def _attend_rows(
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
     """The kept rows' queries q, made from q_src, attend over the keys and
     values projected from kv (`key_keep` marks the real keys of a padded
-    stack) and `zero_keys` zero keys; returns feat-shaped zero grids with
-    those rows set."""
+    stack) and `zero_keys` zero keys; returns feat's grids in the rows form
+    of `rows`."""
     out, ac = scaled_dot_attention_forward(q, kv @ proj.wk, kv @ proj.wv, key_keep, zero_keys)
-    return feat.like(rows.put(out)), MaskedAttnCache(q_src, kv, ac.attn, rows, proj)
+    grid = FeatureGrid(feat.h, feat.w, out, None if rows.whole else rows)
+    return grid, MaskedAttnCache(q_src, kv, ac.attn, rows, proj)
 
 
 def _attend_rows_backward(
@@ -302,7 +327,7 @@ def masked_attention_forward(
     _check_rows(feat, rows)
     if emb.dim != feat.d:
         raise ShapeMismatch(f"embedding dim {emb.dim} != feature dim {feat.d}")
-    x = rows.take(feat.values)
+    x = feat.at(rows)
     return _attend_rows(feat, x, x @ proj.wq, emb.values, emb.keep, proj, rows)
 
 
@@ -313,8 +338,8 @@ def masked_attention_backward(
         raise MissingCache("masked attention backward needs its forward cache")
     x, wq = cache.q_src, cache.proj.wq
     dq, d_emb, d_wk, d_wv = _attend_rows_backward(d_out, x @ wq, cache)
-    d_feat = flip_stack(cache.rows.put(dq @ wq.T))
-    return {"feat": d_feat, "emb": d_emb, "wq": as_rows(x).T @ as_rows(dq), "wk": d_wk, "wv": d_wv}
+    return {"feat": dq @ wq.T, "emb": d_emb, "wq": as_rows(x).T @ as_rows(dq),
+            "wk": d_wk, "wv": d_wv}
 
 
 # masked text attention attends to a label's tokens, instance attention to
@@ -348,7 +373,7 @@ def attribute_enhancement_forward(
     _check_rows(feat, rows)
     kept = len(rows.idx) if rows.keep is None else rows.keep.sum(axis=-1)[:, None, None]
     q = qlp[rows.idx]
-    return _attend_rows(feat, q, q, rows.take(feat.values), rows.keep, proj, rows, n - kept)
+    return _attend_rows(feat, q, q, feat.at(rows), rows.keep, proj, rows, n - kept)
 
 
 def attribute_enhancement_backward(
@@ -359,5 +384,4 @@ def attribute_enhancement_backward(
     rows = cache.rows
     dq, d_kv, d_wk, d_wv = _attend_rows_backward(d_out, cache.q_src, cache)
     d_qlp = rows.put(dq)
-    return {"qlp": _sum_to(d_qlp, d_qlp.shape[-2:]), "feat": flip_stack(rows.put(d_kv)),
-            "wk": d_wk, "wv": d_wv}
+    return {"qlp": _sum_to(d_qlp, d_qlp.shape[-2:]), "feat": d_kv, "wk": d_wk, "wv": d_wv}

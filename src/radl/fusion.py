@@ -18,7 +18,7 @@ from .errors import MissingCache, NoBranches, ShapeMismatch
 @dataclass
 class FusionBranch:
     """One fusion input: a feature grid gated by the rows its branch keeps,
-    with a scalar logit."""
+    with a scalar logit.  The grid is full or in the rows form of `rows`."""
 
     feat: FeatureGrid
     rows: RowSet
@@ -41,18 +41,23 @@ class FuseCache:
 def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCache]:
     """Per-pixel convex combination of active branch features.
 
-    Branch features are stacks (K, n_pix, d).  A branch's rows are one set
-    every grid of the stack shares, or a packed set; a grid that keeps no
-    row of a branch gives it zero weight."""
+    Branch features are stacks (K, n_pix, d), or their rows form.  A
+    branch's rows are one set every grid of the stack shares, or a packed
+    set; a grid that keeps no row of a branch gives it zero weight."""
     branches = list(branches)
     if not branches:
         raise NoBranches("fusion requires at least one branch")
     ref = branches[0].feat
-    for b in branches[1:]:
-        if (b.feat.h, b.feat.w, b.feat.values.shape) != (ref.h, ref.w, ref.values.shape):
-            raise ShapeMismatch("fusion branches must share feature grid shape")
+    shape = (ref.stack, ref.h, ref.w, ref.d)
+    if any((b.feat.stack, b.feat.h, b.feat.w, b.feat.d) != shape for b in branches[1:]):
+        raise ShapeMismatch("fusion branches must share feature grid shape")
 
-    feats = np.stack([b.feat.values for b in branches], axis=-3)  # (K, B, n, d)
+    feats = np.zeros((ref.stack, len(branches), ref.h * ref.w, ref.d))  # (K, B, n, d)
+    for j, b in enumerate(branches):
+        if b.feat.rows is None:
+            feats[:, j] = b.feat.values
+        else:
+            b.feat.rows.put(b.feat.values, feats[:, j])
     masks = np.stack(np.broadcast_arrays(*[b.rows.mask for b in branches]), axis=-2)
     logits = np.array([b.logit for b in branches])[:, None]      # (B, 1)
     if not masks.any(axis=-2).all():
@@ -65,7 +70,7 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
     weights = gated / gated.sum(axis=-2, keepdims=True)
 
     out = np.einsum("...bn,...bnd->...nd", weights, feats)
-    return ref.like(out), FuseCache(feats=feats, weights=weights)
+    return FeatureGrid(ref.h, ref.w, out), FuseCache(feats=feats, weights=weights)
 
 
 def fuse_backward(

@@ -537,7 +537,8 @@ def _instance_branch(
     params: DenoiserParams,
 ) -> tuple[FeatureGrid, InstanceCache]:
     """One instance slot's branch and cache, its text attention alone without an
-    embedding.  Its intermediate features die here, before fusion stacks every branch."""
+    embedding.  The slot stays in the rows form of its mask from the text
+    attention on; fusion scatters it."""
     rows = inst.rows[feat.h]
     r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, params.proj_text, rows)
     ic = InstanceCache(r=r_cache)
@@ -562,8 +563,9 @@ def _radl_block_backward(
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Returns the feature gradient and each instance slot's embedding
     gradient (none for text_attn_only).  d_out and the feature gradient are
-    (K, n, d); the ops in between pass the stack rows-first (see
-    attention.flip_stack).  Each part of the cache is released once used."""
+    (K, n, d); the ops in between take the stack rows-first (see
+    attention.flip_stack) and give the feature gradient of the rows they
+    kept, which this adds in.  Each part of the cache is released once used."""
     d_feats, d_logits = fuse_backward(flip_stack(d_out), cache.fuse)
     cache.fuse = None
     g["fusion.logit_bg"] += d_logits[0]
@@ -574,35 +576,34 @@ def _radl_block_backward(
         g["fusion.logit_rel"] += d_logits[1 + n]
 
     bg_grads = masked_text_attention_backward(d_feats[0], cache.bg)
+    d_feat = cache.bg.rows.put(bg_grads["feat"])  # (K, n, d): the background keeps every row
     cache.bg = None
-    d_feat = bg_grads["feat"].copy()
     _accumulate_proj(g, "radl.text", bg_grads)
 
     d_embs = []
     for i, ic in enumerate(cache.instances):
-        d_rf = d_feats[1 + i]
-        if ic.ae is None:  # text_attn_only: the slot's branch is its text attention
-            d_r = d_rf
-        else:
-            # the residual passes d_rf to both of its terms
-            ia_grads = instance_attention_backward(d_rf, ic.ia)
+        d_r = d_feats[1 + i]  # a fresh array, the residual's gradient
+        if ic.ae is not None:  # text_attn_only's slot is its text attention alone
+            # the residual passes d_r to both of its terms
+            ia_grads = instance_attention_backward(d_r, ic.ia)
             _accumulate_proj(g, "radl.inst", ia_grads)
             d_embs.append(ia_grads["emb"])
-            ae_grads = attribute_enhancement_backward(ia_grads["feat"], ic.ae)
+            d_ae = flip_stack(ic.ia.rows.put(ia_grads["feat"]))
+            ae_grads = attribute_enhancement_backward(d_ae, ic.ae)
             g[cache.qlp_name] += ae_grads["qlp"]
             _accumulate_proj(g, "radl.ae", ae_grads)
-            d_r = d_rf + ae_grads["feat"]
+            ic.ae.rows.add(flip_stack(d_r), ae_grads["feat"])
         r_grads = masked_text_attention_backward(d_r, ic.r)
-        d_feat += r_grads["feat"]
+        ic.r.rows.add(d_feat, r_grads["feat"])
         _accumulate_proj(g, "radl.text", r_grads)
         cache.instances[i] = None
 
     if cache.rel is not None:
         rel_grads = relation_attention_backward(d_feats[1 + n], cache.rel)
-        d_feat += rel_grads["feat"]
+        cache.rel.rows.add(d_feat, rel_grads["feat"])
         _accumulate_proj(g, "radl.rel", rel_grads)
 
-    return flip_stack(d_feat), d_embs
+    return d_feat, d_embs
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ PALETTE_RGB: dict[str, tuple[float, float, float]] = {
 BACKGROUND_RGB = (0.5, 0.5, 0.5)  # every scene's background, neutral gray
 VERB_TEMPLATES = ("resting", "floating", "sitting", "standing")  # verbs a prompt may carry
 MAX_PLACEMENT_ATTEMPTS = 200  # draws per instance before make_scene gives up
+# failing seeds in a row before generate gives up: the longest run of the
+# test, golden and benchmark configs is 23 (2 boxes of 0.42-0.6)
+MAX_FAILED_SEEDS = 200
 
 
 @dataclass(frozen=True)
@@ -190,13 +193,20 @@ def compose_scene(rng: np.random.Generator, boxes: list[BBox], config: SceneConf
 
 def generate(seed0: int, count: int, config: SceneConfig = SceneConfig()) -> list[SyntheticScene]:
     """The first `count` scenes from seeds seed0, seed0 + 1, ..., skipping the
-    seeds whose instances cannot be placed."""
-    scenes, seed = [], seed0
+    seeds whose instances cannot be placed; after MAX_FAILED_SEEDS such
+    seeds in a row it raises PlacementFailure."""
+    scenes, seed, failed = [], seed0, 0
     while len(scenes) < count:
         try:
             scenes.append(make_scene(seed, config))
+            failed = 0
         except PlacementFailure:
-            pass
+            failed += 1
+            if failed == MAX_FAILED_SEEDS:
+                raise PlacementFailure(
+                    f"no scene could be placed from {failed} seeds in a row "
+                    f"({seed - failed + 1}..{seed}) with {config}"
+                ) from None
         seed += 1
     return scenes
 

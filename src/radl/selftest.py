@@ -58,10 +58,10 @@ def _check_attention_oracle(rng) -> tuple[bool, str]:
 
 
 def _check_in_mask_attention(rng) -> tuple[bool, str]:
-    # the masked ops compute only the rows their mask keeps; each must equal
-    # the dense scalar oracle with the rows outside the mask zeroed.
-    # Attribute enhancement reads features zero outside its rows, and its
-    # oracle takes every row as a key.
+    # the masked ops compute and return only the rows their mask keeps; each,
+    # scattered to a full grid, must equal the dense scalar oracle with the
+    # rows outside the mask zeroed.  Attribute enhancement reads features
+    # zero outside its rows, and its oracle takes every row as a key.
     worst = 0.0
     masks = [np.zeros((4, 4), dtype=bool), np.ones((4, 4), dtype=bool)]
     masks += [rng.random((4, 4)) < 0.3 for _ in range(4)]
@@ -72,10 +72,12 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
         qlp = rng.standard_normal((16, 8))
         proj = AttnProjection.init(rng, 8)
         keep, rows = m.reshape(-1, 1), RowSet.of(m)
-        got_text = masked_text_attention_forward(feat, EmbeddingSeq(emb), proj, rows)[0].values
+        got_text = masked_text_attention_forward(feat, EmbeddingSeq(emb), proj, rows)[0]
+        got_text = rows.put(got_text.values)
         want_text = keep * attention_oracle(x @ proj.wq, emb @ proj.wk, emb @ proj.wv)
         x = keep * x
-        got_ae = attribute_enhancement_forward(feat.like(x[None]), qlp, proj, rows)[0].values
+        got_ae = attribute_enhancement_forward(feat.like(x[None]), qlp, proj, rows)[0]
+        got_ae = rows.put(got_ae.values)
         want_ae = keep * attention_oracle(qlp, x @ proj.wk, x @ proj.wv)
         worst = max(
             worst,
@@ -91,7 +93,8 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
     want_ae = np.zeros_like(stack)
     for g, m in zip(grids, packed):
         want_ae[g] = m.reshape(-1, 1) * attention_oracle(qlp, stack[g] @ proj.wk, stack[g] @ proj.wv)
-    got_ae = attribute_enhancement_forward(FeatureGrid(4, 4, stack), qlp, proj, rows)[0].values
+    got_ae = attribute_enhancement_forward(FeatureGrid(4, 4, stack), qlp, proj, rows)[0]
+    got_ae = rows.put(got_ae.values)
     worst = max(worst, float(np.max(np.abs(got_ae - want_ae))))
     ok = worst <= 1e-12
     return ok, f"{len(masks)} masks and a packed stack of 4, max abs err {worst:.2e}"

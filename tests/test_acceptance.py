@@ -83,8 +83,9 @@ def test_criterion_1_attention_oracle():
 
 def _op_backward_errors(rng):
     """Max FD relative error over every backward op on one seeded case.
-    The ops run on stacks of one grid; backwards take and give feature
-    gradients rows-first, (h*w, K, d)."""
+    The ops run on stacks of one grid; backwards take the upstream gradient
+    rows-first, (h*w, K, d), and give the feature gradient of the rows the
+    mask keeps, as a masked forward gives its output; `put` makes both full."""
     errs = []
     d = 4
     feat = FeatureGrid(2, 3, rng.standard_normal((1, 6, d)))
@@ -112,9 +113,9 @@ def _op_backward_errors(rng):
     grads = masked_text_attention_backward(d_rows, cache)
 
     def run_mta():
-        return masked_text_attention_forward(feat, emb, proj, rows)[0].values
+        return rows.put(masked_text_attention_forward(feat, emb, proj, rows)[0].values)
 
-    for arr, an in ((feat.values, grads["feat"].swapaxes(0, 1)), (emb.values, grads["emb"]),
+    for arr, an in ((feat.values, rows.put(grads["feat"])), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         errs.append(rel_err(an, central_diff(run_mta, arr, d_out)))
 
@@ -125,7 +126,7 @@ def _op_backward_errors(rng):
     def run_ae():
         return attribute_enhancement_forward(feat, qlp, proj, every)[0].values
 
-    for arr, an in ((qlp, grads["qlp"]), (feat.values, grads["feat"].swapaxes(0, 1)),
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, every.put(grads["feat"])),
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         errs.append(rel_err(an, central_diff(run_ae, arr, d_out)))
 
@@ -133,15 +134,15 @@ def _op_backward_errors(rng):
     grads = instance_attention_backward(d_rows, cache)
 
     def run_ia():
-        return instance_attention_forward(feat, emb, proj, rows)[0].values
+        return rows.put(instance_attention_forward(feat, emb, proj, rows)[0].values)
 
-    errs.append(rel_err(grads["feat"].swapaxes(0, 1), central_diff(run_ia, feat.values, d_out)))
+    errs.append(rel_err(rows.put(grads["feat"]), central_diff(run_ia, feat.values, d_out)))
 
     out, cache = relation_attention_forward(feat, emb, proj, rows)
     grads = relation_attention_backward(d_rows, cache)
 
     def run_rel():
-        return relation_attention_forward(feat, emb, proj, rows)[0].values
+        return rows.put(relation_attention_forward(feat, emb, proj, rows)[0].values)
 
     errs.append(rel_err(grads["emb"], central_diff(run_rel, emb.values, d_out)))
 

@@ -43,9 +43,15 @@ def every_row(h, w):
     return rows_of(np.ones((h, w)))
 
 
+def full(out):
+    """A forward's output as full grids (K, h*w, d): a masked op gives only
+    the rows its mask keeps."""
+    return out.values if out.rows is None else out.rows.put(out.values)
+
+
 def rows_first(x):
-    """(K, h*w, d) <-> (h*w, K, d): backwards take and give feature
-    gradients rows-first."""
+    """(K, h*w, d) <-> (h*w, K, d): backwards take the upstream gradient
+    rows-first."""
     return x.swapaxes(0, 1)
 
 
@@ -151,7 +157,7 @@ def test_masked_text_zero_mask():
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
     out = masked_text_attention_forward(feat, emb, proj, rows_of(np.zeros((4, 4))))[0]
-    assert not out.values.any()
+    assert not full(out).any()
 
 
 def test_masked_text_ones_mask_equals_unmasked():
@@ -173,7 +179,7 @@ def test_masked_text_half_mask_rows():
     proj = AttnProjection.init(rng, 8)
     mvals = np.zeros((4, 4))
     mvals[:2, :] = 1.0
-    got = masked_text_attention_forward(feat, emb, proj, rows_of(mvals))[0].values[0]
+    got = full(masked_text_attention_forward(feat, emb, proj, rows_of(mvals))[0])[0]
     unmasked, _ = scaled_dot_attention_forward(
         feat.values[0] @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv
     )
@@ -196,7 +202,7 @@ def test_masked_text_annihilation(bits):
     mask = np.array([(bits >> i) & 1 for i in range(16)], dtype=bool).reshape(4, 4)
     out = masked_text_attention_forward(feat, emb, proj, RowSet.of(mask))[0]
     outside = mask.ravel() == 0
-    assert np.array_equal(out.values[0, outside], np.zeros((outside.sum(), 4)))
+    assert np.array_equal(full(out)[0, outside], np.zeros((outside.sum(), 4)))
 
 
 def test_masked_text_backward_fd():
@@ -210,10 +216,10 @@ def test_masked_text_backward_fd():
     grads = masked_text_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return masked_text_attention_forward(feat, emb, proj, rows)[0].values
+        return full(masked_text_attention_forward(feat, emb, proj, rows)[0])
 
     pairs = [
-        (feat.values, rows_first(grads["feat"])), (emb.values, grads["emb"]),
+        (feat.values, rows.put(grads["feat"])), (emb.values, grads["emb"]),
         (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"]),
     ]
     for arr, an in pairs:
@@ -269,9 +275,9 @@ def test_attribute_enhancement_backward_fd():
     grads = attribute_enhancement_backward(rows_first(d_out), cache)
 
     def run():
-        return attribute_enhancement_forward(feat, qlp, proj, rows)[0].values
+        return full(attribute_enhancement_forward(feat, qlp, proj, rows)[0])
 
-    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows_first(grads["feat"])),
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows.put(grads["feat"])),
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
 
@@ -284,7 +290,7 @@ def test_instance_attention_zero_mask():
         grid(rng, 3, 3, 4), EmbeddingSeq(rng.standard_normal((2, 4))),
         AttnProjection.init(rng, 4), rows_of(np.zeros((3, 3))),
     )[0]
-    assert not out.values.any()
+    assert not full(out).any()
 
 
 def test_instance_attention_single_token():
@@ -296,7 +302,7 @@ def test_instance_attention_single_token():
     out = instance_attention_forward(r_ae, e_i, proj, RowSet.of(mask))[0]
     token_v = (e_i.values @ proj.wv)[0]
     inside = mask.ravel() == 1
-    assert np.allclose(out.values[0, inside], np.broadcast_to(token_v, (inside.sum(), 4)), atol=1e-14)
+    assert np.allclose(full(out)[0, inside], np.broadcast_to(token_v, (inside.sum(), 4)), atol=1e-14)
 
 
 def test_instance_attention_oracle():
@@ -308,7 +314,7 @@ def test_instance_attention_oracle():
     got = instance_attention_forward(r_ae, e_i, proj, RowSet.of(mask))[0]
     want = attention_oracle(r_ae.values[0] @ proj.wq, e_i.values @ proj.wk, e_i.values @ proj.wv)
     want = want * mask.ravel()[:, None]
-    assert rel_err(got.values[0], want) <= 1e-12
+    assert rel_err(full(got)[0], want) <= 1e-12
 
 
 def test_instance_attention_backward_fd():
@@ -322,9 +328,9 @@ def test_instance_attention_backward_fd():
     grads = instance_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return instance_attention_forward(r_ae, e_i, proj, rows)[0].values
+        return full(instance_attention_forward(r_ae, e_i, proj, rows)[0])
 
-    for arr, an in ((r_ae.values, rows_first(grads["feat"])), (e_i.values, grads["emb"]),
+    for arr, an in ((r_ae.values, rows.put(grads["feat"])), (e_i.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
 
@@ -348,7 +354,7 @@ def test_relation_zero_total_mask():
     verb = EmbeddingSeq(rng.standard_normal((2, 8)))
     proj = AttnProjection.init(rng, 8)
     out = relation_attention_forward(feat, verb, proj, rows_of(np.zeros((4, 4))))[0]
-    assert not out.values.any()
+    assert not full(out).any()
 
 
 def test_relation_single_verb_full_mask():
@@ -371,9 +377,9 @@ def test_relation_backward_fd():
     grads = relation_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return relation_attention_forward(feat, verb, proj, rows)[0].values
+        return full(relation_attention_forward(feat, verb, proj, rows)[0])
 
-    for arr, an in ((feat.values, rows_first(grads["feat"])), (verb.values, grads["emb"]),
+    for arr, an in ((feat.values, rows.put(grads["feat"])), (verb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
 
@@ -409,13 +415,13 @@ def test_in_mask_ops_match_masked_oracle(case):
     want = keep * attention_oracle(x @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv)
     # the text, instance and relation ops are one masked op
     assert masked_text_attention_forward is instance_attention_forward is relation_attention_forward
-    got = masked_text_attention_forward(feat, emb, proj, rows)[0].values[0]
+    got = full(masked_text_attention_forward(feat, emb, proj, rows)[0])[0]
     assert rel_err(got, want) <= 1e-12
     assert not np.signbit(got[keep[:, 0] == 0]).any()  # bitwise +0.0
     # attribute enhancement reads masked features, zero outside the mask;
     # the oracle takes every row as a key
     qlp, x = rng.standard_normal((64, 8)), keep * x
-    got = attribute_enhancement_forward(feat.like(x[None]), qlp, proj, rows)[0].values[0]
+    got = full(attribute_enhancement_forward(feat.like(x[None]), qlp, proj, rows)[0])[0]
     want = keep * attention_oracle(qlp, x @ proj.wk, x @ proj.wv)
     assert rel_err(got, want) <= 1e-12
 
@@ -443,9 +449,9 @@ def test_in_mask_backward_fd(case):
     grads = attribute_enhancement_backward(rows_first(d_out), cache)
 
     def run_ae():
-        return attribute_enhancement_forward(feat, qlp, proj, rows)[0].values
+        return full(attribute_enhancement_forward(feat, qlp, proj, rows)[0])
 
-    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows_first(grads["feat"])),
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows.put(grads["feat"])),
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run_ae, arr, d_out)) < 1e-6
 
@@ -453,9 +459,9 @@ def test_in_mask_backward_fd(case):
     grads = masked_text_attention_backward(rows_first(d_out), cache)
 
     def run_text():
-        return masked_text_attention_forward(feat, emb, proj, rows)[0].values
+        return full(masked_text_attention_forward(feat, emb, proj, rows)[0])
 
-    for arr, an in ((feat.values, rows_first(grads["feat"])), (emb.values, grads["emb"]),
+    for arr, an in ((feat.values, rows.put(grads["feat"])), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run_text, arr, d_out)) < 1e-6
 
@@ -517,10 +523,10 @@ def test_kept_key_enhancement_matches_dense_reference(case, k):
     proj = AttnProjection.init(np.random.default_rng(43), 8)
     got, cache = attribute_enhancement_forward(feat, qlp, proj, rows)
     dense = attribute_enhancement_forward(feat, qlp, proj, every_row(8, 8))[0].values
-    assert rel_err(got.values, mask[..., None] * dense) <= 1e-12
+    assert rel_err(full(got), mask[..., None] * dense) <= 1e-12
     # the feature gradient outside the rows is bitwise +0.0
     d_out = np.random.default_rng(44).standard_normal(feat.values.shape)
-    d_feat = rows_first(attribute_enhancement_backward(rows_first(d_out), cache)["feat"])
+    d_feat = rows.put(attribute_enhancement_backward(rows_first(d_out), cache)["feat"])
     outside = d_feat[mask == 0]
     assert not outside.any() and not np.signbit(outside).any()
 
@@ -534,9 +540,9 @@ def test_packed_enhancement_backward_fd():
     grads = attribute_enhancement_backward(rows_first(d_out), cache)
 
     def run():
-        return attribute_enhancement_forward(feat, qlp, proj, rows)[0].values
+        return full(attribute_enhancement_forward(feat, qlp, proj, rows)[0])
 
-    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows_first(grads["feat"])),
+    for arr, an in ((qlp, grads["qlp"]), (feat.values, rows.put(grads["feat"])),
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run, arr, d_out)) < 1e-6
 
@@ -583,10 +589,10 @@ def test_stacked_forwards_equal_per_grid_calls(case):
         "attribute_enhancement": lambda f: attribute_enhancement_forward(f, qlp, proj, rows),
     }
     for name, call in calls.items():
-        got = call(FeatureGrid(8, 8, stack))[0].values
+        got = full(call(FeatureGrid(8, 8, stack))[0])
         assert got.shape == stack.shape, name
         for k in range(3):
-            alone = call(FeatureGrid(8, 8, stack[k : k + 1]))[0].values
+            alone = full(call(FeatureGrid(8, 8, stack[k : k + 1]))[0])
             assert np.array_equal(got[k], alone[0]), name
 
 
@@ -617,3 +623,16 @@ def test_feature_grid_rejects_wrong_rows_under_leading_axis():
     with pytest.raises(ShapeMismatch):  # one grid without its stack axis
         FeatureGrid(4, 4, np.zeros((16, 3)))
     assert FeatureGrid(4, 4, np.zeros((2, 16, 3))).d == 3
+
+
+def test_rows_form_holds_the_kept_rows():
+    rows = RowSet.of(random_mask(np.random.default_rng(37), 4, 4))
+    assert 0 < len(rows.idx) < 16
+    stack = np.random.default_rng(38).standard_normal((2, 16, 3))
+    held = FeatureGrid(4, 4, rows.take(stack), rows)
+    assert held.at(rows) is held.values  # its own rows: no gather
+    assert np.array_equal(FeatureGrid(4, 4, stack).at(rows), held.values)
+    assert np.array_equal(held.at(every_row(4, 4)), rows.put(held.values))
+    assert held.stack == 2 and held.like(held.values).rows is rows
+    with pytest.raises(ShapeMismatch):  # every row under a rows form
+        FeatureGrid(4, 4, stack, rows)

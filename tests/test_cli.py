@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import struct
 import subprocess
@@ -972,12 +973,65 @@ def test_make_corpus_writes_generated_scenes(tmp_path):
     (["--min-instances", 3, "--max-instances", 2], "n_instances"),
     (["--min-instances", -1], "n_instances"),
     (["--max-instances", 5], "n_instances"),
+    (["--count", 0], "--count"),
+    (["--seed", -1], "--seed"),
 ])
 def test_make_corpus_out_of_range_config_exit_2(tmp_path, args, field):
     proc = script("make_corpus.py", *args, "--out", tmp_path / "c.jsonl")
     assert proc.returncode == 2
     assert field in proc.stderr and len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_make_corpus_unplaceable_config_exit_2(tmp_path):
+    # a 1-pixel image has room for one box: every seed fails to place two
+    proc = script("make_corpus.py", "--image-size", 1, "--count", 1, "--out", tmp_path / "c.jsonl")
+    assert proc.returncode == 2
+    assert "seeds in a row" in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--corpus-size", "0"], "--corpus-size"),
+    (["--batch-size", "0"], "--batch-size"),
+    (["--held-out", "0"], "--held-out"),
+    (["--steps", "-1"], "--steps"),
+    (["--seed", "-1"], "--seed"),
+    (["--lr", "nan"], "--lr"),
+    (["--lr", "0"], "--lr"),
+    (["--arms", "full", "bogus"], "bogus"),
+])
+def test_steering_experiment_bad_argument_exit_2(tmp_path, monkeypatch, capsys, args, flag):
+    experiment = load_script("steering_experiment.py")
+    monkeypatch.setattr(experiment, "run_arms", None)  # nothing may train
+    argv = ["steering_experiment.py", "--steps", "1", "--corpus-size", "2", "--held-out", "1",
+            "--out", str(tmp_path / "out"), *args]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert experiment.main() == 2
+    err = capsys.readouterr().err
+    assert flag in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_scripts_unwritable_out_exit_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "a_file").write_text("")
+    proc = script("make_corpus.py", "--count", 1, "--out", tmp_path / "no_dir" / "c.jsonl")
+    assert proc.returncode == 2 and len(proc.stderr.splitlines()) == 1
+    proc = script("make_corpus.py", "--count", 1, "--out", tmp_path / "c.jsonl",
+                  "--eval-dirs", tmp_path / "a_file")
+    assert proc.returncode == 2 and len(proc.stderr.splitlines()) == 1
+    experiment = load_script("steering_experiment.py")
+    monkeypatch.setattr(experiment, "run_arms", None)  # nothing may train
+    monkeypatch.setattr(sys, "argv", ["steering_experiment.py", "--out", str(tmp_path / "a_file")])
+    assert experiment.main() == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_steering_experiment_checkpoint_loads_in_gen(tmp_path):

@@ -105,6 +105,26 @@ def test_packed_fuse_matches_pixel_loop_oracle():
     assert rel_err(got.values, fuse_oracle(branches, masks)) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 3])  # one set the stack shares; packed sets
+def test_rows_form_fuse_equals_scattered_grids(k):
+    # a masked op hands fusion only its kept rows; fusion must give the bytes
+    # it gives for those rows scattered into zero grids
+    rng = np.random.default_rng(13)
+    branches, _ = make_branches(rng, logits=rng.standard_normal(4), k=k)
+    assert k == 1 or branches[2].rows.grids is not None
+    rows_form = [branches[0]] + [
+        replace(b, feat=FeatureGrid(b.feat.h, b.feat.w, b.rows.take(b.feat.values), b.rows))
+        for b in branches[1:]
+    ]
+    scattered = [replace(b, feat=b.feat.like(b.rows.put(r.feat.values)))
+                 for b, r in zip(branches, rows_form)]
+    out, cache = fuse_forward(rows_form)
+    out_ref, cache_ref = fuse_forward(scattered)
+    assert out.values.tobytes() == out_ref.values.tobytes()
+    assert cache.feats.tobytes() == cache_ref.feats.tobytes()
+    assert cache.weights.tobytes() == cache_ref.weights.tobytes()
+
+
 def test_fuse_weights_sum_to_one():
     rng = np.random.default_rng(3)
     for seed in range(100):

@@ -26,7 +26,7 @@ from radl.pipeline import (
     train,
     zero_grads,
 )
-from radl.attention import RowSet
+from radl.attention import FeatureGrid, RowSet
 from radl.layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask
 from radl.oracles import central_diff, rel_err, union_oracle
 from radl.scenes import SceneConfig, generate, make_scene
@@ -257,8 +257,9 @@ def crowded_layouts(count=3):
     return layouts
 
 
-def forward_and_grads(params, layout, x, t, variant):
-    eps, cache = denoise_forward_cached(params, x[None], [t], encode(params, layout), True, variant)
+def forward_and_grads(params, layouts, x, ts, variant):
+    """eps and the gradients of a stack-on pack of the layouts' images."""
+    eps, cache = denoise_forward_cached(params, x, ts, encode(params, *layouts), True, variant)
     g = zero_grads(params)
     denoise_backward(np.sin(eps), cache, params, g)
     return eps, g
@@ -272,7 +273,7 @@ def test_in_mask_enhancement_matches_dense_reference(variant, monkeypatch):
     # gradients up to rounding.
     params = init_denoiser(3, d=8, image_size=32, t_train=200)
     rng = np.random.default_rng(17)
-    cases = [(layout, rng.standard_normal((3, 32, 32)), int(rng.integers(1, 201)))
+    cases = [([layout], rng.standard_normal((1, 3, 32, 32)), [int(rng.integers(1, 201))])
              for layout in crowded_layouts()]
     fast = [forward_and_grads(params, *case, variant) for case in cases]
 
@@ -285,6 +286,43 @@ def test_in_mask_enhancement_matches_dense_reference(variant, monkeypatch):
         assert rel_err(eps, eps_ref) <= 1e-12
         for name in g_ref:
             assert rel_err(g[name], g_ref[name]) <= 1e-12, name
+
+
+ROW_FORM_OPS = ("masked_text_attention_forward", "attribute_enhancement_forward",
+                "instance_attention_forward", "relation_attention_forward")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rows_form_matches_scattered_reference(variant, monkeypatch):
+    # The masked ops hand their kept rows on, and fusion scatters them.  The
+    # reference scatters every op's output to full grids, as the ops did
+    # before the rows form; eps and every gradient must keep their bytes.
+    params = init_denoiser(5, d=8, image_size=32, t_train=200)
+    crowded = crowded_layouts(1)[0]  # 1-4 small boxes and one empty at 8x8
+    assert crowded.instances and not rasterize_mask(crowded.instances[-1].bbox, 8, 8).any()
+    two = make_scene(0, SceneConfig()).layout
+    empty = LayoutSpec(prompt="a plain gray background")
+    no_verb = replace(two, verbs=())
+    rng = np.random.default_rng(23)
+    # alone, and packed: the empty layout's grid keeps no row of any slot
+    packs = [[crowded], [empty], [no_verb], [crowded, empty, no_verb, two]]
+    cases = [(pack, rng.standard_normal((len(pack), 3, 32, 32)),
+              rng.integers(1, 201, len(pack)).tolist()) for pack in packs]
+    fast = [forward_and_grads(params, *case, variant) for case in cases]
+
+    def scattered(op):
+        def forward(feat, *args):
+            out, cache = op(feat, *args)
+            return FeatureGrid(out.h, out.w, args[-1].put(out.values)), cache
+        return forward
+
+    for name in ROW_FORM_OPS:
+        monkeypatch.setattr(pipeline, name, scattered(getattr(pipeline, name)))
+    for case, (eps, g) in zip(cases, fast):
+        eps_ref, g_ref = forward_and_grads(params, *case, variant)
+        assert eps.tobytes() == eps_ref.tobytes()
+        for name in g_ref:
+            assert g[name].tobytes() == g_ref[name].tobytes(), name
 
 
 # --- sampling ----------------------------------------------------------------

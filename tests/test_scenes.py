@@ -7,6 +7,7 @@ from radl.errors import PlacementFailure
 from radl.layout import rasterize_mask, serialize_layout
 from radl.oracles import make_scene_oracle
 from radl.scenes import (
+    MAX_FAILED_SEEDS,
     PALETTE_RGB,
     VERB_TEMPLATES,
     SceneConfig,
@@ -90,6 +91,13 @@ def test_placement_failure_when_overcrowded():
     cfg = SceneConfig(n_instances=(2, 2), min_box=0.9, max_box=0.95)
     with pytest.raises(PlacementFailure):
         make_scene(0, cfg)
+
+
+def test_generate_gives_up_after_a_run_of_failing_seeds():
+    # no seed can place four boxes of half the image: the scan must end
+    cfg = SceneConfig(n_instances=(4, 4), min_box=0.5, max_box=0.55)
+    with pytest.raises(PlacementFailure, match=f"{MAX_FAILED_SEEDS} seeds in a row"):
+        generate(0, 1, cfg)
 
 
 def test_two_instance_prompt_carries_verb_and_predicate():
