@@ -60,6 +60,10 @@ def main() -> int:
     except (ValueError, PlacementFailure) as e:  # an out-of-range or unplaceable config
         print(f"make_corpus: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # numpy's message names the array's size
+        print(f"make_corpus: the config needs more memory than can be allocated: {e}",
+              file=sys.stderr)
+        return 2
     try:
         write_outputs(args, scenes)
     except OSError as e:  # an output path that cannot be written

@@ -10,7 +10,7 @@ against central finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,22 +21,28 @@ from .text import EmbeddingSeq, pad_stack
 
 @dataclass(frozen=True)
 class FeatureGrid:
-    """A stack of K H x W x d feature maps sharing one grid, each stored
-    row-major: values (K, H*W, d).  In rows form the grids hold only the
+    """A stack of K H x W x d feature maps sharing one grid, holding the
     rows a `RowSet` keeps, laid out as `RowSet.take` gives them: values
-    (K, R, d), or (K', R, d) for a packed set; every other row is zero."""
+    (K, R, d), or (K', R, d) for a packed set; every other row is zero.  A
+    full grid sits at `RowSet.every(h, w)`, its values (K, H*W, d)."""
 
-    h: int
-    w: int
     values: np.ndarray
-    rows: RowSet | None = None  # the rows form's rows; None holds every row
+    rows: RowSet
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        n = self.h * self.w if self.rows is None else self.rows.idx.shape[-1]
+        n = self.rows.idx.shape[-1]
         if v.ndim != 3 or v.shape[1] != n:
             raise ShapeMismatch(f"feature values must be (K, {n}, d), got {v.shape}")
         object.__setattr__(self, "values", v)
+
+    @property
+    def h(self) -> int:
+        return self.rows.h
+
+    @property
+    def w(self) -> int:
+        return self.rows.w
 
     @property
     def d(self) -> int:
@@ -44,19 +50,22 @@ class FeatureGrid:
 
     @property
     def stack(self) -> int:
-        """K, the grids the values stand for; a packed rows form holds fewer."""
-        shared = self.rows is None or self.rows.grids is None
-        return len(self.values) if shared else self.rows.stack
+        """K, the grids the values stand for; a packed set holds fewer."""
+        return len(self.values) if self.rows.grids is None else self.rows.stack
 
     def like(self, values: np.ndarray) -> "FeatureGrid":
-        return FeatureGrid(self.h, self.w, values, self.rows)
+        return FeatureGrid(values, self.rows)
 
     def at(self, rows: RowSet) -> np.ndarray:
         """The values at the rows `rows` keeps, as `RowSet.take` gives them;
         gathers only when the grids hold other rows."""
+        if (rows.h, rows.w) != (self.h, self.w):
+            raise ShapeMismatch(
+                f"mask {rows.h}x{rows.w} does not match feature grid {self.h}x{self.w}"
+            )
         if self.rows is rows:
             return self.values
-        return rows.take(self.values if self.rows is None else self.rows.put(self.values))
+        return rows.take(self.rows.put(self.values))
 
 
 @dataclass
@@ -174,13 +183,13 @@ def scaled_dot_attention_backward(
 # attribute enhancement attends learnable queries over image features.
 #
 # Every masked op computes only the query rows its mask keeps and returns
-# them in rows form (see `FeatureGrid`); a mask that keeps every row gives a
-# full grid.  Rows outside the mask are exactly +0.0, as the masked dense op
-# would give, and their upstream gradient is dropped, as masking it would.
-# Forwards take a stack (K, h*w, d), or one in rows form, and the `RowSet` of
-# their mask.  A backward's upstream gradient is a full grid rows-first,
-# (h*w, K, d) (see `flip_stack`), so its leading axis names the resolution;
-# its "feat" gradient holds the kept rows, as the forward's output does.
+# them at its mask's `RowSet` (see `FeatureGrid`).  Rows outside the mask
+# are exactly +0.0, as the masked dense op would give, and their upstream
+# gradient is dropped, as masking it would.  Forwards take a `FeatureGrid`
+# and the `RowSet` of their mask.  A backward's upstream gradient is a full
+# grid rows-first, (h*w, K, d) (see `flip_stack`), so its leading axis names
+# the resolution; its "feat" gradient holds the kept rows, as the forward's
+# output does.
 
 def flip_stack(x: np.ndarray) -> np.ndarray:
     """(K, h*w, d) <-> (h*w, K, d) as a view."""
@@ -210,6 +219,14 @@ class RowSet:
         """The rows an (h, w) bool mask keeps."""
         h, w = mask.shape
         return RowSet(h, w, np.flatnonzero(mask))
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def every(h: int, w: int) -> "RowSet":
+        """Every row of an h x w grid: one shared set per grid shape."""
+        idx = np.arange(h * w)
+        idx.flags.writeable = False
+        return RowSet(h, w, idx)
 
     @staticmethod
     def pack(sets: Sequence["RowSet"], grids: Sequence[int], stack: int) -> "RowSet":
@@ -288,24 +305,15 @@ class MaskedAttnCache:
     proj: KVProjection  # an AttnProjection for the token-sequence ops
 
 
-def _check_rows(feat: FeatureGrid, rows: RowSet):
-    if (rows.h, rows.w) != (feat.h, feat.w):
-        raise ShapeMismatch(
-            f"mask {rows.h}x{rows.w} does not match feature grid {feat.h}x{feat.w}"
-        )
-
-
 def _attend_rows(
-    feat: FeatureGrid, q_src: np.ndarray, q: np.ndarray, kv: np.ndarray,
-    key_keep: np.ndarray | None, proj: KVProjection, rows: RowSet, zero_keys=None,
+    q_src: np.ndarray, q: np.ndarray, kv: np.ndarray, key_keep: np.ndarray | None,
+    proj: KVProjection, rows: RowSet, zero_keys=None,
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
     """The kept rows' queries q, made from q_src, attend over the keys and
     values projected from kv (`key_keep` marks the real keys of a padded
-    stack) and `zero_keys` zero keys; returns feat's grids in the rows form
-    of `rows`."""
+    stack) and `zero_keys` zero keys; returns the grids at `rows`."""
     out, ac = scaled_dot_attention_forward(q, kv @ proj.wk, kv @ proj.wv, key_keep, zero_keys)
-    grid = FeatureGrid(feat.h, feat.w, out, None if rows.whole else rows)
-    return grid, MaskedAttnCache(q_src, kv, ac.attn, rows, proj)
+    return FeatureGrid(out, rows), MaskedAttnCache(q_src, kv, ac.attn, rows, proj)
 
 
 def _attend_rows_backward(
@@ -324,11 +332,10 @@ def masked_attention_forward(
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
     """Cross-attention from image features to a token sequence, zeroed
     outside the mask whose rows are `rows`."""
-    _check_rows(feat, rows)
     if emb.dim != feat.d:
         raise ShapeMismatch(f"embedding dim {emb.dim} != feature dim {feat.d}")
     x = feat.at(rows)
-    return _attend_rows(feat, x, x @ proj.wq, emb.values, emb.keep, proj, rows)
+    return _attend_rows(x, x @ proj.wq, emb.values, emb.keep, proj, rows)
 
 
 def masked_attention_backward(
@@ -370,10 +377,10 @@ def attribute_enhancement_forward(
     n = feat.h * feat.w
     if qlp.shape[0] != n:
         raise ShapeMismatch(f"learnable queries have {qlp.shape[0]} rows, grid has {n}")
-    _check_rows(feat, rows)
+    kv = feat.at(rows)  # checks the mask's grid before qlp is indexed with its rows
     kept = len(rows.idx) if rows.keep is None else rows.keep.sum(axis=-1)[:, None, None]
     q = qlp[rows.idx]
-    return _attend_rows(feat, q, q, feat.at(rows), rows.keep, proj, rows, n - kept)
+    return _attend_rows(q, q, kv, rows.keep, proj, rows, n - kept)
 
 
 def attribute_enhancement_backward(

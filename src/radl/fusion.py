@@ -17,19 +17,11 @@ from .errors import MissingCache, NoBranches, ShapeMismatch
 
 @dataclass
 class FusionBranch:
-    """One fusion input: a feature grid gated by the rows its branch keeps,
-    with a scalar logit.  The grid is full or in the rows form of `rows`."""
+    """One fusion input: a feature grid, gated by the rows it holds, with a
+    scalar logit."""
 
     feat: FeatureGrid
-    rows: RowSet
     logit: float
-
-    def __post_init__(self):
-        if (self.feat.h, self.feat.w) != (self.rows.h, self.rows.w):
-            raise ShapeMismatch(
-                f"branch feat {self.feat.h}x{self.feat.w} does not match "
-                f"mask {self.rows.h}x{self.rows.w}"
-            )
 
 
 @dataclass
@@ -41,9 +33,9 @@ class FuseCache:
 def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCache]:
     """Per-pixel convex combination of active branch features.
 
-    Branch features are stacks (K, n_pix, d), or their rows form.  A
-    branch's rows are one set every grid of the stack shares, or a packed
-    set; a grid that keeps no row of a branch gives it zero weight."""
+    A branch's mask is its grid's rows: one set every grid of the stack
+    shares, or a packed set; a grid that keeps no row of a branch gives it
+    zero weight."""
     branches = list(branches)
     if not branches:
         raise NoBranches("fusion requires at least one branch")
@@ -54,11 +46,8 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
 
     feats = np.zeros((ref.stack, len(branches), ref.h * ref.w, ref.d))  # (K, B, n, d)
     for j, b in enumerate(branches):
-        if b.feat.rows is None:
-            feats[:, j] = b.feat.values
-        else:
-            b.feat.rows.put(b.feat.values, feats[:, j])
-    masks = np.stack(np.broadcast_arrays(*[b.rows.mask for b in branches]), axis=-2)
+        b.feat.rows.put(b.feat.values, feats[:, j])
+    masks = np.stack(np.broadcast_arrays(*[b.feat.rows.mask for b in branches]), axis=-2)
     logits = np.array([b.logit for b in branches])[:, None]      # (B, 1)
     if not masks.any(axis=-2).all():
         raise NoBranches("every pixel needs at least one active branch")
@@ -70,7 +59,7 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
     weights = gated / gated.sum(axis=-2, keepdims=True)
 
     out = np.einsum("...bn,...bnd->...nd", weights, feats)
-    return FeatureGrid(ref.h, ref.w, out), FuseCache(feats=feats, weights=weights)
+    return FeatureGrid(out, RowSet.every(ref.h, ref.w)), FuseCache(feats=feats, weights=weights)
 
 
 def fuse_backward(

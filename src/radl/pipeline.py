@@ -332,14 +332,6 @@ class LayoutEncoding:
     relation: Branch | None  # None without verbs or instances
 
 
-@lru_cache(maxsize=None)
-def _every_row(side: int) -> RowSet:
-    """The background's rows at one grid side, shared by every encoding."""
-    idx = np.arange(side * side)
-    idx.flags.writeable = False
-    return RowSet(side, side, idx)
-
-
 def encode_layout(layout: LayoutSpec, cfg: EmbedderConfig, image_size: int) -> LayoutEncoding:
     """Embed the layout's text and rasterize its masks at both grid sides
     of an image_size denoiser."""
@@ -352,7 +344,7 @@ def encode_layout(layout: LayoutSpec, cfg: EmbedderConfig, image_size: int) -> L
         return Branch(embed_tokens(tokens, cfg), {s: rows_at(s) for s in sides}, box)
 
     return LayoutEncoding(
-        background=branch(tokenize(layout.prompt), _every_row),
+        background=branch(tokenize(layout.prompt), lambda s: RowSet.every(s, s)),
         instances=tuple(
             branch(tokenize(inst.label), lambda s: RowSet.of(masks[s][i]), inst.bbox.as_array())
             for i, inst in enumerate(layout.instances)
@@ -509,24 +501,24 @@ def _radl_block_forward(
         raise ShapeMismatch(f"no injection site at resolution {side}x{side}")
 
     bg = inputs.background
-    rows = bg.rows[side]
-    r_bg, bg_cache = masked_text_attention_forward(feat, bg.tokens, params.proj_text, rows)
+    r_bg, bg_cache = masked_text_attention_forward(feat, bg.tokens, params.proj_text, bg.rows[side])
     # fusion's branches in order: background, each instance slot, relation
-    branches = [FusionBranch(r_bg, rows, float(params.logit_bg))]
+    branches = [FusionBranch(r_bg, float(params.logit_bg))]
 
     inst_caches = []
     for i, inst in enumerate(inputs.instances):
         emb = None if embs is None else embs[i]
         r_f, ic = _instance_branch(feat, inst, emb, qlp, params)
         inst_caches.append(ic)
-        branches.append(FusionBranch(r_f, inst.rows[side], float(params.logit_inst)))
+        branches.append(FusionBranch(r_f, float(params.logit_inst)))
 
     rel_cache = None
     rel = inputs.relation if variant == "full" else None
     if rel is not None:
-        rows = rel.rows[side]
-        r_rel, rel_cache = relation_attention_forward(feat, rel.tokens, params.proj_rel, rows)
-        branches.append(FusionBranch(r_rel, rows, float(params.logit_rel)))
+        r_rel, rel_cache = relation_attention_forward(
+            feat, rel.tokens, params.proj_rel, rel.rows[side]
+        )
+        branches.append(FusionBranch(r_rel, float(params.logit_rel)))
 
     fused, fuse_cache = fuse_forward(branches)
     return fused, BlockCache(qlp_name, bg_cache, inst_caches, rel_cache, fuse_cache)
@@ -537,8 +529,8 @@ def _instance_branch(
     params: DenoiserParams,
 ) -> tuple[FeatureGrid, InstanceCache]:
     """One instance slot's branch and cache, its text attention alone without an
-    embedding.  The slot stays in the rows form of its mask from the text
-    attention on; fusion scatters it."""
+    embedding.  The slot holds only its mask's rows from the text attention
+    on; fusion scatters it."""
     rows = inst.rows[feat.h]
     r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, params.proj_text, rows)
     ic = InstanceCache(r=r_cache)
@@ -662,7 +654,7 @@ def denoise_forward_cached(
         if not radl_on:
             return h, None
         fused, block = _radl_block_forward(
-            FeatureGrid(side, side, h), blocks, embs, params, variant
+            FeatureGrid(h, RowSet.every(side, side)), blocks, embs, params, variant
         )
         return fused.values, block
 
@@ -773,10 +765,7 @@ def _temb_index_map(sample_sched: NoiseSchedule, t_train: int) -> np.ndarray:
     """Map each sampling step to the training step with the closest
     cumulative noise level, for the timestep-embedding lookup."""
     train_ab = training_schedule(t_train).alpha_bars
-    idx = np.empty(sample_sched.steps, dtype=int)
-    for t in range(1, sample_sched.steps + 1):
-        idx[t - 1] = int(np.argmin(np.abs(train_ab - sample_sched.alpha_bars[t - 1]))) + 1
-    return idx
+    return np.abs(train_ab[None] - sample_sched.alpha_bars[:, None]).argmin(axis=1) + 1
 
 
 def sample(

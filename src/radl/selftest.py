@@ -65,8 +65,9 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
     worst = 0.0
     masks = [np.zeros((4, 4), dtype=bool), np.ones((4, 4), dtype=bool)]
     masks += [rng.random((4, 4)) < 0.3 for _ in range(4)]
+    every = RowSet.every(4, 4)
     for m in masks:
-        feat = FeatureGrid(4, 4, rng.standard_normal((1, 16, 8)))
+        feat = FeatureGrid(rng.standard_normal((1, 16, 8)), every)
         x = feat.values[0]
         emb = rng.standard_normal((3, 8))
         qlp = rng.standard_normal((16, 8))
@@ -93,7 +94,7 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
     want_ae = np.zeros_like(stack)
     for g, m in zip(grids, packed):
         want_ae[g] = m.reshape(-1, 1) * attention_oracle(qlp, stack[g] @ proj.wk, stack[g] @ proj.wv)
-    got_ae = attribute_enhancement_forward(FeatureGrid(4, 4, stack), qlp, proj, rows)[0]
+    got_ae = attribute_enhancement_forward(FeatureGrid(stack, every), qlp, proj, rows)[0]
     got_ae = rows.put(got_ae.values)
     worst = max(worst, float(np.max(np.abs(got_ae - want_ae))))
     ok = worst <= 1e-12
@@ -109,11 +110,11 @@ def _check_softmax_rows(rng) -> tuple[bool, str]:
 
 
 def _check_fusion(rng) -> tuple[bool, str]:
-    every = RowSet.of(np.ones((4, 4), dtype=bool))
+    bg, draw = rng.standard_normal((2, 1, 16, 4))
+    rows = RowSet.of(rng.random((4, 4)) < 0.5)
     branches = [
-        FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), every, 0.3),
-        FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
-                     RowSet.of(rng.random((4, 4)) < 0.5), -0.7),
+        FusionBranch(FeatureGrid(bg, RowSet.every(4, 4)), 0.3),
+        FusionBranch(FeatureGrid(rows.take(draw), rows), -0.7),
     ]
     _, cache = fuse_forward(branches)
     sums_ok = bool(np.all(np.abs(cache.weights.sum(axis=0) - 1.0) <= 1e-12))

@@ -239,11 +239,10 @@ def build_instance_embedding_forward(
 def build_instance_embedding_backward(
     d_out: np.ndarray, concat: np.ndarray, proj: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients w.r.t. the projection, the position vector(s), and label rows."""
+    """Gradients w.r.t. the projection and the position vector(s); the label
+    rows are frozen embedder outputs and get none."""
     d = proj.shape[1]  # proj is (d + d_pos, d)
-    d_concat = d_out @ proj.T
     return {
         "proj": concat.reshape(-1, proj.shape[0]).T @ d_out.reshape(-1, d),
-        "pos": d_concat[..., d:].sum(axis=-2),
-        "label": d_concat[..., :d],
+        "pos": (d_out @ proj.T)[..., d:].sum(axis=-2),
     }

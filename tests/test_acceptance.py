@@ -88,13 +88,13 @@ def _op_backward_errors(rng):
     mask keeps, as a masked forward gives its output; `put` makes both full."""
     errs = []
     d = 4
-    feat = FeatureGrid(2, 3, rng.standard_normal((1, 6, d)))
+    feat = FeatureGrid(rng.standard_normal((1, 6, d)), RowSet.every(2, 3))
     emb_vals = rng.standard_normal((3, d))
     proj = AttnProjection.init(rng, d)
     mask = rng.random((2, 3)) < 0.6
     d_out = rng.standard_normal((1, 6, d))
     rows, d_rows = RowSet.of(mask), d_out.swapaxes(0, 1)
-    every = RowSet.of(np.ones((2, 3), dtype=bool))
+    every = RowSet.every(2, 3)
 
     q = rng.standard_normal((3, d))
     k = rng.standard_normal((4, d))
@@ -146,9 +146,10 @@ def _op_backward_errors(rng):
 
     errs.append(rel_err(grads["emb"], central_diff(run_rel, emb.values, d_out)))
 
+    bg, draw = rng.standard_normal((2, 1, 6, d))
     branches = [
-        FusionBranch(FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), every, 0.2),
-        FusionBranch(FeatureGrid(2, 3, rng.standard_normal((1, 6, d))), rows, -0.4),
+        FusionBranch(FeatureGrid(bg, RowSet.every(2, 3)), 0.2),
+        FusionBranch(FeatureGrid(rows.take(draw), rows), -0.4),
     ]
     from radl.fusion import fuse_backward
 
@@ -199,15 +200,13 @@ def test_criterion_3_mask_fusion_invariants():
     worst_shift = 0.0
     for seed in range(100):
         rng = np.random.default_rng(4000 + seed)
-        every = RowSet.of(np.ones((4, 4), dtype=bool))
-        branches = [FusionBranch(FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))), every, float(rng.standard_normal()))]
+        bg = FeatureGrid(rng.standard_normal((1, 16, 4)), RowSet.every(4, 4))
+        branches = [FusionBranch(bg, float(rng.standard_normal()))]
         for _ in range(2):
+            draw = rng.standard_normal((1, 16, 4))
+            rows = RowSet.of(rng.random((4, 4)) < 0.5)
             branches.append(
-                FusionBranch(
-                    FeatureGrid(4, 4, rng.standard_normal((1, 16, 4))),
-                    RowSet.of(rng.random((4, 4)) < 0.5),
-                    float(rng.standard_normal()),
-                )
+                FusionBranch(FeatureGrid(rows.take(draw), rows), float(rng.standard_normal()))
             )
         _, cache = fuse_forward(branches)
         worst_sum = max(worst_sum, float(np.max(np.abs(cache.weights.sum(axis=0) - 1.0))))

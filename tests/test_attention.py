@@ -28,7 +28,7 @@ from radl.text import EmbeddingSeq
 
 def grid(rng, h, w, d):
     """A stack of one random h x w grid."""
-    return FeatureGrid(h, w, rng.standard_normal((1, h * w, d)))
+    return FeatureGrid(rng.standard_normal((1, h * w, d)), RowSet.every(h, w))
 
 
 def random_mask(rng, h, w):
@@ -39,14 +39,10 @@ def rows_of(values):
     return RowSet.of(np.asarray(values, dtype=bool))
 
 
-def every_row(h, w):
-    return rows_of(np.ones((h, w)))
-
-
 def full(out):
     """A forward's output as full grids (K, h*w, d): a masked op gives only
     the rows its mask keeps."""
-    return out.values if out.rows is None else out.rows.put(out.values)
+    return out.rows.put(out.values)
 
 
 def rows_first(x):
@@ -165,7 +161,7 @@ def test_masked_text_ones_mask_equals_unmasked():
     feat = grid(rng, 4, 4, 8)
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
-    got = masked_text_attention_forward(feat, emb, proj, every_row(4, 4))[0]
+    got = masked_text_attention_forward(feat, emb, proj, RowSet.every(4, 4))[0]
     want, _ = scaled_dot_attention_forward(
         feat.values @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv
     )
@@ -230,9 +226,10 @@ def test_masked_text_backward_fd():
 
 def test_attribute_enhancement_constant_feat():
     rng = np.random.default_rng(12)
-    feat = FeatureGrid(2, 2, np.tile(rng.standard_normal(8), (1, 4, 1)))
+    feat = FeatureGrid(np.tile(rng.standard_normal(8), (1, 4, 1)), RowSet.every(2, 2))
     proj = AttnProjection.init(rng, 8)
-    out = attribute_enhancement_forward(feat, rng.standard_normal((4, 8)), proj, every_row(2, 2))[0]
+    qlp = rng.standard_normal((4, 8))
+    out = attribute_enhancement_forward(feat, qlp, proj, RowSet.every(2, 2))[0]
     assert np.allclose(out.values, np.broadcast_to(out.values[0, 0], (1, 4, 8)), atol=1e-14)
 
 
@@ -241,7 +238,7 @@ def test_attribute_enhancement_equal_queries():
     feat = grid(rng, 2, 2, 8)
     proj = AttnProjection.init(rng, 8)
     qlp = np.tile(rng.standard_normal(8), (4, 1))
-    out = attribute_enhancement_forward(feat, qlp, proj, every_row(2, 2))[0]
+    out = attribute_enhancement_forward(feat, qlp, proj, RowSet.every(2, 2))[0]
     assert np.allclose(out.values, np.broadcast_to(out.values[0, 0], (1, 4, 8)), atol=1e-14)
 
 
@@ -250,7 +247,7 @@ def test_attribute_enhancement_oracle_8x8():
     feat = grid(rng, 8, 8, 8)
     proj = AttnProjection.init(rng, 8)
     qlp = rng.standard_normal((64, 8))
-    got = attribute_enhancement_forward(feat, qlp, proj, every_row(8, 8))[0]
+    got = attribute_enhancement_forward(feat, qlp, proj, RowSet.every(8, 8))[0]
     want = attention_oracle(qlp, feat.values[0] @ proj.wk, feat.values[0] @ proj.wv)
     assert rel_err(got.values[0], want) <= 1e-12
 
@@ -260,7 +257,7 @@ def test_attribute_enhancement_qlp_mismatch():
     with pytest.raises(ShapeMismatch):
         attribute_enhancement_forward(
             grid(rng, 4, 4, 8), rng.standard_normal((9, 8)), AttnProjection.init(rng, 8),
-            every_row(4, 4),
+            RowSet.every(4, 4),
         )
 
 
@@ -270,7 +267,7 @@ def test_attribute_enhancement_backward_fd():
     proj = AttnProjection.init(rng, 4)
     qlp = rng.standard_normal((4, 4))
     d_out = rng.standard_normal((4, 4))[None]
-    rows = every_row(2, 2)
+    rows = RowSet.every(2, 2)
     out, cache = attribute_enhancement_forward(feat, qlp, proj, rows)
     grads = attribute_enhancement_backward(rows_first(d_out), cache)
 
@@ -345,7 +342,7 @@ def test_token_width_mismatch_raises(forward):
     feat = grid(rng, 4, 4, 8)
     tokens = EmbeddingSeq(rng.standard_normal((3, 6)))
     with pytest.raises(ShapeMismatch):
-        forward(feat, tokens, AttnProjection.init(rng, 8), every_row(4, 4))
+        forward(feat, tokens, AttnProjection.init(rng, 8), RowSet.every(4, 4))
 
 
 def test_relation_zero_total_mask():
@@ -362,7 +359,7 @@ def test_relation_single_verb_full_mask():
     feat = grid(rng, 4, 4, 8)
     verb = EmbeddingSeq(rng.standard_normal((1, 8)))
     proj = AttnProjection.init(rng, 8)
-    out = relation_attention_forward(feat, verb, proj, every_row(4, 4))[0]
+    out = relation_attention_forward(feat, verb, proj, RowSet.every(4, 4))[0]
     assert np.allclose(out.values, np.broadcast_to((verb.values @ proj.wv)[0], (1, 16, 8)), atol=1e-14)
 
 
@@ -426,13 +423,21 @@ def test_in_mask_ops_match_masked_oracle(case):
     assert rel_err(got, want) <= 1e-12
 
 
-def test_attribute_enhancement_mask_shape_mismatch():
+@pytest.mark.parametrize("forward", [
+    masked_text_attention_forward, attribute_enhancement_forward, instance_attention_forward,
+    relation_attention_forward,
+], ids=["masked_text_attention", "attribute_enhancement", "instance_attention",
+        "relation_attention"])
+def test_mask_shape_mismatch_raises(forward):
+    # every masked op reads its input at its mask's rows through
+    # `FeatureGrid.at`, which rejects a mask from another grid
     rng = np.random.default_rng(31)
+    feat = grid(rng, 4, 4, 4)
+    proj = AttnProjection.init(rng, 4)
+    keys = (rng.standard_normal((16, 4)) if forward is attribute_enhancement_forward
+            else EmbeddingSeq(rng.standard_normal((3, 4))))
     with pytest.raises(ShapeMismatch):
-        attribute_enhancement_forward(
-            grid(rng, 4, 4, 4), rng.standard_normal((16, 4)), AttnProjection.init(rng, 4),
-            every_row(2, 2),
-        )
+        forward(feat, keys, proj, rows_of(np.eye(2)))
 
 
 @pytest.mark.parametrize("case", MASK_CASES)
@@ -512,7 +517,8 @@ def ae_case(case, k, side=8, d=8):
     else:
         rows = RowSet.of(mask_case(case, rng, side))
         mask = np.broadcast_to(rows.mask, (k, side * side))
-    feat = FeatureGrid(side, side, rng.standard_normal((k, side * side, d)) * mask[..., None])
+    values = rng.standard_normal((k, side * side, d)) * mask[..., None]
+    feat = FeatureGrid(values, RowSet.every(side, side))
     return rows, mask, feat, rng.standard_normal((side * side, d))
 
 
@@ -522,7 +528,7 @@ def test_kept_key_enhancement_matches_dense_reference(case, k):
     assert case != "packed" or k == 1 or not rows.keep.all()
     proj = AttnProjection.init(np.random.default_rng(43), 8)
     got, cache = attribute_enhancement_forward(feat, qlp, proj, rows)
-    dense = attribute_enhancement_forward(feat, qlp, proj, every_row(8, 8))[0].values
+    dense = attribute_enhancement_forward(feat, qlp, proj, RowSet.every(8, 8))[0].values
     assert rel_err(full(got), mask[..., None] * dense) <= 1e-12
     # the feature gradient outside the rows is bitwise +0.0
     d_out = np.random.default_rng(44).standard_normal(feat.values.shape)
@@ -589,10 +595,10 @@ def test_stacked_forwards_equal_per_grid_calls(case):
         "attribute_enhancement": lambda f: attribute_enhancement_forward(f, qlp, proj, rows),
     }
     for name, call in calls.items():
-        got = full(call(FeatureGrid(8, 8, stack))[0])
+        got = full(call(FeatureGrid(stack, RowSet.every(8, 8)))[0])
         assert got.shape == stack.shape, name
         for k in range(3):
-            alone = full(call(FeatureGrid(8, 8, stack[k : k + 1]))[0])
+            alone = full(call(FeatureGrid(stack[k : k + 1], RowSet.every(8, 8)))[0])
             assert np.array_equal(got[k], alone[0]), name
 
 
@@ -604,7 +610,7 @@ def test_stacked_fuse_forward_equals_per_grid_calls():
     logits = rng.standard_normal(len(rows))
 
     def fused(pick):
-        branches = [FusionBranch(FeatureGrid(8, 8, pick(s)), r, float(z))
+        branches = [FusionBranch(FeatureGrid(r.take(pick(s)), r), float(z))
                     for s, r, z in zip(stacks, rows, logits)]
         return fuse_forward(branches)
 
@@ -617,22 +623,22 @@ def test_stacked_fuse_forward_equals_per_grid_calls():
 
 def test_feature_grid_rejects_wrong_rows_under_leading_axis():
     with pytest.raises(ShapeMismatch):
-        FeatureGrid(4, 4, np.zeros((2, 15, 3)))
+        FeatureGrid(np.zeros((2, 15, 3)), RowSet.every(4, 4))
     with pytest.raises(ShapeMismatch):
-        FeatureGrid(4, 4, np.zeros((16, 2, 3)))
+        FeatureGrid(np.zeros((16, 2, 3)), RowSet.every(4, 4))
     with pytest.raises(ShapeMismatch):  # one grid without its stack axis
-        FeatureGrid(4, 4, np.zeros((16, 3)))
-    assert FeatureGrid(4, 4, np.zeros((2, 16, 3))).d == 3
+        FeatureGrid(np.zeros((16, 3)), RowSet.every(4, 4))
+    assert FeatureGrid(np.zeros((2, 16, 3)), RowSet.every(4, 4)).d == 3
 
 
 def test_rows_form_holds_the_kept_rows():
     rows = RowSet.of(random_mask(np.random.default_rng(37), 4, 4))
     assert 0 < len(rows.idx) < 16
     stack = np.random.default_rng(38).standard_normal((2, 16, 3))
-    held = FeatureGrid(4, 4, rows.take(stack), rows)
+    held = FeatureGrid(rows.take(stack), rows)
     assert held.at(rows) is held.values  # its own rows: no gather
-    assert np.array_equal(FeatureGrid(4, 4, stack).at(rows), held.values)
-    assert np.array_equal(held.at(every_row(4, 4)), rows.put(held.values))
+    assert np.array_equal(FeatureGrid(stack, RowSet.every(4, 4)).at(rows), held.values)
+    assert np.array_equal(held.at(RowSet.every(4, 4)), rows.put(held.values))
     assert held.stack == 2 and held.like(held.values).rows is rows
-    with pytest.raises(ShapeMismatch):  # every row under a rows form
-        FeatureGrid(4, 4, stack, rows)
+    with pytest.raises(ShapeMismatch):  # every row at a set that keeps fewer
+        FeatureGrid(stack, rows)

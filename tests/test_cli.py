@@ -991,6 +991,15 @@ def test_make_corpus_unplaceable_config_exit_2(tmp_path):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_make_corpus_oversized_image_exit_2(tmp_path):
+    # 3 x 1e8 x 1e8 float64 pixels are 213 PiB: numpy refuses them at once
+    proc = script("make_corpus.py", "--image-size", 10**8, "--count", 1,
+                  "--out", tmp_path / "c.jsonl")
+    assert proc.returncode == 2
+    assert "memory" in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
     module = importlib.util.module_from_spec(spec)

@@ -1,12 +1,15 @@
 """Fuzz the CLI's exit-code contract: whatever the configs, layouts, corpus
 lines and checkpoints, `main` returns 0, 2, 3, 4 or 5 and raises nothing;
-whatever its sizes, `scripts/make_corpus.py` returns 0 or 2.
+whatever their arguments, `scripts/make_corpus.py` and
+`scripts/steering_experiment.py` return 0 or 2.
 
 Every example works at d <= 4, 8x8 images and a handful of steps, so one
 `main` call takes milliseconds; all of them run in this process.
 """
+import contextlib
 import dataclasses
 import importlib.util
+import io
 import json
 import os
 import struct
@@ -20,9 +23,12 @@ from hypothesis import strategies as st
 
 from radl.checkpoint import MAGIC
 from radl.cli import RunConfig, main
+from radl.evalmetrics import MetricsReport
 from radl.imageio import write_ppm
 from radl.layout import serialize_layout
+from radl.pipeline import VARIANTS, TrainResult, init_denoiser
 from radl.scenes import SceneConfig, generate, write_corpus
+from radl.steering import ArmResult
 
 CONTRACT = {0, 2, 3, 4, 5}
 FUZZ = settings(
@@ -297,21 +303,23 @@ def test_checkpoint_fuzz_keeps_contract(base, data, resume):
         assert run_in(tmp, cfg, *argv) in CONTRACT
 
 
-def load_make_corpus():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "make_corpus.py"
-    spec = importlib.util.spec_from_file_location("make_corpus", path)
+def load_script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / name
+    spec = importlib.util.spec_from_file_location(Path(name).stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-MAKE_CORPUS = load_make_corpus()
+MAKE_CORPUS = load_script("make_corpus.py")
+STEERING = load_script("steering_experiment.py")
 
 
 # image sizes 1 and 2 have room for one box only: any range above one
 # instance fails every seed, and `generate`'s scan limit bounds the example
 @settings(max_examples=30, deadline=None, derandomize=True)
 @example(size=1, low=2, high=2, count=1)  # was a hang
+@example(size=10**8, low=2, high=2, count=1)  # was MemoryError, exit 1
 @given(size=st.integers(-1, 9), low=st.integers(-1, 5), high=st.integers(-1, 5),
        count=st.integers(-1, 2))
 def test_make_corpus_keeps_contract(size, low, high, count):
@@ -324,3 +332,38 @@ def test_make_corpus_keeps_contract(size, low, high, count):
             assert MAKE_CORPUS.main() in (0, 2)
         finally:
             sys.argv = saved
+
+
+def untrained_arms(arms, *args, **kwargs):
+    """Stands in for `run_arms`: every arm an untrained d=4 model with a
+    zero report, so that the script's exit paths run and nothing trains."""
+    result = TrainResult(init_denoiser(0, d=4, image_size=8, t_train=12), [0.0], [], {}, {}, 0)
+    return {arm: ArmResult(result, [], MetricsReport(0.0, 0.0, 0.0, 0.0, 0.0)) for arm in arms}
+
+
+STEERING.run_arms = untrained_arms
+around_bounds = st.integers(-1, 2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(steps=0, seed=0, corpus=1, held_out=1, batch=1, lr=5e-3, arms=list(VARIANTS))
+@example(steps=2, seed=2, corpus=2, held_out=2, batch=2, lr=1.0, arms=["full", "full"])
+@example(steps=0, seed=0, corpus=1, held_out=1, batch=1, lr=float("-inf"), arms=["full"])
+@given(steps=around_bounds, seed=around_bounds, corpus=around_bounds, held_out=around_bounds,
+       batch=around_bounds, lr=st.floats(),
+       arms=st.lists(st.sampled_from([*VARIANTS, "bogus"]), min_size=1, max_size=4))
+def test_steering_experiment_keeps_contract(steps, seed, corpus, held_out, batch, lr, arms):
+    with tempfile.TemporaryDirectory() as tmp:
+        # --flag=value: argparse would read a bare "-inf" as a flag
+        argv = ["steering_experiment.py", f"--steps={steps}", f"--seed={seed}",
+                f"--corpus-size={corpus}", f"--held-out={held_out}", f"--batch-size={batch}",
+                f"--lr={lr!r}", f"--out={Path(tmp) / 'out'}", "--arms", *arms]
+        saved, sys.argv = sys.argv, argv
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = STEERING.main()
+        finally:
+            sys.argv = saved
+    assert code in (0, 2)
+    assert code == 0 or len(err.getvalue().splitlines()) == 1

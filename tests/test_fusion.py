@@ -13,21 +13,33 @@ def rows_of(values):
     return RowSet.of(np.asarray(values, dtype=bool))
 
 
+def branch(draw, rows, logit):
+    """A branch holding a full draw (K, h*w, d) at its rows."""
+    return FusionBranch(FeatureGrid(rows.take(draw), rows), logit)
+
+
+def full(feat):
+    """A branch's grids as full grids (K, h*w, d), zero outside its rows."""
+    return feat.rows.put(feat.values)
+
+
 def fuse_oracle(branches, masks):
     """Per-pixel scalar-loop fusion from each branch's own 0/1 mask, one
     shared by the stack (h*w,) or one per grid (k, h*w), independent of the
     vectorized path."""
     k, n, d = branches[0].feat.values.shape
+    feats = [full(b.feat) for b in branches]
     out = np.zeros((k, n, d))
     for g in range(k):
         for p in range(n):
-            active = [b for b, m in zip(branches, masks) if np.broadcast_to(m, (k, n))[g, p] == 1.0]
-            logits = [b.logit for b in active]
+            active = [(b, f) for b, f, m in zip(branches, feats, masks)
+                      if np.broadcast_to(m, (k, n))[g, p] == 1.0]
+            logits = [b.logit for b, _ in active]
             m = max(logits)
             exps = [np.exp(l - m) for l in logits]
             z = sum(exps)
-            for b, e in zip(active, exps):
-                out[g, p] += (e / z) * b.feat.values[g, p]
+            for (_, f), e in zip(active, exps):
+                out[g, p] += (e / z) * f[g, p]
     return out
 
 
@@ -51,9 +63,7 @@ def make_branches(rng, h=8, w=8, d=8, n_inst=2, logits=None, k=1):
         return 0.0 if logits is None else logits[i]
 
     masks = [np.ones(n_pix)]
-    branches = [FusionBranch(
-        FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))), rows_of(np.ones((h, w))), logit(0)
-    )]
+    branches = [branch(rng.standard_normal((k, n_pix, d)), RowSet.every(h, w), logit(0))]
     for i in range(n_inst):
         mask = (rng.random(n_pix if k == 1 else (k, n_pix)) < 0.4).astype(float)
         grids = list(range(k))
@@ -61,32 +71,29 @@ def make_branches(rng, h=8, w=8, d=8, n_inst=2, logits=None, k=1):
             mask[-1] = 0.0
             grids.pop()
         masks.append(mask)
-        branches.append(FusionBranch(
-            FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))), packed(mask, grids, h, w),
-            logit(1 + i),
-        ))
+        branches.append(
+            branch(rng.standard_normal((k, n_pix, d)), packed(mask, grids, h, w), logit(1 + i))
+        )
     total = (np.sum(masks[1:], axis=0) > 0).astype(float) if n_inst else np.zeros(n_pix)
     masks.append(total)
-    branches.append(FusionBranch(
-        FeatureGrid(h, w, rng.standard_normal((k, n_pix, d))), packed(total, range(k), h, w),
-        logit(-1),
-    ))
+    branches.append(
+        branch(rng.standard_normal((k, n_pix, d)), packed(total, range(k), h, w), logit(-1))
+    )
     return branches, masks
 
 
 def test_single_background_branch_exact():
     rng = np.random.default_rng(0)
-    feat = FeatureGrid(4, 4, rng.standard_normal((1, 16, 8)))
-    out = fuse_forward([FusionBranch(feat, rows_of(np.ones((4, 4))), 1.3)])[0]
+    feat = FeatureGrid(rng.standard_normal((1, 16, 8)), RowSet.every(4, 4))
+    out = fuse_forward([FusionBranch(feat, 1.3)])[0]
     assert np.array_equal(out.values, feat.values)
 
 
 def test_two_equal_logit_branches_mean():
     rng = np.random.default_rng(1)
-    a = FeatureGrid(2, 2, rng.standard_normal((1, 4, 3)))
-    b = FeatureGrid(2, 2, rng.standard_normal((1, 4, 3)))
-    ones = rows_of(np.ones((2, 2)))
-    branches = [FusionBranch(a, ones, 0.7), FusionBranch(b, ones, 0.7)]
+    a = FeatureGrid(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2))
+    b = FeatureGrid(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2))
+    branches = [FusionBranch(a, 0.7), FusionBranch(b, 0.7)]
     out = fuse_forward(branches)[0]
     assert np.allclose(out.values, 0.5 * (a.values + b.values), atol=1e-15)
 
@@ -103,26 +110,6 @@ def test_packed_fuse_matches_pixel_loop_oracle():
     branches, masks = make_branches(rng, logits=rng.standard_normal(4), k=3)
     got = fuse_forward(branches)[0]
     assert rel_err(got.values, fuse_oracle(branches, masks)) <= 1e-12
-
-
-@pytest.mark.parametrize("k", [1, 3])  # one set the stack shares; packed sets
-def test_rows_form_fuse_equals_scattered_grids(k):
-    # a masked op hands fusion only its kept rows; fusion must give the bytes
-    # it gives for those rows scattered into zero grids
-    rng = np.random.default_rng(13)
-    branches, _ = make_branches(rng, logits=rng.standard_normal(4), k=k)
-    assert k == 1 or branches[2].rows.grids is not None
-    rows_form = [branches[0]] + [
-        replace(b, feat=FeatureGrid(b.feat.h, b.feat.w, b.rows.take(b.feat.values), b.rows))
-        for b in branches[1:]
-    ]
-    scattered = [replace(b, feat=b.feat.like(b.rows.put(r.feat.values)))
-                 for b, r in zip(branches, rows_form)]
-    out, cache = fuse_forward(rows_form)
-    out_ref, cache_ref = fuse_forward(scattered)
-    assert out.values.tobytes() == out_ref.values.tobytes()
-    assert cache.feats.tobytes() == cache_ref.feats.tobytes()
-    assert cache.weights.tobytes() == cache_ref.weights.tobytes()
 
 
 def test_fuse_weights_sum_to_one():
@@ -150,7 +137,7 @@ def test_fuse_convexity_envelope():
     rng = np.random.default_rng(5)
     branches, masks = make_branches(rng, logits=rng.standard_normal(4))
     out = fuse_forward(branches)[0].values[0]
-    feats = np.stack([b.feat.values[0] for b in branches])
+    feats = np.stack([full(b.feat)[0] for b in branches])
     masks = np.stack(masks)
     active = np.where(masks[:, :, None] > 0, feats, np.nan)
     lo = np.nanmin(active, axis=0)
@@ -174,22 +161,20 @@ def test_fuse_errors():
     with pytest.raises(NoBranches):
         fuse_forward([])
     rng = np.random.default_rng(7)
-    a = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), rows_of(np.ones((2, 2))), 0.0)
-    b = FusionBranch(FeatureGrid(3, 3, rng.standard_normal((1, 9, 3))), rows_of(np.ones((3, 3))), 0.0)
+    a = branch(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2), 0.0)
+    b = branch(rng.standard_normal((1, 9, 3)), RowSet.every(3, 3), 0.0)
     with pytest.raises(ShapeMismatch):
         fuse_forward([a, b])
     # no active branch at some pixel
-    inst_only = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), rows_of(np.eye(2)), 0.0)
+    inst_only = branch(rng.standard_normal((1, 4, 3)), rows_of(np.eye(2)), 0.0)
     with pytest.raises(NoBranches):
         fuse_forward([inst_only])
-    with pytest.raises(ShapeMismatch):
-        FusionBranch(FeatureGrid(2, 2, np.zeros((1, 4, 3))), rows_of(np.ones((3, 3))), 0.0)
 
 
 def test_fuse_backward_single_branch():
     rng = np.random.default_rng(8)
-    feat = FeatureGrid(2, 2, rng.standard_normal((1, 4, 3)))
-    _, cache = fuse_forward([FusionBranch(feat, rows_of(np.ones((2, 2))), 0.4)])
+    feat = FeatureGrid(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2))
+    _, cache = fuse_forward([FusionBranch(feat, 0.4)])
     d_out = rng.standard_normal((4, 3))[:, None]  # rows-first
     d_feats, d_logits = fuse_backward(d_out, cache)
     assert np.array_equal(d_feats[0], d_out)
@@ -198,8 +183,8 @@ def test_fuse_backward_single_branch():
 
 def test_fuse_backward_inactive_branch_zero_grads():
     rng = np.random.default_rng(9)
-    bg = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), rows_of(np.ones((2, 2))), 0.0)
-    dead = FusionBranch(FeatureGrid(2, 2, rng.standard_normal((1, 4, 3))), rows_of(np.zeros((2, 2))), 0.0)
+    bg = branch(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2), 0.0)
+    dead = branch(rng.standard_normal((1, 4, 3)), rows_of(np.zeros((2, 2))), 0.0)
     _, cache = fuse_forward([bg, dead])
     d_feats, d_logits = fuse_backward(rng.standard_normal((4, 3))[:, None], cache)
     assert not d_feats[1].any()
@@ -230,7 +215,7 @@ def test_fuse_backward_vs_central_differences():
             return fuse_forward(now)[0].values
 
         for bi, b in enumerate(branches):
-            num = central_diff(fused, b.feat.values, d_out)
+            num = b.feat.rows.put(central_diff(fused, b.feat.values, d_out))
             an = d_feats[bi].swapaxes(0, 1)
             worst = max(worst, rel_err(an, num) if num.any() or an.any() else 0.0)
         num_logits = central_diff(fused, logits, d_out)

@@ -68,6 +68,15 @@ def test_schedule_step_range():
         sched.beta(11)
 
 
+@pytest.mark.parametrize("steps, t_train", [(60, 200), (4, 12), (200, 200), (300, 50)])
+def test_temb_index_map_equals_per_step_loop(steps, t_train):
+    # the per-step argmin loop the broadcast replaced: ties go to the first index
+    sched = NoiseSchedule.make(steps)
+    train_ab = NoiseSchedule.make(t_train).alpha_bars
+    want = [int(np.argmin(np.abs(train_ab - ab))) + 1 for ab in sched.alpha_bars]
+    assert pipeline._temb_index_map(sched, t_train).tolist() == want
+
+
 # --- forward diffusion -------------------------------------------------------
 
 def test_diffuse_t1_limit():
@@ -278,7 +287,7 @@ def test_in_mask_enhancement_matches_dense_reference(variant, monkeypatch):
     fast = [forward_and_grads(params, *case, variant) for case in cases]
 
     def dense_ae(feat, qlp, proj, rows, ae=pipeline.attribute_enhancement_forward):
-        return ae(feat, qlp, proj, RowSet.of(np.ones((feat.h, feat.w), dtype=bool)))
+        return ae(feat, qlp, proj, RowSet.every(feat.h, feat.w))
 
     monkeypatch.setattr(pipeline, "attribute_enhancement_forward", dense_ae)
     for case, (eps, g) in zip(cases, fast):
@@ -295,8 +304,8 @@ ROW_FORM_OPS = ("masked_text_attention_forward", "attribute_enhancement_forward"
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rows_form_matches_scattered_reference(variant, monkeypatch):
     # The masked ops hand their kept rows on, and fusion scatters them.  The
-    # reference scatters every op's output to full grids, as the ops did
-    # before the rows form; eps and every gradient must keep their bytes.
+    # reference scatters every op's input to full grids, so each op gathers
+    # its rows from a full grid; eps and every gradient must keep their bytes.
     params = init_denoiser(5, d=8, image_size=32, t_train=200)
     crowded = crowded_layouts(1)[0]  # 1-4 small boxes and one empty at 8x8
     assert crowded.instances and not rasterize_mask(crowded.instances[-1].bbox, 8, 8).any()
@@ -312,8 +321,7 @@ def test_rows_form_matches_scattered_reference(variant, monkeypatch):
 
     def scattered(op):
         def forward(feat, *args):
-            out, cache = op(feat, *args)
-            return FeatureGrid(out.h, out.w, args[-1].put(out.values)), cache
+            return op(FeatureGrid(feat.rows.put(feat.values), RowSet.every(feat.h, feat.w)), *args)
         return forward
 
     for name in ROW_FORM_OPS:
