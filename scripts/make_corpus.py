@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from radl.errors import PlacementFailure
+from radl.errors import OneLineParser, PlacementFailure
 from radl.imageio import write_ppm
 from radl.layout import serialize_layout
 from radl.scenes import SceneConfig, generate, write_corpus
@@ -35,7 +35,7 @@ def write_outputs(args, scenes) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = OneLineParser(description=__doc__)
     parser.add_argument("--out", default="corpus.jsonl")
     parser.add_argument("--count", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0, help="first generator seed")
@@ -44,7 +44,11 @@ def main() -> int:
     parser.add_argument("--max-instances", type=int, default=2)
     parser.add_argument("--eval-dirs", default=None,
                         help="also write <dir>/images/*.ppm and <dir>/layouts/*.json")
-    args = parser.parse_args()
+    try:
+        args = parser.parse_args()
+    except argparse.ArgumentError as e:
+        print(f"make_corpus: {e}", file=sys.stderr)
+        return 2
     # an empty corpus is one `radl train` refuses; numpy refuses a negative seed
     for flag, value, low in (("--count", args.count, 1), ("--seed", args.seed, 0)):
         if value < low:

@@ -22,7 +22,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from radl.cli import RunConfig, _save_checkpoint
-from radl.errors import finite_number
+from radl.errors import OneLineParser, finite_number
 from radl.imageio import write_ppm
 from radl.pipeline import VARIANTS
 from radl.scenes import SceneConfig, generate
@@ -45,7 +45,7 @@ def bad_argument(args) -> str | None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = OneLineParser(description=__doc__)
     parser.add_argument("--steps", type=int, default=2000)
     parser.add_argument("--lr", type=float, default=5e-3,
                         help="experiment learning rate (package default is 1e-4)")
@@ -56,7 +56,11 @@ def main() -> int:
     parser.add_argument("--out", default="out/steering")
     parser.add_argument("--arms", nargs="+",
                         default=["full", "text_attn_only", "no_relation"])
-    args = parser.parse_args()
+    try:
+        args = parser.parse_args()
+    except argparse.ArgumentError as e:
+        print(f"steering_experiment: {e}", file=sys.stderr)
+        return 2
     error = bad_argument(args)
     out_dir = Path(args.out)
     if not error:

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one text-file reader
-and JSON reader every input goes through."""
+"""Exception types shared across the package, the one text-file reader
+and JSON reader every input goes through, and the scripts' argument parser."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -84,3 +85,12 @@ def finite_number(x) -> bool:
         return math.isfinite(x)
     except OverflowError:  # an int beyond the float64 range
         return False
+
+
+class OneLineParser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise `argparse.ArgumentError` with
+    argparse's one-line message, where ArgumentParser prints its usage block
+    and exits; `--help` still prints and exits 0."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)

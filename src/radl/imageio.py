@@ -8,15 +8,26 @@ import numpy as np
 from .errors import MalformedDoc
 
 
+def encode_rgb8(image: np.ndarray) -> bytes:
+    """A (3, H, W) float image in [0,1] as 8-bit RGB, interleaved, row-major."""
+    u8 = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
+    return u8.transpose(1, 2, 0).tobytes()
+
+
+def decode_rgb8(raw: bytes, h: int, w: int) -> np.ndarray:
+    """Inverse of encode_rgb8: (3, h, w) floats in [0,1]; raw must hold 3*h*w bytes."""
+    u8 = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
+    return u8.transpose(2, 0, 1).astype(np.float64) / 255.0
+
+
 def write_ppm(path, image: np.ndarray) -> None:
     """Write a (3, H, W) float image in [0,1] as 8-bit binary PPM."""
     if image.ndim != 3 or image.shape[0] != 3:
         raise MalformedDoc(f"expected (3, H, W) image, got {image.shape}")
     h, w = image.shape[1], image.shape[2]
-    u8 = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(u8.transpose(1, 2, 0).tobytes())
+        fh.write(encode_rgb8(image))
 
 
 def read_ppm(path) -> np.ndarray:
@@ -50,5 +61,4 @@ def read_ppm(path) -> np.ndarray:
     raw = data[pos : pos + 3 * w * h]
     if len(raw) != 3 * w * h:
         raise MalformedDoc(f"{path}: truncated pixel data")
-    u8 = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return u8.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return decode_rgb8(raw, h, w)

@@ -60,18 +60,6 @@ from .text import (
 VARIANTS = ("full", "text_attn_only", "no_relation")
 TRAIN_MODES = ("mirror", "always_on")
 
-# parameters that act as gates/queries rather than weights
-NO_DECAY = frozenset(
-    {
-        "radl.qlp_fine",
-        "radl.qlp_coarse",
-        "fusion.logit_bg",
-        "fusion.logit_inst",
-        "fusion.logit_rel",
-        "anchor_gain",
-    }
-)
-
 # assumed second moment of clean-image pixels; fixes the posterior-mean
 # anchor kappa_t = sqrt(ab) q / (ab q + 1 - ab) used by the denoiser
 PRIOR_MOMENT = 0.3
@@ -240,25 +228,24 @@ def init_denoiser(
     )
 
 
-# name -> attribute path of every learnable tensor, in the order the flat
-# parameter vector lays them out
-_TENSOR_PATHS = {
-    "enc1.w": "enc1_w", "enc1.b": "enc1_b",
-    "enc2.w": "enc2_w", "enc2.b": "enc2_b",
-    "dec1.w": "dec1_w", "dec1.b": "dec1_b",
-    "dec2.w": "dec2_w", "dec2.b": "dec2_b",
-    "temb": "temb",
-    "anchor_gain": "anchor_gain",
-    **{
-        f"radl.{kind}.w{w}": f"proj_{kind}.w{w}"
-        for kind in ("text", "ae", "inst", "rel") for w in ("kv" if kind == "ae" else "qkv")
-    },
-    "radl.qlp_fine": "qlp_fine", "radl.qlp_coarse": "qlp_coarse",
-    "radl.e_proj": "e_proj",
-    **{f"posmlp.{w}": f"posmlp.{w}" for w in ("w1", "b1", "w2", "b2")},
-    "fusion.logit_bg": "logit_bg", "fusion.logit_inst": "logit_inst",
-    "fusion.logit_rel": "logit_rel",
+# every learnable tensor by group: checkpoint name -> attribute path, in the
+# order the flat parameter vector lays them out, so each group is a slice of it
+PARAM_GROUPS: dict[str, dict[str, str]] = {
+    **{g: {f"{g}.w": f"{g}_w", f"{g}.b": f"{g}_b"} for g in ("enc1", "enc2", "dec1", "dec2")},
+    "temb": {"temb": "temb"},
+    "anchor_gain": {"anchor_gain": "anchor_gain"},
+    **{f"attn_{k}": {f"radl.{k}.w{w}": f"proj_{k}.w{w}" for w in ("kv" if k == "ae" else "qkv")}
+       for k in ("text", "ae", "inst", "rel")},
+    "qlp": {"radl.qlp_fine": "qlp_fine", "radl.qlp_coarse": "qlp_coarse"},
+    "e_proj": {"radl.e_proj": "e_proj"},
+    "posmlp": {f"posmlp.{w}": f"posmlp.{w}" for w in ("w1", "b1", "w2", "b2")},
+    "fusion_logits": {f"fusion.logit_{b}": f"logit_{b}" for b in ("bg", "inst", "rel")},
 }
+_TENSOR_PATHS = {name: path for paths in PARAM_GROUPS.values() for name, path in paths.items()}
+# groups that act as gates/queries rather than weights
+NO_DECAY = frozenset(
+    name for group in ("anchor_gain", "qlp", "fusion_logits") for name in PARAM_GROUPS[group]
+)
 
 
 def params_to_dict(p: DenoiserParams) -> dict[str, np.ndarray]:
@@ -288,24 +275,6 @@ def _flatten(p: DenoiserParams) -> None:
 def zero_grads(p: DenoiserParams) -> dict[str, np.ndarray]:
     """Zero gradients named as params_to_dict, views into one vector."""
     return _views(np.zeros_like(p.flat), params_to_dict(p))
-
-
-PARAM_GROUPS: dict[str, tuple[str, ...]] = {
-    "enc1": ("enc1.w", "enc1.b"),
-    "enc2": ("enc2.w", "enc2.b"),
-    "dec1": ("dec1.w", "dec1.b"),
-    "dec2": ("dec2.w", "dec2.b"),
-    "temb": ("temb",),
-    "anchor_gain": ("anchor_gain",),
-    "attn_text": ("radl.text.wq", "radl.text.wk", "radl.text.wv"),
-    "attn_ae": ("radl.ae.wk", "radl.ae.wv"),
-    "attn_inst": ("radl.inst.wq", "radl.inst.wk", "radl.inst.wv"),
-    "attn_rel": ("radl.rel.wq", "radl.rel.wk", "radl.rel.wv"),
-    "qlp": ("radl.qlp_fine", "radl.qlp_coarse"),
-    "e_proj": ("radl.e_proj",),
-    "posmlp": ("posmlp.w1", "posmlp.b1", "posmlp.w2", "posmlp.b2"),
-    "fusion_logits": ("fusion.logit_bg", "fusion.logit_inst", "fusion.logit_rel"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -980,6 +949,7 @@ def train(
 # gradient checking
 
 GRADCHECK_COORDS = 32  # coordinates probed per parameter group
+GRADCHECK_EPS = 1e-5
 GRADCHECK_THRESHOLD = 1e-4
 
 
@@ -1001,15 +971,15 @@ def gradcheck(
     params: DenoiserParams,
     scene: SyntheticScene,
     t: int,
-    eps: float = 1e-5,
     rng_seed: int = 0,
     embed_cfg: EmbedderConfig | None = None,
     variant: str = "full",
     grad_fault: bool = False,
 ) -> GradCheckReport:
     """Compare analytic gradients of the MSE loss against central finite
-    differences on GRADCHECK_COORDS random coordinates of every parameter
-    group; a group fails above a relative error of GRADCHECK_THRESHOLD.
+    differences (step GRADCHECK_EPS) on GRADCHECK_COORDS random coordinates
+    of every parameter group, drawn from the group's slice of `params.flat`;
+    a group fails above a relative error of GRADCHECK_THRESHOLD.
 
     `grad_fault` is a negative-control hook: it corrupts one analytic
     gradient so callers can verify that failures are detected.
@@ -1027,23 +997,24 @@ def gradcheck(
         r = denoise_forward_cached(params, x_t, [t], encs, True, variant)[0] - noise
         return float((r * r).mean())
 
-    g = zero_grads(params)
+    pdict = params_to_dict(params)
+    grad = np.zeros_like(params.flat)
+    g = _views(grad, pdict)
     mse_loss_and_grads(params, [scene], [t], noise, encs, True, g, variant)
     if grad_fault:
         g["enc1.w"] += 1.0
 
-    pdict = params_to_dict(params)
     report: dict[str, float] = {}
+    end = 0
     for group, names in PARAM_GROUPS.items():
-        coords = []
-        for name in names:
-            coords.extend((name, idx) for idx in np.ndindex(pdict[name].shape))
-        if len(coords) > GRADCHECK_COORDS:
-            chosen = rng.choice(len(coords), size=GRADCHECK_COORDS, replace=False)
-            coords = [coords[int(i)] for i in chosen]
+        size = sum(pdict[name].size for name in names)
+        coords = np.arange(end, end + size)
+        end += size
+        if size > GRADCHECK_COORDS:
+            coords = coords[rng.choice(size, size=GRADCHECK_COORDS, replace=False)]
         worst = 0.0
-        for name, idx in coords:
-            numeric = central_diff(loss_fn, pdict[name], 1.0, eps, [idx])[idx]
-            worst = max(worst, rel_err(g[name][idx], numeric, floor=1e-6))
+        for i in coords:
+            numeric = central_diff(loss_fn, params.flat, 1.0, GRADCHECK_EPS, [i])[i]
+            worst = max(worst, rel_err(grad[i], numeric, floor=1e-6))
         report[group] = worst
     return GradCheckReport(max_rel_err=report, threshold=GRADCHECK_THRESHOLD)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedDoc, PlacementFailure, RadlError, read_utf8
+from .imageio import decode_rgb8, encode_rgb8
 from .layout import (
     BBox,
     InstanceSpec,
@@ -214,13 +215,8 @@ def generate(seed0: int, count: int, config: SceneConfig = SceneConfig()) -> lis
 # --- corpus file: one JSON object per line ----------------------------------
 
 def _image_to_obj(image: np.ndarray) -> dict:
-    u8 = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    raw = u8.transpose(1, 2, 0).tobytes()  # interleaved RGB, row-major
-    return {
-        "height": image.shape[1],
-        "width": image.shape[2],
-        "data": base64.b64encode(raw).decode("ascii"),
-    }
+    data = base64.b64encode(encode_rgb8(image)).decode("ascii")
+    return {"height": image.shape[1], "width": image.shape[2], "data": data}
 
 
 def _image_from_obj(obj: dict) -> np.ndarray:
@@ -228,9 +224,7 @@ def _image_from_obj(obj: dict) -> np.ndarray:
     for key, n in (("height", h), ("width", w)):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"image {key} must be a positive integer, got {n!r}")
-    raw = base64.b64decode(obj["data"])
-    u8 = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-    return u8.transpose(2, 0, 1).astype(np.float64) / 255.0
+    return decode_rgb8(base64.b64decode(obj["data"]), h, w)
 
 
 def write_corpus(path, scenes: list[SyntheticScene]) -> None:

@@ -244,5 +244,5 @@ def build_instance_embedding_backward(
     d = proj.shape[1]  # proj is (d + d_pos, d)
     return {
         "proj": concat.reshape(-1, proj.shape[0]).T @ d_out.reshape(-1, d),
-        "pos": (d_out @ proj.T)[..., d:].sum(axis=-2),
+        "pos": (d_out @ proj[d:].T).sum(axis=-2),
     }

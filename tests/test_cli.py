@@ -1000,6 +1000,26 @@ def test_make_corpus_oversized_image_exit_2(tmp_path):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+@pytest.mark.parametrize("name, args, line", [
+    ("make_corpus.py", ["--count", "abc"],
+     "make_corpus: argument --count: invalid int value: 'abc'"),
+    # argparse reads a bare "-inf" as a flag
+    ("steering_experiment.py", ["--lr", "-inf"],
+     "steering_experiment: argument --lr: expected one argument"),
+])
+def test_scripts_argparse_error_one_line_exit_2(tmp_path, name, args, line):
+    proc = script(name, *args, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [line]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["make_corpus.py", "steering_experiment.py"])
+def test_scripts_help_exit_0(name):
+    proc = script(name, "--help")
+    assert proc.returncode == 0 and proc.stdout.startswith("usage:") and not proc.stderr
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(Path(name).stem, SCRIPTS / name)
     module = importlib.util.module_from_spec(spec)

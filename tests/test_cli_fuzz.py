@@ -320,6 +320,7 @@ STEERING = load_script("steering_experiment.py")
 @settings(max_examples=30, deadline=None, derandomize=True)
 @example(size=1, low=2, high=2, count=1)  # was a hang
 @example(size=10**8, low=2, high=2, count=1)  # was MemoryError, exit 1
+@example(size=8, low=2, high=2, count="abc")  # was argparse's SystemExit and usage block
 @given(size=st.integers(-1, 9), low=st.integers(-1, 5), high=st.integers(-1, 5),
        count=st.integers(-1, 2))
 def test_make_corpus_keeps_contract(size, low, high, count):
@@ -328,10 +329,14 @@ def test_make_corpus_keeps_contract(size, low, high, count):
                 "--max-instances", str(high), "--count", str(count),
                 "--out", str(Path(tmp) / "c.jsonl")]
         saved, sys.argv = sys.argv, argv
+        err = io.StringIO()
         try:
-            assert MAKE_CORPUS.main() in (0, 2)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = MAKE_CORPUS.main()
         finally:
             sys.argv = saved
+    assert code in (0, 2)
+    assert code == 0 or len(err.getvalue().splitlines()) == 1
 
 
 def untrained_arms(arms, *args, **kwargs):
@@ -349,6 +354,7 @@ around_bounds = st.integers(-1, 2)
 @example(steps=0, seed=0, corpus=1, held_out=1, batch=1, lr=5e-3, arms=list(VARIANTS))
 @example(steps=2, seed=2, corpus=2, held_out=2, batch=2, lr=1.0, arms=["full", "full"])
 @example(steps=0, seed=0, corpus=1, held_out=1, batch=1, lr=float("-inf"), arms=["full"])
+@example(steps="abc", seed=0, corpus=1, held_out=1, batch=1, lr=5e-3, arms=["full"])  # was SystemExit
 @given(steps=around_bounds, seed=around_bounds, corpus=around_bounds, held_out=around_bounds,
        batch=around_bounds, lr=st.floats(),
        arms=st.lists(st.sampled_from([*VARIANTS, "bogus"]), min_size=1, max_size=4))

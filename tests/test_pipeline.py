@@ -787,11 +787,53 @@ def test_gradcheck_frozen_groups_near_zero():
         assert report.max_rel_err[group] <= 1e-6, (group, report.max_rel_err[group])
 
 
-def test_gradcheck_eps_halving_sanity():
+def test_gradcheck_eps_halving_sanity(monkeypatch):
     params = init_denoiser(0, d=8, image_size=8, t_train=50)
     scene = small_scene()
-    full = gradcheck(params, scene, t=25, eps=1e-5, rng_seed=2, embed_cfg=EC)
-    half = gradcheck(params, scene, t=25, eps=5e-6, rng_seed=2, embed_cfg=EC)
+    full = gradcheck(params, scene, t=25, rng_seed=2, embed_cfg=EC)
+    monkeypatch.setattr(pipeline, "GRADCHECK_EPS", pipeline.GRADCHECK_EPS / 2)
+    half = gradcheck(params, scene, t=25, rng_seed=2, embed_cfg=EC)
     worst_full = max(full.max_rel_err.values())
     worst_half = max(half.max_rel_err.values())
     assert worst_half <= worst_full * 4 + 1e-7
+
+
+def gradcheck_reports():
+    """The reports of 3 scenes x 3 variants at 8x8, d=4, then one with the
+    negative-control fault, each as its repr."""
+    params = init_denoiser(0, d=4, image_size=8, t_train=50)
+    scenes = generate(10, 3, SceneConfig(image_size=8, min_box=0.3, max_box=0.6))
+    runs = [(i, scene, variant, False) for i, scene in enumerate(scenes) for variant in VARIANTS]
+    runs.append((0, scenes[0], "full", True))
+    return [
+        repr(gradcheck(params, scene, t=1 + 13 * i, rng_seed=i, embed_cfg=EC4, variant=variant,
+                       grad_fault=fault).max_rel_err)
+        for i, scene, variant, fault in runs
+    ]
+
+
+# recorded before gradcheck probed each group as a slice of `params.flat`: a
+# probe coordinate that moves changes the reports
+GOLDEN_GRADCHECK_SHA256 = "ed61bca094261f904730513c00230b66a126348aae74e71f7600320a6124a683"
+
+
+def test_gradcheck_reports_golden():
+    digest = hashlib.sha256("\n".join(gradcheck_reports()).encode()).hexdigest()
+    assert digest == GOLDEN_GRADCHECK_SHA256
+
+
+def test_param_groups_are_the_one_tensor_table():
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    tensors = params_to_dict(params)
+    assert list(tensors) == [name for names in PARAM_GROUPS.values() for name in names]
+    end = 0  # each group's tensors end to end in `flat`, where the group before ended
+    for group, names in PARAM_GROUPS.items():
+        for name in names:
+            offset = tensors[name].__array_interface__["data"][0] - params.flat.ctypes.data
+            assert offset == 8 * end, (group, name)
+            end += tensors[name].size
+    assert end == params.flat.size
+    assert NO_DECAY == {
+        "radl.qlp_fine", "radl.qlp_coarse", "fusion.logit_bg", "fusion.logit_inst",
+        "fusion.logit_rel", "anchor_gain",
+    }
