@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MissingCache, ShapeMismatch
-from .text import EmbeddingSeq, pad_stack
+from .text import pad_stack
 
 
 @dataclass(frozen=True)
@@ -292,27 +292,48 @@ class RowSet:
         out[self._kept[0]] += self._kept_values(values)
 
 
+@dataclass(frozen=True)
+class KeyValues:
+    """The read-only keys and values one projection makes of a source
+    sequence (..., L, d), which the weight gradients read, and `keep`
+    (..., L), False on the padding keys of a padded stack."""
+
+    src: np.ndarray
+    keep: np.ndarray | None
+    k: np.ndarray
+    v: np.ndarray
+
+    @staticmethod
+    def project(
+        src: np.ndarray, proj: KVProjection, keep: np.ndarray | None = None
+    ) -> "KeyValues":
+        k, v = src @ proj.wk, src @ proj.wv
+        k.flags.writeable = v.flags.writeable = False
+        return KeyValues(src, keep, k, v)
+
+    @property
+    def length(self) -> int:
+        return self.src.shape[-2]
+
+
 @dataclass
 class MaskedAttnCache:
-    """What the backward of a masked op or of attribute enhancement reads.
-    It keeps sources, not their projections, which the backward projects
-    again."""
+    """What the backward of a masked op or of attribute enhancement reads."""
 
     q_src: np.ndarray      # the kept rows' queries before `wq`, or AE's raw queries
-    kv: np.ndarray         # key/value source (L, d), or a stack of them
+    kv: KeyValues
     attn: np.ndarray       # the kept rows' attention
     rows: RowSet
     proj: KVProjection  # an AttnProjection for the token-sequence ops
 
 
 def _attend_rows(
-    q_src: np.ndarray, q: np.ndarray, kv: np.ndarray, key_keep: np.ndarray | None,
-    proj: KVProjection, rows: RowSet, zero_keys=None,
+    q_src: np.ndarray, q: np.ndarray, kv: KeyValues, proj: KVProjection, rows: RowSet,
+    zero_keys=None,
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
-    """The kept rows' queries q, made from q_src, attend over the keys and
-    values projected from kv (`key_keep` marks the real keys of a padded
-    stack) and `zero_keys` zero keys; returns the grids at `rows`."""
-    out, ac = scaled_dot_attention_forward(q, kv @ proj.wk, kv @ proj.wv, key_keep, zero_keys)
+    """The kept rows' queries q, made from q_src, attend over kv's keys and
+    values and `zero_keys` zero keys; returns the grids at `rows`."""
+    out, ac = scaled_dot_attention_forward(q, kv.k, kv.v, kv.keep, zero_keys)
     return FeatureGrid(out, rows), MaskedAttnCache(q_src, kv, ac.attn, rows, proj)
 
 
@@ -320,22 +341,25 @@ def _attend_rows_backward(
     d_out: np.ndarray, q: np.ndarray, cache: MaskedAttnCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (dq, d_kv, d_wk, d_wv) of `_attend_rows` given its queries
-    q again and the grids' rows-first upstream gradient."""
+    q again and the grids' rows-first upstream gradient; d_kv is the key and
+    value source's."""
     kv, wk, wv = cache.kv, cache.proj.wk, cache.proj.wv
-    ac = AttnCache(q=q, k=kv @ wk, v=kv @ wv, attn=cache.attn)
+    ac = AttnCache(q=q, k=kv.k, v=kv.v, attn=cache.attn)
     dq, dk, dv = scaled_dot_attention_backward(cache.rows.take_grad(flip_stack(d_out)), ac)
-    return dq, dk @ wk.T + dv @ wv.T, as_rows(kv).T @ as_rows(dk), as_rows(kv).T @ as_rows(dv)
+    src = as_rows(kv.src)
+    return dq, dk @ wk.T + dv @ wv.T, src.T @ as_rows(dk), src.T @ as_rows(dv)
 
 
 def masked_attention_forward(
-    feat: FeatureGrid, emb: EmbeddingSeq, proj: AttnProjection, rows: RowSet
+    feat: FeatureGrid, kv: KeyValues, proj: AttnProjection, rows: RowSet
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
-    """Cross-attention from image features to a token sequence, zeroed
-    outside the mask whose rows are `rows`."""
-    if emb.dim != feat.d:
-        raise ShapeMismatch(f"embedding dim {emb.dim} != feature dim {feat.d}")
+    """Cross-attention from image features to a token sequence, whose keys
+    and values under `proj` are kv, zeroed outside the mask whose rows are
+    `rows`."""
+    if kv.src.shape[-1] != feat.d:
+        raise ShapeMismatch(f"token width {kv.src.shape[-1]} != feature dim {feat.d}")
     x = feat.at(rows)
-    return _attend_rows(x, x @ proj.wq, emb.values, emb.keep, proj, rows)
+    return _attend_rows(x, x @ proj.wq, kv, proj, rows)
 
 
 def masked_attention_backward(
@@ -380,7 +404,7 @@ def attribute_enhancement_forward(
     kv = feat.at(rows)  # checks the mask's grid before qlp is indexed with its rows
     kept = len(rows.idx) if rows.keep is None else rows.keep.sum(axis=-1)[:, None, None]
     q = qlp[rows.idx]
-    return _attend_rows(q, q, kv, rows.keep, proj, rows, n - kept)
+    return _attend_rows(q, q, KeyValues.project(kv, proj, rows.keep), proj, rows, n - kept)
 
 
 def attribute_enhancement_backward(

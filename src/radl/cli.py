@@ -20,8 +20,8 @@ import numpy as np
 from . import pipeline
 from .checkpoint import load_tensors, save_tensors
 from .errors import (
-    InvalidBBox, MalformedDoc, NonFiniteLoss, RadlError, TooManyInstances, finite_number,
-    parse_json, read_utf8,
+    InvalidBBox, MalformedDoc, NonFiniteLoss, OneLineParser, RadlError, TooManyInstances,
+    finite_number, parse_json, read_utf8,
 )
 from .evalmetrics import evaluate_images, load_hsv_table
 from .imageio import read_ppm, write_ppm
@@ -412,7 +412,8 @@ def cmd_selftest(cfg: RunConfig, as_json: bool = False) -> int:
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="radl", description=__doc__)
+    # its errors, and its subcommands', raise argparse.ArgumentError (see main)
+    parser = OneLineParser(prog="radl", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--steps", type=int, default=None,
@@ -444,7 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except argparse.ArgumentError as e:
+        print(f"radl: {e}", file=sys.stderr)
+        return EXIT_INPUT
     overrides = {"seed": args.seed, "out": args.out, "radl_steps": args.radl_steps}
     defaults = {}
     if args.steps is not None:

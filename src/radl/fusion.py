@@ -17,11 +17,9 @@ from .errors import MissingCache, NoBranches, ShapeMismatch
 
 @dataclass
 class FusionBranch:
-    """One fusion input: a feature grid, gated by the rows it holds, with a
-    scalar logit."""
+    """One fusion input: a feature grid, gated by the rows it holds."""
 
     feat: FeatureGrid
-    logit: float
 
 
 @dataclass
@@ -30,8 +28,32 @@ class FuseCache:
     weights: np.ndarray  # ([K,] B, n_pix), zero where inactive
 
 
-def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCache]:
-    """Per-pixel convex combination of active branch features.
+def fusion_weights(masks: Sequence[np.ndarray], logits: Sequence[float]) -> np.ndarray:
+    """Each branch's weight at each pixel, ([K,] B, n_pix), read-only: the
+    softmax of the logits of the branches whose mask keeps the pixel, and
+    zero where a branch's does not.  A mask is a branch's `RowSet.mask`:
+    (n_pix,) for one set every grid shares, (K, n_pix) for a packed set."""
+    if not masks:
+        raise NoBranches("fusion requires at least one branch")
+    masks = np.stack(np.broadcast_arrays(*masks), axis=-2)
+    logits = np.array(logits)[:, None]      # (B, 1)
+    if not masks.any(axis=-2).all():
+        raise NoBranches("every pixel needs at least one active branch")
+
+    # Softmax over the active set only: subtract the per-pixel max of the
+    # active logits, then renormalize with inactive entries held at zero.
+    shifted = logits - np.where(masks, logits, -np.inf).max(axis=-2, keepdims=True)
+    gated = np.where(masks, np.exp(shifted), 0.0)
+    weights = gated / gated.sum(axis=-2, keepdims=True)
+    weights.flags.writeable = False
+    return weights
+
+
+def fuse_forward(
+    branches: Sequence[FusionBranch], weights: np.ndarray
+) -> tuple[FeatureGrid, FuseCache]:
+    """Per-pixel convex combination of branch features under `weights`,
+    the `fusion_weights` of the branches' masks and logits.
 
     A branch's mask is its grid's rows: one set every grid of the stack
     shares, or a packed set; a grid that keeps no row of a branch gives it
@@ -47,17 +69,6 @@ def fuse_forward(branches: Sequence[FusionBranch]) -> tuple[FeatureGrid, FuseCac
     feats = np.zeros((ref.stack, len(branches), ref.h * ref.w, ref.d))  # (K, B, n, d)
     for j, b in enumerate(branches):
         b.feat.rows.put(b.feat.values, feats[:, j])
-    masks = np.stack(np.broadcast_arrays(*[b.feat.rows.mask for b in branches]), axis=-2)
-    logits = np.array([b.logit for b in branches])[:, None]      # (B, 1)
-    if not masks.any(axis=-2).all():
-        raise NoBranches("every pixel needs at least one active branch")
-
-    # Softmax over the active set only: subtract the per-pixel max of the
-    # active logits, then renormalize with inactive entries held at zero.
-    shifted = logits - np.where(masks, logits, -np.inf).max(axis=-2, keepdims=True)
-    gated = np.where(masks, np.exp(shifted), 0.0)
-    weights = gated / gated.sum(axis=-2, keepdims=True)
-
     out = np.einsum("...bn,...bnd->...nd", weights, feats)
     return FeatureGrid(out, RowSet.every(ref.h, ref.w)), FuseCache(feats=feats, weights=weights)
 

@@ -26,6 +26,7 @@ import numpy as np
 from .attention import (
     AttnProjection,
     FeatureGrid,
+    KeyValues,
     KVProjection,
     RowSet,
     as_rows,
@@ -40,7 +41,7 @@ from .attention import (
     relation_attention_backward,
 )
 from .errors import NonFiniteLoss, ShapeMismatch, StepOutOfRange
-from .fusion import FusionBranch, fuse_backward, fuse_forward
+from .fusion import FusionBranch, fuse_backward, fuse_forward, fusion_weights
 from .layout import LayoutSpec, rasterize_mask, total_mask
 from .oracles import central_diff, rel_err
 from .scenes import SyntheticScene
@@ -410,18 +411,63 @@ def _block_inputs(encs: Sequence[LayoutEncoding]) -> LayoutEncoding:
     )
 
 
-def _instance_embeddings(
-    inputs: LayoutEncoding, params: DenoiserParams
-) -> tuple[list[EmbeddingSeq], list[tuple]]:
-    """Each instance slot's position-augmented embedding and its caches;
-    both injection sides read the same ones."""
-    embs, caches = [], []
-    for inst in inputs.instances:
-        pos, pos_cache = position_embed_forward(inst.box, params.posmlp)
-        e_i, emb_cache = build_instance_embedding_forward(inst.tokens, pos, params.e_proj)
-        embs.append(e_i)
-        caches.append((pos_cache, emb_cache))
-    return embs, caches
+@dataclass(frozen=True)
+class StackInputs:
+    """What a stack's stack-on forwards read of its layouts at both grid
+    sides, made by `prepare_stack` for one set of parameter values and
+    valid only for those.  Its arrays are read-only."""
+
+    inputs: LayoutEncoding  # the stack's branches (see _block_inputs)
+    images: int  # K
+    background: KeyValues  # the prompt tokens under proj_text
+    labels: tuple[KeyValues, ...]  # each instance slot's label tokens under proj_text
+    # each slot's instance embedding under proj_inst, and the caches of the
+    # embeddings' forwards; None for text_attn_only, which reads none
+    embeddings: list[KeyValues] | None
+    emb_caches: list[tuple] | None
+    relation: KeyValues | None  # the verbs under proj_rel; None without a relation branch
+    weights: dict[int, np.ndarray]  # grid side -> fusion weights (see fusion_weights)
+
+
+def prepare_stack(
+    encs: Sequence[LayoutEncoding], params: DenoiserParams, variant: str
+) -> StackInputs:
+    """The stack inputs of K images with layout encodings encs under the
+    current parameter values."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    inputs = _block_inputs(encs)
+    embs = caches = None
+    if variant != "text_attn_only":
+        embs, caches = [], []
+        for inst in inputs.instances:
+            pos, pos_cache = position_embed_forward(inst.box, params.posmlp)
+            e_i, emb_cache = build_instance_embedding_forward(inst.tokens, pos, params.e_proj)
+            e_i.values.flags.writeable = False
+            embs.append(KeyValues.project(e_i.values, params.proj_inst, e_i.keep))
+            caches.append((pos_cache, emb_cache))
+    rel = inputs.relation if variant == "full" else None
+    # fusion's branches in order: background, each instance slot, relation
+    branches = [inputs.background, *inputs.instances] + ([rel] if rel else [])
+    logits = [float(params.logit_bg)] + [float(params.logit_inst)] * len(inputs.instances)
+    logits += [float(params.logit_rel)] if rel else []
+
+    def keys(b: Branch, proj: AttnProjection) -> KeyValues:
+        return KeyValues.project(b.tokens.values, proj, b.tokens.keep)
+
+    return StackInputs(
+        inputs=inputs,
+        images=len(encs),
+        background=keys(inputs.background, params.proj_text),
+        labels=tuple(keys(inst, params.proj_text) for inst in inputs.instances),
+        embeddings=embs,
+        emb_caches=caches,
+        relation=None if rel is None else keys(rel, params.proj_rel),
+        weights={
+            side: fusion_weights([b.rows[side].mask for b in branches], logits)
+            for side in (params.fine_side, params.coarse_side)
+        },
+    )
 
 
 def _instance_embeddings_backward(
@@ -453,14 +499,8 @@ class BlockCache:
 
 
 def _radl_block_forward(
-    feat: FeatureGrid,
-    inputs: LayoutEncoding,
-    embs: Sequence[EmbeddingSeq] | None,
-    params: DenoiserParams,
-    variant: str,
+    feat: FeatureGrid, stack: StackInputs, params: DenoiserParams
 ) -> tuple[FeatureGrid, BlockCache]:
-    """embs: each instance slot's embedding (see _instance_embeddings);
-    None for the text_attn_only variant, which does not read them."""
     side = feat.h
     if side == params.fine_side:
         qlp, qlp_name = params.qlp_fine, "radl.qlp_fine"
@@ -469,39 +509,38 @@ def _radl_block_forward(
     else:
         raise ShapeMismatch(f"no injection site at resolution {side}x{side}")
 
-    bg = inputs.background
-    r_bg, bg_cache = masked_text_attention_forward(feat, bg.tokens, params.proj_text, bg.rows[side])
-    # fusion's branches in order: background, each instance slot, relation
-    branches = [FusionBranch(r_bg, float(params.logit_bg))]
+    inputs = stack.inputs
+    r_bg, bg_cache = masked_text_attention_forward(
+        feat, stack.background, params.proj_text, inputs.background.rows[side]
+    )
+    branches = [FusionBranch(r_bg)]
 
     inst_caches = []
     for i, inst in enumerate(inputs.instances):
-        emb = None if embs is None else embs[i]
-        r_f, ic = _instance_branch(feat, inst, emb, qlp, params)
+        emb = None if stack.embeddings is None else stack.embeddings[i]
+        r_f, ic = _instance_branch(feat, stack.labels[i], inst.rows[side], emb, qlp, params)
         inst_caches.append(ic)
-        branches.append(FusionBranch(r_f, float(params.logit_inst)))
+        branches.append(FusionBranch(r_f))
 
     rel_cache = None
-    rel = inputs.relation if variant == "full" else None
-    if rel is not None:
+    if stack.relation is not None:
         r_rel, rel_cache = relation_attention_forward(
-            feat, rel.tokens, params.proj_rel, rel.rows[side]
+            feat, stack.relation, params.proj_rel, inputs.relation.rows[side]
         )
-        branches.append(FusionBranch(r_rel, float(params.logit_rel)))
+        branches.append(FusionBranch(r_rel))
 
-    fused, fuse_cache = fuse_forward(branches)
+    fused, fuse_cache = fuse_forward(branches, stack.weights[side])
     return fused, BlockCache(qlp_name, bg_cache, inst_caches, rel_cache, fuse_cache)
 
 
 def _instance_branch(
-    feat: FeatureGrid, inst: Branch, emb: EmbeddingSeq | None, qlp: np.ndarray,
+    feat: FeatureGrid, label: KeyValues, rows: RowSet, emb: KeyValues | None, qlp: np.ndarray,
     params: DenoiserParams,
 ) -> tuple[FeatureGrid, InstanceCache]:
     """One instance slot's branch and cache, its text attention alone without an
     embedding.  The slot holds only its mask's rows from the text attention
     on; fusion scatters it."""
-    rows = inst.rows[feat.h]
-    r_i, r_cache = masked_text_attention_forward(feat, inst.tokens, params.proj_text, rows)
+    r_i, r_cache = masked_text_attention_forward(feat, label, params.proj_text, rows)
     ic = InstanceCache(r=r_cache)
     if emb is None:
         return r_i, ic
@@ -579,7 +618,7 @@ class DenoiseCache:
     block_coarse: BlockCache | None
     b8: np.ndarray
     u16c: np.ndarray
-    emb_caches: list | None  # the instance embeddings', shared by both sides
+    stack: StackInputs | None  # read with the stack on only
     net_scale: np.ndarray          # (T, 1, 1, 1)
     gain_basis: np.ndarray         # (T, 4)
 
@@ -589,17 +628,15 @@ def denoise_forward_cached(
     params: DenoiserParams,
     x_t: np.ndarray,
     t: Sequence[int],
-    enc: Sequence[LayoutEncoding] | None,
+    stack: StackInputs | None,
     radl_on: bool,
-    variant: str = "full",
 ) -> tuple[np.ndarray, DenoiseCache]:
     """x_t is a stack (K, 3, S, S).  t holds K steps, one per image, or one
-    step the stack shares; with the stack on, enc holds the K images' layout
-    encodings.  Images that share one step and one encoding each get the
-    bytes they would get alone: a shared step stays one step, because the
-    gain basis product rounds differently over K rows."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
+    step the stack shares; with the attention stack on, `stack` holds the K
+    images' inputs under the current parameter values (see prepare_stack).
+    Images that share one step and one encoding each get the bytes they
+    would get alone: a shared step stays one step, because the gain basis
+    product rounds differently over K rows."""
     s = params.image_size
     if x_t.ndim != 4 or x_t.shape[1:] != (3, s, s):
         raise ShapeMismatch(f"x_t shape {x_t.shape} != (K, 3, {s}, {s})")
@@ -607,24 +644,17 @@ def denoise_forward_cached(
     t = np.asarray(t, dtype=int)
     if t.ndim != 1 or len(t) not in (1, k):
         raise ShapeMismatch(f"{k} images need 1 or {k} steps, got t {t.tolist()}")
-    if radl_on and len(enc or ()) != k:
-        raise ShapeMismatch(f"{k} images need {k} layout encodings, got {len(enc or ())}")
+    if radl_on and (stack is None or stack.images != k):
+        raise ShapeMismatch(f"{k} images need stack inputs made for {k} images")
     if np.any(t < 1) or np.any(t > params.t_train):
         raise StepOutOfRange(f"timestep {t.tolist()} outside 1..{params.t_train}")
     fine, coarse = params.fine_side, params.coarse_side
-    embs = emb_caches = None
-    if radl_on:
-        blocks = _block_inputs(enc)
-        if variant != "text_attn_only":
-            embs, emb_caches = _instance_embeddings(blocks, params)
 
     def attend(h: np.ndarray, side: int) -> tuple[np.ndarray, BlockCache | None]:
         """The attention stack at one grid side; the plain pass when off."""
         if not radl_on:
             return h, None
-        fused, block = _radl_block_forward(
-            FeatureGrid(h, RowSet.every(side, side)), blocks, embs, params, variant
-        )
+        fused, block = _radl_block_forward(FeatureGrid(h, RowSet.every(side, side)), stack, params)
         return fused.values, block
 
     temb_t = params.temb[t - 1][:, None, :]
@@ -664,7 +694,7 @@ def denoise_forward_cached(
 
     return eps, DenoiseCache(
         x=x_t, t=t, block_fine=block_fine, p16=p16,
-        block_coarse=block_coarse, b8=b8, u16c=u16c, emb_caches=emb_caches,
+        block_coarse=block_coarse, b8=b8, u16c=u16c, stack=stack,
         net_scale=net_scale, gain_basis=basis,
     )
 
@@ -705,9 +735,9 @@ def denoise_backward(
 
     if radl_on:
         d_h16, d_embs_fine = _radl_block_backward(d_b16, cache.block_fine, params, g)
-        if cache.emb_caches is not None:
+        if cache.stack.emb_caches is not None:
             _instance_embeddings_backward(
-                [a + b for a, b in zip(d_embs, d_embs_fine)], cache.emb_caches, params, g
+                [a + b for a, b in zip(d_embs, d_embs_fine)], cache.stack.emb_caches, params, g
             )
     else:
         d_h16 = d_b16
@@ -769,7 +799,9 @@ def sample(
     def noise() -> np.ndarray:
         return np.stack([rng.standard_normal((3, s, s)) for rng in rngs])
 
-    encs = [encode_layout(layout, embed_cfg, s)] * len(seeds)
+    # the layout and the parameters hold for the whole call: every stack-on
+    # step reads one set of stack inputs
+    stack = prepare_stack([encode_layout(layout, embed_cfg, s)] * len(seeds), params, variant)
     temb_map = _temb_index_map(sched, params.t_train)
 
     x = noise()
@@ -778,18 +810,24 @@ def sample(
         radl_on = i < radl_steps
         trace.append(radl_on)
         # the stack shares one step
-        eps_hat = denoise_forward_cached(params, x, temb_map[t - 1 : t], encs, radl_on, variant)[0]
+        e = denoise_forward_cached(params, x, temb_map[t - 1 : t], stack, radl_on)[0]
         # static thresholding: clamp the implied clean image to [0,1] and
-        # use the consistent noise estimate in the ancestral update
+        # use the consistent noise estimate in the ancestral update.  In
+        # place on the fresh noise estimate e: x0_hat, then eps_used, then
+        # the mean in x
         ab = sched.alpha_bar(t)
-        x0_hat = np.clip((x - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab), 0.0, 1.0)
-        eps_used = (x - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
-        beta = sched.beta(t)
-        mean = (x - beta / np.sqrt(1.0 - ab) * eps_used) / np.sqrt(sched.alpha(t))
+        e *= np.sqrt(1.0 - ab)
+        np.subtract(x, e, out=e)
+        e /= np.sqrt(ab)
+        np.clip(e, 0.0, 1.0, out=e)  # x0_hat
+        e *= np.sqrt(ab)
+        np.subtract(x, e, out=e)
+        e /= np.sqrt(1.0 - ab)  # eps_used
+        e *= sched.beta(t) / np.sqrt(1.0 - ab)
+        x -= e
+        x /= np.sqrt(sched.alpha(t))  # the mean
         if t > 1:
-            x = mean + np.sqrt(sched.posterior_variance(t)) * noise()
-        else:
-            x = mean
+            x += np.sqrt(sched.posterior_variance(t)) * noise()
     return np.clip(x, 0.0, 1.0), trace
 
 
@@ -813,7 +851,8 @@ def mse_loss_and_grads(
     accumulate into g.  The per-sample losses are summed in pack order."""
     sched = training_schedule(params.t_train)
     x_t = np.stack([forward_diffuse(sc.image, t, sched, n) for sc, t, n in zip(scenes, ts, noise)])
-    resid, cache = denoise_forward_cached(params, x_t, ts, encs, radl_on, variant)
+    stack = prepare_stack(encs, params, variant) if radl_on else None
+    resid, cache = denoise_forward_cached(params, x_t, ts, stack, radl_on)
     # in place, so that one image-stack array lives through the backward
     resid -= noise
     per_sample = (resid * resid).reshape(len(resid), -1).mean(axis=1)
@@ -994,7 +1033,9 @@ def gradcheck(
     encs = [encode_layout(scene.layout, embed_cfg, params.image_size)]
 
     def loss_fn() -> float:
-        r = denoise_forward_cached(params, x_t, [t], encs, True, variant)[0] - noise
+        # params change between calls: each forward prepares its own inputs
+        stack = prepare_stack(encs, params, variant)
+        r = denoise_forward_cached(params, x_t, [t], stack, True)[0] - noise
         return float((r * r).mean())
 
     pdict = params_to_dict(params)

@@ -15,13 +15,14 @@ import numpy as np
 from .attention import (
     AttnProjection,
     FeatureGrid,
+    KeyValues,
     RowSet,
     attribute_enhancement_forward,
     masked_text_attention_forward,
     scaled_dot_attention_forward,
 )
 from .evalmetrics import detect
-from .fusion import FusionBranch, fuse_forward
+from .fusion import FusionBranch, fuse_forward, fusion_weights
 from .layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask, total_mask
 from .oracles import attention_oracle, detect_oracle, rel_err, union_oracle
 from .pipeline import (
@@ -33,7 +34,7 @@ from .pipeline import (
     zero_grads,
 )
 from .scenes import BACKGROUND_RGB, PALETTE_RGB, SceneConfig, generate, make_scene
-from .text import EmbedderConfig, EmbeddingSeq, embed_tokens
+from .text import EmbedderConfig, embed_tokens
 
 Check = tuple[str, bool, str]
 
@@ -73,7 +74,7 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
         qlp = rng.standard_normal((16, 8))
         proj = AttnProjection.init(rng, 8)
         keep, rows = m.reshape(-1, 1), RowSet.of(m)
-        got_text = masked_text_attention_forward(feat, EmbeddingSeq(emb), proj, rows)[0]
+        got_text = masked_text_attention_forward(feat, KeyValues.project(emb, proj), proj, rows)[0]
         got_text = rows.put(got_text.values)
         want_text = keep * attention_oracle(x @ proj.wq, emb @ proj.wk, emb @ proj.wv)
         x = keep * x
@@ -113,13 +114,14 @@ def _check_fusion(rng) -> tuple[bool, str]:
     bg, draw = rng.standard_normal((2, 1, 16, 4))
     rows = RowSet.of(rng.random((4, 4)) < 0.5)
     branches = [
-        FusionBranch(FeatureGrid(bg, RowSet.every(4, 4)), 0.3),
-        FusionBranch(FeatureGrid(rows.take(draw), rows), -0.7),
+        FusionBranch(FeatureGrid(bg, RowSet.every(4, 4))),
+        FusionBranch(FeatureGrid(rows.take(draw), rows)),
     ]
-    _, cache = fuse_forward(branches)
+    masks, logits = [b.feat.rows.mask for b in branches], np.array([0.3, -0.7])
+    out, cache = fuse_forward(branches, fusion_weights(masks, logits))
     sums_ok = bool(np.all(np.abs(cache.weights.sum(axis=0) - 1.0) <= 1e-12))
-    shifted = [replace(b, logit=b.logit + 1.234) for b in branches]
-    out, out_shifted = fuse_forward(branches)[0].values, fuse_forward(shifted)[0].values
+    out_shifted = fuse_forward(branches, fusion_weights(masks, logits + 1.234))[0]
+    out, out_shifted = out.values, out_shifted.values
     shift_err = float(np.max(np.abs(out - out_shifted)))
     ok = sums_ok and shift_err <= 1e-12
     return ok, f"shift dev {shift_err:.2e}"

@@ -7,13 +7,13 @@ is an experiment parameter, everything else runs at package defaults.
 All runs are seeded, so results are exact on a given platform.
 """
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from radl.attention import (
     AttnProjection,
     FeatureGrid,
+    KeyValues,
     RowSet,
     attribute_enhancement_backward,
     attribute_enhancement_forward,
@@ -37,7 +37,7 @@ from radl.evalmetrics import (
     rgb_to_hsv,
     success_rate,
 )
-from radl.fusion import FusionBranch, fuse_forward
+from radl.fusion import FusionBranch, fuse_forward, fusion_weights
 from radl.layout import BBox, InstanceSpec, LayoutSpec, Relation, rasterize_mask, total_mask
 from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.pipeline import (
@@ -45,6 +45,7 @@ from radl.pipeline import (
     encode_layout,
     gradcheck,
     init_denoiser,
+    prepare_stack,
     sample,
 )
 from radl.scenes import SceneConfig, generate, make_scene
@@ -109,11 +110,15 @@ def _op_backward_errors(rng):
     from radl.text import EmbeddingSeq
 
     emb = EmbeddingSeq(emb_vals)
-    out, cache = masked_text_attention_forward(feat, emb, proj, rows)
+
+    def keys():  # projected on every call: the checks below perturb emb and proj
+        return KeyValues.project(emb.values, proj)
+
+    out, cache = masked_text_attention_forward(feat, keys(), proj, rows)
     grads = masked_text_attention_backward(d_rows, cache)
 
     def run_mta():
-        return rows.put(masked_text_attention_forward(feat, emb, proj, rows)[0].values)
+        return rows.put(masked_text_attention_forward(feat, keys(), proj, rows)[0].values)
 
     for arr, an in ((feat.values, rows.put(grads["feat"])), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
@@ -130,32 +135,35 @@ def _op_backward_errors(rng):
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         errs.append(rel_err(an, central_diff(run_ae, arr, d_out)))
 
-    out, cache = instance_attention_forward(feat, emb, proj, rows)
+    out, cache = instance_attention_forward(feat, keys(), proj, rows)
     grads = instance_attention_backward(d_rows, cache)
 
     def run_ia():
-        return rows.put(instance_attention_forward(feat, emb, proj, rows)[0].values)
+        return rows.put(instance_attention_forward(feat, keys(), proj, rows)[0].values)
 
     errs.append(rel_err(rows.put(grads["feat"]), central_diff(run_ia, feat.values, d_out)))
 
-    out, cache = relation_attention_forward(feat, emb, proj, rows)
+    out, cache = relation_attention_forward(feat, keys(), proj, rows)
     grads = relation_attention_backward(d_rows, cache)
 
     def run_rel():
-        return rows.put(relation_attention_forward(feat, emb, proj, rows)[0].values)
+        return rows.put(relation_attention_forward(feat, keys(), proj, rows)[0].values)
 
     errs.append(rel_err(grads["emb"], central_diff(run_rel, emb.values, d_out)))
 
     bg, draw = rng.standard_normal((2, 1, 6, d))
     branches = [
-        FusionBranch(FeatureGrid(bg, RowSet.every(2, 3)), 0.2),
-        FusionBranch(FeatureGrid(rows.take(draw), rows), -0.4),
+        FusionBranch(FeatureGrid(bg, RowSet.every(2, 3))),
+        FusionBranch(FeatureGrid(rows.take(draw), rows)),
     ]
     from radl.fusion import fuse_backward
 
-    _, cache = fuse_forward(branches)
+    weights = fusion_weights([b.feat.rows.mask for b in branches], [0.2, -0.4])
+    _, cache = fuse_forward(branches, weights)
     d_feats, d_logits = fuse_backward(d_rows, cache)
-    num = central_diff(lambda: fuse_forward(branches)[0].values, branches[0].feat.values, d_out)
+    num = central_diff(
+        lambda: fuse_forward(branches, weights)[0].values, branches[0].feat.values, d_out
+    )
     errs.append(rel_err(d_feats[0].swapaxes(0, 1), num))
     return max(errs)
 
@@ -201,17 +209,18 @@ def test_criterion_3_mask_fusion_invariants():
     for seed in range(100):
         rng = np.random.default_rng(4000 + seed)
         bg = FeatureGrid(rng.standard_normal((1, 16, 4)), RowSet.every(4, 4))
-        branches = [FusionBranch(bg, float(rng.standard_normal()))]
+        branches, logits = [FusionBranch(bg)], [float(rng.standard_normal())]
         for _ in range(2):
             draw = rng.standard_normal((1, 16, 4))
             rows = RowSet.of(rng.random((4, 4)) < 0.5)
-            branches.append(
-                FusionBranch(FeatureGrid(rows.take(draw), rows), float(rng.standard_normal()))
-            )
-        _, cache = fuse_forward(branches)
+            branches.append(FusionBranch(FeatureGrid(rows.take(draw), rows)))
+            logits.append(float(rng.standard_normal()))
+        masks = [b.feat.rows.mask for b in branches]
+        out, cache = fuse_forward(branches, fusion_weights(masks, logits))
         worst_sum = max(worst_sum, float(np.max(np.abs(cache.weights.sum(axis=0) - 1.0))))
-        shifted = [replace(b, logit=b.logit + 0.917) for b in branches]
-        out, out_shifted = fuse_forward(branches)[0].values, fuse_forward(shifted)[0].values
+        shifted = [z + 0.917 for z in logits]
+        out_shifted = fuse_forward(branches, fusion_weights(masks, shifted))[0]
+        out, out_shifted = out.values, out_shifted.values
         worst_shift = max(worst_shift, rel_err(out, out_shifted))
     ok = worst_sum <= 1e-12 and worst_shift <= 1e-12
     announce(3, ok, f"1000 unions exact; weight-sum dev {worst_sum:.2e}, shift dev {worst_shift:.2e}")
@@ -229,8 +238,13 @@ def test_criterion_4_schedule_conformance():
 
     other = make_scene(2, SCENE_CFG)
     x = np.random.default_rng(1).standard_normal((1, 3, 32, 32))
-    a, b = (denoise_forward_cached(params, x, [77], [encode_layout(sc.layout, EC, 32)], False)[0]
-            for sc in (scene, other))
+    a, b = (
+        denoise_forward_cached(
+            params, x, [77], prepare_stack([encode_layout(sc.layout, EC, 32)], params, "full"),
+            False,
+        )[0]
+        for sc in (scene, other)
+    )
     invariant_ok = np.array_equal(a, b)
     ok = trace_ok and invariant_ok
     announce(4, ok, f"trace 30 on + 30 off: {trace_ok}; off-path layout-invariant: {invariant_ok}")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from radl.attention import (
     AttnProjection,
     FeatureGrid,
+    KeyValues,
     RowSet,
     attribute_enhancement_backward,
     attribute_enhancement_forward,
@@ -20,7 +21,7 @@ from radl.attention import (
     softmax_rows,
 )
 from radl.errors import MissingCache, ShapeMismatch
-from radl.fusion import FusionBranch, fuse_forward
+from radl.fusion import FusionBranch, fuse_forward, fusion_weights
 from radl.layout import BBox, rasterize_mask
 from radl.oracles import attention_oracle, central_diff, rel_err
 from radl.text import EmbeddingSeq
@@ -43,6 +44,11 @@ def full(out):
     """A forward's output as full grids (K, h*w, d): a masked op gives only
     the rows its mask keeps."""
     return out.rows.put(out.values)
+
+
+def keys(emb, proj):
+    """A token sequence's keys and values under proj, as the token ops take them."""
+    return KeyValues.project(emb.values, proj, emb.keep)
 
 
 def rows_first(x):
@@ -152,7 +158,7 @@ def test_masked_text_zero_mask():
     feat = grid(rng, 4, 4, 8)
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
-    out = masked_text_attention_forward(feat, emb, proj, rows_of(np.zeros((4, 4))))[0]
+    out = masked_text_attention_forward(feat, keys(emb, proj), proj, rows_of(np.zeros((4, 4))))[0]
     assert not full(out).any()
 
 
@@ -161,7 +167,7 @@ def test_masked_text_ones_mask_equals_unmasked():
     feat = grid(rng, 4, 4, 8)
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
-    got = masked_text_attention_forward(feat, emb, proj, RowSet.every(4, 4))[0]
+    got = masked_text_attention_forward(feat, keys(emb, proj), proj, RowSet.every(4, 4))[0]
     want, _ = scaled_dot_attention_forward(
         feat.values @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv
     )
@@ -175,7 +181,7 @@ def test_masked_text_half_mask_rows():
     proj = AttnProjection.init(rng, 8)
     mvals = np.zeros((4, 4))
     mvals[:2, :] = 1.0
-    got = full(masked_text_attention_forward(feat, emb, proj, rows_of(mvals))[0])[0]
+    got = full(masked_text_attention_forward(feat, keys(emb, proj), proj, rows_of(mvals))[0])[0]
     unmasked, _ = scaled_dot_attention_forward(
         feat.values[0] @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv
     )
@@ -196,7 +202,7 @@ def test_masked_text_annihilation(bits):
     emb = EmbeddingSeq(rng.standard_normal((2, 4)))
     proj = AttnProjection.init(rng, 4)
     mask = np.array([(bits >> i) & 1 for i in range(16)], dtype=bool).reshape(4, 4)
-    out = masked_text_attention_forward(feat, emb, proj, RowSet.of(mask))[0]
+    out = masked_text_attention_forward(feat, keys(emb, proj), proj, RowSet.of(mask))[0]
     outside = mask.ravel() == 0
     assert np.array_equal(full(out)[0, outside], np.zeros((outside.sum(), 4)))
 
@@ -208,11 +214,11 @@ def test_masked_text_backward_fd():
     proj = AttnProjection.init(rng, 4)
     rows = RowSet.of(random_mask(rng, 2, 3))
     d_out = rng.standard_normal((6, 4))[None]
-    out, cache = masked_text_attention_forward(feat, emb, proj, rows)
+    out, cache = masked_text_attention_forward(feat, keys(emb, proj), proj, rows)
     grads = masked_text_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return full(masked_text_attention_forward(feat, emb, proj, rows)[0])
+        return full(masked_text_attention_forward(feat, keys(emb, proj), proj, rows)[0])
 
     pairs = [
         (feat.values, rows.put(grads["feat"])), (emb.values, grads["emb"]),
@@ -283,9 +289,10 @@ def test_attribute_enhancement_backward_fd():
 
 def test_instance_attention_zero_mask():
     rng = np.random.default_rng(17)
+    proj = AttnProjection.init(rng, 4)
     out = instance_attention_forward(
-        grid(rng, 3, 3, 4), EmbeddingSeq(rng.standard_normal((2, 4))),
-        AttnProjection.init(rng, 4), rows_of(np.zeros((3, 3))),
+        grid(rng, 3, 3, 4), keys(EmbeddingSeq(rng.standard_normal((2, 4))), proj),
+        proj, rows_of(np.zeros((3, 3))),
     )[0]
     assert not full(out).any()
 
@@ -296,7 +303,7 @@ def test_instance_attention_single_token():
     e_i = EmbeddingSeq(rng.standard_normal((1, 4)))
     proj = AttnProjection.init(rng, 4)
     mask = random_mask(rng, 3, 3)
-    out = instance_attention_forward(r_ae, e_i, proj, RowSet.of(mask))[0]
+    out = instance_attention_forward(r_ae, keys(e_i, proj), proj, RowSet.of(mask))[0]
     token_v = (e_i.values @ proj.wv)[0]
     inside = mask.ravel() == 1
     assert np.allclose(full(out)[0, inside], np.broadcast_to(token_v, (inside.sum(), 4)), atol=1e-14)
@@ -308,7 +315,7 @@ def test_instance_attention_oracle():
     e_i = EmbeddingSeq(rng.standard_normal((3, 8)))
     proj = AttnProjection.init(rng, 8)
     mask = random_mask(rng, 4, 4)
-    got = instance_attention_forward(r_ae, e_i, proj, RowSet.of(mask))[0]
+    got = instance_attention_forward(r_ae, keys(e_i, proj), proj, RowSet.of(mask))[0]
     want = attention_oracle(r_ae.values[0] @ proj.wq, e_i.values @ proj.wk, e_i.values @ proj.wv)
     want = want * mask.ravel()[:, None]
     assert rel_err(full(got)[0], want) <= 1e-12
@@ -321,11 +328,11 @@ def test_instance_attention_backward_fd():
     proj = AttnProjection.init(rng, 4)
     rows = rows_of([[1.0, 0.0], [1.0, 1.0]])
     d_out = rng.standard_normal((4, 4))[None]
-    out, cache = instance_attention_forward(r_ae, e_i, proj, rows)
+    out, cache = instance_attention_forward(r_ae, keys(e_i, proj), proj, rows)
     grads = instance_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return full(instance_attention_forward(r_ae, e_i, proj, rows)[0])
+        return full(instance_attention_forward(r_ae, keys(e_i, proj), proj, rows)[0])
 
     for arr, an in ((r_ae.values, rows.put(grads["feat"])), (e_i.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
@@ -340,7 +347,7 @@ def test_instance_attention_backward_fd():
 def test_token_width_mismatch_raises(forward):
     rng = np.random.default_rng(36)
     feat = grid(rng, 4, 4, 8)
-    tokens = EmbeddingSeq(rng.standard_normal((3, 6)))
+    tokens = keys(EmbeddingSeq(rng.standard_normal((3, 6))), AttnProjection.init(rng, 6))
     with pytest.raises(ShapeMismatch):
         forward(feat, tokens, AttnProjection.init(rng, 8), RowSet.every(4, 4))
 
@@ -350,7 +357,7 @@ def test_relation_zero_total_mask():
     feat = grid(rng, 4, 4, 8)
     verb = EmbeddingSeq(rng.standard_normal((2, 8)))
     proj = AttnProjection.init(rng, 8)
-    out = relation_attention_forward(feat, verb, proj, rows_of(np.zeros((4, 4))))[0]
+    out = relation_attention_forward(feat, keys(verb, proj), proj, rows_of(np.zeros((4, 4))))[0]
     assert not full(out).any()
 
 
@@ -359,7 +366,7 @@ def test_relation_single_verb_full_mask():
     feat = grid(rng, 4, 4, 8)
     verb = EmbeddingSeq(rng.standard_normal((1, 8)))
     proj = AttnProjection.init(rng, 8)
-    out = relation_attention_forward(feat, verb, proj, RowSet.every(4, 4))[0]
+    out = relation_attention_forward(feat, keys(verb, proj), proj, RowSet.every(4, 4))[0]
     assert np.allclose(out.values, np.broadcast_to((verb.values @ proj.wv)[0], (1, 16, 8)), atol=1e-14)
 
 
@@ -370,11 +377,11 @@ def test_relation_backward_fd():
     proj = AttnProjection.init(rng, 4)
     rows = rows_of([[1.0, 0.0], [0.0, 1.0]])
     d_out = rng.standard_normal((4, 4))[None]
-    out, cache = relation_attention_forward(feat, verb, proj, rows)
+    out, cache = relation_attention_forward(feat, keys(verb, proj), proj, rows)
     grads = relation_attention_backward(rows_first(d_out), cache)
 
     def run():
-        return full(relation_attention_forward(feat, verb, proj, rows)[0])
+        return full(relation_attention_forward(feat, keys(verb, proj), proj, rows)[0])
 
     for arr, an in ((feat.values, rows.put(grads["feat"])), (verb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
@@ -412,7 +419,7 @@ def test_in_mask_ops_match_masked_oracle(case):
     want = keep * attention_oracle(x @ proj.wq, emb.values @ proj.wk, emb.values @ proj.wv)
     # the text, instance and relation ops are one masked op
     assert masked_text_attention_forward is instance_attention_forward is relation_attention_forward
-    got = full(masked_text_attention_forward(feat, emb, proj, rows)[0])[0]
+    got = full(masked_text_attention_forward(feat, keys(emb, proj), proj, rows)[0])[0]
     assert rel_err(got, want) <= 1e-12
     assert not np.signbit(got[keep[:, 0] == 0]).any()  # bitwise +0.0
     # attribute enhancement reads masked features, zero outside the mask;
@@ -434,10 +441,10 @@ def test_mask_shape_mismatch_raises(forward):
     rng = np.random.default_rng(31)
     feat = grid(rng, 4, 4, 4)
     proj = AttnProjection.init(rng, 4)
-    keys = (rng.standard_normal((16, 4)) if forward is attribute_enhancement_forward
-            else EmbeddingSeq(rng.standard_normal((3, 4))))
+    second = (rng.standard_normal((16, 4)) if forward is attribute_enhancement_forward
+              else keys(EmbeddingSeq(rng.standard_normal((3, 4))), proj))
     with pytest.raises(ShapeMismatch):
-        forward(feat, keys, proj, rows_of(np.eye(2)))
+        forward(feat, second, proj, rows_of(np.eye(2)))
 
 
 @pytest.mark.parametrize("case", MASK_CASES)
@@ -460,11 +467,11 @@ def test_in_mask_backward_fd(case):
                     (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
         assert rel_err(an, central_diff(run_ae, arr, d_out)) < 1e-6
 
-    _, cache = masked_text_attention_forward(feat, emb, proj, rows)
+    _, cache = masked_text_attention_forward(feat, keys(emb, proj), proj, rows)
     grads = masked_text_attention_backward(rows_first(d_out), cache)
 
     def run_text():
-        return full(masked_text_attention_forward(feat, emb, proj, rows)[0])
+        return full(masked_text_attention_forward(feat, keys(emb, proj), proj, rows)[0])
 
     for arr, an in ((feat.values, rows.put(grads["feat"])), (emb.values, grads["emb"]),
                     (proj.wq, grads["wq"]), (proj.wk, grads["wk"]), (proj.wv, grads["wv"])):
@@ -588,10 +595,11 @@ def test_stacked_forwards_equal_per_grid_calls(case):
     emb = EmbeddingSeq(rng.standard_normal((3, 8)))
     qlp = rng.standard_normal((64, 8))
     proj = AttnProjection.init(rng, 8)
+    kv = keys(emb, proj)
     calls = {
-        "masked_text_attention": lambda f: masked_text_attention_forward(f, emb, proj, rows),
-        "instance_attention": lambda f: instance_attention_forward(f, emb, proj, rows),
-        "relation_attention": lambda f: relation_attention_forward(f, emb, proj, rows),
+        "masked_text_attention": lambda f: masked_text_attention_forward(f, kv, proj, rows),
+        "instance_attention": lambda f: instance_attention_forward(f, kv, proj, rows),
+        "relation_attention": lambda f: relation_attention_forward(f, kv, proj, rows),
         "attribute_enhancement": lambda f: attribute_enhancement_forward(f, qlp, proj, rows),
     }
     for name, call in calls.items():
@@ -607,18 +615,16 @@ def test_stacked_fuse_forward_equals_per_grid_calls():
     rows = [RowSet.of(m) for m in (np.ones((8, 8), dtype=bool), random_mask(rng, 8, 8),
                                     mask_case("one_cell", rng), np.zeros((8, 8), dtype=bool))]
     stacks = [rng.standard_normal((4, 64, 8)) for _ in rows]
-    logits = rng.standard_normal(len(rows))
+    # the stack and each grid alone read one set of weights
+    weights = fusion_weights([r.mask for r in rows], rng.standard_normal(len(rows)))
 
     def fused(pick):
-        branches = [FusionBranch(FeatureGrid(r.take(pick(s)), r), float(z))
-                    for s, r, z in zip(stacks, rows, logits)]
-        return fuse_forward(branches)
+        branches = [FusionBranch(FeatureGrid(r.take(pick(s)), r)) for s, r in zip(stacks, rows)]
+        return fuse_forward(branches, weights)[0]
 
-    out, cache = fused(lambda s: s)
+    out = fused(lambda s: s)
     for k in range(4):
-        out_k, cache_k = fused(lambda s: s[k : k + 1])
-        assert np.array_equal(out.values[k], out_k.values[0])
-        assert np.array_equal(cache.weights, cache_k.weights)
+        assert np.array_equal(out.values[k], fused(lambda s: s[k : k + 1]).values[0])
 
 
 def test_feature_grid_rejects_wrong_rows_under_leading_axis():

@@ -873,13 +873,32 @@ def test_flag_the_command_ignores_exit_2(workdir, flag, command, capsys):
     assert not (workdir / "out").exists() and not (workdir / "flag_out").exists()
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--seed", "abc", "train"], "radl: argument --seed: invalid int value: 'abc'"),
+    (["bogus"], "radl: argument command: invalid choice: 'bogus' "
+                "(choose from 'gen', 'train', 'eval', 'gradcheck', 'selftest')"),
+    (["gen"], "radl: the following arguments are required: layout"),
+], ids=["non_numeric_flag", "unknown_command", "gen_without_layout"])
+def test_argparse_error_one_line_exit_2(argv, line, capsys):
+    # returned from main, not raised as SystemExit after a usage block
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line] and not captured.out
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["--help"])
+    assert e.value.code == 0 and capsys.readouterr().out.startswith("usage: radl")
+
+
 # --- fixed costs paid once per process ----------------------------------------------
 
 def test_one_parser_per_process_equals_fresh_parsers(workdir, capsys):
     assert run("--config", workdir / "config.json", "--steps", 0, "train") == 0
     img_dir, lay_dir = eval_dirs(workdir, generate(0, 4))
     calls = [
-        ["--no-such-flag", "selftest"],  # argparse exits 2
+        ["--no-such-flag", "selftest"],  # an argparse error: exit 2
         ["--json", "selftest"],
         ["gen", workdir / "layout.json", 2],
         ["eval", img_dir, lay_dir],
@@ -892,10 +911,7 @@ def test_one_parser_per_process_equals_fresh_parsers(workdir, capsys):
             if fresh:
                 cli.build_parser.cache_clear()
             out_flag = ["--out", out] if argv[0] in ("gen", "eval") else []
-            try:
-                code = run("--config", workdir / "config.json", *out_flag, *argv)
-            except SystemExit as e:
-                code = e.code
+            code = run("--config", workdir / "config.json", *out_flag, *argv)
             captured = capsys.readouterr()
             seen.append((code, captured.out, captured.err))
         files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}

@@ -121,15 +121,26 @@ class FixedDraws:
         return self.values.pop(0)
 
 
+# global flags before the command, their values numeric or not
+flag_lists = st.lists(
+    st.tuples(st.sampled_from(["--seed", "--steps", "--radl-steps"]),
+              st.one_of(st.integers(-2, 4).map(str), st.text(max_size=3))),
+    max_size=2,
+)
+
+
 @FUZZ
-@example(keys={"lr"}, data=FixedDraws(10**400), command="train")  # was OverflowError
-@example(keys={"weight_decay"}, data=FixedDraws(-(10**400)), command="train")
+@example(keys={"lr"}, data=FixedDraws(10**400), command="train", flags=[])  # was OverflowError
+@example(keys={"weight_decay"}, data=FixedDraws(-(10**400)), command="train", flags=[])
+# was argparse's SystemExit(2) after its usage block
+@example(keys=set(), data=FixedDraws(), command="train", flags=[("--seed", "abc")])
 @given(
     keys=st.sets(st.sampled_from([*SIZE_VALUES, *OTHER_VALUES, *PATH_KEYS, "unknown"]), max_size=4),
     data=st.data(),
     command=st.sampled_from(["train", "gen", "eval"]),
+    flags=flag_lists,
 )
-def test_config_fuzz_keeps_contract(base, keys, data, command):
+def test_config_fuzz_keeps_contract(base, keys, data, command, flags):
     with tempfile.TemporaryDirectory() as tmp:
         # train writes its checkpoint; keep the base one intact
         cfg = dict(base_cfg(base), **({"checkpoint": str(Path(tmp) / "model.ckpt")}
@@ -149,7 +160,7 @@ def test_config_fuzz_keeps_contract(base, keys, data, command):
             "gen": ["gen", base / "layout.json", 1],
             "eval": ["eval", base / "images", base / "layouts"],
         }[command]
-        assert run_in(Path(tmp), cfg, *argv) in CONTRACT
+        assert run_in(Path(tmp), cfg, *[arg for flag in flags for arg in flag], *argv) in CONTRACT
 
 
 def layout_docs():

@@ -1,12 +1,25 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from radl.attention import FeatureGrid, RowSet
 from radl.errors import MissingCache, NoBranches, ShapeMismatch
-from radl.fusion import FusionBranch, fuse_backward, fuse_forward
+from radl.fusion import FusionBranch, fuse_backward, fuse_forward, fusion_weights
 from radl.oracles import central_diff, rel_err
+
+
+@dataclass
+class Scored(FusionBranch):
+    """A branch with the logit its fusion weights are made from."""
+
+    logit: float = 0.0
+
+
+def fuse(branches):
+    """fuse_forward under the weights of the branches' masks and logits."""
+    weights = fusion_weights([b.feat.rows.mask for b in branches], [b.logit for b in branches])
+    return fuse_forward(branches, weights)
 
 
 def rows_of(values):
@@ -15,7 +28,7 @@ def rows_of(values):
 
 def branch(draw, rows, logit):
     """A branch holding a full draw (K, h*w, d) at its rows."""
-    return FusionBranch(FeatureGrid(rows.take(draw), rows), logit)
+    return Scored(FeatureGrid(rows.take(draw), rows), logit)
 
 
 def full(feat):
@@ -85,7 +98,7 @@ def make_branches(rng, h=8, w=8, d=8, n_inst=2, logits=None, k=1):
 def test_single_background_branch_exact():
     rng = np.random.default_rng(0)
     feat = FeatureGrid(rng.standard_normal((1, 16, 8)), RowSet.every(4, 4))
-    out = fuse_forward([FusionBranch(feat, 1.3)])[0]
+    out = fuse([Scored(feat, 1.3)])[0]
     assert np.array_equal(out.values, feat.values)
 
 
@@ -93,22 +106,22 @@ def test_two_equal_logit_branches_mean():
     rng = np.random.default_rng(1)
     a = FeatureGrid(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2))
     b = FeatureGrid(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2))
-    branches = [FusionBranch(a, 0.7), FusionBranch(b, 0.7)]
-    out = fuse_forward(branches)[0]
+    branches = [Scored(a, 0.7), Scored(b, 0.7)]
+    out = fuse(branches)[0]
     assert np.allclose(out.values, 0.5 * (a.values + b.values), atol=1e-15)
 
 
 def test_fuse_matches_pixel_loop_oracle():
     rng = np.random.default_rng(2)
     branches, masks = make_branches(rng, logits=rng.standard_normal(4))
-    got = fuse_forward(branches)[0]
+    got = fuse(branches)[0]
     assert rel_err(got.values, fuse_oracle(branches, masks)) <= 1e-12
 
 
 def test_packed_fuse_matches_pixel_loop_oracle():
     rng = np.random.default_rng(12)
     branches, masks = make_branches(rng, logits=rng.standard_normal(4), k=3)
-    got = fuse_forward(branches)[0]
+    got = fuse(branches)[0]
     assert rel_err(got.values, fuse_oracle(branches, masks)) <= 1e-12
 
 
@@ -117,7 +130,7 @@ def test_fuse_weights_sum_to_one():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         branches, masks = make_branches(rng, h=4, w=4, d=4, logits=rng.standard_normal(4))
-        _, cache = fuse_forward(branches)
+        _, cache = fuse(branches)
         assert np.all(np.abs(cache.weights.sum(axis=0) - 1.0) <= 1e-12)
         # inactive branches carry exactly zero weight
         assert np.array_equal(cache.weights != 0.0, np.stack(masks) != 0.0)
@@ -130,13 +143,13 @@ def test_fuse_logit_shift_invariance():
         logits = rng.standard_normal(4)
         base, _ = make_branches(np.random.default_rng(seed), h=4, w=4, d=4, logits=logits)
         shifted = [replace(b, logit=b.logit + 0.37) for b in base]
-        assert rel_err(fuse_forward(base)[0].values, fuse_forward(shifted)[0].values) <= 1e-12
+        assert rel_err(fuse(base)[0].values, fuse(shifted)[0].values) <= 1e-12
 
 
 def test_fuse_convexity_envelope():
     rng = np.random.default_rng(5)
     branches, masks = make_branches(rng, logits=rng.standard_normal(4))
-    out = fuse_forward(branches)[0].values[0]
+    out = fuse(branches)[0].values[0]
     feats = np.stack([full(b.feat)[0] for b in branches])
     masks = np.stack(masks)
     active = np.where(masks[:, :, None] > 0, feats, np.nan)
@@ -148,7 +161,7 @@ def test_fuse_convexity_envelope():
 def test_fuse_background_outside_masks():
     rng = np.random.default_rng(6)
     branches, masks = make_branches(rng, logits=rng.standard_normal(4))
-    out = fuse_forward(branches)[0].values[0]
+    out = fuse(branches)[0].values[0]
     bg = branches[0]
     covered = np.zeros(64)
     for m in masks[1:]:
@@ -159,22 +172,24 @@ def test_fuse_background_outside_masks():
 
 def test_fuse_errors():
     with pytest.raises(NoBranches):
-        fuse_forward([])
+        fuse([])
+    with pytest.raises(NoBranches):
+        fuse_forward([], np.ones((0, 4)))
     rng = np.random.default_rng(7)
     a = branch(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2), 0.0)
     b = branch(rng.standard_normal((1, 9, 3)), RowSet.every(3, 3), 0.0)
     with pytest.raises(ShapeMismatch):
-        fuse_forward([a, b])
+        fuse_forward([a, b], np.full((2, 4), 0.5))
     # no active branch at some pixel
     inst_only = branch(rng.standard_normal((1, 4, 3)), rows_of(np.eye(2)), 0.0)
     with pytest.raises(NoBranches):
-        fuse_forward([inst_only])
+        fuse([inst_only])
 
 
 def test_fuse_backward_single_branch():
     rng = np.random.default_rng(8)
     feat = FeatureGrid(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2))
-    _, cache = fuse_forward([FusionBranch(feat, 0.4)])
+    _, cache = fuse([Scored(feat, 0.4)])
     d_out = rng.standard_normal((4, 3))[:, None]  # rows-first
     d_feats, d_logits = fuse_backward(d_out, cache)
     assert np.array_equal(d_feats[0], d_out)
@@ -185,7 +200,7 @@ def test_fuse_backward_inactive_branch_zero_grads():
     rng = np.random.default_rng(9)
     bg = branch(rng.standard_normal((1, 4, 3)), RowSet.every(2, 2), 0.0)
     dead = branch(rng.standard_normal((1, 4, 3)), rows_of(np.zeros((2, 2))), 0.0)
-    _, cache = fuse_forward([bg, dead])
+    _, cache = fuse([bg, dead])
     d_feats, d_logits = fuse_backward(rng.standard_normal((4, 3))[:, None], cache)
     assert not d_feats[1].any()
     assert d_logits[1] == 0.0
@@ -205,14 +220,14 @@ def test_fuse_backward_vs_central_differences():
         logits = case_rng.standard_normal(4)
         branches, _ = make_branches(case_rng, h=3, w=3, d=4, logits=logits, k=k)
         d_out = case_rng.standard_normal((k, 9, 4))
-        _, cache = fuse_forward(branches)
+        _, cache = fuse(branches)
         d_feats, d_logits = fuse_backward(d_out.swapaxes(0, 1), cache)
 
         def fused():
             # the branches as fuse_forward reads them, with the logits read
             # from `logits`, which central_diff perturbs
             now = [replace(b, logit=float(z)) for b, z in zip(branches, logits)]
-            return fuse_forward(now)[0].values
+            return fuse(now)[0].values
 
         for bi, b in enumerate(branches):
             num = b.feat.rows.put(central_diff(fused, b.feat.values, d_out))

@@ -22,6 +22,7 @@ from radl.pipeline import (
     init_denoiser,
     mse_loss_and_grads,
     params_to_dict,
+    prepare_stack,
     sample,
     train,
     zero_grads,
@@ -47,6 +48,11 @@ def encode(params, *layouts):
     """The layouts' encodings for the denoiser."""
     cfg = EmbedderConfig(dim=params.d, seed=0)
     return [encode_layout(lay, cfg, params.image_size) for lay in layouts]
+
+
+def prepared(params, *layouts, variant="full"):
+    """The stack inputs of one image per layout under params."""
+    return prepare_stack(encode(params, *layouts), params, variant)
 
 
 # --- noise schedule ----------------------------------------------------------
@@ -130,8 +136,8 @@ def test_radl_off_is_layout_invariant_bitwise():
     a_scene = make_scene(0, SceneConfig())
     b_scene = make_scene(2, SceneConfig())
     x = np.random.default_rng(5).standard_normal((1, 3, 32, 32))
-    a = denoise_forward_cached(params, x, [100], encode(params, a_scene.layout), False)[0]
-    b = denoise_forward_cached(params, x, [100], encode(params, b_scene.layout), False)[0]
+    a = denoise_forward_cached(params, x, [100], prepared(params, a_scene.layout), False)[0]
+    b = denoise_forward_cached(params, x, [100], prepared(params, b_scene.layout), False)[0]
     assert np.array_equal(a, b)
 
 
@@ -139,7 +145,7 @@ def test_radl_on_empty_layout_runs():
     params = init_denoiser(0, d=8, image_size=32, t_train=200)
     layout = LayoutSpec(prompt="a plain gray background")
     x = np.random.default_rng(6).standard_normal((1, 3, 32, 32))
-    eps = denoise_forward_cached(params, x, [50], encode(params, layout), True)[0]
+    eps = denoise_forward_cached(params, x, [50], prepared(params, layout), True)[0]
     assert np.all(np.isfinite(eps))
 
 
@@ -149,7 +155,7 @@ def test_golden_regression_fixture():
     sched = NoiseSchedule.make(200)
     rng = np.random.default_rng(99)
     x_t = forward_diffuse(scene.image, 120, sched, rng.standard_normal(scene.image.shape))
-    eps = denoise_forward_cached(params, x_t[None], [120], encode(params, scene.layout), True)[0]
+    eps = denoise_forward_cached(params, x_t[None], [120], prepared(params, scene.layout), True)[0]
     assert hashlib.sha256(eps[0].tobytes()).hexdigest() == GOLDEN_EPS_SHA256
 
 
@@ -164,8 +170,8 @@ def test_layout_sensitivity_inside_moved_box():
         instances=(InstanceSpec("red square", BBox(0.5, 0.5, 0.875, 0.875)),),
     )
     x = np.random.default_rng(7).standard_normal((1, 3, 32, 32))
-    a = denoise_forward_cached(params, x, [100], encode(params, base), True)[0]
-    b = denoise_forward_cached(params, x, [100], encode(params, moved), True)[0]
+    a = denoise_forward_cached(params, x, [100], prepared(params, base), True)[0]
+    b = denoise_forward_cached(params, x, [100], prepared(params, moved), True)[0]
     diff = np.abs(a - b).sum(axis=(0, 1))
     region = (
         rasterize_mask(base.instances[0].bbox, 32, 32)
@@ -173,8 +179,8 @@ def test_layout_sensitivity_inside_moved_box():
     )
     assert diff[region].max() > 0.0
     # the off path stays invariant
-    a_off = denoise_forward_cached(params, x, [100], encode(params, base), False)[0]
-    b_off = denoise_forward_cached(params, x, [100], encode(params, moved), False)[0]
+    a_off = denoise_forward_cached(params, x, [100], prepared(params, base), False)[0]
+    b_off = denoise_forward_cached(params, x, [100], prepared(params, moved), False)[0]
     assert np.array_equal(a_off, b_off)
 
 
@@ -184,24 +190,27 @@ def test_variant_validation_and_shape_checks():
     x = np.random.default_rng(4).standard_normal((2, 3, 32, 32))
     encs = encode(params, scene.layout) * 2
     with pytest.raises(ValueError):
-        denoise_forward_cached(params, x, [1], encs, True, variant="bogus")
+        prepare_stack(encs, params, "bogus")
+    stack = prepare_stack(encs, params, "full")
     with pytest.raises(ShapeMismatch):
-        denoise_forward_cached(params, np.zeros((2, 3, 16, 16)), [1], encs, True)
+        denoise_forward_cached(params, np.zeros((2, 3, 16, 16)), [1], stack, True)
     with pytest.raises(ShapeMismatch):  # one image without its stack axis
-        denoise_forward_cached(params, x[0], [1], encs[:1], True)
+        denoise_forward_cached(params, x[0], [1], prepare_stack(encs[:1], params, "full"), True)
     for t in ([1, 2, 3], [], 1):
         with pytest.raises(ShapeMismatch):
-            denoise_forward_cached(params, x, t, encs, True)
+            denoise_forward_cached(params, x, t, stack, True)
     for bad in (None, encs[:1], encs * 2):
         with pytest.raises(ShapeMismatch):
-            denoise_forward_cached(params, x, [1], bad, True)
+            denoise_forward_cached(
+                params, x, [1], None if bad is None else prepare_stack(bad, params, "full"), True
+            )
     with pytest.raises(StepOutOfRange):
-        denoise_forward_cached(params, x, [201], encs, True)
+        denoise_forward_cached(params, x, [201], stack, True)
     # a shared step equals that step repeated per image up to rounding: the
     # gain basis product rounds differently over one row and over K rows
     for radl_on in (True, False):
-        shared = denoise_forward_cached(params, x, [120], encs, radl_on)[0]
-        repeated = denoise_forward_cached(params, x, [120, 120], encs, radl_on)[0]
+        shared = denoise_forward_cached(params, x, [120], stack, radl_on)[0]
+        repeated = denoise_forward_cached(params, x, [120, 120], stack, radl_on)[0]
         assert rel_err(shared, repeated) <= 1e-12
 
 
@@ -210,7 +219,7 @@ def test_text_attn_only_uses_no_enhancement_params():
     scene = make_scene(0, SceneConfig())
     x = np.random.default_rng(8).standard_normal((3, 32, 32))
     eps, cache = denoise_forward_cached(
-        params, x[None], [100], encode(params, scene.layout), True, "text_attn_only"
+        params, x[None], [100], prepared(params, scene.layout, variant="text_attn_only"), True
     )
     assert all(ic.ae is None and ic.ia is None for ic in cache.block_fine.instances)
     assert cache.block_fine.rel is None
@@ -228,7 +237,9 @@ def test_relation_branch_only_with_verbs():
     for layout, has_rel in ((plain, False), (verbed, True)):
         (enc,) = encode(params, layout)
         assert (enc.relation is not None) == has_rel
-        _, cache = denoise_forward_cached(params, x, [15], [enc], True, "full")
+        _, cache = denoise_forward_cached(
+            params, x, [15], prepare_stack([enc], params, "full"), True
+        )
         for block in (cache.block_fine, cache.block_coarse):
             assert (block.rel is not None) == has_rel
 
@@ -268,7 +279,9 @@ def crowded_layouts(count=3):
 
 def forward_and_grads(params, layouts, x, ts, variant):
     """eps and the gradients of a stack-on pack of the layouts' images."""
-    eps, cache = denoise_forward_cached(params, x, ts, encode(params, *layouts), True, variant)
+    eps, cache = denoise_forward_cached(
+        params, x, ts, prepared(params, *layouts, variant=variant), True
+    )
     g = zero_grads(params)
     denoise_backward(np.sin(eps), cache, params, g)
     return eps, g
@@ -414,14 +427,15 @@ def test_backward_on_batched_cache_sums_images():
     d_eps = rng.standard_normal((2, 3, 8, 8))
     layout = small_scene().layout
     for radl_on in (True, False):
-        eps, cache = denoise_forward_cached(params, x, [5], encode(params, layout) * 2, radl_on)
+        stack = prepare_stack(encode(params, layout) * 2, params, "full")
+        eps, cache = denoise_forward_cached(params, x, [5], stack, radl_on)
         assert eps.shape == x.shape
         g = zero_grads(params)
         denoise_backward(d_eps, cache, params, g)
         g_ref = zero_grads(params)
         for k in range(2):
             _, cache_k = denoise_forward_cached(
-                params, x[k : k + 1], [5], encode(params, layout), radl_on
+                params, x[k : k + 1], [5], prepared(params, layout), radl_on
             )
             denoise_backward(d_eps[k : k + 1], cache_k, params, g_ref)
         for name in g:
@@ -438,6 +452,119 @@ def test_sample_rejects_negative_radl_steps():
     params = init_denoiser(0, d=4, image_size=8, t_train=20)
     with pytest.raises(ValueError):
         sample(params, small_scene().layout, total_steps=4, radl_steps=-1, embed_cfg=EC4)
+
+
+# --- prepared stack inputs ------------------------------------------------------
+# A sample call prepares its layout's stack inputs once and reads them at
+# every stack-on step; training prepares them for every forward.
+
+def prepared_layouts():
+    layouts = batched_sample_layouts()  # crowded (empty at 8x8), no instances, no verbs
+    two = make_scene(0, SceneConfig()).layout
+    layouts["two_verbs"] = replace(two, verbs=("leaning", "holding"))
+    return layouts
+
+
+def sample_preparing_each_step(params, layout, total_steps, radl_steps, seeds, variant):
+    """`sample` written as a loop that prepares the stack inputs at every
+    stack-on step and updates out of place."""
+    sched = NoiseSchedule.make(total_steps)
+    s = params.image_size
+    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))) for seed in seeds]
+
+    def noise():
+        return np.stack([rng.standard_normal((3, s, s)) for rng in rngs])
+
+    encs = [encode_layout(layout, EC, s)] * len(seeds)
+    temb_map = pipeline._temb_index_map(sched, params.t_train)
+    x = noise()
+    for i, t in enumerate(range(total_steps, 0, -1)):
+        radl_on = i < radl_steps
+        stack = prepare_stack(encs, params, variant) if radl_on else None
+        eps_hat = denoise_forward_cached(params, x, temb_map[t - 1 : t], stack, radl_on)[0]
+        ab = sched.alpha_bar(t)
+        x0_hat = np.clip((x - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab), 0.0, 1.0)
+        eps_used = (x - np.sqrt(ab) * x0_hat) / np.sqrt(1.0 - ab)
+        mean = (x - sched.beta(t) / np.sqrt(1.0 - ab) * eps_used) / np.sqrt(sched.alpha(t))
+        x = mean + np.sqrt(sched.posterior_variance(t)) * noise() if t > 1 else mean
+    return np.clip(x, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", ["crowded", "no_instances", "no_verbs", "two_verbs"])
+def test_prepared_stack_reused_equals_fresh_per_call(variant, name):
+    params = init_denoiser(6, d=8, image_size=32, t_train=200)
+    layout = prepared_layouts()[name]
+    encs = encode(params, layout) * 2
+    stack = prepare_stack(encs, params, variant)
+    rng = np.random.default_rng(31)
+    for t in (200, 120, 57):
+        x = rng.standard_normal((2, 3, 32, 32))
+        reused = denoise_forward_cached(params, x, [t], stack, True)[0]
+        fresh = denoise_forward_cached(
+            params, x, [t], prepare_stack(encs, params, variant), True
+        )[0]
+        assert reused.tobytes() == fresh.tobytes(), t
+    seeds = [4, 9]
+    images, _ = sample(params, layout, total_steps=6, radl_steps=3, seeds=seeds, embed_cfg=EC,
+                       variant=variant)
+    want = sample_preparing_each_step(params, layout, 6, 3, seeds, variant)
+    assert images.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_prepared_arrays_are_read_only(variant):
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    layout = prepared_layouts()["two_verbs"]
+    stack = prepare_stack(encode(params, layout, small_scene().layout), params, variant)
+    kvs = [stack.background, *stack.labels, *(stack.embeddings or ())]
+    kvs += [stack.relation] if stack.relation is not None else []
+    arrays = [a for kv in kvs for a in (kv.k, kv.v)] + list(stack.weights.values())
+    arrays += [kv.src for kv in stack.embeddings or ()]
+    assert len(stack.labels) == 2 and len(stack.weights) == 2
+    assert (stack.embeddings is None) == (variant == "text_attn_only")
+    assert (stack.relation is None) == (variant != "full")
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls the pipeline makes to each named function."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+EMBEDDING_OPS = ("position_embed_forward", "build_instance_embedding_forward")
+
+
+def test_sample_prepares_instance_embeddings_once(monkeypatch):
+    # one preparation per call: each of the two instances is embedded once,
+    # not once per stack-on step
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    layout = small_scene().layout
+    assert len(layout.instances) == 2
+    calls = count_calls(monkeypatch, *EMBEDDING_OPS)
+    _, trace = sample(params, layout, total_steps=6, radl_steps=3, seeds=[0, 1], embed_cfg=EC4)
+    assert trace.count(True) == 3
+    assert calls == dict.fromkeys(EMBEDDING_OPS, 2)
+
+
+def test_training_prepares_instance_embeddings_per_forward(monkeypatch):
+    # the parameters change between forwards, so each forward prepares its own
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    scene = small_scene()
+    encs = encode(params, scene.layout)
+    calls = count_calls(monkeypatch, *EMBEDDING_OPS)
+    noise = np.random.default_rng(3).standard_normal((1, 3, 8, 8))
+    for forwards in (1, 2):
+        mse_loss_and_grads(params, [scene], [7], noise, encs, True, zero_grads(params))
+        assert calls == dict.fromkeys(EMBEDDING_OPS, 2 * forwards)
 
 
 # --- training ----------------------------------------------------------------
@@ -679,7 +806,8 @@ def test_packed_gradients_match_central_differences():
                     for sc, t, n in zip(scenes, MIXED_TS, noise)])
 
     def loss_fn():
-        r = denoise_forward_cached(params, x_t, MIXED_TS, encs, True)[0] - noise
+        stack = prepare_stack(encs, params, "full")  # params change between calls
+        r = denoise_forward_cached(params, x_t, MIXED_TS, stack, True)[0] - noise
         return float((r * r).reshape(len(r), -1).mean(axis=1).sum())
 
     pdict = params_to_dict(params)
