@@ -257,18 +257,13 @@ class RowSet:
 
     def take(self, x: np.ndarray) -> np.ndarray:
         """The kept rows of a stack x (K, h*w, d): (K, R, d), or (K', R, d)
-        for a packed set, whose padding rows repeat row 0 of their grid."""
+        for a packed set, whose padding rows are zero."""
         if self.whole:
             return x
         if self.grids is None:
             return x[:, self.idx]
-        return x[self.grids[:, None], self.idx]
-
-    def take_grad(self, d_out: np.ndarray) -> np.ndarray:
-        """As `take`, with the padding rows zero."""
-        rows = self.take(d_out)
-        if self.keep is not None:
-            rows[~self.keep] = 0.0
+        rows = x[self.grids[:, None], self.idx]
+        rows[~self.keep] = 0.0
         return rows
 
     def _kept_values(self, values: np.ndarray) -> np.ndarray:
@@ -345,7 +340,7 @@ def _attend_rows_backward(
     value source's."""
     kv, wk, wv = cache.kv, cache.proj.wk, cache.proj.wv
     ac = AttnCache(q=q, k=kv.k, v=kv.v, attn=cache.attn)
-    dq, dk, dv = scaled_dot_attention_backward(cache.rows.take_grad(flip_stack(d_out)), ac)
+    dq, dk, dv = scaled_dot_attention_backward(cache.rows.take(flip_stack(d_out)), ac)
     src = as_rows(kv.src)
     return dq, dk @ wk.T + dv @ wv.T, src.T @ as_rows(dk), src.T @ as_rows(dv)
 

@@ -57,7 +57,8 @@ MAX_ARRAY_VALUES = np.iinfo(np.intp).max // 8
 
 # accepted value types per RunConfig annotation; bool is rejected everywhere
 _FIELD_TYPES = {
-    "int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None)),
+    "int": (int,), "int | None": (int, type(None)), "float": (int, float), "str": (str,),
+    "str | None": (str, type(None)),
 }
 
 
@@ -69,7 +70,7 @@ class RunConfig:
     image_size: int = 32
     t_train: int = 200
     t_sample: int = 60
-    radl_steps: int = 30
+    radl_steps: int | None = None  # None: min(30, t_sample // 2)
     train_steps: int = 2000
     lr: float = 1e-4
     warmup: int = 100
@@ -108,6 +109,8 @@ class RunConfig:
             raise MalformedDoc(f"embed_seed must be in [0, 2**64), got {self.embed_seed}")
         if self.t_sample < 2:
             raise MalformedDoc(f"t_sample must be >= 2, got {self.t_sample}")
+        if self.radl_steps is None:
+            self.radl_steps = min(30, self.t_sample // 2)
         if self.radl_steps < 0:
             raise MalformedDoc(f"radl_steps must be >= 0, got {self.radl_steps}")
         if self.radl_steps > self.t_sample:
@@ -158,9 +161,9 @@ class RunConfig:
         return EmbedderConfig(dim=self.d, seed=self.embed_seed, verb_lexicon=lexicon)
 
 
-def load_config(path: str | None, overrides: dict, defaults: dict | None = None) -> RunConfig:
-    """The config file's values over `defaults`, and `overrides` (None
-    entries skipped) over both."""
+def load_config(path: str | None, overrides: dict) -> RunConfig:
+    """The config file's values, with `overrides` (None entries skipped)
+    over them."""
     values: dict = {}
     if path is not None:
         try:
@@ -174,7 +177,6 @@ def load_config(path: str | None, overrides: dict, defaults: dict | None = None)
         unknown = set(values) - known
         if unknown:
             raise MalformedDoc(f"config {path}: unknown keys {sorted(unknown)}")
-    values = {**(defaults or {}), **values}
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
 
@@ -351,7 +353,7 @@ def cmd_eval(cfg: RunConfig, images_dir: str, layouts_dir: str) -> int:
 
     table = load_hsv_table(cfg.hsv_table)
     pairs = [(read_ppm(images[stem]), _read_layout(layouts[stem])) for stem in sorted(images)]
-    text = evaluate_images(pairs, SceneConfig().palette, table).to_json()
+    text = evaluate_images(pairs, table).to_json()
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "metrics.json").write_text(text + "\n", encoding="utf-8")
@@ -451,22 +453,15 @@ def main(argv=None) -> int:
         print(f"radl: {e}", file=sys.stderr)
         return EXIT_INPUT
     overrides = {"seed": args.seed, "out": args.out, "radl_steps": args.radl_steps}
-    defaults = {}
     if args.steps is not None:
-        if args.command == "gen":
-            overrides["t_sample"] = args.steps
-            # keep the invariant when shrinking the schedule below the default
-            # split; a radl_steps from the flag or the config wins
-            defaults["radl_steps"] = min(30, args.steps // 2)
-        else:
-            overrides["train_steps"] = args.steps
+        overrides["t_sample" if args.command == "gen" else "train_steps"] = args.steps
 
     # commands return EXIT_OK or EXIT_CHECK; every other exit code is chosen here
     try:
         for flag, readers in FLAG_READERS.items():
             if getattr(args, flag) is not None and args.command not in readers:
                 raise MalformedDoc(f"--{flag.replace('_', '-')} is not read by {args.command}")
-        cfg = load_config(args.config, overrides, defaults)
+        cfg = load_config(args.config, overrides)
         if args.command == "gen":
             return cmd_gen(cfg, args.layout, args.count)
         if args.command == "train":

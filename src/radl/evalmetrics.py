@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MalformedDoc, UnknownColor, finite_number, parse_json, read_utf8
 from .layout import RELATION_PREDICATES, BBox, LayoutSpec, Relation, rasterize_mask
-from .scenes import BACKGROUND_RGB, PALETTE_RGB
+from .scenes import BACKGROUND_RGB, PALETTE, PALETTE_RGB
 
 HsvRange = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 HsvPlanes = tuple[np.ndarray, np.ndarray, np.ndarray]  # rgb_to_hsv's (H, S, V)
@@ -305,10 +305,9 @@ def quantity_acc(dets: list[Detection], layout: LayoutSpec) -> bool:
     return len(dets) == layout.n
 
 
-def evaluate_image(
-    image: np.ndarray, layout: LayoutSpec, palette: tuple[str, ...], table: dict[str, HsvRange]
-) -> ImageEval:
-    dets = detect(image, palette)
+def evaluate_image(image: np.ndarray, layout: LayoutSpec, table: dict[str, HsvRange]) -> ImageEval:
+    """The metrics of one image, detecting the colors scenes draw (`PALETTE`)."""
+    dets = detect(image, PALETTE)
     hsv = rgb_to_hsv(image)
     matched = match_instances(dets, layout)
     rate, flags = success_rate(dets, matched, layout, hsv, table)
@@ -326,12 +325,10 @@ def evaluate_image(
 
 
 def evaluate_images(
-    pairs: list[tuple[np.ndarray, LayoutSpec]],
-    palette: tuple[str, ...],
-    table: dict[str, HsvRange],
+    pairs: list[tuple[np.ndarray, LayoutSpec]], table: dict[str, HsvRange]
 ) -> MetricsReport:
     """Aggregate per-image metrics as plain means."""
-    evals = [evaluate_image(img, layout, palette, table) for img, layout in pairs]
+    evals = [evaluate_image(img, layout, table) for img, layout in pairs]
     rel_evals = [e.relation_acc for e in evals if e.n_relations > 0]
     return MetricsReport(
         success_rate=float(np.mean([e.success for e in evals])) if evals else 0.0,

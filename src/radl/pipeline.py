@@ -840,19 +840,18 @@ def mse_loss_and_grads(
     ts: Sequence[int],
     noise: np.ndarray,
     encs: Sequence[LayoutEncoding] | None,
-    radl_on: bool,
     g: dict[str, np.ndarray],
     variant: str = "full",
     grad_scale: float = 1.0,
 ) -> float:
     """Summed MSE between predicted and true noise over a pack of K samples
-    (noise is (K, 3, S, S); encs, the scenes' encodings, are read only
-    with the stack on), from one forward and one backward; grads
-    accumulate into g.  The per-sample losses are summed in pack order."""
+    (noise is (K, 3, S, S)), from one forward and one backward; grads
+    accumulate into g.  The stack is on exactly when encs, the scenes'
+    encodings, are given.  The per-sample losses are summed in pack order."""
     sched = training_schedule(params.t_train)
     x_t = np.stack([forward_diffuse(sc.image, t, sched, n) for sc, t, n in zip(scenes, ts, noise)])
-    stack = prepare_stack(encs, params, variant) if radl_on else None
-    resid, cache = denoise_forward_cached(params, x_t, ts, stack, radl_on)
+    stack = None if encs is None else prepare_stack(encs, params, variant)
+    resid, cache = denoise_forward_cached(params, x_t, ts, stack, encs is not None)
     # in place, so that one image-stack array lives through the backward
     resid -= noise
     per_sample = (resid * resid).reshape(len(resid), -1).mean(axis=1)
@@ -959,7 +958,7 @@ def train(
                         encs[pick] = encode_layout(layout, embed_cfg, params.image_size)
             loss += mse_loss_and_grads(
                 params, [dataset[p] for p in picks], ts, np.stack(noises),
-                [encs[p] for p in picks] if radl_on else None, radl_on, g,
+                [encs[p] for p in picks] if radl_on else None, g,
                 variant=variant, grad_scale=1.0 / batch_size,
             )
         loss /= batch_size
@@ -1041,7 +1040,7 @@ def gradcheck(
     pdict = params_to_dict(params)
     grad = np.zeros_like(params.flat)
     g = _views(grad, pdict)
-    mse_loss_and_grads(params, [scene], [t], noise, encs, True, g, variant)
+    mse_loss_and_grads(params, [scene], [t], noise, encs, g, variant)
     if grad_fault:
         g["enc1.w"] += 1.0
 

@@ -36,6 +36,7 @@ PALETTE_RGB: dict[str, tuple[float, float, float]] = {
     "white": (1.0, 1.0, 1.0),
     "black": (0.0, 0.0, 0.0),
 }
+PALETTE = ("red", "green", "blue", "yellow")  # the colors scenes draw, and eval detects
 BACKGROUND_RGB = (0.5, 0.5, 0.5)  # every scene's background, neutral gray
 VERB_TEMPLATES = ("resting", "floating", "sitting", "standing")  # verbs a prompt may carry
 MAX_PLACEMENT_ATTEMPTS = 200  # draws per instance before make_scene gives up
@@ -50,7 +51,6 @@ class SceneConfig:
 
     image_size: int = 32
     n_instances: tuple[int, int] = (2, 2)  # inclusive range
-    palette: tuple[str, ...] = ("red", "green", "blue", "yellow")
     min_box: float = 0.35
     max_box: float = 0.55
 
@@ -64,15 +64,10 @@ class SceneConfig:
             raise ValueError(f"min_box must be in (0, 1], got {self.min_box!r}")
         if not self.min_box <= self.max_box <= 1:
             raise ValueError(f"max_box must be in [min_box, 1], got {self.max_box!r}")
-        if len(self.palette) < 2:
-            raise ValueError("palette needs at least 2 colors")
-        for name in self.palette:
-            if name not in PALETTE_RGB:
-                raise ValueError(f"unknown palette color {name!r}")
-        if self.n_instances[1] > len(self.palette):
+        if self.n_instances[1] > len(PALETTE):
             raise ValueError(
                 f"n_instances {self.n_instances!r} asks for more distinct colors than the "
-                f"palette's {len(self.palette)}"
+                f"palette's {len(PALETTE)}"
             )
 
 
@@ -82,10 +77,6 @@ class SyntheticScene:
 
     image: np.ndarray
     layout: LayoutSpec
-
-    @property
-    def relations(self) -> tuple[Relation, ...]:
-        return self.layout.relations
 
 
 def _predicate(a: BBox, b: BBox) -> str:
@@ -176,7 +167,7 @@ def compose_scene(rng: np.random.Generator, boxes: list[BBox], config: SceneConf
     """The scene of placed boxes: colors and a verb drawn from `rng`, the
     relations the geometry gives, the prompt and the rendered image."""
     n = len(boxes)
-    colors = [config.palette[i] for i in rng.choice(len(config.palette), n, replace=False)]
+    colors = [PALETTE[i] for i in rng.choice(len(PALETTE), n, replace=False)]
     labels = [f"{color} square" for color in colors]
     relations = tuple(
         Relation(i, _predicate(boxes[i], boxes[j]), j)

@@ -197,10 +197,10 @@ def _check_packed_train_step(rng) -> tuple[bool, str]:
     encs = [encode_layout(sc.layout, embed_cfg, params.image_size) for sc in scenes]
 
     g = zero_grads(params)
-    loss = mse_loss_and_grads(params, scenes, ts, noise, encs, True, g)
+    loss = mse_loss_and_grads(params, scenes, ts, noise, encs, g)
     g_ref, loss_ref = zero_grads(params), 0.0
     for scene, t, n, enc in zip(scenes, ts, noise, encs):
-        loss_ref += mse_loss_and_grads(params, [scene], [t], n[None], [enc], True, g_ref)
+        loss_ref += mse_loss_and_grads(params, [scene], [t], n[None], [enc], g_ref)
 
     worst = max([rel_err(loss, loss_ref)] + [rel_err(g[k], g_ref[k]) for k in g])
     return worst <= 1e-12, f"3 scenes (2, 1, 0 instances), max rel err {worst:.2e}"

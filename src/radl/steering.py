@@ -16,7 +16,7 @@ import numpy as np
 from .evalmetrics import MetricsReport, evaluate_images, load_hsv_table
 from .layout import LayoutSpec
 from .pipeline import TrainResult, init_denoiser, sample, train
-from .scenes import SceneConfig, SyntheticScene
+from .scenes import SyntheticScene
 from .text import EmbedderConfig
 
 
@@ -51,7 +51,7 @@ def run_arm(
             seeds=[777 + i], embed_cfg=ec, variant=arm,
         )
         pairs.append((images[0], scene.layout))
-    return ArmResult(result, pairs, evaluate_images(pairs, SceneConfig().palette, load_hsv_table()))
+    return ArmResult(result, pairs, evaluate_images(pairs, load_hsv_table()))
 
 
 def run_arms(arms: list[str], *args, **kwargs) -> dict[str, ArmResult]:

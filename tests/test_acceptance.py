@@ -48,7 +48,7 @@ from radl.pipeline import (
     prepare_stack,
     sample,
 )
-from radl.scenes import SceneConfig, generate, make_scene
+from radl.scenes import PALETTE, SceneConfig, generate, make_scene
 from radl.text import EmbedderConfig
 
 EC = EmbedderConfig(dim=8, seed=0)
@@ -282,7 +282,7 @@ def test_criterion_6_relation_branch(steering):
     def rel_score(pairs):
         scores = []
         for img, layout in pairs:
-            dets = detect(img, SCENE_CFG.palette)
+            dets = detect(img, PALETTE)
             scores.append(relation_acc(dets, match_instances(dets, layout), layout.relations))
         return float(np.mean(scores))
 
@@ -302,7 +302,7 @@ def test_criterion_7_metric_units():
     checks.append(iou(BBox(0, 0, 1, 1), BBox(0.5, 0, 1.0, 1.0)) == 0.5)
 
     scene = make_scene(0, SCENE_CFG)
-    dets = detect(scene.image, SCENE_CFG.palette)
+    dets = detect(scene.image, PALETTE)
     hsv, table = rgb_to_hsv(scene.image), load_hsv_table()
     rate, flags = success_rate(dets, match_instances(dets, scene.layout), scene.layout, hsv, table)
     checks.append(rate == 1.0 and all(flags))

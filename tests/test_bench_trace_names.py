@@ -55,7 +55,7 @@ def test_traced_ops_record_both_sides():
     tracer = tracing.Tracer()
     with tracing.installed(tracer, modules):
         pipeline.mse_loss_and_grads(
-            params, pack, [5, 15], noise, encs, True, pipeline.zero_grads(params)
+            params, pack, [5, 15], noise, encs, pipeline.zero_grads(params)
         )
         pipeline.sample(params, pack[1].layout, total_steps=2, radl_steps=1, seeds=[0, 1],
                         embed_cfg=ec)

@@ -606,6 +606,23 @@ def test_gen_steps_keeps_config_radl_steps(workdir, config_split, steps, want, c
     assert trace["radl_on"] == [True] * want + [False] * (steps - want)
 
 
+@pytest.mark.parametrize("config_split, want", [(None, 10), (3, 3)])
+def test_config_t_sample_derives_radl_steps(workdir, config_split, want):
+    # a t_sample from the config splits as one from --steps does, for every
+    # command, so train (which never samples) no longer exits 2 on it
+    cfg_path = workdir / "config.json"
+    cfg = json.loads(cfg_path.read_text())
+    cfg.pop("radl_steps")
+    cfg["t_sample"] = 20
+    if config_split is not None:
+        cfg["radl_steps"] = config_split
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert run("--config", cfg_path, "train") == 0
+    assert run("--config", cfg_path, "gen", workdir / "layout.json") == 0
+    trace = json.loads((workdir / "out" / "img_000.trace.json").read_text())
+    assert trace["radl_on"] == [True] * want + [False] * (20 - want)
+
+
 def test_gen_chunks_equal_single_image_runs(workdir):
     # 17 images cross the 16-image chunk boundary; image i must carry the
     # bytes a lone run with seed seed+i writes

@@ -24,9 +24,10 @@ from radl.evalmetrics import (
 )
 from radl.layout import BBox, InstanceSpec, LayoutSpec, Relation
 from radl.oracles import detect_oracle
-from radl.scenes import BACKGROUND_RGB, PALETTE_RGB, SceneConfig, generate, make_scene, render_layout
+from radl.scenes import (
+    BACKGROUND_RGB, PALETTE, PALETTE_RGB, SceneConfig, generate, make_scene, render_layout,
+)
 
-PALETTE = SceneConfig().palette
 TABLE = load_hsv_table()
 CROWDED = SceneConfig(n_instances=(4, 4), min_box=0.15, max_box=0.3)
 
@@ -309,7 +310,7 @@ def test_mean_iou_one_of_two():
 
 def test_relation_generator_scene():
     scene, dets = scene_fixture()
-    assert relation_acc(dets, match_instances(dets, scene.layout), scene.relations) == 1.0
+    assert relation_acc(dets, match_instances(dets, scene.layout), scene.layout.relations) == 1.0
 
 
 def test_relation_swapped_predicate_fails():
@@ -363,7 +364,7 @@ def test_quantity_cases():
 
 def test_evaluate_images_oracle_round_trip():
     scenes = generate(0, 6)
-    report = evaluate_images([(s.image, s.layout) for s in scenes], PALETTE, TABLE)
+    report = evaluate_images([(s.image, s.layout) for s in scenes], TABLE)
     assert report.success_rate == 1.0
     assert report.miou == pytest.approx(1.0)
     assert report.attribute_acc == 1.0
@@ -377,7 +378,7 @@ def test_attribute_acc_blank_image():
     scene = make_scene(0, SceneConfig())
     blank = solid((0.5, 0.5, 0.5), 32)
     assert attribute_acc(rgb_to_hsv(blank), scene.layout, TABLE) == 0.0
-    ev = evaluate_image(blank, scene.layout, PALETTE, TABLE)
+    ev = evaluate_image(blank, scene.layout, TABLE)
     assert ev.success is False and ev.miou == 0.0
 
 
@@ -397,7 +398,7 @@ def test_evaluate_image_equals_separate_metrics():
     verdicts, counts = set(), []
     for image, layout in cases:
         dets = detect(image, PALETTE)
-        ev = evaluate_image(image, layout, PALETTE, TABLE)
+        ev = evaluate_image(image, layout, TABLE)
         rate, flags = success(dets, layout, image)
         assert (ev.success, ev.instance_flags) == (rate == 1.0, flags)
         assert ev.miou == mean_iou(dets, match_instances(dets, layout))

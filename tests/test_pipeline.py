@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -563,7 +564,7 @@ def test_training_prepares_instance_embeddings_per_forward(monkeypatch):
     calls = count_calls(monkeypatch, *EMBEDDING_OPS)
     noise = np.random.default_rng(3).standard_normal((1, 3, 8, 8))
     for forwards in (1, 2):
-        mse_loss_and_grads(params, [scene], [7], noise, encs, True, zero_grads(params))
+        mse_loss_and_grads(params, [scene], [7], noise, encs, zero_grads(params))
         assert calls == dict.fromkeys(EMBEDDING_OPS, 2 * forwards)
 
 
@@ -757,8 +758,8 @@ MIXED_TS = [30, 170, 140, 120, 170, 101]
 
 
 def pack_loss_and_grads(params, scenes, ts, noise, g, variant, radl_on, grad_scale):
-    encs = encode(params, *(sc.layout for sc in scenes))
-    return mse_loss_and_grads(params, scenes, ts, noise, encs, radl_on, g, variant, grad_scale)
+    encs = encode(params, *(sc.layout for sc in scenes)) if radl_on else None
+    return mse_loss_and_grads(params, scenes, ts, noise, encs, g, variant, grad_scale)
 
 
 def per_sample_loss_and_grads(params, scenes, ts, noise, g, variant, radl_on, grad_scale):
@@ -801,7 +802,7 @@ def test_packed_gradients_match_central_differences():
     noise = rng.standard_normal((len(scenes), 3, 32, 32))
     g = zero_grads(params)
     encs = encode(params, *(sc.layout for sc in scenes))
-    mse_loss_and_grads(params, scenes, MIXED_TS, noise, encs, True, g)
+    mse_loss_and_grads(params, scenes, MIXED_TS, noise, encs, g)
     x_t = np.stack([forward_diffuse(sc.image, t, sched, n)
                     for sc, t, n in zip(scenes, MIXED_TS, noise)])
 
@@ -820,6 +821,37 @@ def test_packed_gradients_match_central_differences():
             analytic = g[name][idx]
             err = rel_err(analytic, numeric, floor=1e-6)
             assert err <= 1e-4, (group, name, idx, analytic, numeric)
+
+
+# traced peak bytes of one stack-on pack of 8 (d=8, 32x32, steps 101..200)
+# above what was live before it.  The lazily made fusion branch gradients
+# (`fusion._BranchGrads`), the attention-block cache releases and the
+# in-place decoder tail each keep it down: with the branch gradients made
+# as an eager list the crowded pack peaks at 3.43e6 bytes.  Reruns differ by
+# about 2e3 bytes.
+@pytest.mark.parametrize("cfg, peak_bytes", [
+    (SceneConfig(n_instances=(1, 4), min_box=0.15, max_box=0.3), 2_998_289),
+    (SceneConfig(), 3_365_728),
+], ids=["crowded", "two_large"])
+def test_stack_on_pack_peak_memory(cfg, peak_bytes):
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    params = init_denoiser(0, d=8, image_size=32, t_train=200)
+    scenes = generate(0, 8, cfg)
+    encs = encode(params, *(sc.layout for sc in scenes))
+    rng = np.random.default_rng(0)
+    ts = [int(t) for t in rng.integers(101, 201, len(scenes))]
+    noise = rng.standard_normal((len(scenes), 3, 32, 32))
+    g = zero_grads(params)
+    mse_loss_and_grads(params, scenes, ts, noise, encs, g)  # warm-up
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mse_loss_and_grads(params, scenes, ts, noise, encs, g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * peak_bytes, peak
 
 
 def reference_train(params, dataset, steps, lr, warmup, seed, batch_size, mode):
