@@ -9,6 +9,7 @@ against central finite differences in the test suite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -36,6 +37,13 @@ class FeatureGrid:
             raise ShapeMismatch(f"feature values must be (K, {n}, d), got {v.shape}")
         object.__setattr__(self, "values", v)
 
+    @staticmethod
+    def unchecked(values: np.ndarray, rows: RowSet) -> "FeatureGrid":
+        """An op's output, whose values the op shaped for `rows`: no check."""
+        grid = object.__new__(FeatureGrid)
+        grid.__dict__.update(values=values, rows=rows)
+        return grid
+
     @property
     def h(self) -> int:
         return self.rows.h
@@ -53,18 +61,15 @@ class FeatureGrid:
         """K, the grids the values stand for; a packed set holds fewer."""
         return len(self.values) if self.rows.grids is None else self.rows.stack
 
-    def like(self, values: np.ndarray) -> "FeatureGrid":
-        return FeatureGrid(values, self.rows)
-
     def at(self, rows: RowSet) -> np.ndarray:
         """The values at the rows `rows` keeps, as `RowSet.take` gives them;
         gathers only when the grids hold other rows."""
+        if self.rows is rows:
+            return self.values
         if (rows.h, rows.w) != (self.h, self.w):
             raise ShapeMismatch(
                 f"mask {rows.h}x{rows.w} does not match feature grid {self.h}x{self.w}"
             )
-        if self.rows is rows:
-            return self.values
         return rows.take(self.rows.put(self.values))
 
 
@@ -103,18 +108,39 @@ def softmax_rows(scores: np.ndarray, zero_keys=None) -> np.ndarray:
     """Rowwise softmax with per-row max subtraction for overflow safety;
     `zero_keys` (counts broadcasting against `scores`) more keys per row
     score exactly 0: they join the row max and the denominator only."""
-    top = scores.max(axis=-1, keepdims=True, initial=-np.inf)
-    if zero_keys is not None:
+    return _softmax(scores.copy(), 0 if zero_keys is None else zero_keys)
+
+
+def _softmax(e: np.ndarray, zero_keys) -> np.ndarray:
+    """`softmax_rows` in place on e.  An int count holds for every row, and
+    then 0 joins each row max as the reduction's start."""
+    if isinstance(zero_keys, int):
+        top = e.max(axis=-1, keepdims=True, initial=0.0 if zero_keys > 0 else -np.inf)
+        floor = top if zero_keys > 0 else None
+    else:
+        top = e.max(axis=-1, keepdims=True, initial=-np.inf)
         top = np.maximum(top, np.where(zero_keys > 0, 0.0, -np.inf))
-    # in place on one fresh array: a stacked score block is the largest
-    # array of a batched forward
-    e = scores - top
+        floor = np.maximum(top, 0.0)
+    e -= top
     np.exp(e, out=e)
     total = e.sum(axis=-1, keepdims=True)
-    if zero_keys is not None:  # top >= 0 where a row has zero keys: exp(-top) <= 1
-        total += zero_keys * np.exp(-np.maximum(top, 0.0))
+    if floor is not None:  # floor = top >= 0 where a row has zero keys: exp(-floor) <= 1
+        total += zero_keys * np.exp(-floor)
     e /= total
     return e
+
+
+def _attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, key_keep: np.ndarray | None, zero_keys
+) -> tuple[np.ndarray, np.ndarray]:
+    """The attention kernel without its checks: (output, attention)."""
+    # in place on the fresh score block, the largest array of a batched forward
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= math.sqrt(q.shape[-1])
+    if key_keep is not None:
+        scores += np.where(key_keep, 0.0, -np.inf)[..., None, :]
+    attn = _softmax(scores, zero_keys)
+    return attn @ v, attn
 
 
 def scaled_dot_attention_forward(
@@ -136,12 +162,8 @@ def scaled_dot_attention_forward(
         raise ShapeMismatch(
             f"shapes do not conform: q {q.shape}, k {k.shape}, v {v.shape}"
         )
-    scores = q @ k.swapaxes(-1, -2)
-    scores /= np.sqrt(q.shape[-1])
-    if key_keep is not None:
-        scores += np.where(key_keep, 0.0, -np.inf)[..., None, :]
-    attn = softmax_rows(scores, zero_keys)
-    return attn @ v, AttnCache(q=q, k=k, v=v, attn=attn)
+    out, attn = _attend(q, k, v, key_keep, 0 if zero_keys is None else zero_keys)
+    return out, AttnCache(q=q, k=k, v=v, attn=attn)
 
 
 def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -169,7 +191,7 @@ def scaled_dot_attention_backward(
     d_scores = d_out @ cache.v.swapaxes(-1, -2)
     d_scores -= np.einsum("...ij,...ij->...i", d_scores, a)[..., None]
     d_scores *= a
-    d_scores /= np.sqrt(d)
+    d_scores /= math.sqrt(d)
     dq = d_scores @ cache.k
     dk = d_scores.swapaxes(-1, -2) @ cache.q
     return (
@@ -245,6 +267,12 @@ class RowSet:
         mask = self.put(np.ones(self.idx.shape + (1,), dtype=bool))[..., 0]
         mask.flags.writeable = False  # cached: every reader gets this array
         return mask
+
+    @cached_property
+    def left_out(self):
+        """The rows of each grid the set leaves out: an int, or (K', 1, 1) when packed."""
+        kept = len(self.idx) if self.keep is None else self.keep.sum(axis=-1)[:, None, None]
+        return self.h * self.w - kept
 
     @cached_property
     def _kept(self) -> tuple[tuple, np.ndarray | None]:
@@ -324,12 +352,13 @@ class MaskedAttnCache:
 
 def _attend_rows(
     q_src: np.ndarray, q: np.ndarray, kv: KeyValues, proj: KVProjection, rows: RowSet,
-    zero_keys=None,
+    zero_keys=0,
 ) -> tuple[FeatureGrid, MaskedAttnCache]:
     """The kept rows' queries q, made from q_src, attend over kv's keys and
-    values and `zero_keys` zero keys; returns the grids at `rows`."""
-    out, ac = scaled_dot_attention_forward(q, kv.k, kv.v, kv.keep, zero_keys)
-    return FeatureGrid(out, rows), MaskedAttnCache(q_src, kv, ac.attn, rows, proj)
+    values and `zero_keys` zero keys; returns the grids at `rows`.  Its
+    callers have checked the shapes."""
+    out, attn = _attend(q, kv.k, kv.v, kv.keep, zero_keys)
+    return FeatureGrid.unchecked(out, rows), MaskedAttnCache(q_src, kv, attn, rows, proj)
 
 
 def _attend_rows_backward(
@@ -397,9 +426,8 @@ def attribute_enhancement_forward(
     if qlp.shape[0] != n:
         raise ShapeMismatch(f"learnable queries have {qlp.shape[0]} rows, grid has {n}")
     kv = feat.at(rows)  # checks the mask's grid before qlp is indexed with its rows
-    kept = len(rows.idx) if rows.keep is None else rows.keep.sum(axis=-1)[:, None, None]
     q = qlp[rows.idx]
-    return _attend_rows(q, q, KeyValues.project(kv, proj, rows.keep), proj, rows, n - kept)
+    return _attend_rows(q, q, KeyValues.project(kv, proj, rows.keep), proj, rows, rows.left_out)
 
 
 def attribute_enhancement_backward(

@@ -70,7 +70,7 @@ def fuse_forward(
     for j, b in enumerate(branches):
         b.feat.rows.put(b.feat.values, feats[:, j])
     out = np.einsum("...bn,...bnd->...nd", weights, feats)
-    return FeatureGrid(out, RowSet.every(ref.h, ref.w)), FuseCache(feats=feats, weights=weights)
+    return FeatureGrid.unchecked(out, RowSet.every(ref.h, ref.w)), FuseCache(feats, weights)
 
 
 def fuse_backward(

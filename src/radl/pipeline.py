@@ -130,9 +130,22 @@ def training_schedule(steps: int) -> NoiseSchedule:
     return NoiseSchedule.make(steps)
 
 
-def _gain_basis(u, s0) -> np.ndarray:
-    """(T, 4) for T noise levels."""
-    return np.stack([np.ones_like(u), 1.0 / np.sqrt(u) - s0, np.sqrt(u), u], axis=-1)
+@lru_cache(maxsize=8)
+def _noise_terms(steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The noise estimate's s0, net scale and gain basis at each training
+    step, read-only; each term is elementwise, so a row equals that step's."""
+    ab = training_schedule(steps).alpha_bars
+    u = 1.0 - ab
+    s0 = np.sqrt(u) / (ab * PRIOR_MOMENT + u)
+    net_scale = (np.sqrt(ab * u) / (u + ab * NET_TRUST))[:, None, None, None]
+    # gain correction on a dense noise-level basis: every sample updates all
+    # four coefficients, unlike a per-step table that would starve at the
+    # fixed learning rate.  The second feature is the gap to the exact
+    # noise gain, reachable as the content correction becomes trustworthy.
+    basis = np.stack([np.ones_like(u), 1.0 / np.sqrt(u) - s0, np.sqrt(u), u], axis=-1)
+    for a in (s0, net_scale, basis):
+        a.flags.writeable = False
+    return s0, net_scale, basis
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +344,24 @@ def encode_layout(layout: LayoutSpec, cfg: EmbedderConfig, image_size: int) -> L
 # Each reshape also takes leading image axes, (K, 3, S, S) <-> (K, rows, cols),
 # by folding them into one axis of the transpose.
 
+def _move_pairs(a: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
+    """A copy of a.reshape(shape + (2,)).transpose(axes + (len(shape),)): the
+    innermost pair of values stays innermost, so each pair moves as one
+    item, where numpy would copy it in a 2-element inner loop."""
+    a = np.ascontiguousarray(a)
+    pairs = a.view(np.dtype((np.void, 2 * a.itemsize)))
+    return pairs.reshape(shape).transpose(axes).copy().view(a.dtype)
+
+
 def image_to_patches(img: np.ndarray) -> np.ndarray:
     """(3, S, S) -> (S/2 * S/2, 12), one row per 2x2 block."""
-    s = img.shape[-1]
-    h = s // 2
-    return (
-        img.reshape(-1, 3, h, 2, h, 2).transpose(0, 2, 4, 1, 3, 5)
-        .reshape(img.shape[:-3] + (h * h, 12))
-    )
+    h = img.shape[-1] // 2
+    return _move_pairs(img, (-1, 3, h, 2, h), (0, 2, 4, 1, 3)).reshape(img.shape[:-3] + (h * h, 12))
 
 
 def patches_to_image(p: np.ndarray, s: int) -> np.ndarray:
     h = s // 2
-    return (
-        p.reshape(-1, h, h, 3, 2, 2).transpose(0, 3, 1, 4, 2, 5)
-        .reshape(p.shape[:-2] + (3, s, s))
-    )
+    return _move_pairs(p, (-1, h, h, 3, 2), (0, 3, 1, 4, 2)).reshape(p.shape[:-2] + (3, s, s))
 
 
 def grid_to_patches(values: np.ndarray, side: int) -> np.ndarray:
@@ -549,7 +564,7 @@ def _instance_branch(
     # attention reads and back-propagates only those
     r_ae, ic.ae = attribute_enhancement_forward(r_i, qlp, params.proj_ae, rows)
     r_ia, ic.ia = instance_attention_forward(r_ae, emb, params.proj_inst, rows)
-    return r_i.like(r_i.values + r_ia.values), ic  # residual fusion
+    return FeatureGrid.unchecked(r_i.values + r_ia.values, rows), ic  # residual fusion
 
 
 def _accumulate_proj(g: dict, prefix: str, grads: dict):
@@ -654,7 +669,8 @@ def denoise_forward_cached(
         """The attention stack at one grid side; the plain pass when off."""
         if not radl_on:
             return h, None
-        fused, block = _radl_block_forward(FeatureGrid(h, RowSet.every(side, side)), stack, params)
+        grid = FeatureGrid.unchecked(h, RowSet.every(side, side))
+        fused, block = _radl_block_forward(grid, stack, params)
         return fused.values, block
 
     temb_t = params.temb[t - 1][:, None, :]
@@ -678,15 +694,7 @@ def denoise_forward_cached(
     # muted where x_t already pins the clean image).  Everything the
     # network learns stays O(1) at every timestep.  Each of these holds one
     # value per step of t.
-    ab = training_schedule(params.t_train).alpha_bars[t - 1]
-    u = 1.0 - ab
-    s0 = np.sqrt(u) / (ab * PRIOR_MOMENT + u)
-    net_scale = (np.sqrt(ab * u) / (u + ab * NET_TRUST))[:, None, None, None]
-    # gain correction on a dense noise-level basis: every sample updates all
-    # four coefficients, unlike a per-step table that would starve at the
-    # fixed learning rate.  The second feature is the gap to the exact
-    # noise gain, reachable as the content correction becomes trustworthy.
-    basis = _gain_basis(u, s0)
+    s0, net_scale, basis = (a[t - 1] for a in _noise_terms(params.t_train))
     gain = s0 + basis @ params.anchor_gain
     eps = correction
     eps *= net_scale
@@ -793,18 +801,22 @@ def sample(
     s = params.image_size
     if not seeds:
         raise ValueError("sampling needs at least one seed")
-    # one noise stream per image, drawn in the order a lone run draws it
+    # one noise stream per image, drawn in the order a lone run draws it,
+    # into one buffer that each draw overwrites
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,))) for seed in seeds]
+    buf = np.empty((len(rngs), 3, s, s))
 
     def noise() -> np.ndarray:
-        return np.stack([rng.standard_normal((3, s, s)) for rng in rngs])
+        for rng, out in zip(rngs, buf):
+            rng.standard_normal(out=out)
+        return buf
 
     # the layout and the parameters hold for the whole call: every stack-on
     # step reads one set of stack inputs
     stack = prepare_stack([encode_layout(layout, embed_cfg, s)] * len(seeds), params, variant)
     temb_map = _temb_index_map(sched, params.t_train)
 
-    x = noise()
+    x = noise().copy()
     trace: list[bool] = []
     for i, t in enumerate(range(total_steps, 0, -1)):
         radl_on = i < radl_steps
@@ -827,7 +839,7 @@ def sample(
         x -= e
         x /= np.sqrt(sched.alpha(t))  # the mean
         if t > 1:
-            x += np.sqrt(sched.posterior_variance(t)) * noise()
+            x += np.multiply(noise(), np.sqrt(sched.posterior_variance(t)), out=buf)
     return np.clip(x, 0.0, 1.0), trace
 
 

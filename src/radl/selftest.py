@@ -78,7 +78,7 @@ def _check_in_mask_attention(rng) -> tuple[bool, str]:
         got_text = rows.put(got_text.values)
         want_text = keep * attention_oracle(x @ proj.wq, emb @ proj.wk, emb @ proj.wv)
         x = keep * x
-        got_ae = attribute_enhancement_forward(feat.like(x[None]), qlp, proj, rows)[0]
+        got_ae = attribute_enhancement_forward(FeatureGrid(x[None], every), qlp, proj, rows)[0]
         got_ae = rows.put(got_ae.values)
         want_ae = keep * attention_oracle(qlp, x @ proj.wk, x @ proj.wv)
         worst = max(

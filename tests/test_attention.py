@@ -92,6 +92,10 @@ def test_shape_mismatch_raises():
         scaled_dot_attention_forward(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 4)))
     with pytest.raises(ShapeMismatch):
         scaled_dot_attention_forward(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((2, 3)))
+    with pytest.raises(ShapeMismatch):  # not a matrix
+        scaled_dot_attention_forward(np.zeros(3), np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ShapeMismatch):  # no key, and no zero keys counted
+        scaled_dot_attention_forward(np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def test_softmax_rows_sum_to_one():
@@ -118,7 +122,9 @@ def test_max_subtracted_softmax_equals_naive():
     rng = np.random.default_rng(5)
     scores = rng.standard_normal((6, 6))  # well-conditioned logits
     naive = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
+    before = scores.copy()
     assert rel_err(softmax_rows(scores), naive) <= 1e-12
+    assert np.array_equal(scores, before)  # the public softmax leaves its input alone
 
 
 def test_scaled_dot_backward_vs_central_differences():
@@ -425,7 +431,7 @@ def test_in_mask_ops_match_masked_oracle(case):
     # attribute enhancement reads masked features, zero outside the mask;
     # the oracle takes every row as a key
     qlp, x = rng.standard_normal((64, 8)), keep * x
-    got = full(attribute_enhancement_forward(feat.like(x[None]), qlp, proj, rows)[0])[0]
+    got = full(attribute_enhancement_forward(FeatureGrid(x[None], feat.rows), qlp, proj, rows)[0])[0]
     want = keep * attention_oracle(qlp, x @ proj.wk, x @ proj.wv)
     assert rel_err(got, want) <= 1e-12
 
@@ -437,14 +443,17 @@ def test_in_mask_ops_match_masked_oracle(case):
         "relation_attention"])
 def test_mask_shape_mismatch_raises(forward):
     # every masked op reads its input at its mask's rows through
-    # `FeatureGrid.at`, which rejects a mask from another grid
+    # `FeatureGrid.at`, which rejects a mask from another grid, whether the
+    # input is a full grid or holds the rows of a mask of its own
     rng = np.random.default_rng(31)
     feat = grid(rng, 4, 4, 4)
+    own = RowSet.of(random_mask(rng, 4, 4))
     proj = AttnProjection.init(rng, 4)
     second = (rng.standard_normal((16, 4)) if forward is attribute_enhancement_forward
               else keys(EmbeddingSeq(rng.standard_normal((3, 4))), proj))
-    with pytest.raises(ShapeMismatch):
-        forward(feat, second, proj, rows_of(np.eye(2)))
+    for held in (feat, FeatureGrid(own.take(feat.values), own)):
+        with pytest.raises(ShapeMismatch):
+            forward(held, second, proj, rows_of(np.eye(2)))
 
 
 @pytest.mark.parametrize("case", MASK_CASES)
@@ -499,6 +508,13 @@ def test_zero_keys_equal_appended_zero_rows():
             scaled_dot_attention_forward(q[1], k[1], v[1])[0]]
     assert rel_err(got, np.stack(want)) <= 1e-12
     assert np.array_equal(got[1], want[1])  # no zero keys: the arithmetic is unchanged
+    # one int count for every row takes its own path: the bytes of that count
+    # as an array, and a count of 0 those of no count
+    for count in (3, 0):
+        as_int = scaled_dot_attention_forward(q, k, v, zero_keys=count)[0]
+        as_array = scaled_dot_attention_forward(q, k, v, zero_keys=np.full((2, 1, 1), count))[0]
+        assert np.array_equal(as_int, as_array)
+    assert np.array_equal(as_int, scaled_dot_attention_forward(q, k, v)[0])
 
 
 def packed_rows(stack, side=8):
@@ -645,6 +661,6 @@ def test_rows_form_holds_the_kept_rows():
     assert held.at(rows) is held.values  # its own rows: no gather
     assert np.array_equal(FeatureGrid(stack, RowSet.every(4, 4)).at(rows), held.values)
     assert np.array_equal(held.at(RowSet.every(4, 4)), rows.put(held.values))
-    assert held.stack == 2 and held.like(held.values).rows is rows
+    assert held.stack == 2
     with pytest.raises(ShapeMismatch):  # every row at a set that keeps fewer
         FeatureGrid(stack, rows)

@@ -84,6 +84,20 @@ def test_temb_index_map_equals_per_step_loop(steps, t_train):
     assert pipeline._temb_index_map(sched, t_train).tolist() == want
 
 
+@pytest.mark.parametrize("t_train", [200, 12])
+def test_noise_terms_equal_per_step_arithmetic(t_train):
+    # the terms as the forward computed them from the steps it was given
+    for t in ([1], [t_train], [3, t_train // 2, 3, t_train - 1]):
+        t = np.array(t)
+        ab = NoiseSchedule.make(t_train).alpha_bars[t - 1]
+        u = 1.0 - ab
+        s0 = np.sqrt(u) / (ab * pipeline.PRIOR_MOMENT + u)
+        net_scale = (np.sqrt(ab * u) / (u + ab * pipeline.NET_TRUST))[:, None, None, None]
+        basis = np.stack([np.ones_like(u), 1.0 / np.sqrt(u) - s0, np.sqrt(u), u], axis=-1)
+        for got, want in zip(pipeline._noise_terms(t_train), (s0, net_scale, basis)):
+            assert np.array_equal(got[t - 1], want)
+
+
 # --- forward diffusion -------------------------------------------------------
 
 def test_diffuse_t1_limit():
@@ -128,6 +142,62 @@ def test_diffuse_variance_monte_carlo():
         expected = ab * images[picks][:, c, r, col].var(ddof=1) + (1 - ab)
         se = expected * np.sqrt(2.0 / (n - 1))
         assert abs(sample_var - expected) <= 3 * se
+
+
+# --- patch reshapes -----------------------------------------------------------
+
+# the plain 6-d transposes the pair-moving reshapes replaced
+def image_to_patches_ref(img):
+    h = img.shape[-1] // 2
+    return (img.reshape(-1, 3, h, 2, h, 2).transpose(0, 2, 4, 1, 3, 5)
+            .reshape(img.shape[:-3] + (h * h, 12)))
+
+
+def patches_to_image_ref(p, s):
+    h = s // 2
+    return p.reshape(-1, h, h, 3, 2, 2).transpose(0, 3, 1, 4, 2, 5).reshape(p.shape[:-2] + (3, s, s))
+
+
+def grid_to_patches_ref(values, side):
+    d, h = values.shape[-1], side // 2
+    return (values.reshape(-1, h, 2, h, 2, d).transpose(0, 1, 3, 2, 4, 5)
+            .reshape(values.shape[:-2] + (h * h, 4 * d)))
+
+
+def patches_to_grid_ref(p, side):
+    h, d = side // 2, p.shape[-1] // 4
+    return (p.reshape(-1, h, h, 2, 2, d).transpose(0, 1, 3, 2, 4, 5)
+            .reshape(p.shape[:-2] + (side * side, d)))
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["lone", "stack1", "stack3"])
+@pytest.mark.parametrize("s", [8, 32])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contiguous", "strided"])
+def test_patch_reshapes_equal_transpose_reference(lead, s, dtype, contiguous):
+    rng = np.random.default_rng(s + len(lead))
+    side, d = s // 2, 8  # the fine grid of an s x s image
+
+    def draw(shape):
+        # a view of every other column of a wider array when not contiguous
+        wide = rng.standard_normal(shape[:-1] + (2 * shape[-1],)).astype(dtype)
+        return wide[..., ::2] if not contiguous else wide[..., ::2].copy()
+
+    img, p = draw(lead + (3, s, s)), draw(lead + (side * side, 12))
+    grid, gp = draw(lead + (side * side, d)), draw(lead + (side * side // 4, 4 * d))
+    patches = pipeline.image_to_patches(img)
+    image = pipeline.patches_to_image(p, s)
+    assert same_bytes(patches, image_to_patches_ref(img))
+    assert same_bytes(image, patches_to_image_ref(p, s))
+    assert not np.shares_memory(patches, img) and not np.shares_memory(image, p)
+    assert same_bytes(pipeline.grid_to_patches(grid, side), grid_to_patches_ref(grid, side))
+    assert same_bytes(pipeline.patches_to_grid(gp, side), patches_to_grid_ref(gp, side))
+    assert same_bytes(pipeline.patches_to_image(patches, s), img)
+    assert same_bytes(pipeline.patches_to_grid(pipeline.grid_to_patches(grid, side), side), grid)
 
 
 # --- denoiser forward --------------------------------------------------------
