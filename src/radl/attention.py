@@ -240,7 +240,7 @@ class RowSet:
     def of(mask: np.ndarray) -> "RowSet":
         """The rows an (h, w) bool mask keeps."""
         h, w = mask.shape
-        return RowSet(h, w, np.flatnonzero(mask))
+        return RowSet(h, w, mask.ravel().nonzero()[0])
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -264,7 +264,12 @@ class RowSet:
     @cached_property
     def mask(self) -> np.ndarray:
         """True on the kept rows: (h*w,), or (stack, h*w) for a packed set."""
-        mask = self.put(np.ones(self.idx.shape + (1,), dtype=bool))[..., 0]
+        if self.grids is None:
+            mask = np.zeros(self.h * self.w, dtype=bool)
+            mask[self.idx] = True
+        else:
+            mask = np.zeros((self.stack, self.h * self.w), dtype=bool)
+            mask[self._kept[0]] = True
         mask.flags.writeable = False  # cached: every reader gets this array
         return mask
 
@@ -280,7 +285,7 @@ class RowSet:
         # (K', R) positions of a packed set's rows are not padding
         if self.grids is None:
             return ((...,) if self.whole else (..., self.idx, slice(None))), None
-        at = np.flatnonzero(self.keep)
+        at = self.keep.ravel().nonzero()[0]
         return (self.grids[at // self.keep.shape[1]], self.idx.ravel()[at]), at
 
     def take(self, x: np.ndarray) -> np.ndarray:

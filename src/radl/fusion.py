@@ -35,16 +35,32 @@ def fusion_weights(masks: Sequence[np.ndarray], logits: Sequence[float]) -> np.n
     (n_pix,) for one set every grid shares, (K, n_pix) for a packed set."""
     if not masks:
         raise NoBranches("fusion requires at least one branch")
-    masks = np.stack(np.broadcast_arrays(*masks), axis=-2)
-    logits = np.array(logits)[:, None]      # (B, 1)
-    if not masks.any(axis=-2).all():
+    # a pixel's weights depend on its active set alone: code each set (bit b
+    # for branch b, in the narrowest dtype, so up to 8 branches sum bytes
+    # without a cast), weigh each set once, and give each pixel its set's
+    shape = max((m.shape for m in masks), key=len)
+    stacked = np.empty(shape[:-1] + (len(masks),) + shape[-1:], dtype=bool)
+    for b, m in enumerate(masks):
+        stacked[..., b, :] = m
+    bits = (1 << np.arange(len(masks))).astype(np.min_scalar_type((1 << len(masks)) - 1))
+    codes = np.einsum("...bn,b->...n", stacked.view(np.uint8), bits, dtype=bits.dtype)
+    if not codes.all():
         raise NoBranches("every pixel needs at least one active branch")
+    if len(masks) <= 8:  # every nonempty set
+        sets, slot = np.arange(1, 1 << len(masks)), codes - 1
+    else:  # the sets that occur (numpy < 2 gives the inverse flat)
+        sets, slot = np.unique(codes, return_inverse=True)
+        slot = slot.reshape(codes.shape)
+    active = (sets & bits[:, None]) != 0
+    logits = np.array(logits)[:, None]  # (B, 1)
 
-    # Softmax over the active set only: subtract the per-pixel max of the
-    # active logits, then renormalize with inactive entries held at zero.
-    shifted = logits - np.where(masks, logits, -np.inf).max(axis=-2, keepdims=True)
-    gated = np.where(masks, np.exp(shifted), 0.0)
-    weights = gated / gated.sum(axis=-2, keepdims=True)
+    # Softmax over the active set only: subtract the max of the active
+    # logits, then renormalize with inactive entries held at zero, adding
+    # the terms in branch order as a per-pixel sum over branches does.
+    shifted = logits - np.where(active, logits, -np.inf).max(axis=0)
+    gated = np.where(active, np.exp(shifted), 0.0)
+    weights = np.take(gated / np.cumsum(gated, axis=0)[-1], slot, axis=1)  # (B, [K,] n_pix)
+    weights = np.ascontiguousarray(weights.swapaxes(0, -2))
     weights.flags.writeable = False
     return weights
 

@@ -7,8 +7,10 @@ masks at any grid resolution via a pixel-center inclusion rule.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,8 +50,9 @@ class BBox:
     def height(self) -> float:
         return self.y2 - self.y1
 
-    @property
+    @cached_property
     def area(self) -> float:
+        """Worked out once per box: IoU matching reads it for every pair."""
         return self.width * self.height
 
     @property
@@ -213,11 +216,19 @@ def rasterize_mask(bbox: BBox, h: int, w: int) -> np.ndarray:
     """
     if h < 1 or w < 1:
         raise ShapeMismatch(f"grid dims must be >= 1, got {h}x{w}")
-    cx = (np.arange(w, dtype=np.float64) + 0.5) / w
-    cy = (np.arange(h, dtype=np.float64) + 0.5) / h
-    in_x = (cx >= bbox.x1) & (cx < bbox.x2)
-    in_y = (cy >= bbox.y1) & (cy < bbox.y2)
-    return in_y[:, None] & in_x
+    cx, cy = _centers(w), _centers(h)
+    # bisect_left(c, e) is the first center >= e: kept rows and columns
+    # run from the low edge's to the high edge's, as the comparisons give
+    mask = np.zeros((h, w), dtype=bool)
+    mask[bisect_left(cy, bbox.y1) : bisect_left(cy, bbox.y2),
+         bisect_left(cx, bbox.x1) : bisect_left(cx, bbox.x2)] = True
+    return mask
+
+
+@lru_cache(maxsize=64)
+def _centers(n: int) -> tuple[float, ...]:
+    """The pixel centers (i + 0.5) / n of an n-pixel axis, ascending."""
+    return tuple(((np.arange(n, dtype=np.float64) + 0.5) / n).tolist())
 
 
 def total_mask(masks: Sequence[np.ndarray], height: int, width: int) -> np.ndarray:

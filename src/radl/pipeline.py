@@ -404,7 +404,7 @@ def _pack(branches: Sequence[Branch | None]) -> Branch | None:
     return Branch(
         tokens=EmbeddingSeq.pack([b.tokens for b in present]),
         rows=rows,
-        box=None if present[0].box is None else np.stack([b.box for b in present]),
+        box=None if present[0].box is None else np.array([b.box for b in present]),
     )
 
 

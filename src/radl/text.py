@@ -121,18 +121,26 @@ def _hash64(token: str) -> int:
 def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
     # Philox is counter-based: the (token hash, seed) key fully determines
     # the stream, independent of call order.  Cached vectors are never
-    # mutated (embed_tokens stacks copies).
+    # mutated (_embed stacks copies).
     key = (_hash64(token) << 64) | (seed & 0xFFFFFFFFFFFFFFFF)
     rng = np.random.Generator(np.random.Philox(key=key))
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def embed_tokens(tokens: list[str], cfg: EmbedderConfig) -> EmbeddingSeq:
-    """Embed tokens as deterministic pseudorandom unit vectors."""
+def embed_tokens(tokens: Sequence[str], cfg: EmbedderConfig) -> EmbeddingSeq:
+    """Embed tokens as deterministic pseudorandom unit vectors.  The result
+    is read-only: calls with the same tokens share one sequence."""
     if not tokens:
         raise ShapeMismatch("embed_tokens requires at least one token")
-    rows = np.stack([_token_vector(t, cfg.dim, cfg.seed) for t in tokens])
+    return _embed(tuple(tokens), cfg.dim, cfg.seed)
+
+
+@lru_cache(maxsize=4096)
+def _embed(tokens: tuple[str, ...], dim: int, seed: int) -> EmbeddingSeq:
+    # bounded: a corpus names a few hundred distinct prompts, labels and verbs
+    rows = np.stack([_token_vector(t, dim, seed) for t in tokens])
+    rows.flags.writeable = False
     return EmbeddingSeq(rows)
 
 
@@ -153,15 +161,13 @@ def extract_verbs(prompt: str, cfg: EmbedderConfig) -> list[str]:
     A token matches if it is in the lexicon, or ends in "ing" with a stem
     in the lexicon.  An empty result is legal (relation branch disabled).
     """
-    out = []
-    for tok in tokenize(prompt):
-        if tok == EMPTY_TOKEN:
-            continue
-        if tok in cfg.verb_lexicon:
-            out.append(tok)
-        elif any(s in cfg.verb_lexicon for s in _ing_stems(tok)):
-            out.append(tok)
-    return out
+    lexicon = cfg.verb_lexicon
+    return [
+        tok for tok in tokenize(prompt)
+        if tok != EMPTY_TOKEN and (
+            tok in lexicon or (tok.endswith("ing") and any(s in lexicon for s in _ing_stems(tok)))
+        )
+    ]
 
 
 @dataclass
@@ -230,8 +236,9 @@ def build_instance_embedding_forward(
         raise ShapeMismatch(
             f"instance-embedding projection must be ({d + d_pos}, {d}), got {proj.shape}"
         )
-    rows = np.broadcast_to(pos[..., None, :], label_emb.values.shape[:-1] + (d_pos,))
-    concat = np.concatenate([label_emb.values, rows], axis=-1)
+    concat = np.empty(label_emb.values.shape[:-1] + (d + d_pos,))
+    concat[..., :d] = label_emb.values
+    concat[..., d:] = pos[..., None, :]
     out = concat @ proj
     return EmbeddingSeq(out, label_emb.keep), concat
 

@@ -125,6 +125,34 @@ def test_packed_fuse_matches_pixel_loop_oracle():
     assert rel_err(got.values, fuse_oracle(branches, masks)) <= 1e-12
 
 
+def per_pixel_weights(masks, logits):
+    """The weights formed over every pixel's branch axis at once."""
+    masks = np.stack(np.broadcast_arrays(*masks), axis=-2)
+    logits = np.array(logits)[:, None]
+    shifted = logits - np.where(masks, logits, -np.inf).max(axis=-2, keepdims=True)
+    gated = np.where(masks, np.exp(shifted), 0.0)
+    return gated / gated.sum(axis=-2, keepdims=True)
+
+
+@pytest.mark.parametrize("branches", [1, 2, 5, 8, 9, 12])
+def test_weights_equal_per_pixel_formula(branches):
+    # the weights come from one softmax per active set; each must carry the
+    # bytes of the per-pixel formula, for masks one set the stack shares and
+    # packed ones, up to 8 branches (every set) and past (the sets present)
+    rng = np.random.default_rng(branches)
+    for trial in range(20):
+        k, n = int(rng.integers(1, 9)), int(rng.choice([4, 16, 64, 256]))
+        masks = [np.ones(n, dtype=bool) if trial % 2 else rng.random(n) < 0.6]
+        for _ in range(branches - 1):
+            share = rng.random() < 0.3
+            masks.append(rng.random(n if share else (k, n)) < rng.random() * 0.6)
+        masks[0] = masks[0] | ~np.logical_or.reduce(np.broadcast_arrays(*masks))
+        logits = rng.standard_normal(branches) * 3 if trial % 3 else [0.0] + [3.0] * (branches - 1)
+        got, want = fusion_weights(masks, logits), per_pixel_weights(masks, logits)
+        assert got.shape == want.shape and got.flags.c_contiguous and not got.flags.writeable
+        assert got.tobytes() == want.tobytes(), trial
+
+
 def test_fuse_weights_sum_to_one():
     rng = np.random.default_rng(3)
     for seed in range(100):

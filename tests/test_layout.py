@@ -192,6 +192,25 @@ def test_rasterize_matches_oracle(bbox, size):
     assert np.array_equal(m, rasterize_oracle(bbox, size, size))
 
 
+def test_rasterize_equals_center_comparisons():
+    # edges on pixel centers, next to them and at 0/1, on non-square grids:
+    # the mask is the comparison of every center against the box's edges
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        h, w = (int(v) for v in rng.integers(1, 20, 2))
+        edges = []
+        for n in (w, h):
+            pick = [(int(rng.integers(0, n)) + 0.5) / n, float(rng.random()), 0.0, 1.0]
+            lo, hi = sorted(rng.choice(pick, 2, replace=False))
+            edges.append((lo, hi) if lo < hi else (0.0, 1.0))
+        (x1, x2), (y1, y2) = edges
+        box = BBox(x1, y1, x2, y2)
+        cx, cy = (np.arange(w) + 0.5) / w, (np.arange(h) + 0.5) / h
+        want = ((cy >= y1) & (cy < y2))[:, None] & ((cx >= x1) & (cx < x2))
+        got = rasterize_mask(box, h, w)
+        assert got.dtype == bool and got.shape == (h, w) and np.array_equal(got, want)
+
+
 @given(boxes, st.sampled_from([8, 16, 64]))
 @settings(max_examples=80, deadline=None)
 def test_rasterize_area_bound(bbox, size):

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from radl import pipeline
+from radl import layout as layout_module
+from radl import pipeline, text
 from radl.cli import RunConfig, _load_checkpoint, _save_checkpoint
 from radl.errors import NonFiniteLoss, PlacementFailure, ShapeMismatch, StepOutOfRange
 from radl.pipeline import (
@@ -638,6 +639,54 @@ def test_training_prepares_instance_embeddings_per_forward(monkeypatch):
         assert calls == dict.fromkeys(EMBEDDING_OPS, 2 * forwards)
 
 
+def test_encode_layout_makes_the_traced_mask_calls(monkeypatch):
+    # perfbench's tracer counts rasterize_mask(bbox, h, w) and total_mask
+    # through the pipeline namespace: once per instance and side, and once
+    # per side
+    params = init_denoiser(0, d=8, image_size=32, t_train=20)
+    seen = []
+    for name in ("rasterize_mask", "total_mask"):
+        def traced(*args, _name=name, _fn=getattr(pipeline, name), **kwargs):
+            seen.append((_name, args, kwargs))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, traced)
+    for scene in mixed_scenes():
+        layout = scene.layout
+        seen.clear()
+        encode(params, layout)
+        rasters = [args for name, args, kwargs in seen if name == "rasterize_mask"]
+        assert [name for name, *_ in seen].count("total_mask") == 2
+        assert len(rasters) == 2 * layout.n and all(len(args) == 3 for args in rasters)
+        for side in (16, 8):
+            want = [(inst.bbox, side, side) for inst in layout.instances]
+            assert [args for args in rasters if args[1] == side] == want
+
+
+@pytest.mark.parametrize("mode", TRAIN_MODES)
+def test_train_encodes_each_stack_on_scene_once(monkeypatch, mode):
+    encoded, stack_on = [], set()
+    encode_layout_, mse = pipeline.encode_layout, pipeline.mse_loss_and_grads
+
+    def counted_encode(layout, *args):
+        encoded.append(id(layout))
+        return encode_layout_(layout, *args)
+
+    def recorded(params, scenes, ts, noise, encs, *args, **kwargs):
+        if encs is not None:
+            stack_on.update(id(sc.layout) for sc in scenes)
+        return mse(params, scenes, ts, noise, encs, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "encode_layout", counted_encode)
+    monkeypatch.setattr(pipeline, "mse_loss_and_grads", recorded)
+    params = init_denoiser(0, d=4, image_size=8, t_train=20)
+    for start in (0, 3):
+        encoded.clear()
+        stack_on.clear()
+        train(params, make_dataset(), steps=3, start_step=start, embed_cfg=EC4,
+              batch_size=8, radl_train_mode=mode)
+        assert stack_on and sorted(encoded) == sorted(stack_on)
+
+
 # --- training ----------------------------------------------------------------
 
 def make_dataset(n=12, image_size=8):
@@ -971,6 +1020,224 @@ def test_packed_train_matches_per_sample_reference(mode):
         ref_params = params_to_dict(ref)
         for name, arr in params_to_dict(packed).items():
             assert rel_err(arr, ref_params[name]) <= 1e-10, (batch_size, name)
+
+
+# --- stack inputs against a straightforward construction ----------------------
+# `encode_layout`, the pack's branches and `prepare_stack` are built with
+# lookups, one bool scatter per packed mask and one fusion weight per active
+# set; the forms below build each array directly, and every byte must agree.
+
+def ref_mask(bbox, h, w):
+    cx = (np.arange(w, dtype=np.float64) + 0.5) / w
+    cy = (np.arange(h, dtype=np.float64) + 0.5) / h
+    return ((cy >= bbox.y1) & (cy < bbox.y2))[:, None] & ((cx >= bbox.x1) & (cx < bbox.x2))
+
+
+def ref_embed(tokens, cfg):
+    return np.stack([text._token_vector(t, cfg.dim, cfg.seed) for t in tokens])
+
+
+def ref_verbs(prompt, cfg):
+    out = []
+    for tok in text.tokenize(prompt):
+        if tok == text.EMPTY_TOKEN:
+            continue
+        if tok in cfg.verb_lexicon or any(s in cfg.verb_lexicon for s in text._ing_stems(tok)):
+            out.append(tok)
+    return out
+
+
+def ref_pad(arrays):
+    longest = max(len(a) for a in arrays)
+    out = np.zeros((len(arrays), longest) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    keep = np.zeros((len(arrays), longest), dtype=bool)
+    for j, a in enumerate(arrays):
+        out[j, : len(a)] = a
+        keep[j, : len(a)] = True
+    return out, keep
+
+
+def ref_rows_mask(rows):
+    return rows.put(np.ones(rows.idx.shape + (1,), dtype=bool))[..., 0]
+
+
+def ref_fusion_weights(masks, logits):
+    masks = np.stack(np.broadcast_arrays(*masks), axis=-2)
+    logits = np.array(logits)[:, None]
+    assert masks.any(axis=-2).all()
+    shifted = logits - np.where(masks, logits, -np.inf).max(axis=-2, keepdims=True)
+    gated = np.where(masks, np.exp(shifted), 0.0)
+    return gated / gated.sum(axis=-2, keepdims=True)
+
+
+def ref_branches(layout, cfg, image_size):
+    """Each branch of a layout as (tokens (L, d), {side: rows}, box): the
+    background first, then each instance, then the relation if any."""
+    sides = (image_size // 2, image_size // 4)
+    verbs = list(layout.verbs) if layout.verbs is not None else ref_verbs(layout.prompt, cfg)
+    masks = {s: [ref_mask(i.bbox, s, s) for i in layout.instances] for s in sides}
+    every = {s: np.arange(s * s) for s in sides}
+    out = [(ref_embed(text.tokenize(layout.prompt), cfg), every, None)]
+    for k, inst in enumerate(layout.instances):
+        rows = {s: np.flatnonzero(masks[s][k]) for s in sides}
+        out.append((ref_embed(text.tokenize(inst.label), cfg), rows, inst.bbox.as_array()))
+    if verbs and layout.instances:
+        out.append((ref_embed(verbs, cfg),
+                    {s: np.flatnonzero(np.logical_or.reduce(masks[s])) for s in sides}, None))
+    return out
+
+
+def ref_stack_inputs(layouts, params, variant):
+    """The pack's stack inputs, branch by branch: each key/value source,
+    each packed set's (idx, keep, grids) and mask at both sides, each
+    instance slot's embedding and its caches, and the fusion weights.  A
+    lone layout's branches are its own, unpadded."""
+    lone = len(layouts) == 1
+    sides = (params.fine_side, params.coarse_side)
+    per = [ref_branches(lay, EC, params.image_size) for lay in layouts]
+    slots = max(lay.n for lay in layouts)
+    kinds = [("bg", [p[0] for p in per])]
+    kinds += [(f"inst{i}", [p[1 + i] if i < lay.n else None for p, lay in zip(per, layouts)])
+              for i in range(slots)]
+    kinds.append(("rel", [p[-1] if len(p) > 1 + lay.n else None for p, lay in zip(per, layouts)]))
+    out, masks, logits = {}, {s: [] for s in sides}, []
+    for kind, branches in kinds:
+        grids = [k for k, b in enumerate(branches) if b is not None]
+        if not grids or kind == "rel" and variant != "full":
+            continue
+        present = [branches[k] for k in grids]
+        tokens, token_keep = (present[0][0], None) if lone else ref_pad([b[0] for b in present])
+        out[kind, "src"], out[kind, "keep"] = tokens, token_keep
+        for s in sides:
+            sets = [b[1][s] for b in present]
+            if len(grids) == len(layouts) and all(len(r) == s * s for r in sets):
+                masks[s].append(np.ones(s * s, dtype=bool))
+                continue
+            mask = np.zeros((len(layouts), s * s), dtype=bool)
+            for g, r in zip(grids, sets):
+                mask[g, r] = True
+            if lone:
+                out[kind, s] = sets[0], None, None, mask[0]
+            else:
+                out[kind, s] = ref_pad(sets) + (np.array(grids), mask)
+            masks[s].append(mask[0] if lone else mask)
+        proj = params.proj_rel if kind == "rel" else params.proj_text
+        out[kind, "k"], out[kind, "v"] = tokens @ proj.wk, tokens @ proj.wv
+        logits.append(float({"bg": params.logit_bg, "rel": params.logit_rel}.get(
+            kind, params.logit_inst)))
+        if kind.startswith("inst") and variant != "text_attn_only":
+            box = present[0][2] if lone else np.stack([b[2] for b in present])
+            pre = box @ params.posmlp.w1 + params.posmlp.b1
+            pos = np.maximum(pre, 0.0) @ params.posmlp.w2 + params.posmlp.b2
+            rows = np.broadcast_to(pos[..., None, :], tokens.shape[:-1] + (pos.shape[-1],))
+            concat = np.concatenate([tokens, rows], axis=-1)
+            emb = concat @ params.e_proj
+            out[kind, "box"], out[kind, "pre"], out[kind, "concat"] = box, pre, concat
+            out[kind, "emb"] = emb
+            out[kind, "emb_k"] = emb @ params.proj_inst.wk
+            out[kind, "emb_v"] = emb @ params.proj_inst.wv
+    for s in sides:
+        out["weights", s] = ref_fusion_weights(masks[s], logits)
+    return out
+
+
+def stack_arrays(stack, params):
+    """The arrays of stack inputs, keyed as ref_stack_inputs keys them."""
+    inputs = stack.inputs
+    kinds = [("bg", inputs.background, stack.background)]
+    kinds += [(f"inst{i}", b, kv) for i, (b, kv) in enumerate(zip(inputs.instances, stack.labels))]
+    if stack.relation is not None:
+        kinds.append(("rel", inputs.relation, stack.relation))
+    out = {}
+    for kind, branch, kv in kinds:
+        out[kind, "src"], out[kind, "keep"], out[kind, "k"], out[kind, "v"] = (
+            kv.src, kv.keep, kv.k, kv.v)
+        for s, rows in branch.rows.items():
+            assert (rows.h, rows.w) == (s, s)
+            assert ref_rows_mask(rows).tobytes() == rows.mask.tobytes()
+            if rows.whole:
+                assert rows.left_out == 0, (kind, s)
+                continue
+            left_out = s * s - (len(rows.idx) if rows.keep is None else rows.keep.sum(axis=-1))
+            assert np.array_equal(np.ravel(rows.left_out), np.ravel(left_out)), (kind, s)
+            assert rows.grids is None or rows.stack == stack.images
+            out[kind, s] = rows.idx, rows.keep, rows.grids, rows.mask
+    embedded = zip(stack.embeddings or (), stack.emb_caches or ())
+    for i, (emb, (pos_cache, concat)) in enumerate(embedded):
+        kind = f"inst{i}"
+        out[kind, "box"], out[kind, "pre"], out[kind, "concat"] = (
+            pos_cache.box, pos_cache.pre, concat)
+        out[kind, "emb"], out[kind, "emb_k"], out[kind, "emb_v"] = emb.src, emb.k, emb.v
+    for s, w in stack.weights.items():
+        out["weights", s] = w
+    return out
+
+
+def same_arrays(got, want):
+    assert got.keys() == want.keys()
+    for key, a in want.items():
+        a = a if isinstance(a, tuple) else (a,)
+        b = got[key] if isinstance(got[key], tuple) else (got[key],)
+        assert len(a) == len(b), key
+        for x, y in zip(a, b):
+            if x is None or y is None:
+                assert x is None and y is None, key
+                continue
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), key
+
+
+def test_encode_layout_equals_per_instance_form():
+    params = init_denoiser(0, d=8, image_size=32, t_train=20)
+    layouts = [sc.layout for sc in mixed_scenes()] + crowded_layouts()
+    for layout in layouts:
+        (enc,) = encode(params, layout)
+        branches = [enc.background, *enc.instances] + ([enc.relation] if enc.relation else [])
+        want = ref_branches(layout, EC, 32)
+        assert len(branches) == len(want)
+        for b, (tokens, rows, box) in zip(branches, want):
+            assert b.tokens.values.tobytes() == tokens.tobytes() and b.tokens.keep is None
+            assert b.rows.keys() == rows.keys()
+            for s, idx in rows.items():
+                assert b.rows[s].grids is None and b.rows[s].idx.tobytes() == idx.tobytes()
+            assert (b.box is None) == (box is None)
+            assert box is None or b.box.tobytes() == box.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_stack_inputs_equal_reference_construction(variant):
+    # packs of 1 to 8 drawn from scenes of 0 to 4 instances, one of them
+    # empty at 8x8, without verbs and with two; a pack may hold a scene twice
+    params = init_denoiser(2, d=8, image_size=32, t_train=200)
+    # three distinct logits: an active set's terms then add up differently
+    # in other orders
+    params.logit_bg[...], params.logit_rel[...] = 0.25, 2.2
+    layouts = [sc.layout for sc in mixed_scenes()]
+    rng = np.random.default_rng(8)
+    packs = [[layouts[k] for k in rng.choice(len(layouts), size, replace=size > 6)]
+             for size in range(1, 9) for _ in range(2)]
+    packs += [layouts, layouts[::-1], layouts[4:] + layouts[:4]]
+    for pack in packs:
+        if len(set(map(id, pack))) == 1 and len(pack) > 1:
+            continue  # one shared encoding: no pack is built
+        stack = prepare_stack(encode(params, *pack), params, variant)
+        same_arrays(stack_arrays(stack, params), ref_stack_inputs(pack, params, variant))
+
+
+def test_shared_token_rows_and_pixel_centers_are_read_only():
+    # embeddings and centers serve every later call: none may be written
+    seq = text.embed_tokens(["red", "square"], EC)
+    assert text.embed_tokens(["red", "square"], EC) is seq
+    assert text.embed_tokens(("red", "square"), EC) is seq
+    assert text.embed_tokens(["red", "square"], EC4) is not seq
+    with pytest.raises(ValueError):
+        seq.values[0, 0] = 1.0
+    for n in (1, 8, 16):
+        centers = layout_module._centers(n)
+        assert isinstance(centers, tuple)
+        assert np.array_equal(centers, (np.arange(n) + 0.5) / n)
+    (enc,) = encode(init_denoiser(0, d=8, image_size=32, t_train=20), mixed_scenes()[4].layout)
+    for b in (enc.background, *enc.instances, enc.relation):
+        assert not b.tokens.values.flags.writeable
 
 
 # --- gradient checking -------------------------------------------------------
