@@ -46,11 +46,8 @@ def fusion_weights(masks: Sequence[np.ndarray], logits: Sequence[float]) -> np.n
     codes = np.einsum("...bn,b->...n", stacked.view(np.uint8), bits, dtype=bits.dtype)
     if not codes.all():
         raise NoBranches("every pixel needs at least one active branch")
-    if len(masks) <= 8:  # every nonempty set
-        sets, slot = np.arange(1, 1 << len(masks)), codes - 1
-    else:  # the sets that occur (numpy < 2 gives the inverse flat)
-        sets, slot = np.unique(codes, return_inverse=True)
-        slot = slot.reshape(codes.shape)
+    sets, slot = np.unique(codes, return_inverse=True)  # the sets that occur
+    slot = slot.reshape(codes.shape)  # numpy < 2 gives the inverse flat
     active = (sets & bits[:, None]) != 0
     logits = np.array(logits)[:, None]  # (B, 1)
 

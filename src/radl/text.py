@@ -161,13 +161,15 @@ def extract_verbs(prompt: str, cfg: EmbedderConfig) -> list[str]:
     A token matches if it is in the lexicon, or ends in "ing" with a stem
     in the lexicon.  An empty result is legal (relation branch disabled).
     """
-    lexicon = cfg.verb_lexicon
-    return [
-        tok for tok in tokenize(prompt)
-        if tok != EMPTY_TOKEN and (
-            tok in lexicon or (tok.endswith("ing") and any(s in lexicon for s in _ing_stems(tok)))
-        )
-    ]
+    out = []
+    for tok in tokenize(prompt):
+        if tok == EMPTY_TOKEN:
+            continue
+        if tok in cfg.verb_lexicon:
+            out.append(tok)
+        elif any(s in cfg.verb_lexicon for s in _ing_stems(tok)):
+            out.append(tok)
+    return out
 
 
 @dataclass

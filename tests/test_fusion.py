@@ -138,7 +138,7 @@ def per_pixel_weights(masks, logits):
 def test_weights_equal_per_pixel_formula(branches):
     # the weights come from one softmax per active set; each must carry the
     # bytes of the per-pixel formula, for masks one set the stack shares and
-    # packed ones, up to 8 branches (every set) and past (the sets present)
+    # packed ones, with codes of one byte (up to 8 branches) and wider
     rng = np.random.default_rng(branches)
     for trial in range(20):
         k, n = int(rng.integers(1, 9)), int(rng.choice([4, 16, 64, 256]))

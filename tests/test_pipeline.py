@@ -34,6 +34,7 @@ from radl.layout import BBox, InstanceSpec, LayoutSpec, rasterize_mask
 from radl.oracles import central_diff, rel_err, union_oracle
 from radl.scenes import SceneConfig, generate, make_scene
 from radl.text import EmbedderConfig, extract_verbs
+from test_fusion import per_pixel_weights
 
 EC = EmbedderConfig(dim=8, seed=0)
 EC4 = EmbedderConfig(dim=4, seed=0)
@@ -1047,27 +1048,8 @@ def ref_verbs(prompt, cfg):
     return out
 
 
-def ref_pad(arrays):
-    longest = max(len(a) for a in arrays)
-    out = np.zeros((len(arrays), longest) + arrays[0].shape[1:], dtype=arrays[0].dtype)
-    keep = np.zeros((len(arrays), longest), dtype=bool)
-    for j, a in enumerate(arrays):
-        out[j, : len(a)] = a
-        keep[j, : len(a)] = True
-    return out, keep
-
-
 def ref_rows_mask(rows):
     return rows.put(np.ones(rows.idx.shape + (1,), dtype=bool))[..., 0]
-
-
-def ref_fusion_weights(masks, logits):
-    masks = np.stack(np.broadcast_arrays(*masks), axis=-2)
-    logits = np.array(logits)[:, None]
-    assert masks.any(axis=-2).all()
-    shifted = logits - np.where(masks, logits, -np.inf).max(axis=-2, keepdims=True)
-    gated = np.where(masks, np.exp(shifted), 0.0)
-    return gated / gated.sum(axis=-2, keepdims=True)
 
 
 def ref_branches(layout, cfg, image_size):
@@ -1106,7 +1088,7 @@ def ref_stack_inputs(layouts, params, variant):
         if not grids or kind == "rel" and variant != "full":
             continue
         present = [branches[k] for k in grids]
-        tokens, token_keep = (present[0][0], None) if lone else ref_pad([b[0] for b in present])
+        tokens, token_keep = (present[0][0], None) if lone else text.pad_stack([b[0] for b in present])
         out[kind, "src"], out[kind, "keep"] = tokens, token_keep
         for s in sides:
             sets = [b[1][s] for b in present]
@@ -1119,7 +1101,7 @@ def ref_stack_inputs(layouts, params, variant):
             if lone:
                 out[kind, s] = sets[0], None, None, mask[0]
             else:
-                out[kind, s] = ref_pad(sets) + (np.array(grids), mask)
+                out[kind, s] = text.pad_stack(sets) + (np.array(grids), mask)
             masks[s].append(mask[0] if lone else mask)
         proj = params.proj_rel if kind == "rel" else params.proj_text
         out[kind, "k"], out[kind, "v"] = tokens @ proj.wk, tokens @ proj.wv
@@ -1137,7 +1119,7 @@ def ref_stack_inputs(layouts, params, variant):
             out[kind, "emb_k"] = emb @ params.proj_inst.wk
             out[kind, "emb_v"] = emb @ params.proj_inst.wv
     for s in sides:
-        out["weights", s] = ref_fusion_weights(masks[s], logits)
+        out["weights", s] = per_pixel_weights(masks[s], logits)
     return out
 
 
